@@ -5,11 +5,16 @@
 //! 10% over fast mode. Hosts with fewer hardware threads measure and report
 //! but skip the ratio assertions (there is nothing to win on one core).
 //!
+//! The record also carries the LJ deck's serial and 2-thread fast-mode pair
+//! seconds (no assertion): LJ and CHARMM go through the pairwise row-range
+//! chunk path, which the EAM deck never touches.
+//!
 //! Results are also written to `BENCH_threads.json` at the workspace root so
 //! runs can be compared across hosts.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use md_core::{TaskKind, Threads};
+use md_workloads::Benchmark;
 use std::time::Duration;
 
 /// 4-thread pair+neigh time must be at most this fraction of serial.
@@ -22,19 +27,21 @@ const DET_OVERHEAD_THRESHOLD: f64 = 1.10;
 const STEPS: u64 = 10;
 
 struct Measurement {
+    /// Seconds of Pair work per step.
+    pair: f64,
     /// Seconds of Pair + Neigh work per step.
     pair_neigh: f64,
     /// Wall seconds per step.
     wall: f64,
 }
 
-fn measure(threads: Threads) -> Measurement {
-    let mut deck = md_workloads::build_deck_with(md_workloads::Benchmark::Eam, 1, 3, threads)
-        .expect("deck builds");
+fn measure(benchmark: Benchmark, threads: Threads) -> Measurement {
+    let mut deck = md_workloads::build_deck_with(benchmark, 1, 3, threads).expect("deck builds");
     deck.simulation.run(3).expect("warmup");
     let report = deck.simulation.run(STEPS).expect("timed window");
     let ledger = &report.ledger;
     Measurement {
+        pair: ledger.seconds(TaskKind::Pair) / STEPS as f64,
         pair_neigh: (ledger.seconds(TaskKind::Pair) + ledger.seconds(TaskKind::Neigh))
             / STEPS as f64,
         wall: report.wall_seconds / STEPS as f64,
@@ -43,9 +50,11 @@ fn measure(threads: Threads) -> Measurement {
 
 fn guard_thread_speedup(c: &mut Criterion) {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let serial = measure(Threads::serial());
-    let fast4 = measure(Threads::fast(4));
-    let det4 = measure(Threads::deterministic(4));
+    let serial = measure(Benchmark::Eam, Threads::serial());
+    let fast4 = measure(Benchmark::Eam, Threads::fast(4));
+    let det4 = measure(Benchmark::Eam, Threads::deterministic(4));
+    let lj_serial = measure(Benchmark::Lj, Threads::serial());
+    let lj_fast2 = measure(Benchmark::Lj, Threads::fast(2));
     let speedup_ratio = fast4.pair_neigh / serial.pair_neigh.max(1e-12);
     let det_ratio = det4.pair_neigh / fast4.pair_neigh.max(1e-12);
     println!(
@@ -55,6 +64,11 @@ fn guard_thread_speedup(c: &mut Criterion) {
         serial.pair_neigh * 1e3,
         fast4.pair_neigh * 1e3,
         det4.pair_neigh * 1e3,
+    );
+    println!(
+        "bench_threads: lj pair per step — serial {:.1} ms, 2-thread {:.1} ms",
+        lj_serial.pair * 1e3,
+        lj_fast2.pair * 1e3,
     );
 
     // A reader of the JSON must be able to tell a passing guard from one
@@ -72,11 +86,19 @@ fn guard_thread_speedup(c: &mut Criterion) {
          \"serial_pair_neigh_s\": {:.6e},\n  \"fast4_pair_neigh_s\": {:.6e},\n  \
          \"det4_pair_neigh_s\": {:.6e},\n  \"serial_wall_s\": {:.6e},\n  \
          \"fast4_wall_s\": {:.6e},\n  \"det4_wall_s\": {:.6e},\n  \
+         \"lj_serial_pair_s\": {:.6e},\n  \"lj_fast2_pair_s\": {:.6e},\n  \
          \"speedup_ratio\": {speedup_ratio:.4},\n  \"det_overhead_ratio\": {det_ratio:.4},\n  \
          \"speedup_threshold\": {SPEEDUP_THRESHOLD},\n  \
          \"det_overhead_threshold\": {DET_OVERHEAD_THRESHOLD},\n  \
          \"asserted\": {asserted},\n  \"skip_reason\": \"{skip_reason}\"\n}}\n",
-        serial.pair_neigh, fast4.pair_neigh, det4.pair_neigh, serial.wall, fast4.wall, det4.wall,
+        serial.pair_neigh,
+        fast4.pair_neigh,
+        det4.pair_neigh,
+        serial.wall,
+        fast4.wall,
+        det4.wall,
+        lj_serial.pair,
+        lj_fast2.pair,
     );
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_threads.json");
     match std::fs::write(out, &json) {

@@ -97,6 +97,20 @@ pub fn lane_min_image(d: f64, l: f64, half: f64) -> f64 {
     d - l * lane_mask(d > half) + l * lane_mask(d < -half)
 }
 
+/// Per-axis [`lane_min_image`] parameters of `bx`: `(length, half)` on
+/// periodic axes, `(0, ∞)` — which turns the select wrap into an exact
+/// no-op — elsewhere.
+pub fn lane_wrap_params(bx: &SimBox) -> [(f64, f64); 3] {
+    let l = bx.lengths();
+    let mut p = [(0.0, f64::INFINITY); 3];
+    for (k, lk) in [l.x, l.y, l.z].into_iter().enumerate() {
+        if bx.is_periodic(k) {
+            p[k] = (lk, 0.5 * lk);
+        }
+    }
+    p
+}
+
 /// Where the ghost (sentinel) atom lives: far enough below the box that a
 /// single minimum-image wrap still leaves it far outside every cutoff.
 pub fn ghost_position(bx: &SimBox) -> V3 {
@@ -108,23 +122,13 @@ pub fn ghost_position(bx: &SimBox) -> V3 {
 /// `x/y/z` arrays plus types and charges, each `n + 1` long with the ghost
 /// atom in the final slot. Gathers through padded neighbor rows then index
 /// freely without bounds branches.
-///
-/// `Clone` produces an *empty* scratch: `Threaded` clones its inner style
-/// into per-chunk workers every compute call, and cloning capacity along
-/// would duplicate O(n) memory per chunk for no benefit.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct LaneGather {
     pub xs: Vec<f64>,
     pub ys: Vec<f64>,
     pub zs: Vec<f64>,
     pub ts: Vec<u32>,
     pub qs: Vec<f64>,
-}
-
-impl Clone for LaneGather {
-    fn clone(&self) -> Self {
-        LaneGather::default()
-    }
 }
 
 impl LaneGather {
@@ -166,17 +170,11 @@ impl LaneGather {
 /// flattened `x/y/z` arrays, `n + 1` long so Newton-third-law scatters to
 /// the ghost slot land harmlessly. [`LaneAccum::fold_into`] adds the real
 /// slots back onto the engine's `Vec3` force array.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct LaneAccum {
     pub fx: Vec<f64>,
     pub fy: Vec<f64>,
     pub fz: Vec<f64>,
-}
-
-impl Clone for LaneAccum {
-    fn clone(&self) -> Self {
-        LaneAccum::default()
-    }
 }
 
 impl LaneAccum {
@@ -259,15 +257,5 @@ mod tests {
         acc.fold_into(&mut f);
         assert_eq!(f[0].x, 1.0);
         assert_eq!(f[1].z, 0.0);
-    }
-
-    #[test]
-    fn clone_is_empty() {
-        let mut g = LaneGather::default();
-        g.load(&[Vec3::zero()], &[0], &[0.0], Vec3::new(-1e6, -1e6, -1e6));
-        assert!(g.clone().xs.is_empty());
-        let mut a = LaneAccum::default();
-        a.reset(4);
-        assert!(a.clone().fx.is_empty());
     }
 }

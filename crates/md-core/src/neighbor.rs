@@ -63,24 +63,35 @@ struct StripeBuf {
     wc: usize,
 }
 
+/// Pads the row that starts at `start` and ends `neigh` with `sentinel` up to
+/// a multiple of `lanes`, and returns where its real entries end. Empty rows
+/// stay empty.
+fn pad_row(neigh: &mut Vec<u32>, start: usize, lanes: usize, sentinel: u32) -> usize {
+    let end = neigh.len();
+    neigh.resize(start + (end - start).next_multiple_of(lanes), sentinel);
+    end
+}
+
 /// A Verlet neighbor list built through cell binning.
 #[derive(Debug, Clone)]
 pub struct NeighborList {
     cutoff: f64,
     skin: f64,
     kind: NeighborListKind,
+    /// Row starts into `neigh`, `natoms + 1` long.
     offsets: Vec<usize>,
+    /// The one row storage. With padding on, every non-empty row is followed
+    /// by sentinel entries (`natoms`) up to a multiple of `padding`, so the
+    /// lane kernels iterate full blocks with no tail loop.
     neigh: Vec<u32>,
+    /// With padding on, where each row's real entries end (`natoms` long);
+    /// empty with padding off, where a row ends at the next row's start.
+    row_ends: Vec<usize>,
     x_at_build: Vec<V3>,
     stats: NeighborBuildStats,
     threads: usize,
-    /// Lane width the padded mirror is maintained for (0/1 = disabled).
+    /// Lane width rows are padded to (0 = disabled).
     padding: usize,
-    /// CSR mirror of `offsets`/`neigh` with every non-empty row padded to a
-    /// multiple of `padding` using the sentinel index (`natoms`). The lane
-    /// kernels iterate these rows in full blocks with no tail loop.
-    padded_offsets: Vec<usize>,
-    padded_neigh: Vec<u32>,
     /// Persistent binning scratch (cell heads + intrusive next links):
     /// reused across rebuilds so a steady-state serial build allocates
     /// nothing.
@@ -106,63 +117,11 @@ impl NeighborList {
             kind,
             offsets: vec![0],
             neigh: Vec::new(),
+            row_ends: Vec::new(),
             x_at_build: Vec::new(),
             stats: NeighborBuildStats::default(),
             threads: 1,
             padding: 0,
-            padded_offsets: Vec::new(),
-            padded_neigh: Vec::new(),
-            bin_head: Vec::new(),
-            bin_next: Vec::new(),
-            stripe_bufs: Vec::new(),
-        }
-    }
-
-    /// Assembles a list directly from flattened parts (`offsets.len() ==
-    /// natoms + 1`, `neigh` indexed by the offsets). Used to build
-    /// restricted *views* of an existing list (e.g. per-thread chunks); the
-    /// caller is responsible for the pairs being a subset of a valid build.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the offsets are not monotonically consistent with `neigh`.
-    pub fn from_parts(
-        cutoff: f64,
-        skin: f64,
-        kind: NeighborListKind,
-        offsets: Vec<usize>,
-        neigh: Vec<u32>,
-    ) -> Self {
-        assert!(
-            !offsets.is_empty() && offsets[0] == 0,
-            "offsets must start at 0"
-        );
-        assert_eq!(
-            *offsets.last().expect("nonempty"),
-            neigh.len(),
-            "offsets must cover neigh"
-        );
-        assert!(
-            offsets.windows(2).all(|w| w[0] <= w[1]),
-            "offsets must be monotone"
-        );
-        let stats = NeighborBuildStats {
-            builds: 1,
-            pairs: neigh.len(),
-            ..NeighborBuildStats::default()
-        };
-        NeighborList {
-            cutoff,
-            skin,
-            kind,
-            offsets,
-            neigh,
-            x_at_build: Vec::new(),
-            stats,
-            threads: 1,
-            padding: 0,
-            padded_offsets: Vec::new(),
-            padded_neigh: Vec::new(),
             bin_head: Vec::new(),
             bin_next: Vec::new(),
             stripe_bufs: Vec::new(),
@@ -180,15 +139,18 @@ impl NeighborList {
         self.threads
     }
 
-    /// Enables (or, with `lanes <= 1`, disables) the padded row mirror used
-    /// by the lane kernels and immediately (re)derives it from the current
-    /// rows. Once set, every subsequent build refreshes the mirror.
+    /// Pads every row to a multiple of `lanes` for the lane kernels (or, with
+    /// `lanes <= 1`, removes the padding), laying the current rows out anew.
+    /// Once set, every subsequent build writes its rows padded.
     pub fn set_padding(&mut self, lanes: usize) {
-        self.padding = if lanes <= 1 { 0 } else { lanes };
-        self.rebuild_padded();
+        let lanes = if lanes <= 1 { 0 } else { lanes };
+        if lanes != self.padding {
+            (self.offsets, self.neigh, self.row_ends) = self.layout(lanes);
+            self.padding = lanes;
+        }
     }
 
-    /// Lane width of the padded mirror (0 when padding is disabled).
+    /// Lane width rows are padded to (0 when padding is disabled).
     pub fn padding(&self) -> usize {
         self.padding
     }
@@ -200,38 +162,32 @@ impl NeighborList {
         self.natoms() as u32
     }
 
-    /// The padded neighbor row of atom `i`: `neighbors(i)` followed by
-    /// sentinel entries up to a multiple of [`NeighborList::padding`].
+    /// The padded neighbor row of atom `i`: `neighbors(i)` followed in place
+    /// by sentinel entries up to a multiple of [`NeighborList::padding`].
     /// Empty rows stay empty. Only valid after `set_padding(>= 2)`.
     #[inline(always)]
     pub fn padded_neighbors(&self, i: usize) -> &[u32] {
         debug_assert!(self.padding > 1, "padding not enabled");
-        &self.padded_neigh[self.padded_offsets[i]..self.padded_offsets[i + 1]]
+        &self.neigh[self.offsets[i]..self.offsets[i + 1]]
     }
 
-    /// Rederives the padded mirror from the current CSR rows.
-    fn rebuild_padded(&mut self) {
-        self.padded_offsets.clear();
-        self.padded_neigh.clear();
-        if self.padding <= 1 {
-            return;
-        }
-        let lanes = self.padding;
-        let sentinel = self.sentinel();
+    /// The current rows laid out with padding `lanes` (0 = none), as
+    /// `(offsets, neigh, row_ends)`.
+    fn layout(&self, lanes: usize) -> (Vec<usize>, Vec<u32>, Vec<usize>) {
         let n = self.natoms();
-        self.padded_offsets.reserve(n + 1);
-        self.padded_offsets.push(0);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut neigh = Vec::with_capacity(self.neigh.len());
+        let mut row_ends = Vec::with_capacity(if lanes == 0 { 0 } else { n });
+        offsets.push(0);
         for i in 0..n {
-            let (start, end) = (self.offsets[i], self.offsets[i + 1]);
-            self.padded_neigh.extend_from_slice(&self.neigh[start..end]);
-            let len = end - start;
-            let rem = len % lanes;
-            if len > 0 && rem != 0 {
-                let target = self.padded_neigh.len() + (lanes - rem);
-                self.padded_neigh.resize(target, sentinel);
+            let start = neigh.len();
+            neigh.extend_from_slice(self.neighbors(i));
+            if lanes != 0 {
+                row_ends.push(pad_row(&mut neigh, start, lanes, n as u32));
             }
-            self.padded_offsets.push(self.padded_neigh.len());
+            offsets.push(neigh.len());
         }
+        (offsets, neigh, row_ends)
     }
 
     /// Interaction cutoff.
@@ -254,10 +210,16 @@ impl NeighborList {
         self.stats
     }
 
-    /// The neighbor slice of atom `i`.
+    /// The neighbor slice of atom `i` (with padding on, the unpadded prefix
+    /// of [`NeighborList::padded_neighbors`]).
     #[inline(always)]
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.neigh[self.offsets[i]..self.offsets[i + 1]]
+        let end = if self.padding == 0 {
+            self.offsets[i + 1]
+        } else {
+            self.row_ends[i]
+        };
+        &self.neigh[self.offsets[i]..end]
     }
 
     /// Number of atoms the list was last built for.
@@ -265,14 +227,14 @@ impl NeighborList {
         self.offsets.len().saturating_sub(1)
     }
 
-    /// Total stored pairs (directed entries).
+    /// Total stored pairs (directed entries; padding is not counted).
     pub fn len(&self) -> usize {
-        self.neigh.len()
+        self.stats.pairs
     }
 
     /// Whether the list holds no pairs.
     pub fn is_empty(&self) -> bool {
-        self.neigh.is_empty()
+        self.len() == 0
     }
 
     /// Whether any atom has moved more than `skin / 2` since the last build.
@@ -376,7 +338,10 @@ impl NeighborList {
         self.offsets.clear();
         self.offsets.reserve(n + 1);
         self.neigh.clear();
+        self.row_ends.clear();
         self.offsets.push(0);
+        let lanes = self.padding;
+        let sentinel = n as u32;
 
         let half = self.kind == NeighborListKind::Half;
         // With fewer than 3 cells on a periodic axis, distinct (dx,dy,dz)
@@ -471,6 +436,9 @@ impl NeighborList {
                             let row_start = buf.neigh.len();
                             buf.wc += search(i, &mut buf.neigh);
                             buf.lens.push(buf.neigh.len() - row_start);
+                            if lanes != 0 {
+                                pad_row(&mut buf.neigh, row_start, lanes, sentinel);
+                            }
                         }
                     }));
                 }
@@ -481,9 +449,14 @@ impl NeighborList {
             .expect("neighbor build scope panicked");
             for buf in bufs.iter().take(t) {
                 within_cut += buf.wc;
-                let mut off = *self.offsets.last().expect("offsets nonempty");
+                let mut off = self.neigh.len();
                 for &l in &buf.lens {
-                    off += l;
+                    if lanes != 0 {
+                        self.row_ends.push(off + l);
+                        off += l.next_multiple_of(lanes);
+                    } else {
+                        off += l;
+                    }
                     self.offsets.push(off);
                 }
                 self.neigh.extend_from_slice(&buf.neigh);
@@ -491,7 +464,12 @@ impl NeighborList {
             self.stripe_bufs = bufs;
         } else {
             for i in 0..n {
+                let row_start = self.neigh.len();
                 within_cut += search(i, &mut self.neigh);
+                if lanes != 0 {
+                    let end = pad_row(&mut self.neigh, row_start, lanes, sentinel);
+                    self.row_ends.push(end);
+                }
                 self.offsets.push(self.neigh.len());
             }
         }
@@ -501,7 +479,13 @@ impl NeighborList {
         self.x_at_build.clear();
         self.x_at_build.extend_from_slice(x);
         self.stats.builds += 1;
-        self.stats.pairs = self.neigh.len();
+        let pairs = if lanes == 0 {
+            self.neigh.len()
+        } else {
+            let starts = self.offsets.iter();
+            self.row_ends.iter().zip(starts).map(|(e, s)| e - s).sum()
+        };
+        self.stats.pairs = pairs;
         self.stats.pairs_within_cutoff = within_cut;
         self.stats.cells = ncells;
         let per_atom = |directed: f64| {
@@ -514,20 +498,25 @@ impl NeighborList {
                 }
             }
         };
-        self.stats.neighbors_per_atom = per_atom(self.neigh.len() as f64);
+        self.stats.neighbors_per_atom = per_atom(pairs as f64);
         self.stats.neighbors_within_cutoff = per_atom(within_cut as f64);
-        self.rebuild_padded();
         Ok(())
     }
-
     /// Appends the list's full dynamic state for a checkpoint: the flattened
-    /// rows, the reference positions of the rebuild trigger, and the
-    /// statistics. `x_at_build` is what makes resume bitwise-faithful — a
-    /// fresh rebuild at restore time would reset the displacement trigger
-    /// and shift every subsequent rebuild, changing summation orders.
+    /// unpadded rows (the same bytes whether padding is on or off), the
+    /// reference positions of the rebuild trigger, and the statistics.
+    /// `x_at_build` is what makes resume bitwise-faithful — a fresh rebuild
+    /// at restore time would reset the displacement trigger and shift every
+    /// subsequent rebuild, changing summation orders.
     pub fn state_save(&self, w: &mut wire::Writer) {
-        w.usizes(&self.offsets);
-        w.u32s(&self.neigh);
+        if self.padding == 0 {
+            w.usizes(&self.offsets);
+            w.u32s(&self.neigh);
+        } else {
+            let (offsets, neigh, _) = self.layout(0);
+            w.usizes(&offsets);
+            w.u32s(&neigh);
+        }
         w.v3s(&self.x_at_build);
         w.usize(self.stats.builds);
         w.usize(self.stats.skipped_checks);
@@ -578,17 +567,30 @@ impl NeighborList {
         if neigh.iter().any(|&j| j >= natoms) {
             return Err(corrupt("neighbor index out of range".to_string()));
         }
+        let stats = NeighborBuildStats {
+            builds: r.usize()?,
+            skipped_checks: r.usize()?,
+            pairs: r.usize()?,
+            pairs_within_cutoff: r.usize()?,
+            neighbors_per_atom: r.f64()?,
+            neighbors_within_cutoff: r.f64()?,
+            cells: r.usize()?,
+        };
+        if stats.pairs != neigh.len() {
+            return Err(corrupt(format!(
+                "statistics count {} pairs but {} are stored",
+                stats.pairs,
+                neigh.len()
+            )));
+        }
+        // The blob holds unpadded rows; re-pad them to this list's width.
+        let lanes = std::mem::take(&mut self.padding);
         self.offsets = offsets;
         self.neigh = neigh;
+        self.row_ends.clear();
         self.x_at_build = x_at_build;
-        self.stats.builds = r.usize()?;
-        self.stats.skipped_checks = r.usize()?;
-        self.stats.pairs = r.usize()?;
-        self.stats.pairs_within_cutoff = r.usize()?;
-        self.stats.neighbors_per_atom = r.f64()?;
-        self.stats.neighbors_within_cutoff = r.f64()?;
-        self.stats.cells = r.usize()?;
-        self.rebuild_padded();
+        self.stats = stats;
+        self.set_padding(lanes);
         Ok(())
     }
 }
@@ -744,17 +746,22 @@ mod tests {
             .collect();
         let mut serial = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
         serial.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
+        let mut serial_padded = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
+        serial_padded.set_padding(8);
+        serial_padded
+            .build_with(&x, &bx, |i| excl[i].as_slice())
+            .unwrap();
         for t in [2, 3, 4, 7] {
-            let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
-            nl.set_threads(t);
-            nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
-            assert_eq!(nl.offsets, serial.offsets, "{t} threads: offsets");
-            assert_eq!(nl.neigh, serial.neigh, "{t} threads: neighbor order");
-            assert_eq!(
-                nl.stats().pairs_within_cutoff,
-                serial.stats().pairs_within_cutoff,
-                "{t} threads: within-cutoff count"
-            );
+            for (padding, want) in [(0, &serial), (8, &serial_padded)] {
+                let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
+                nl.set_threads(t);
+                nl.set_padding(padding);
+                nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
+                assert_eq!(nl.offsets, want.offsets, "{t} threads: offsets");
+                assert_eq!(nl.neigh, want.neigh, "{t} threads: neighbor order");
+                assert_eq!(nl.row_ends, want.row_ends, "{t} threads: row ends");
+                assert_eq!(nl.stats(), want.stats(), "{t} threads: statistics");
+            }
         }
         // More threads than atoms degrades gracefully.
         let tiny = random_positions(3, 10.0, 5);
@@ -771,28 +778,41 @@ mod tests {
     fn padded_rows_are_full_blocks_of_the_same_pairs() {
         let bx = SimBox::cubic(10.0);
         let x = random_positions(300, 10.0, 17);
+        let mut plain = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
+        plain.build(&x, &bx).unwrap();
         let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
         nl.set_padding(8);
         nl.build(&x, &bx).unwrap();
         assert_eq!(nl.padding(), 8);
         assert_eq!(nl.sentinel(), 300);
-        let mut padded_pairs = 0usize;
         for i in 0..nl.natoms() {
-            let plain = nl.neighbors(i);
+            let row = nl.neighbors(i);
             let padded = nl.padded_neighbors(i);
+            assert_eq!(row, plain.neighbors(i), "atom {i}");
             // Full blocks; empty rows stay empty.
             assert_eq!(padded.len() % 8, 0, "atom {i}");
-            assert!(padded.len() >= plain.len());
-            assert!(padded.len() < plain.len() + 8 || plain.is_empty());
-            // Prefix is the plain row; the tail is all sentinel.
-            assert_eq!(&padded[..plain.len()], plain, "atom {i}");
-            assert!(padded[plain.len()..].iter().all(|&j| j == nl.sentinel()));
-            padded_pairs += plain.len();
+            assert!(padded.len() >= row.len());
+            assert!(padded.len() < row.len() + 8 || row.is_empty());
+            // One storage: the row is the padded row's prefix, in place; the
+            // tail is all sentinel.
+            assert_eq!(row.as_ptr(), padded.as_ptr(), "atom {i}");
+            assert!(padded[row.len()..].iter().all(|&j| j == nl.sentinel()));
         }
-        assert_eq!(padded_pairs, nl.len());
-        // Disabling padding drops the mirror.
-        nl.set_padding(0);
-        assert_eq!(nl.padding(), 0);
+        // Counts and statistics see real pairs only.
+        assert_eq!(nl.len(), plain.len());
+        assert_eq!(nl.stats(), plain.stats());
+        // Padding on demand lays out the same storage as a padded build, and
+        // removing it restores the exact unpadded rows.
+        let mut on_demand = plain.clone();
+        on_demand.set_padding(8);
+        assert_eq!(on_demand.offsets, nl.offsets);
+        assert_eq!(on_demand.neigh, nl.neigh);
+        assert_eq!(on_demand.row_ends, nl.row_ends);
+        on_demand.set_padding(0);
+        assert_eq!(on_demand.padding(), 0);
+        assert_eq!(on_demand.offsets, plain.offsets);
+        assert_eq!(on_demand.neigh, plain.neigh);
+        assert!(on_demand.row_ends.is_empty());
     }
 
     #[test]
@@ -802,17 +822,27 @@ mod tests {
         let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
         nl.set_padding(4);
         nl.build(&x, &bx).unwrap();
-        nl.build(&x, &bx).unwrap(); // rebuild must refresh the mirror
+        nl.build(&x, &bx).unwrap(); // a rebuild writes padded rows again
         assert_eq!(nl.padded_neighbors(0).len() % 4, 0);
 
         let mut w = wire::Writer::new();
         nl.state_save(&mut w);
         let bytes = w.into_bytes();
+        // The wire rows are unpadded: the same bytes as with padding off.
+        let mut plain = nl.clone();
+        plain.set_padding(0);
+        let mut w = wire::Writer::new();
+        plain.state_save(&mut w);
+        assert_eq!(bytes, w.into_bytes());
+
         let mut restored = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
         restored.set_padding(4);
         let mut r = wire::Reader::new(&bytes, "neighbor test");
         restored.state_load(&mut r).unwrap();
+        assert_eq!(restored.padding(), 4);
+        assert_eq!(restored.len(), nl.len());
         for i in 0..nl.natoms() {
+            assert_eq!(nl.neighbors(i), restored.neighbors(i));
             assert_eq!(nl.padded_neighbors(i), restored.padded_neighbors(i));
         }
     }

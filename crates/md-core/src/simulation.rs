@@ -421,7 +421,7 @@ impl Simulation {
     /// trajectory divergence, which would swamp per-step kernel error).
     ///
     /// Probing [`KernelPath::Lanes`] enables neighbor-row padding on demand;
-    /// the padded mirror then persists across subsequent rebuilds.
+    /// the rows then stay padded across subsequent rebuilds.
     ///
     /// # Errors
     ///

@@ -1,5 +1,5 @@
 //! Steady-state neighbor rebuilds must not allocate. The builder reuses the
-//! CSR storage (and the padded mirror's storage) across rebuilds once its
+//! CSR storage (rows padded in place, padding on) across rebuilds once its
 //! capacity has been established, so the per-rebuild cost is pure binning
 //! and row fill — no heap traffic, no allocator contention under threads.
 //!

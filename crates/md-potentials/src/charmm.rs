@@ -8,12 +8,15 @@
 //! (`pair_modify mix arithmetic`, paper Table 2).
 
 use crate::mixing::MixingRule;
-use md_core::kernel::{ghost_position, lane_mask, lane_min_image, KernelPath, LANES};
+use md_core::kernel::{
+    ghost_position, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LANES,
+};
 use md_core::math::erfc;
 use md_core::neighbor::NeighborList;
 use md_core::{
     CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, PrecisionMode, Vec3, V3,
 };
+use std::ops::Range;
 
 /// `lj/charmm/coul/long` pair style.
 #[derive(Debug, Clone)]
@@ -137,18 +140,59 @@ impl LjCharmmCoulLong {
         self.g_ewald
     }
 
+    /// Whether the lane kernel can serve the current configuration: the
+    /// lanes path is selected and the list carries padded rows of the right
+    /// width.
+    fn lanes_usable(&self, nl: &NeighborList) -> bool {
+        self.path.is_lanes() && nl.padding() != 0 && nl.padding().is_multiple_of(LANES)
+    }
+
+    /// Loads the lane kernel's position/type/charge gather when that kernel
+    /// will run. Once per compute call, while `self` is still exclusive: the
+    /// row-range kernels then share it read-only.
+    pub(crate) fn load_gather(&mut self, sys: &PairSystem<'_>, nl: &NeighborList) {
+        if self.lanes_usable(nl) {
+            self.gather
+                .load(sys.x, sys.kinds, sys.charge, ghost_position(sys.bx));
+        }
+    }
+
+    /// Evaluates atom rows `rows` of `nl` through the configured kernel,
+    /// accumulating into the **full-length** `f` (Newton's third law writes
+    /// to neighbors outside the rows); the lane kernel goes through `accum`.
+    /// Needs [`LjCharmmCoulLong::load_gather`] first. The serial `compute`
+    /// passes every row; [`crate::Threaded`] passes each chunk's rows with
+    /// private `accum` and `f`.
+    pub(crate) fn compute_rows(
+        &self,
+        sys: &PairSystem<'_>,
+        nl: &NeighborList,
+        rows: Range<usize>,
+        accum: &mut LaneAccum,
+        f: &mut [V3],
+    ) -> EnergyVirial {
+        if self.lanes_usable(nl) {
+            accum.reset(sys.x.len());
+            let e = self.kernel_lanes(sys, nl, rows, accum);
+            accum.fold_into(f);
+            e
+        } else {
+            self.kernel(sys, nl, rows, f)
+        }
+    }
+
     /// Lane-blocked kernel: the LJ + switching part runs as a branch-free
     /// 8-wide arithmetic sub-loop (selects instead of the `switch` branches),
     /// while the Coulomb part — dominated by `erfc`/`exp`/`sqrt`, which do
     /// not autovectorize — stays a per-lane scalar pass over the same block
     /// buffers. Accumulation order per pair matches the reference kernel.
     fn kernel_lanes(
-        &mut self,
+        &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
-        f: &mut [V3],
+        rows: Range<usize>,
+        accum: &mut LaneAccum,
     ) -> EnergyVirial {
-        let n = sys.x.len();
         let cut_lj2 = self.outer_lj * self.outer_lj;
         let cut_coul2 = self.cut_coul * self.cut_coul;
         let qqr2e = sys.units.qqr2e;
@@ -157,25 +201,7 @@ impl LjCharmmCoulLong {
         let ri2 = self.inner_lj * self.inner_lj;
         let ro2 = self.outer_lj * self.outer_lj;
         let denom = (ro2 - ri2).powi(3);
-        let l = sys.bx.lengths();
-        let (lx, hx) = if sys.bx.is_periodic(0) {
-            (l.x, 0.5 * l.x)
-        } else {
-            (0.0, f64::INFINITY)
-        };
-        let (ly, hy) = if sys.bx.is_periodic(1) {
-            (l.y, 0.5 * l.y)
-        } else {
-            (0.0, f64::INFINITY)
-        };
-        let (lz, hz) = if sys.bx.is_periodic(2) {
-            (l.z, 0.5 * l.z)
-        } else {
-            (0.0, f64::INFINITY)
-        };
-        self.gather
-            .load(sys.x, sys.kinds, sys.charge, ghost_position(sys.bx));
-        self.accum.reset(n);
+        let [(lx, hx), (ly, hy), (lz, hz)] = lane_wrap_params(sys.bx);
         let LjCharmmCoulLong {
             ntypes,
             lj1,
@@ -183,7 +209,6 @@ impl LjCharmmCoulLong {
             lj3,
             lj4,
             gather,
-            accum,
             ..
         } = self;
         let nt = *ntypes;
@@ -205,7 +230,7 @@ impl LjCharmmCoulLong {
         let mut r2b = [0.0f64; LANES];
         let mut fpb = [0.0f64; LANES];
         let mut elb = [0.0f64; LANES];
-        for i in 0..n {
+        for i in rows {
             let xi = gather.xs[i];
             let yi = gather.ys[i];
             let zi = gather.zs[i];
@@ -301,7 +326,6 @@ impl LjCharmmCoulLong {
             accum.fy[i] += fyi;
             accum.fz[i] += fzi;
         }
-        accum.fold_into(f);
         EnergyVirial {
             evdwl,
             ecoul,
@@ -309,42 +333,14 @@ impl LjCharmmCoulLong {
         }
     }
 
-    /// CHARMM switching function and its derivative factor at `r²`.
-    ///
-    /// Returns `(s, ds_dr2)` with `s = 1` inside `inner²` and `s = 0` beyond
-    /// `outer²`.
-    fn switch(&self, r2: f64) -> (f64, f64) {
-        let ri2 = self.inner_lj * self.inner_lj;
-        let ro2 = self.outer_lj * self.outer_lj;
-        if r2 <= ri2 {
-            (1.0, 0.0)
-        } else if r2 >= ro2 {
-            (0.0, 0.0)
-        } else {
-            let denom = (ro2 - ri2).powi(3);
-            let a = ro2 - r2;
-            let s = a * a * (ro2 + 2.0 * r2 - 3.0 * ri2) / denom;
-            // ds/d(r2) = [ -2a(ro2+2r2-3ri2) + 2a^2 ] / denom
-            let ds = (-2.0 * a * (ro2 + 2.0 * r2 - 3.0 * ri2) + 2.0 * a * a) / denom;
-            (s, ds)
-        }
-    }
-}
-
-impl PairStyle for LjCharmmCoulLong {
-    fn name(&self) -> &'static str {
-        "lj/charmm/coul/long"
-    }
-
-    fn cutoff(&self) -> f64 {
-        self.outer_lj.max(self.cut_coul)
-    }
-
-    fn compute(&mut self, sys: &PairSystem<'_>, nl: &NeighborList, f: &mut [V3]) -> EnergyVirial {
-        if self.path.is_lanes() && nl.padding() != 0 && nl.padding().is_multiple_of(LANES) {
-            return self.kernel_lanes(sys, nl, f);
-        }
-        let n = sys.x.len();
+    /// The scalar reference kernel over atom rows `rows`.
+    fn kernel(
+        &self,
+        sys: &PairSystem<'_>,
+        nl: &NeighborList,
+        rows: Range<usize>,
+        f: &mut [V3],
+    ) -> EnergyVirial {
         let cut_lj2 = self.outer_lj * self.outer_lj;
         let cut_coul2 = self.cut_coul * self.cut_coul;
         let qqr2e = sys.units.qqr2e;
@@ -354,7 +350,7 @@ impl PairStyle for LjCharmmCoulLong {
         let mut evdwl = 0.0;
         let mut ecoul = 0.0;
         let mut virial = 0.0;
-        for i in 0..n {
+        for i in rows {
             let xi = sys.x[i];
             let trow = sys.kinds[i] as usize * nt;
             let qi = sys.charge[i];
@@ -404,6 +400,45 @@ impl PairStyle for LjCharmmCoulLong {
             ecoul,
             virial,
         }
+    }
+
+    /// CHARMM switching function and its derivative factor at `r²`.
+    ///
+    /// Returns `(s, ds_dr2)` with `s = 1` inside `inner²` and `s = 0` beyond
+    /// `outer²`.
+    fn switch(&self, r2: f64) -> (f64, f64) {
+        let ri2 = self.inner_lj * self.inner_lj;
+        let ro2 = self.outer_lj * self.outer_lj;
+        if r2 <= ri2 {
+            (1.0, 0.0)
+        } else if r2 >= ro2 {
+            (0.0, 0.0)
+        } else {
+            let denom = (ro2 - ri2).powi(3);
+            let a = ro2 - r2;
+            let s = a * a * (ro2 + 2.0 * r2 - 3.0 * ri2) / denom;
+            // ds/d(r2) = [ -2a(ro2+2r2-3ri2) + 2a^2 ] / denom
+            let ds = (-2.0 * a * (ro2 + 2.0 * r2 - 3.0 * ri2) + 2.0 * a * a) / denom;
+            (s, ds)
+        }
+    }
+}
+
+impl PairStyle for LjCharmmCoulLong {
+    fn name(&self) -> &'static str {
+        "lj/charmm/coul/long"
+    }
+
+    fn cutoff(&self) -> f64 {
+        self.outer_lj.max(self.cut_coul)
+    }
+
+    fn compute(&mut self, sys: &PairSystem<'_>, nl: &NeighborList, f: &mut [V3]) -> EnergyVirial {
+        self.load_gather(sys, nl);
+        let mut accum = std::mem::take(&mut self.accum);
+        let e = self.compute_rows(sys, nl, 0..sys.x.len(), &mut accum, f);
+        self.accum = accum;
+        e
     }
 
     fn set_kernel_path(&mut self, path: KernelPath) {

@@ -11,11 +11,14 @@
 //! plain LJ — the effect the paper's Figure 8 attributes to `k_eam_fast` +
 //! `k_energy_fast`.
 
-use md_core::kernel::{ghost_position, lane_mask, lane_min_image, KernelPath, LANES};
+use md_core::kernel::{
+    ghost_position, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LANES,
+};
 use md_core::neighbor::NeighborList;
 use md_core::{
     CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, PrecisionMode, Vec3, V3,
 };
+use std::ops::Range;
 
 /// Sutton-Chen analytic EAM.
 #[derive(Debug, Clone)]
@@ -32,9 +35,9 @@ pub struct SuttonChenEam {
     c: f64,
     cutoff: f64,
     /// Scratch: per-atom electron density.
-    rho: Vec<f64>,
+    pub(crate) rho: Vec<f64>,
     /// Scratch: per-atom dF/dρ.
-    dembed: Vec<f64>,
+    pub(crate) dembed: Vec<f64>,
     mode: PrecisionMode,
     path: KernelPath,
     pub(crate) gather: LaneGather,
@@ -98,7 +101,7 @@ impl SuttonChenEam {
         self.epsilon
     }
 
-    /// Pass-1 body over atom rows `lo..hi`: accumulates electron densities
+    /// Pass-1 body over atom rows `rows`: accumulates electron densities
     /// into the **full-length** `rho` (a row's neighbors land outside the
     /// row range, which is why threaded callers give each chunk a private
     /// buffer) and returns the rows' pair-repulsion energy partial.
@@ -106,13 +109,12 @@ impl SuttonChenEam {
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
-        lo: usize,
-        hi: usize,
+        rows: Range<usize>,
         rho: &mut [f64],
     ) -> f64 {
         let cut2 = self.cutoff * self.cutoff;
         let mut e_pair = 0.0;
-        for i in lo..hi {
+        for i in rows {
             let xi = sys.x[i];
             for &j in nl.neighbors(i) {
                 let ju = j as usize;
@@ -145,21 +147,20 @@ impl SuttonChenEam {
         e_embed
     }
 
-    /// Pass-2 body over atom rows `lo..hi`: accumulates forces into the
+    /// Pass-2 body over atom rows `rows`: accumulates forces into the
     /// **full-length** `f` (Newton's third law writes to neighbors outside
     /// the rows) and returns the rows' virial partial.
     pub(crate) fn force_chunk(
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
-        lo: usize,
-        hi: usize,
+        rows: Range<usize>,
         dembed: &[f64],
         f: &mut [V3],
     ) -> f64 {
         let cut2 = self.cutoff * self.cutoff;
         let mut virial = 0.0;
-        for i in lo..hi {
+        for i in rows {
             let xi = sys.x[i];
             let mut fi = Vec3::zero();
             for &j in nl.neighbors(i) {
@@ -197,20 +198,7 @@ impl SuttonChenEam {
             && nl.padding().is_multiple_of(LANES)
     }
 
-    /// Per-axis wrap parameters for [`lane_min_image`]: `(length, half)` on
-    /// periodic axes, `(0, ∞)` (an exact no-op) elsewhere.
-    fn wrap_params(sys: &PairSystem<'_>) -> [(f64, f64); 3] {
-        let l = sys.bx.lengths();
-        let mut p = [(0.0, f64::INFINITY); 3];
-        for (k, lk) in [l.x, l.y, l.z].into_iter().enumerate() {
-            if sys.bx.is_periodic(k) {
-                p[k] = (lk, 0.5 * lk);
-            }
-        }
-        p
-    }
-
-    /// Lane-blocked pass 1 over rows `lo..hi`. `rho` must be `n + 1` long
+    /// Lane-blocked pass 1 over `rows`. `rho` must be `n + 1` long
     /// (ghost scatters land in the spare slot, contributing exact zeros);
     /// `g` must hold the current positions. Specialized to `(n, m) = (9, 6)`
     /// via explicit multiply chains so the block sub-loop autovectorizes.
@@ -218,15 +206,14 @@ impl SuttonChenEam {
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
-        lo: usize,
-        hi: usize,
+        rows: Range<usize>,
         rho: &mut [f64],
         g: &LaneGather,
     ) -> f64 {
         debug_assert!(self.n == 9 && self.m == 6);
         let cut2 = self.cutoff * self.cutoff;
         let a = self.a;
-        let [(lx, hx), (ly, hy), (lz, hz)] = Self::wrap_params(sys);
+        let [(lx, hx), (ly, hy), (lz, hz)] = lane_wrap_params(sys.bx);
         let mut e_pair = 0.0f64;
         let mut jb = [0usize; LANES];
         let mut xjb = [0.0f64; LANES];
@@ -234,7 +221,7 @@ impl SuttonChenEam {
         let mut zjb = [0.0f64; LANES];
         let mut epb = [0.0f64; LANES];
         let mut densb = [0.0f64; LANES];
-        for i in lo..hi {
+        for i in rows {
             let xi = g.xs[i];
             let yi = g.ys[i];
             let zi = g.zs[i];
@@ -281,17 +268,16 @@ impl SuttonChenEam {
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
-        rows: core::ops::Range<usize>,
+        rows: Range<usize>,
         dembed: &[f64],
         g: &LaneGather,
         acc: &mut LaneAccum,
     ) -> f64 {
         debug_assert!(self.n == 9 && self.m == 6);
-        let (lo, hi) = (rows.start, rows.end);
         let cut2 = self.cutoff * self.cutoff;
         let a = self.a;
         let eps = self.epsilon;
-        let [(lx, hx), (ly, hy), (lz, hz)] = Self::wrap_params(sys);
+        let [(lx, hx), (ly, hy), (lz, hz)] = lane_wrap_params(sys.bx);
         let mut virial = 0.0f64;
         let mut jb = [0usize; LANES];
         let mut xjb = [0.0f64; LANES];
@@ -302,7 +288,7 @@ impl SuttonChenEam {
         let mut dfy = [0.0f64; LANES];
         let mut dfz = [0.0f64; LANES];
         let mut vb = [0.0f64; LANES];
-        for i in lo..hi {
+        for i in rows {
             let xi = g.xs[i];
             let yi = g.ys[i];
             let zi = g.zs[i];
@@ -374,7 +360,7 @@ impl SuttonChenEam {
         let mut rho = std::mem::take(&mut self.rho);
         rho.clear();
         rho.resize(n + 1, 0.0);
-        let e_pair = self.density_chunk_lanes(sys, nl, 0, n, &mut rho, &gather);
+        let e_pair = self.density_chunk_lanes(sys, nl, 0..n, &mut rho, &gather);
         let mut dembed = std::mem::take(&mut self.dembed);
         dembed.clear();
         dembed.resize(n + 1, 0.0);
@@ -435,7 +421,7 @@ impl PairStyle for SuttonChenEam {
         let mut rho = std::mem::take(&mut self.rho);
         rho.clear();
         rho.resize(natoms, 0.0);
-        let e_pair = self.density_chunk(sys, nl, 0, natoms, &mut rho);
+        let e_pair = self.density_chunk(sys, nl, 0..natoms, &mut rho);
 
         // Embedding energy and its derivative.
         let mut dembed = std::mem::take(&mut self.dembed);
@@ -444,7 +430,7 @@ impl PairStyle for SuttonChenEam {
         let e_embed = self.embed_slice(&rho, &mut dembed);
 
         // Pass 2: forces.
-        let virial = self.force_chunk(sys, nl, 0, natoms, &dembed, f);
+        let virial = self.force_chunk(sys, nl, 0..natoms, &dembed, f);
 
         self.rho = rho;
         self.dembed = dembed;

@@ -45,4 +45,4 @@ pub use fixes::{Freeze, Gravity};
 pub use granular::{GranHookeHistory, GranWall};
 pub use lj::LjCut;
 pub use mixing::MixingRule;
-pub use threaded::{ChunkSafe, Threadable, Threaded};
+pub use threaded::{ChunkTeam, Threadable, Threaded};

@@ -6,9 +6,12 @@
 //! paper's Section 8 study.
 
 use crate::mixing::MixingRule;
-use md_core::kernel::{ghost_position, lane_mask, lane_min_image, KernelPath, LANES};
+use md_core::kernel::{
+    ghost_position, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LANES,
+};
 use md_core::neighbor::NeighborList;
 use md_core::{CoreError, EnergyVirial, PairStyle, PairSystem, PrecisionMode, Real, Vec3, V3};
+use std::ops::Range;
 
 /// `lj/cut` pair style.
 #[derive(Debug, Clone)]
@@ -133,13 +136,42 @@ impl LjCut {
         inv6 * (self.lj3[k] * inv6 - self.lj4[k])
     }
 
+    /// Evaluates atom rows `rows` of `nl` through the configured kernel,
+    /// accumulating into the **full-length** `f` (Newton's third law writes
+    /// to neighbors outside the rows). The serial `compute` passes every
+    /// row; [`crate::Threaded`] passes each chunk's rows with a private `f`.
+    pub(crate) fn compute_rows(
+        &self,
+        sys: &PairSystem<'_>,
+        nl: &NeighborList,
+        rows: Range<usize>,
+        f: &mut [V3],
+    ) -> EnergyVirial {
+        if self.path.is_lanes()
+            && self.mode == PrecisionMode::Double
+            && nl.padding() != 0
+            && nl.padding().is_multiple_of(LANES)
+        {
+            return if self.ntypes == 1 {
+                self.kernel_lanes::<true>(sys, nl, rows, f)
+            } else {
+                self.kernel_lanes::<false>(sys, nl, rows, f)
+            };
+        }
+        match self.mode {
+            PrecisionMode::Single => self.kernel::<f32, f32>(sys, nl, rows, f),
+            PrecisionMode::Mixed => self.kernel::<f32, f64>(sys, nl, rows, f),
+            PrecisionMode::Double => self.kernel::<f64, f64>(sys, nl, rows, f),
+        }
+    }
+
     fn kernel<R: Real, A: Real>(
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
+        rows: Range<usize>,
         f: &mut [V3],
     ) -> EnergyVirial {
-        let n = sys.x.len();
         let cut2 = R::from_f64(self.cutoff * self.cutoff);
         let l: Vec3<R> = sys.bx.lengths().cast();
         let pbc = [
@@ -151,7 +183,7 @@ impl LjCut {
         let mut evdwl = A::ZERO;
         let mut virial = A::ZERO;
         let nt = self.ntypes;
-        for i in 0..n {
+        for i in rows {
             let xi: Vec3<R> = sys.x[i].cast();
             // Hoist the type-table row base out of the inner loop; the pair
             // lookup below only adds the neighbor's type.
@@ -219,31 +251,15 @@ impl LjCut {
     /// like the scalar loop) instead of split-array scratch; pad slots take
     /// a predictable `j < n` branch to the ghost.
     fn kernel_lanes<const SINGLE: bool>(
-        &mut self,
+        &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
+        rows: Range<usize>,
         f: &mut [V3],
     ) -> EnergyVirial {
         let n = sys.x.len();
         let cut2 = self.cutoff * self.cutoff;
-        let l = sys.bx.lengths();
-        // Non-periodic axes get a zero wrap length and an infinite threshold,
-        // which turns the select wrap into an exact no-op.
-        let (lx, hx) = if sys.bx.is_periodic(0) {
-            (l.x, 0.5 * l.x)
-        } else {
-            (0.0, f64::INFINITY)
-        };
-        let (ly, hy) = if sys.bx.is_periodic(1) {
-            (l.y, 0.5 * l.y)
-        } else {
-            (0.0, f64::INFINITY)
-        };
-        let (lz, hz) = if sys.bx.is_periodic(2) {
-            (l.z, 0.5 * l.z)
-        } else {
-            (0.0, f64::INFINITY)
-        };
+        let [(lx, hx), (ly, hy), (lz, hz)] = lane_wrap_params(sys.bx);
         let ghost = ghost_position(sys.bx);
         let LjCut {
             ntypes,
@@ -267,7 +283,7 @@ impl LjCut {
         let mut dfz = [0.0f64; LANES];
         let mut ev = [0.0f64; LANES];
         let mut vv = [0.0f64; LANES];
-        for i in 0..n {
+        for i in rows {
             let xi = sys.x[i].x;
             let yi = sys.x[i].y;
             let zi = sys.x[i].z;
@@ -364,22 +380,7 @@ impl PairStyle for LjCut {
     }
 
     fn compute(&mut self, sys: &PairSystem<'_>, nl: &NeighborList, f: &mut [V3]) -> EnergyVirial {
-        if self.path.is_lanes()
-            && self.mode == PrecisionMode::Double
-            && nl.padding() != 0
-            && nl.padding().is_multiple_of(LANES)
-        {
-            return if self.ntypes == 1 {
-                self.kernel_lanes::<true>(sys, nl, f)
-            } else {
-                self.kernel_lanes::<false>(sys, nl, f)
-            };
-        }
-        match self.mode {
-            PrecisionMode::Single => self.kernel::<f32, f32>(sys, nl, f),
-            PrecisionMode::Mixed => self.kernel::<f32, f64>(sys, nl, f),
-            PrecisionMode::Double => self.kernel::<f64, f64>(sys, nl, f),
-        }
+        self.compute_rows(sys, nl, 0..sys.x.len(), f)
     }
 
     fn set_kernel_path(&mut self, path: KernelPath) {

@@ -3,10 +3,17 @@
 //! intra-task OpenMP; the authors found pure MPI faster for their runs, and
 //! this wrapper is how that comparison is reproduced here).
 //!
-//! [`Threaded`] splits the atom range into chunks; each chunk is evaluated
-//! into a private force buffer (so Newton's-third-law updates never race)
-//! and the buffers are reduced at the end — the standard force-decomposition
-//! scheme of threaded MD kernels.
+//! [`Threaded`] statically splits the atom-row loop into contiguous row
+//! ranges (chunks). Every chunk runs the style's own row-range kernel —
+//! the same `for i in rows` loop the serial `compute` runs over `0..n` —
+//! against the *one shared* neighbor list, into a private full-length force
+//! buffer (so Newton's-third-law updates never race), and the buffers are
+//! reduced at the end: the standard force-decomposition scheme of threaded
+//! MD kernels. Nothing is cloned or copied per chunk: the style and the list
+//! are shared read-only, and the per-chunk buffers belong to the wrapper
+//! ([`ChunkTeam`]) and are reused across steps, so a steady-state compute
+//! allocates a few hundred bytes of job bookkeeping however many atoms
+//! there are.
 //!
 //! ## Determinism
 //!
@@ -19,12 +26,12 @@
 //! — and therefore the trajectory — **bitwise identical** at 1, 2, or 4
 //! threads. `tests/thread_invariance.rs` locks this in for every deck.
 //!
-//! Styles opt in through [`Threadable`]: the purely pairwise styles
-//! ([`ChunkSafe`]) reuse a generic chunk evaluator, while the many-body EAM
-//! provides its own two-pass decomposition (per-chunk density buffers,
-//! chunked embedding, per-chunk force buffers). The history-keeping granular
-//! style has shared contact state and implements neither, so wrapping it
-//! fails to compile:
+//! Styles opt in through [`Threadable`]: the purely pairwise styles hand
+//! their row-range kernel to one shared chunk-and-reduce driver, while the
+//! many-body EAM runs its two passes over the same row ranges (per-chunk
+//! density buffers, chunked embedding, per-chunk force buffers). The
+//! history-keeping granular style has shared contact state and does not
+//! implement it, so wrapping it fails to compile:
 //!
 //! ```compile_fail
 //! use md_potentials::{GranHookeHistory, Threaded};
@@ -34,8 +41,11 @@
 //! ```
 
 use md_core::neighbor::{NeighborList, NeighborListKind};
-use md_core::{CoreError, EnergyVirial, PairStyle, PairSystem, PrecisionMode, Threads, Vec3, V3};
+use md_core::{
+    CoreError, EnergyVirial, LaneAccum, PairStyle, PairSystem, PrecisionMode, Threads, Vec3, V3,
+};
 use md_observe::Recorder;
+use std::ops::Range;
 use std::time::Instant;
 
 /// First trace lane for per-thread worker spans ("thread 0", "thread 1", …).
@@ -50,50 +60,60 @@ const THREAD_LANE_BASE: u32 = 64;
 /// deterministic fixed-chunk reductions).
 pub struct Threaded<P> {
     style: P,
-    threads: Threads,
-    recorder: Recorder,
+    team: ChunkTeam,
 }
 
 impl<P: std::fmt::Debug> std::fmt::Debug for Threaded<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Threaded")
-            .field("threads", &self.threads)
+            .field("threads", &self.team.threads)
             .field("style", &self.style)
             .finish()
     }
 }
 
+/// What a [`Threadable`] style runs its chunks on: the thread-team
+/// configuration, the trace recorder, and one set of private accumulation
+/// buffers per chunk. [`Threaded`] owns it, so the buffers are allocated on
+/// the first compute and reused on every later one.
+pub struct ChunkTeam {
+    threads: Threads,
+    recorder: Recorder,
+    bufs: Vec<ChunkBuf>,
+}
+
+/// One chunk's private accumulation buffers. All are full-length: a chunk's
+/// rows update neighbors *outside* the chunk (Newton's third law on a half
+/// list).
+#[derive(Default)]
+struct ChunkBuf {
+    /// Force buffer, reduced onto the engine's forces in chunk order.
+    f: Vec<V3>,
+    /// Split-array accumulator of the lane kernels that scatter through one.
+    acc: LaneAccum,
+    /// EAM pass-1 electron densities.
+    rho: Vec<f64>,
+}
+
 /// Styles whose force computation [`Threaded`] knows how to decompose into
-/// fixed-order chunk reductions.
+/// fixed-order reductions over atom-row chunks.
 ///
-/// Purely pairwise styles get this via the generic [`ChunkSafe`] evaluator;
-/// the many-body EAM implements its own two-pass scheme. Styles with shared
-/// mutable inter-pair state (the granular history style) must not implement
-/// this trait.
-pub trait Threadable: PairStyle + Clone + Send + Sync + Sized {
-    /// Evaluates forces with the chunk decomposition implied by `threads`
-    /// (see [`Threads::chunks`]), reducing all partial results in ascending
+/// Purely pairwise styles pass their row-range kernel to the shared
+/// chunk-and-reduce driver; the many-body EAM runs its own two-pass scheme
+/// over the same row ranges. Styles with shared mutable inter-pair state
+/// (the granular history style) must not implement this trait.
+pub trait Threadable: PairStyle + Sync {
+    /// Evaluates forces with the chunk decomposition `team` implies (see
+    /// [`Threads::chunks`]), reducing all partial results in ascending
     /// chunk order.
     fn compute_chunked(
         &mut self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
         f: &mut [V3],
-        threads: Threads,
-        recorder: &Recorder,
+        team: &mut ChunkTeam,
     ) -> EnergyVirial;
 }
-
-/// Styles that may be evaluated chunk-wise by the *generic* evaluator:
-/// evaluating a subset of the neighbor lists must produce that subset's
-/// exact force contributions. Purely pairwise styles (LJ, CHARMM) qualify;
-/// many-body EAM (inter-pass density reduction — it implements
-/// [`Threadable`] directly instead) and the history-keeping granular style
-/// (shared contact state) do not.
-pub trait ChunkSafe: PairStyle + Clone {}
-
-impl ChunkSafe for crate::LjCut {}
-impl ChunkSafe for crate::LjCharmmCoulLong {}
 
 impl Threadable for crate::LjCut {
     fn compute_chunked(
@@ -101,10 +121,12 @@ impl Threadable for crate::LjCut {
         sys: &PairSystem<'_>,
         nl: &NeighborList,
         f: &mut [V3],
-        threads: Threads,
-        recorder: &Recorder,
+        team: &mut ChunkTeam,
     ) -> EnergyVirial {
-        compute_chunk_safe(self, sys, nl, f, threads, recorder)
+        let style = &*self;
+        team.pairwise(sys.x.len(), f, |rows, buf| {
+            style.compute_rows(sys, nl, rows, &mut buf.f)
+        })
     }
 }
 
@@ -114,10 +136,13 @@ impl Threadable for crate::LjCharmmCoulLong {
         sys: &PairSystem<'_>,
         nl: &NeighborList,
         f: &mut [V3],
-        threads: Threads,
-        recorder: &Recorder,
+        team: &mut ChunkTeam,
     ) -> EnergyVirial {
-        compute_chunk_safe(self, sys, nl, f, threads, recorder)
+        self.load_gather(sys, nl);
+        let style = &*self;
+        team.pairwise(sys.x.len(), f, |rows, buf| {
+            style.compute_rows(sys, nl, rows, &mut buf.acc, &mut buf.f)
+        })
     }
 }
 
@@ -128,17 +153,11 @@ impl<P: Threadable> Threaded<P> {
     ///
     /// Returns an error if `nthreads` is zero.
     pub fn new(style: P, nthreads: usize) -> Result<Self, CoreError> {
-        if nthreads == 0 {
-            return Err(CoreError::InvalidParameter {
-                name: "nthreads",
-                reason: "need at least one thread".to_string(),
-            });
-        }
-        Ok(Threaded {
-            style,
-            threads: Threads::fast(nthreads),
-            recorder: Recorder::disabled(),
-        })
+        let threads = Threads {
+            count: nthreads,
+            deterministic: false,
+        };
+        Self::with_mode(style, threads)
     }
 
     /// Wraps `style` with full control over count and determinism.
@@ -155,31 +174,41 @@ impl<P: Threadable> Threaded<P> {
         }
         Ok(Threaded {
             style,
-            threads,
-            recorder: Recorder::disabled(),
+            team: ChunkTeam {
+                threads,
+                recorder: Recorder::disabled(),
+                bufs: Vec::new(),
+            },
         })
     }
 
     /// Thread count.
     pub fn nthreads(&self) -> usize {
-        self.threads.count
+        self.team.threads.count
     }
 
     /// The full thread-team configuration.
     pub fn mode(&self) -> Threads {
-        self.threads
+        self.team.threads
     }
 }
 
-/// Evenly sized chunk bounds over `0..n`. Depends only on `n` and `nchunks`
-/// — never the thread count — which is what makes the deterministic
-/// decomposition thread-count invariant. Trailing chunks may be empty.
-fn chunk_bounds(n: usize, nchunks: usize) -> Vec<(usize, usize)> {
+/// Evenly sized chunk row ranges over `0..n`. Depends only on `n` and
+/// `nchunks` — never the thread count — which is what makes the
+/// deterministic decomposition thread-count invariant. Trailing chunks may
+/// be empty.
+fn chunk_bounds(n: usize, nchunks: usize) -> Vec<Range<usize>> {
     let nchunks = nchunks.max(1);
     let size = n.div_ceil(nchunks).max(1);
     (0..nchunks)
-        .map(|c| ((c * size).min(n), ((c + 1) * size).min(n)))
+        .map(|c| (c * size).min(n)..((c + 1) * size).min(n))
         .collect()
+}
+
+/// Zeroes a reused buffer at length `len`, keeping its capacity.
+fn refill<T: Clone>(buf: &mut Vec<T>, len: usize, zero: T) {
+    buf.clear();
+    buf.resize(len, zero);
 }
 
 /// Deals `jobs` to `t` workers in contiguous blocks and runs `body` on each
@@ -222,54 +251,57 @@ fn run_jobs<J: Send>(
     .expect("threaded pair worker panicked");
 }
 
-/// The generic chunk evaluator for [`ChunkSafe`] styles: each chunk clones
-/// the style, evaluates its rows through a restricted neighbor-list view
-/// into a private force buffer, and the buffers/energies are reduced in
-/// ascending chunk order.
-fn compute_chunk_safe<P: ChunkSafe + Send + Sync>(
-    style: &P,
-    sys: &PairSystem<'_>,
-    nl: &NeighborList,
-    f: &mut [V3],
-    threads: Threads,
-    recorder: &Recorder,
-) -> EnergyVirial {
-    let n = sys.x.len();
-    let t = threads.count.min(n).max(1);
-
-    struct Job<P> {
-        lo: usize,
-        hi: usize,
-        worker: P,
-        buf: Vec<V3>,
-        energy: EnergyVirial,
-    }
-    let mut jobs: Vec<Job<P>> = chunk_bounds(n, threads.chunks().min(n))
-        .into_iter()
-        .map(|(lo, hi)| Job {
-            lo,
-            hi,
-            worker: style.clone(),
-            buf: vec![Vec3::zero(); n],
-            energy: EnergyVirial::default(),
-        })
-        .collect();
-
-    run_jobs(&mut jobs, t, recorder, "pair", |job| {
-        if job.lo < job.hi {
-            let restricted = chunk_list(nl, job.lo, job.hi);
-            job.energy = job.worker.compute(sys, &restricted, &mut job.buf);
+impl ChunkTeam {
+    /// The chunk row ranges over `0..n` and the worker count to run them on;
+    /// makes sure every chunk has its private buffers.
+    fn split(&mut self, n: usize) -> (Vec<Range<usize>>, usize) {
+        let bounds = chunk_bounds(n, self.threads.chunks().min(n));
+        if self.bufs.len() < bounds.len() {
+            self.bufs.resize_with(bounds.len(), ChunkBuf::default);
         }
-    });
-
-    let mut total = EnergyVirial::default();
-    for job in &jobs {
-        for (fi, bi) in f.iter_mut().zip(&job.buf) {
-            *fi += *bi;
-        }
-        total += job.energy;
+        (bounds, self.threads.count.min(n).max(1))
     }
-    total
+
+    /// The whole decomposition of a purely pairwise style over `n` atoms:
+    /// `kernel` evaluates one chunk's rows against the shared list into that
+    /// chunk's private buffers (`buf.f` arrives zeroed), and the force
+    /// buffers and energy partials are added up in ascending chunk order.
+    fn pairwise(
+        &mut self,
+        n: usize,
+        f: &mut [V3],
+        kernel: impl Fn(Range<usize>, &mut ChunkBuf) -> EnergyVirial + Send + Sync,
+    ) -> EnergyVirial {
+        struct Job<'a> {
+            rows: Range<usize>,
+            buf: &'a mut ChunkBuf,
+            energy: EnergyVirial,
+        }
+        let (bounds, t) = self.split(n);
+        let mut jobs: Vec<Job<'_>> = bounds
+            .into_iter()
+            .zip(&mut self.bufs)
+            .map(|(rows, buf)| Job {
+                rows,
+                buf,
+                energy: EnergyVirial::default(),
+            })
+            .collect();
+        run_jobs(&mut jobs, t, &self.recorder, "pair", |job| {
+            refill(&mut job.buf.f, n, Vec3::zero());
+            if !job.rows.is_empty() {
+                job.energy = kernel(job.rows.clone(), job.buf);
+            }
+        });
+        let mut total = EnergyVirial::default();
+        for job in &jobs {
+            for (fi, bi) in f.iter_mut().zip(&job.buf.f) {
+                *fi += *bi;
+            }
+            total += job.energy;
+        }
+        total
+    }
 }
 
 impl Threadable for crate::SuttonChenEam {
@@ -284,59 +316,58 @@ impl Threadable for crate::SuttonChenEam {
         sys: &PairSystem<'_>,
         nl: &NeighborList,
         f: &mut [V3],
-        threads: Threads,
-        recorder: &Recorder,
+        team: &mut ChunkTeam,
     ) -> EnergyVirial {
         // The lane kernels share one read-only position gather across all
-        // chunks; load it up front while `self` is still exclusive.
+        // chunks; load it up front while `self` is still exclusive. The
+        // reduced ρ and dF/dρ live in the style's own scratch.
         let use_lanes = self.lanes_usable(nl);
         if use_lanes {
-            let mut g = std::mem::take(&mut self.gather);
-            g.load(
+            self.gather.load(
                 sys.x,
                 sys.kinds,
                 sys.charge,
                 md_core::kernel::ghost_position(sys.bx),
             );
-            self.gather = g;
         }
+        let mut rho = std::mem::take(&mut self.rho);
+        let mut dembed = std::mem::take(&mut self.dembed);
         let style = &*self;
         let n = sys.x.len();
-        let t = threads.count.min(n).max(1);
-        let bounds = chunk_bounds(n, threads.chunks().min(n));
+        let (bounds, t) = team.split(n);
+        let recorder = &team.recorder;
         // Lane-kernel scatter buffers carry one extra ghost slot.
         let spare = usize::from(use_lanes);
 
-        // Pass 1: densities + pair repulsion. A chunk's rows contribute
-        // density to neighbors *outside* the chunk (Newton's third law on a
-        // half list), so every chunk accumulates into a private full-length
-        // buffer.
-        struct DensityJob {
-            lo: usize,
-            hi: usize,
-            rho: Vec<f64>,
+        // Pass 1: densities + pair repulsion, each chunk into its private
+        // full-length buffer.
+        struct DensityJob<'a> {
+            rows: Range<usize>,
+            rho: &'a mut Vec<f64>,
             e_pair: f64,
         }
-        let mut djobs: Vec<DensityJob> = bounds
+        let mut djobs: Vec<DensityJob<'_>> = bounds
             .iter()
-            .map(|&(lo, hi)| DensityJob {
-                lo,
-                hi,
-                rho: vec![0.0; n + spare],
+            .zip(&mut team.bufs)
+            .map(|(rows, buf)| DensityJob {
+                rows: rows.clone(),
+                rho: &mut buf.rho,
                 e_pair: 0.0,
             })
             .collect();
         run_jobs(&mut djobs, t, recorder, "eam_density", |job| {
+            refill(job.rho, n + spare, 0.0);
+            let rows = job.rows.clone();
             job.e_pair = if use_lanes {
-                style.density_chunk_lanes(sys, nl, job.lo, job.hi, &mut job.rho, &style.gather)
+                style.density_chunk_lanes(sys, nl, rows, job.rho, &style.gather)
             } else {
-                style.density_chunk(sys, nl, job.lo, job.hi, &mut job.rho)
+                style.density_chunk(sys, nl, rows, job.rho)
             };
         });
-        let mut rho = vec![0.0; n];
+        refill(&mut rho, n, 0.0);
         let mut e_pair = 0.0;
         for job in &djobs {
-            for (r, pr) in rho.iter_mut().zip(&job.rho) {
+            for (r, pr) in rho.iter_mut().zip(job.rho.iter()) {
                 *r += *pr;
             }
             e_pair += job.e_pair;
@@ -346,30 +377,28 @@ impl Threadable for crate::SuttonChenEam {
         // Embedding: dF/dρ is elementwise, so chunks write disjoint slices;
         // only the energy needs the fixed-order partial reduction. The extra
         // ghost slot (lanes) stays zero so ghost gathers read a zero dF/dρ.
-        let mut dembed = vec![0.0; n + spare];
+        refill(&mut dembed, n + spare, 0.0);
         let mut e_embed = 0.0;
         {
             struct EmbedJob<'a> {
-                lo: usize,
-                hi: usize,
+                rows: Range<usize>,
                 dembed: &'a mut [f64],
                 e_embed: f64,
             }
             let mut ejobs: Vec<EmbedJob<'_>> = Vec::with_capacity(bounds.len());
             let mut rest: &mut [f64] = &mut dembed[..n];
-            for &(lo, hi) in &bounds {
-                let (head, tail) = rest.split_at_mut(hi - lo);
+            for rows in &bounds {
+                let (head, tail) = rest.split_at_mut(rows.len());
                 rest = tail;
                 ejobs.push(EmbedJob {
-                    lo,
-                    hi,
+                    rows: rows.clone(),
                     dembed: head,
                     e_embed: 0.0,
                 });
             }
             let rho_ref: &[f64] = &rho;
             run_jobs(&mut ejobs, t, recorder, "eam_embed", |job| {
-                job.e_embed = style.embed_slice(&rho_ref[job.lo..job.hi], job.dembed);
+                job.e_embed = style.embed_slice(&rho_ref[job.rows.clone()], job.dembed);
             });
             for job in &ejobs {
                 e_embed += job.e_embed;
@@ -377,49 +406,45 @@ impl Threadable for crate::SuttonChenEam {
         }
 
         // Pass 2: forces, again into private full-length buffers.
-        struct ForceJob {
-            lo: usize,
-            hi: usize,
-            buf: Vec<V3>,
-            acc: md_core::LaneAccum,
+        struct ForceJob<'a> {
+            rows: Range<usize>,
+            buf: &'a mut ChunkBuf,
             virial: f64,
         }
-        let mut fjobs: Vec<ForceJob> = bounds
-            .iter()
-            .map(|&(lo, hi)| ForceJob {
-                lo,
-                hi,
-                buf: vec![Vec3::zero(); n],
-                acc: md_core::LaneAccum::default(),
+        let mut fjobs: Vec<ForceJob<'_>> = bounds
+            .into_iter()
+            .zip(&mut team.bufs)
+            .map(|(rows, buf)| ForceJob {
+                rows,
+                buf,
                 virial: 0.0,
             })
             .collect();
         let dembed_ref: &[f64] = &dembed;
         run_jobs(&mut fjobs, t, recorder, "eam_force", |job| {
+            let ChunkBuf { f: buf, acc, .. } = &mut *job.buf;
+            refill(buf, n, Vec3::zero());
+            let rows = job.rows.clone();
             if use_lanes {
-                job.acc.reset(n);
-                job.virial = style.force_chunk_lanes(
-                    sys,
-                    nl,
-                    job.lo..job.hi,
-                    dembed_ref,
-                    &style.gather,
-                    &mut job.acc,
-                );
-                job.acc.fold_into(&mut job.buf);
+                acc.reset(n);
+                job.virial = style.force_chunk_lanes(sys, nl, rows, dembed_ref, &style.gather, acc);
+                acc.fold_into(buf);
             } else {
-                job.virial = style.force_chunk(sys, nl, job.lo, job.hi, dembed_ref, &mut job.buf);
+                job.virial = style.force_chunk(sys, nl, rows, dembed_ref, buf);
             }
         });
         let mut virial = 0.0;
         for job in &fjobs {
-            for (fi, bi) in f.iter_mut().zip(&job.buf) {
+            for (fi, bi) in f.iter_mut().zip(&job.buf.f) {
                 *fi += *bi;
             }
             virial += job.virial;
         }
+        drop(fjobs);
 
         let eps = style.energy_scale();
+        self.rho = rho;
+        self.dembed = dembed;
         EnergyVirial {
             evdwl: eps * e_pair + eps * e_embed,
             ecoul: 0.0,
@@ -428,62 +453,9 @@ impl Threadable for crate::SuttonChenEam {
     }
 }
 
-/// A neighbor-list *view* restricted to a contiguous atom chunk: atoms
-/// outside the chunk present empty lists, so a chunk-safe style evaluates
-/// exactly the chunk's pairs.
-fn chunk_list(nl: &NeighborList, lo: usize, hi: usize) -> NeighborList {
-    // Rebuild a restricted list without re-searching: copy the slices.
-    let mut restricted = NeighborListRebuilder::new(nl.cutoff(), nl.skin(), nl.kind());
-    for i in 0..nl.natoms() {
-        if i >= lo && i < hi {
-            restricted.push(nl.neighbors(i));
-        } else {
-            restricted.push(&[]);
-        }
-    }
-    let mut restricted = restricted.finish();
-    // Carry the padded-row mirror into the view so each chunk worker keeps
-    // running the lanes kernel when the parent list enabled it.
-    if nl.padding() != 0 {
-        restricted.set_padding(nl.padding());
-    }
-    restricted
-}
-
-/// Internal helper assembling a NeighborList from per-atom slices through
-/// the public build API (a synthetic one-shot "build").
-struct NeighborListRebuilder {
-    cutoff: f64,
-    skin: f64,
-    kind: NeighborListKind,
-    offsets: Vec<usize>,
-    neigh: Vec<u32>,
-}
-
-impl NeighborListRebuilder {
-    fn new(cutoff: f64, skin: f64, kind: NeighborListKind) -> Self {
-        NeighborListRebuilder {
-            cutoff,
-            skin,
-            kind,
-            offsets: vec![0],
-            neigh: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, neighbors: &[u32]) {
-        self.neigh.extend_from_slice(neighbors);
-        self.offsets.push(self.neigh.len());
-    }
-
-    fn finish(self) -> NeighborList {
-        NeighborList::from_parts(self.cutoff, self.skin, self.kind, self.offsets, self.neigh)
-    }
-}
-
 impl<P: Threadable> PairStyle for Threaded<P> {
     fn name(&self) -> &'static str {
-        "threaded"
+        self.style.name()
     }
 
     fn cutoff(&self) -> f64 {
@@ -495,11 +467,10 @@ impl<P: Threadable> PairStyle for Threaded<P> {
     }
 
     fn compute(&mut self, sys: &PairSystem<'_>, nl: &NeighborList, f: &mut [V3]) -> EnergyVirial {
-        if !self.threads.active() || sys.x.is_empty() {
+        if !self.team.threads.active() || sys.x.is_empty() {
             return self.style.compute(sys, nl, f);
         }
-        self.style
-            .compute_chunked(sys, nl, f, self.threads, &self.recorder)
+        self.style.compute_chunked(sys, nl, f, &mut self.team)
     }
 
     fn set_kernel_path(&mut self, path: md_core::KernelPath) {
@@ -523,12 +494,13 @@ impl<P: Threadable> PairStyle for Threaded<P> {
     }
 
     fn set_recorder(&mut self, recorder: Recorder) {
-        if recorder.is_enabled() && self.threads.count > 1 {
-            for k in 0..self.threads.count {
+        let count = self.team.threads.count;
+        if recorder.is_enabled() && count > 1 {
+            for k in 0..count {
                 recorder.set_lane_name(THREAD_LANE_BASE + k as u32, format!("thread {k}"));
             }
         }
-        self.recorder = recorder;
+        self.team.recorder = recorder;
     }
 
     fn state_save(&self, w: &mut md_core::wire::Writer) {
@@ -543,8 +515,8 @@ impl<P: Threadable> PairStyle for Threaded<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{LjCut, SuttonChenEam};
-    use md_core::{SimBox, UnitSystem};
+    use crate::{LjCharmmCoulLong, LjCut, SuttonChenEam};
+    use md_core::{KernelPath, SimBox, UnitSystem, LANES};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -576,7 +548,11 @@ mod tests {
         let n = x.len();
         let v = vec![Vec3::zero(); n];
         let kinds = vec![0u32; n];
-        let charge = vec![0.0; n];
+        // Alternating charges: CHARMM's Coulomb term runs, LJ and EAM ignore
+        // them.
+        let charge: Vec<f64> = (0..n)
+            .map(|i| if i % 2 == 0 { 0.4 } else { -0.4 })
+            .collect();
         let radius = vec![0.0; n];
         let masses = vec![1.0];
         let units = UnitSystem::lj();
@@ -743,8 +719,25 @@ mod tests {
     }
 
     #[test]
+    fn reports_the_wrapped_style_by_name() {
+        let threaded = Threaded::new(LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), 2).unwrap();
+        assert_eq!(threaded.name(), "lj/cut");
+        let threaded =
+            Threaded::with_mode(SuttonChenEam::copper(), Threads::deterministic(1)).unwrap();
+        assert_eq!(threaded.name(), "eam");
+    }
+
+    #[test]
     fn rejects_zero_threads() {
-        assert!(Threaded::new(LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), 0).is_err());
+        // `new` goes through `with_mode`: one validation, one error.
+        let err = Threaded::new(LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), 0).unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvalidParameter {
+                name: "threads",
+                ..
+            }
+        ));
         assert!(Threaded::with_mode(
             LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(),
             Threads {
@@ -755,50 +748,89 @@ mod tests {
         .is_err());
     }
 
+    /// `Threaded` on `path` under `mode` against the serial scalar reference
+    /// on the same configuration. The chunk reduction (and the lanes path)
+    /// reassociates sums, so agreement is at the fp-noise level, not exact —
+    /// relative, because the unscreened random gas has near-contact pairs
+    /// with enormous r^-12 terms. In deterministic mode the result must also
+    /// be bitwise what one thread computes.
+    fn check_against_serial<P: Threadable>(
+        make: impl Fn() -> P,
+        (bx, x, mut nl): (SimBox, Vec<V3>, NeighborList),
+        mode: Threads,
+        path: KernelPath,
+    ) {
+        let (f0, e0) = forces(&mut make(), &bx, &x, &nl);
+        if path.is_lanes() {
+            nl.set_padding(LANES);
+        }
+        let run = |mode: Threads| {
+            let mut threaded = Threaded::with_mode(make(), mode).unwrap();
+            threaded.set_kernel_path(path);
+            forces(&mut threaded, &bx, &x, &nl)
+        };
+        let (f1, e1) = run(mode);
+        let tol = 1e-10;
+        let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(1.0);
+        assert!(rel(e0.evdwl, e1.evdwl) < tol, "evdwl {e0:?} vs {e1:?}");
+        assert!(rel(e0.ecoul, e1.ecoul) < tol, "ecoul {e0:?} vs {e1:?}");
+        assert!(rel(e0.virial, e1.virial) < tol, "virial {e0:?} vs {e1:?}");
+        for i in 0..x.len() {
+            assert!(
+                (f0[i] - f1[i]).norm() < tol * f0[i].norm().max(1.0),
+                "atom {i} force {:?} vs {:?}",
+                f0[i],
+                f1[i]
+            );
+        }
+        if mode.deterministic {
+            let (f2, e2) = run(Threads::deterministic(1));
+            assert_eq!(e1, e2, "deterministic energies across thread counts");
+            assert_eq!(f1, f2, "deterministic forces across thread counts");
+        }
+    }
+
+    fn charmm() -> LjCharmmCoulLong {
+        let mut style = LjCharmmCoulLong::new(1, &[(0, 1.0, 1.0)], 2.0, 2.5, 2.5).unwrap();
+        style.set_g_ewald(0.3);
+        style
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// `Threaded<SuttonChenEam>` must match serial EAM to a ulp-scaled
-        /// tolerance on randomized configurations: the chunk reduction
-        /// reassociates the density/energy sums, so exact equality is not
-        /// expected, but the error must stay at the fp-noise level.
+        /// `Threaded<SuttonChenEam>` must match serial EAM on randomized
+        /// configurations, on either kernel path.
         #[test]
-        fn threaded_eam_matches_serial(seed in 0u64..1000, t in 1usize..6, det in proptest::bool::ANY) {
-            let (bx, x, nl) = eam_rig(seed, 0.25);
-            let mut serial = SuttonChenEam::copper();
-            let (f0, e0) = forces(&mut serial, &bx, &x, &nl);
+        fn threaded_eam_matches_serial(
+            seed in 0u64..1000,
+            t in 1usize..6,
+            det in proptest::bool::ANY,
+            lanes in proptest::bool::ANY,
+        ) {
             let mode = if det { Threads::deterministic(t) } else { Threads::fast(t) };
-            let mut threaded = Threaded::with_mode(SuttonChenEam::copper(), mode).unwrap();
-            let (f1, e1) = forces(&mut threaded, &bx, &x, &nl);
-            // ~1 ulp per reassociated term, scaled by the accumulation length.
-            let tol = 1e-12;
-            let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(1.0);
-            prop_assert!(rel(e0.evdwl, e1.evdwl) < tol, "energy {} vs {}", e0.evdwl, e1.evdwl);
-            prop_assert!(rel(e0.virial, e1.virial) < tol, "virial {} vs {}", e0.virial, e1.virial);
-            for i in 0..x.len() {
-                prop_assert!(
-                    (f0[i] - f1[i]).norm() < tol * f0[i].norm().max(1.0),
-                    "atom {} force {:?} vs {:?}", i, f0[i], f1[i]
-                );
-            }
+            let path = if lanes { KernelPath::Lanes } else { KernelPath::Scalar };
+            check_against_serial(SuttonChenEam::copper, eam_rig(seed, 0.25), mode, path);
         }
 
-        /// The generic chunk evaluator must agree with serial LJ under both
-        /// modes for arbitrary counts.
+        /// The row-range chunk path must agree with the serial pairwise
+        /// styles (LJ and CHARMM) under both modes, on either kernel path,
+        /// for arbitrary counts.
         #[test]
-        fn threaded_lj_matches_serial(seed in 0u64..1000, t in 1usize..8, det in proptest::bool::ANY) {
-            let (bx, x, nl) = rig(200, seed);
-            let mut serial = LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap();
-            let (f0, e0) = forces(&mut serial, &bx, &x, &nl);
+        fn threaded_lj_matches_serial(
+            seed in 0u64..1000,
+            t in 1usize..6,
+            det in proptest::bool::ANY,
+            lanes in proptest::bool::ANY,
+            use_charmm in proptest::bool::ANY,
+        ) {
             let mode = if det { Threads::deterministic(t) } else { Threads::fast(t) };
-            let mut threaded = Threaded::with_mode(
-                LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), mode).unwrap();
-            let (f1, e1) = forces(&mut threaded, &bx, &x, &nl);
-            let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(1.0);
-            prop_assert!(rel(e0.evdwl, e1.evdwl) < 1e-12);
-            prop_assert!(rel(e0.virial, e1.virial) < 1e-12);
-            for i in 0..x.len() {
-                prop_assert!((f0[i] - f1[i]).norm() < 1e-12 * f0[i].norm().max(1.0));
+            let path = if lanes { KernelPath::Lanes } else { KernelPath::Scalar };
+            if use_charmm {
+                check_against_serial(charmm, rig(200, seed), mode, path);
+            } else {
+                let lj = || LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap();
+                check_against_serial(lj, rig(200, seed), mode, path);
             }
         }
     }
