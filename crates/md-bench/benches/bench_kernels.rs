@@ -12,6 +12,11 @@
 //! trajectory divergence, no neighbor-build noise. EAM density+embedding
 //! passes are measured the same way, informationally.
 //!
+//! The neighbor build is timed beside them, informationally: a forced
+//! rebuild (`Simulation::force_neighbor_rebuild`: wrap + build) of the LJ
+//! and Chain decks as `run_deck` runs them, seconds per build and
+//! nanoseconds per stored pair.
+//!
 //! Results are written to `BENCH_kernels.json` at the workspace root; the
 //! harness reads the `lj_speedup` field to recalibrate the modeled CPU
 //! ns/pair when `run_deck --kernel lanes` runs.
@@ -65,7 +70,33 @@ fn probe_seconds(benchmark: Benchmark) -> (f64, f64) {
     (scalar, lanes)
 }
 
+/// Best-of-[`ROUNDS`] seconds per forced neighbor rebuild on the benchmark's
+/// scalar serial deck, and the same per stored pair in nanoseconds.
+fn neigh_build_seconds(benchmark: Benchmark) -> (f64, f64) {
+    let mut deck =
+        build_deck_tuned(benchmark, 1, 3, tuned(KernelPath::Scalar)).expect("deck builds");
+    deck.simulation.run(3).expect("warmup steps");
+    let mut best = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        let t0 = Instant::now();
+        deck.simulation
+            .force_neighbor_rebuild()
+            .expect("timed rebuild");
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    let pairs = deck.simulation.neighbor_list().map_or(0, |nl| nl.len());
+    (best, best * 1e9 / pairs.max(1) as f64)
+}
+
 fn guard_kernel_speedup(c: &mut Criterion) {
+    let (neigh_lj, neigh_lj_ns) = neigh_build_seconds(Benchmark::Lj);
+    let (neigh_chain, neigh_chain_ns) = neigh_build_seconds(Benchmark::Chain);
+    println!(
+        "bench_kernels: neighbor build — lj {:.2} ms ({neigh_lj_ns:.1} ns/pair), \
+         chain {:.2} ms ({neigh_chain_ns:.1} ns/pair)",
+        neigh_lj * 1e3,
+        neigh_chain * 1e3,
+    );
     let (scalar_lj, lanes_lj) = probe_seconds(Benchmark::Lj);
     let lj_speedup = scalar_lj / lanes_lj.max(1e-12);
     let (scalar_eam, lanes_eam) = probe_seconds(Benchmark::Eam);
@@ -107,6 +138,10 @@ fn guard_kernel_speedup(c: &mut Criterion) {
          \"lj_speedup\": {lj_speedup:.4},\n  \
          \"scalar_eam_pair_s\": {scalar_eam:.6e},\n  \"lanes_eam_pair_s\": {lanes_eam:.6e},\n  \
          \"eam_speedup\": {eam_speedup:.4},\n  \
+         \"lj_neigh_build_s\": {neigh_lj:.6e},\n  \
+         \"lj_neigh_ns_per_pair\": {neigh_lj_ns:.2},\n  \
+         \"chain_neigh_build_s\": {neigh_chain:.6e},\n  \
+         \"chain_neigh_ns_per_pair\": {neigh_chain_ns:.2},\n  \
          \"speedup_min\": {SPEEDUP_MIN},\n  \"wide_simd\": {wide_simd},\n  \
          \"host_threads\": {host_threads},\n  \
          \"asserted\": {asserted},\n  \"skip_reason\": \"{skip_reason}\"\n}}\n"

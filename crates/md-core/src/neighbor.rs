@@ -8,14 +8,48 @@
 //! the granular Chute style requires, as the paper notes it does not exploit
 //! Newton's third law).
 //!
+//! # The build
+//!
+//! Cells are at least `cutoff + skin` wide, so an atom's partners all sit in
+//! the 27 cells around its own. Binning is a counting sort: one pass counts
+//! the atoms of each cell, a running sum turns the counts into each cell's
+//! first slot, and a second pass drops every atom into its cell's next slot —
+//! its index into `cell_atoms`, its position into three packed per-axis
+//! arrays. A cell's members are then one contiguous run, and the search of an
+//! atom is at most 27 linear scans over packed coordinates instead of 27
+//! pointer chases through the position array.
+//!
+//! Inside a cell the members are stored in **descending** atom index. That
+//! is the order in which the per-cell linked lists this module used to build
+//! were walked (last in, first out), and the order inside a neighbor row
+//! decides the summation order of every force kernel: keeping it keeps every
+//! trajectory, checkpoint and baseline bit for bit. It also makes the `j > i`
+//! candidates of a half list a prefix of each run, found by bisection, so
+//! the other half of the run is never looked at.
+//!
+//! The minimum-image correction stays in the scan, candidate by candidate,
+//! with the comparisons and the `± L` of [`SimBox::min_image`]. Shifting a
+//! whole cell's coordinates once would be cheaper, but `(xj + L) - xi` and
+//! `(xj - xi) + L` round differently, and a pair whose squared distance
+//! lands on the other side of `(cutoff + skin)²` would enter or leave a row.
+//! For the same reason the stencil is the full 27 cells in `dz, dy, dx`
+//! order for half lists too: a half stencil would change which row owns a
+//! pair. What the scan does shed is the branches — distances are computed
+//! four candidates at a time in vector registers, and a survivor is
+//! appended by writing every candidate at the row's cursor and advancing the
+//! cursor only for a survivor; the exclusion lookup runs over survivors only.
+//!
+//! All of the binning scratch persists in the list, so a steady-state build
+//! allocates nothing (`tests/neighbor_alloc.rs`).
+//!
 //! The build is shared-memory parallel when [`NeighborList::set_threads`]
-//! asks for more than one thread: binning stays serial (it defines the
-//! within-cell LIFO walk order), the per-atom candidate search fans out over
+//! asks for more than one thread: binning stays serial (it fixes the order
+//! inside every cell), the per-atom candidate search fans out over
 //! contiguous atom stripes, and the per-stripe results are concatenated in
-//! stripe order. Because the search is pure integer/comparison work and each
-//! atom's neighbor row depends only on the (serial) bin structure, the
-//! threaded build is **bitwise identical** to the serial one at any thread
-//! count — no `deterministic` toggle is needed here, unlike the
+//! stripe order. Because each atom's neighbor row depends only on the
+//! (serial) bin structure and on per-pair arithmetic that no thread shares,
+//! the threaded build is **bitwise identical** to the serial one at any
+//! thread count — no `deterministic` toggle is needed here, unlike the
 //! floating-point reductions in `md-potentials::threaded` and `md-kspace`.
 
 use crate::error::{CoreError, Result};
@@ -72,6 +106,291 @@ fn pad_row(neigh: &mut Vec<u32>, start: usize, lanes: usize, sentinel: u32) -> u
     end
 }
 
+/// Candidates whose distances the scan computes at a time, in a fixed-size
+/// block the compiler turns into vector code (two SSE2 or one AVX register
+/// of `f64`). The packed coordinate arrays end in this many padding slots.
+const CHUNK: usize = 4;
+
+/// The cell coordinates that the offsets `-1, 0, +1` around `c` reach on an
+/// axis of `n` cells, in that order, and how many there are. A periodic axis
+/// wraps; with fewer than 3 cells its offsets alias (`n == 2`: `+1` is the
+/// cell `-1` reached; `n == 1`: all three are cell 0) and only the first
+/// visit is kept, since a second visit of a cell can only re-find the same
+/// partners. A non-periodic axis drops the offsets that leave the grid.
+#[inline(always)]
+fn stencil_axis(c: usize, n: usize, periodic: bool) -> ([usize; 3], usize) {
+    if periodic {
+        let below = if c == 0 { n - 1 } else { c - 1 };
+        let above = if c + 1 == n { 0 } else { c + 1 };
+        ([below, c, above], n.min(3))
+    } else {
+        let mut cells = [0usize; 3];
+        let mut len = 0;
+        if c > 0 {
+            cells[len] = c - 1;
+            len += 1;
+        }
+        cells[len] = c;
+        len += 1;
+        if c + 1 < n {
+            cells[len] = c + 1;
+            len += 1;
+        }
+        (cells, len)
+    }
+}
+
+/// The atoms counting-sorted by cell: cell `c` owns the slots
+/// `cell_start[c]..cell_start[c + 1]` of `cell_atoms` and of the packed
+/// coordinate copies, its members in descending atom index.
+#[derive(Debug, Clone, Default)]
+struct CellBins {
+    /// Cells per axis.
+    ncell: [usize; 3],
+    /// First slot of each cell, one more than there are cells.
+    cell_start: Vec<u32>,
+    /// Atom index held by each slot.
+    cell_atoms: Vec<u32>,
+    /// Cell of each atom.
+    atom_cell: Vec<u32>,
+    /// Positions in slot order, one array per axis.
+    px: Vec<f64>,
+    py: Vec<f64>,
+    pz: Vec<f64>,
+}
+
+impl CellBins {
+    /// Bins `x` into a grid over `bx` whose cells are at least `range` wide,
+    /// so that an atom's partners all sit in the 27 cells around its own.
+    /// Every vector is cleared and resized in place, so a repeated atom and
+    /// cell count allocates nothing.
+    fn fill(&mut self, x: &[V3], bx: &SimBox, range: f64) {
+        let n = x.len();
+        let lengths = bx.lengths();
+        let mut ncell = [1usize; 3];
+        for d in 0..3 {
+            ncell[d] = ((lengths[d] / range).floor() as usize).max(1);
+        }
+        self.ncell = ncell;
+        let ncells = ncell[0] * ncell[1] * ncell[2];
+        assert!(
+            u32::try_from(ncells).is_ok(),
+            "binning grid of {ncells} cells exceeds the u32 cell index"
+        );
+        self.atom_cell.clear();
+        self.atom_cell.extend(x.iter().map(|&p| {
+            let f = bx.fractional(p);
+            let mut c = [0usize; 3];
+            for d in 0..3 {
+                let fd = f[d].clamp(0.0, 1.0 - 1e-12);
+                c[d] = ((fd * ncell[d] as f64) as usize).min(ncell[d] - 1);
+            }
+            ((c[2] * ncell[1] + c[1]) * ncell[0] + c[0]) as u32
+        }));
+
+        // Counting sort. Counts land one slot up, the running sum turns
+        // `cell_start[c + 1]` into cell `c`'s first slot, and the fill pass
+        // uses it as that cell's cursor, which leaves it at the cell's end —
+        // the next cell's start.
+        self.cell_start.clear();
+        self.cell_start.resize(ncells + 1, 0);
+        for &c in &self.atom_cell {
+            self.cell_start[c as usize + 1] += 1;
+        }
+        let mut first = 0u32;
+        for start in &mut self.cell_start[1..] {
+            let count = *start;
+            *start = first;
+            first += count;
+        }
+        self.cell_atoms.clear();
+        self.cell_atoms.resize(n, 0);
+        for p in [&mut self.px, &mut self.py, &mut self.pz] {
+            p.clear();
+            p.resize(n + CHUNK, 0.0);
+        }
+        for i in (0..n).rev() {
+            let cursor = &mut self.cell_start[self.atom_cell[i] as usize + 1];
+            let slot = *cursor as usize;
+            *cursor += 1;
+            self.cell_atoms[slot] = i as u32;
+            self.px[slot] = x[i].x;
+            self.py[slot] = x[i].y;
+            self.pz[slot] = x[i].z;
+        }
+    }
+}
+
+/// The candidate search of one build over filled [`CellBins`]: everything
+/// [`RowScan::append_row`] needs besides the atom, read-only so the build's
+/// worker threads share one.
+struct RowScan<'a> {
+    bins: &'a CellBins,
+    x: &'a [V3],
+    bx: &'a SimBox,
+    /// Box length per axis, and half of it: the two constants of
+    /// [`SimBox::min_image`]. A non-periodic axis gets an infinite half
+    /// length, so neither comparison ever fires and its displacement stays
+    /// untouched.
+    wrap: [f64; 3],
+    half_len: [f64; 3],
+    half: bool,
+    range2: f64,
+    cut2: f64,
+}
+
+impl<'a> RowScan<'a> {
+    fn new(
+        bins: &'a CellBins,
+        x: &'a [V3],
+        bx: &'a SimBox,
+        kind: NeighborListKind,
+        range2: f64,
+        cut2: f64,
+    ) -> Self {
+        let lengths = bx.lengths();
+        let mut wrap = [0.0f64; 3];
+        let mut half_len = [f64::INFINITY; 3];
+        for d in 0..3 {
+            if bx.is_periodic(d) {
+                wrap[d] = lengths[d];
+                half_len[d] = 0.5 * lengths[d];
+            }
+        }
+        RowScan {
+            bins,
+            x,
+            bx,
+            wrap,
+            half_len,
+            half: kind == NeighborListKind::Half,
+            range2,
+            cut2,
+        }
+    }
+
+    /// The minimum-image correction of [`SimBox::min_image`] on one axis:
+    /// the same comparisons against `0.5 * L` and the same `- L` / `+ L`, so
+    /// the squared distance has the same bits and every `r2 < range2` decides
+    /// as it would there. Written as two selects of a constant instead of an
+    /// if/else chain so the compiler can correct [`CHUNK`] candidates at a
+    /// time; the `0.0` an uncorrected displacement gets added cannot change
+    /// its square.
+    #[inline(always)]
+    fn min_image(&self, d: f64, axis: usize) -> f64 {
+        let down = if d > self.half_len[axis] {
+            self.wrap[axis]
+        } else {
+            0.0
+        };
+        let up = if d < -self.half_len[axis] {
+            self.wrap[axis]
+        } else {
+            0.0
+        };
+        d - down + up
+    }
+
+    /// Appends atom `i`'s neighbor row to `scratch` — stencil cells in
+    /// `dz, dy, dx` order, each cell's members in descending index, partners
+    /// in the sorted slice `excl` dropped — and returns how many of the row's
+    /// pairs fall within the bare cutoff.
+    fn append_row(&self, i: usize, excl: &[u32], scratch: &mut Vec<u32>) -> usize {
+        let bins = self.bins;
+        let ncell = bins.ncell;
+        let (range2, cut2) = (self.range2, self.cut2);
+        let xi = self.x[i];
+        let iu = i as u32;
+        let c = bins.atom_cell[i] as usize;
+        let (cx, cyz) = (c % ncell[0], c / ncell[0]);
+        let (cy, cz) = (cyz % ncell[1], cyz / ncell[1]);
+        let (xs, nxs) = stencil_axis(cx, ncell[0], self.bx.is_periodic(0));
+        let (ys, nys) = stencil_axis(cy, ncell[1], self.bx.is_periodic(1));
+        let (zs, nzs) = stencil_axis(cz, ncell[2], self.bx.is_periodic(2));
+
+        // The runs of packed slots to scan, one per stencil cell, as (first
+        // slot, length).
+        let mut runs = [(0usize, 0usize); 27];
+        let mut nruns = 0;
+        let mut candidates = 0;
+        for &z in &zs[..nzs] {
+            for &y in &ys[..nys] {
+                let row = (z * ncell[1] + y) * ncell[0];
+                for &xc in &xs[..nxs] {
+                    let lo = bins.cell_start[row + xc] as usize;
+                    let hi = bins.cell_start[row + xc + 1] as usize;
+                    // Members run in descending index, so a half list's
+                    // `j > i` candidates are a prefix of the run.
+                    let len = if self.half {
+                        bins.cell_atoms[lo..hi].partition_point(|&j| j > iu)
+                    } else {
+                        hi - lo
+                    };
+                    runs[nruns] = (lo, len);
+                    nruns += 1;
+                    candidates += len;
+                }
+            }
+        }
+
+        // Branch-free append: every candidate writes its index at the
+        // cursor, only a survivor advances it.
+        let row_start = scratch.len();
+        scratch.resize(row_start + candidates, 0);
+        let out = &mut scratch[row_start..];
+        let mut kept = 0usize;
+        let mut within_cut = 0usize;
+        for &(lo, len) in &runs[..nruns] {
+            let end = lo + len;
+            let mut first = lo;
+            while first < end {
+                // The last chunk of a run reads on into the next cell's
+                // slots (or the arrays' padding); only its own distances
+                // are looked at.
+                let chunk = |p: &'a [f64]| -> &'a [f64; CHUNK] {
+                    p[first..first + CHUNK].try_into().expect("CHUNK slots")
+                };
+                let (px, py, pz) = (chunk(&bins.px), chunk(&bins.py), chunk(&bins.pz));
+                let mut r2 = [0.0f64; CHUNK];
+                for k in 0..CHUNK {
+                    let dx = self.min_image(px[k] - xi.x, 0);
+                    let dy = self.min_image(py[k] - xi.y, 1);
+                    let dz = self.min_image(pz[k] - xi.z, 2);
+                    r2[k] = dx * dx + dy * dy + dz * dz;
+                }
+                let members = &bins.cell_atoms[first..(first + CHUNK).min(end)];
+                for (&j, &r2) in members.iter().zip(&r2) {
+                    let keep = (r2 < range2) & (j != iu);
+                    out[kept] = j;
+                    kept += keep as usize;
+                    within_cut += (keep & (r2 < cut2)) as usize;
+                }
+                first += CHUNK;
+            }
+        }
+        scratch.truncate(row_start + kept);
+
+        if !excl.is_empty() {
+            // Exclusions are few and survivors a small share of the
+            // candidates, so they are taken out of the finished row; an
+            // excluded survivor's distance is recomputed to take it out of
+            // the within-cutoff count.
+            let mut kept = row_start;
+            for r in row_start..scratch.len() {
+                let j = scratch[r];
+                if excl.binary_search(&j).is_err() {
+                    scratch[kept] = j;
+                    kept += 1;
+                } else if self.bx.min_image(self.x[j as usize], xi).norm2() < cut2 {
+                    within_cut -= 1;
+                }
+            }
+            scratch.truncate(kept);
+        }
+        within_cut
+    }
+}
+
 /// A Verlet neighbor list built through cell binning.
 #[derive(Debug, Clone)]
 pub struct NeighborList {
@@ -92,11 +411,9 @@ pub struct NeighborList {
     threads: usize,
     /// Lane width rows are padded to (0 = disabled).
     padding: usize,
-    /// Persistent binning scratch (cell heads + intrusive next links):
-    /// reused across rebuilds so a steady-state serial build allocates
-    /// nothing.
-    bin_head: Vec<u32>,
-    bin_next: Vec<u32>,
+    /// The last build's binning, kept for its storage: reused across
+    /// rebuilds so a steady-state serial build allocates nothing.
+    bins: CellBins,
     /// Persistent per-worker stripe buffers for the threaded build.
     stripe_bufs: Vec<StripeBuf>,
 }
@@ -122,8 +439,7 @@ impl NeighborList {
             stats: NeighborBuildStats::default(),
             threads: 1,
             padding: 0,
-            bin_head: Vec::new(),
-            bin_next: Vec::new(),
+            bins: CellBins::default(),
             stripe_bufs: Vec::new(),
         }
     }
@@ -251,26 +567,12 @@ impl NeighborList {
             .any(|(&a, &b)| bx.min_image(a, b).norm2() > limit2)
     }
 
-    /// Checks the displacement trigger and rebuilds (with exclusions) if needed.
+    /// Counts one timestep-boundary check that found [`needs_rebuild`]
+    /// false and kept the list.
     ///
-    /// Returns `true` when a rebuild happened.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`NeighborList::build_with`] errors.
-    pub fn check_and_build<'a>(
-        &mut self,
-        x: &[V3],
-        bx: &SimBox,
-        exclusions: impl Fn(usize) -> &'a [u32] + Sync,
-    ) -> Result<bool> {
-        if self.needs_rebuild(x, bx) {
-            self.build_with(x, bx, exclusions)?;
-            Ok(true)
-        } else {
-            self.stats.skipped_checks += 1;
-            Ok(false)
-        }
+    /// [`needs_rebuild`]: NeighborList::needs_rebuild
+    pub(crate) fn note_skipped_check(&mut self) {
+        self.stats.skipped_checks += 1;
     }
 
     /// Unconditionally rebuilds the list with no exclusions.
@@ -302,38 +604,8 @@ impl NeighborList {
         let range2 = range * range;
         let cut2 = self.cutoff * self.cutoff;
         let mut within_cut = 0usize;
-        let lengths = bx.lengths();
 
-        // Bin geometry: cells at least `range` wide so only 27 cells are searched.
-        let mut ncell = [1usize; 3];
-        for d in 0..3 {
-            ncell[d] = ((lengths[d] / range).floor() as usize).max(1);
-        }
-        let ncells = ncell[0] * ncell[1] * ncell[2];
-
-        // Count-then-fill binning.
-        let cell_of = |p: V3| -> usize {
-            let f = bx.fractional(p);
-            let mut c = [0usize; 3];
-            for d in 0..3 {
-                let fd = f[d].clamp(0.0, 1.0 - 1e-12);
-                c[d] = ((fd * ncell[d] as f64) as usize).min(ncell[d] - 1);
-            }
-            (c[2] * ncell[1] + c[1]) * ncell[0] + c[0]
-        };
-        // Persistent binning scratch: clear + resize reuses capacity, so a
-        // steady-state build performs no allocation here.
-        let mut bin_head = std::mem::take(&mut self.bin_head);
-        let mut bin_next = std::mem::take(&mut self.bin_next);
-        bin_head.clear();
-        bin_head.resize(ncells, u32::MAX);
-        bin_next.clear();
-        bin_next.resize(n, u32::MAX);
-        for (i, &p) in x.iter().enumerate() {
-            let c = cell_of(p);
-            bin_next[i] = bin_head[c];
-            bin_head[c] = i as u32;
-        }
+        self.bins.fill(x, bx, range);
 
         self.offsets.clear();
         self.offsets.reserve(n + 1);
@@ -343,73 +615,11 @@ impl NeighborList {
         let lanes = self.padding;
         let sentinel = n as u32;
 
-        let half = self.kind == NeighborListKind::Half;
-        // With fewer than 3 cells on a periodic axis, distinct (dx,dy,dz)
-        // offsets alias to the same cell and candidates repeat; dedupe then.
-        let needs_dedup = (0..3).any(|d| ncell[d] < 3 && bx.is_periodic(d));
-
         // The per-atom candidate search, shared by the serial and threaded
-        // paths. Appends atom `i`'s neighbor row to `scratch` (in the bin
-        // walk order set by the serial binning above) and returns how many
-        // of the row's pairs fall within the bare cutoff.
-        let head = &bin_head;
-        let next = &bin_next;
-        let exclusions = &exclusions;
-        let search = move |i: usize, scratch: &mut Vec<u32>| -> usize {
-            let mut wc = 0usize;
-            let xi = x[i];
-            let f = bx.fractional(xi);
-            let mut ci = [0usize; 3];
-            for d in 0..3 {
-                let fd = f[d].clamp(0.0, 1.0 - 1e-12);
-                ci[d] = ((fd * ncell[d] as f64) as usize).min(ncell[d] - 1);
-            }
-            let row_start = scratch.len();
-            let excl = exclusions(i);
-            for dz in -1i64..=1 {
-                for dy in -1i64..=1 {
-                    for dx in -1i64..=1 {
-                        let mut cc = [0usize; 3];
-                        let deltas = [dx, dy, dz];
-                        let mut skip = false;
-                        for d in 0..3 {
-                            let raw = ci[d] as i64 + deltas[d];
-                            if bx.is_periodic(d) {
-                                cc[d] = raw.rem_euclid(ncell[d] as i64) as usize;
-                            } else if raw < 0 || raw >= ncell[d] as i64 {
-                                skip = true;
-                                break;
-                            } else {
-                                cc[d] = raw as usize;
-                            }
-                        }
-                        if skip {
-                            continue;
-                        }
-                        let cell = (cc[2] * ncell[1] + cc[1]) * ncell[0] + cc[0];
-                        let mut j = head[cell];
-                        while j != u32::MAX {
-                            let ju = j as usize;
-                            if ju != i && (!half || ju > i) {
-                                let d = bx.min_image(x[ju], xi);
-                                let r2 = d.norm2();
-                                if r2 < range2
-                                    && (excl.is_empty() || excl.binary_search(&j).is_err())
-                                    && (!needs_dedup || !scratch[row_start..].contains(&j))
-                                {
-                                    scratch.push(j);
-                                    if r2 < cut2 {
-                                        wc += 1;
-                                    }
-                                }
-                            }
-                            j = next[ju];
-                        }
-                    }
-                }
-            }
-            wc
-        };
+        // paths: appends atom `i`'s neighbor row to `scratch` and returns how
+        // many of the row's pairs fall within the bare cutoff.
+        let scan = RowScan::new(&self.bins, x, bx, self.kind, range2, cut2);
+        let search = |i: usize, scratch: &mut Vec<u32>| scan.append_row(i, exclusions(i), scratch);
 
         let t = self.threads.min(n.max(1));
         if t > 1 {
@@ -473,8 +683,6 @@ impl NeighborList {
                 self.offsets.push(self.neigh.len());
             }
         }
-        self.bin_head = bin_head;
-        self.bin_next = bin_next;
 
         self.x_at_build.clear();
         self.x_at_build.extend_from_slice(x);
@@ -487,7 +695,7 @@ impl NeighborList {
         };
         self.stats.pairs = pairs;
         self.stats.pairs_within_cutoff = within_cut;
-        self.stats.cells = ncells;
+        self.stats.cells = self.bins.ncell.iter().product();
         let per_atom = |directed: f64| {
             if n == 0 {
                 0.0
@@ -627,6 +835,7 @@ pub fn brute_force_pairs(x: &[V3], bx: &SimBox, range: f64) -> Vec<(u32, u32)> {
 mod tests {
     use super::*;
     use crate::vec3::Vec3;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -656,6 +865,205 @@ mod tests {
             }
         }
         s
+    }
+
+    /// The build as it was before the counting sort, kept as the oracle of
+    /// `build_equals_linked_list_reference`: atoms pushed onto per-cell
+    /// linked lists (so a cell is walked last-in first-out, i.e. in
+    /// descending index), all 27 stencil offsets visited with `rem_euclid`
+    /// wrapping, every candidate put through [`SimBox::min_image`], and cells
+    /// that alias on a short periodic axis deduplicated candidate by
+    /// candidate. Returns the rows, the pairs within the bare cutoff and the
+    /// cell count.
+    fn reference_rows(
+        x: &[V3],
+        bx: &SimBox,
+        cutoff: f64,
+        skin: f64,
+        kind: NeighborListKind,
+        excl: &[Vec<u32>],
+    ) -> (Vec<Vec<u32>>, usize, usize) {
+        let range = cutoff + skin;
+        let range2 = range * range;
+        let cut2 = cutoff * cutoff;
+        let lengths = bx.lengths();
+        let mut ncell = [1usize; 3];
+        for d in 0..3 {
+            ncell[d] = ((lengths[d] / range).floor() as usize).max(1);
+        }
+        let ncells = ncell[0] * ncell[1] * ncell[2];
+        let cell_coords = |p: V3| -> [usize; 3] {
+            let f = bx.fractional(p);
+            let mut c = [0usize; 3];
+            for d in 0..3 {
+                let fd = f[d].clamp(0.0, 1.0 - 1e-12);
+                c[d] = ((fd * ncell[d] as f64) as usize).min(ncell[d] - 1);
+            }
+            c
+        };
+        let mut bin_head = vec![u32::MAX; ncells];
+        let mut bin_next = vec![u32::MAX; x.len()];
+        for (i, &p) in x.iter().enumerate() {
+            let c = cell_coords(p);
+            let cell = (c[2] * ncell[1] + c[1]) * ncell[0] + c[0];
+            bin_next[i] = bin_head[cell];
+            bin_head[cell] = i as u32;
+        }
+        let half = kind == NeighborListKind::Half;
+        let needs_dedup = (0..3).any(|d| ncell[d] < 3 && bx.is_periodic(d));
+        let mut within_cut = 0usize;
+        let mut rows = Vec::with_capacity(x.len());
+        for (i, &xi) in x.iter().enumerate() {
+            let ci = cell_coords(xi);
+            let mut row: Vec<u32> = Vec::new();
+            for dz in -1i64..=1 {
+                for dy in -1i64..=1 {
+                    for dx in -1i64..=1 {
+                        let mut cc = [0usize; 3];
+                        let deltas = [dx, dy, dz];
+                        let mut skip = false;
+                        for d in 0..3 {
+                            let raw = ci[d] as i64 + deltas[d];
+                            if bx.is_periodic(d) {
+                                cc[d] = raw.rem_euclid(ncell[d] as i64) as usize;
+                            } else if raw < 0 || raw >= ncell[d] as i64 {
+                                skip = true;
+                                break;
+                            } else {
+                                cc[d] = raw as usize;
+                            }
+                        }
+                        if skip {
+                            continue;
+                        }
+                        let cell = (cc[2] * ncell[1] + cc[1]) * ncell[0] + cc[0];
+                        let mut j = bin_head[cell];
+                        while j != u32::MAX {
+                            let ju = j as usize;
+                            if ju != i && (!half || ju > i) {
+                                let r2 = bx.min_image(x[ju], xi).norm2();
+                                if r2 < range2
+                                    && excl[i].binary_search(&j).is_err()
+                                    && (!needs_dedup || !row.contains(&j))
+                                {
+                                    row.push(j);
+                                    if r2 < cut2 {
+                                        within_cut += 1;
+                                    }
+                                }
+                            }
+                            j = bin_next[ju];
+                        }
+                    }
+                }
+            }
+            rows.push(row);
+        }
+        (rows, within_cut, ncells)
+    }
+
+    proptest! {
+        #[test]
+        fn build_equals_linked_list_reference(
+            full in proptest::bool::ANY,
+            periodic in proptest::collection::vec(proptest::bool::ANY, 3),
+            // Box extent per axis in units of the interaction range: below 2
+            // (the limit `check_interaction_range` sets) only a non-periodic
+            // axis of a partly periodic box may go, 2..3 is the two-cell
+            // case whose stencil offsets alias.
+            extent in proptest::collection::vec(0.6..5.5f64, 3),
+            lo in proptest::collection::vec(-3.0..3.0f64, 3),
+            cutoff in 1.0..2.5f64,
+            skin in 0.0..0.6f64,
+            // Fractional coordinates (reaching outside the box) and a face
+            // selector: 0..6 puts the atom exactly on one of the six faces.
+            atoms in proptest::collection::vec(
+                (-0.15..1.15f64, -0.15..1.15f64, -0.15..1.15f64, 0usize..14),
+                0..160,
+            ),
+            excluded in proptest::collection::vec((0usize..160, 0usize..160), 0..80),
+        ) {
+            let kind = if full { NeighborListKind::Full } else { NeighborListKind::Half };
+            let range = cutoff + skin;
+            let mut len = [0.0; 3];
+            for d in 0..3 {
+                let limited = periodic[d] || !periodic.contains(&true);
+                len[d] = range * if limited { extent[d].max(2.001) } else { extent[d] };
+            }
+            let lo = Vec3::new(lo[0], lo[1], lo[2]);
+            let bx = SimBox::new(lo, lo + Vec3::new(len[0], len[1], len[2]))
+                .unwrap()
+                .with_periodicity(periodic[0], periodic[1], periodic[2]);
+            let n = atoms.len();
+            let x: Vec<V3> = atoms
+                .iter()
+                .map(|&(fx, fy, fz, face)| {
+                    let mut f = [fx, fy, fz];
+                    if face < 6 {
+                        f[face / 2] = (face % 2) as f64;
+                    }
+                    for d in 0..3 {
+                        // Only a non-periodic face has atoms beyond it.
+                        if periodic[d] {
+                            f[d] = f[d].clamp(0.0, 1.0);
+                        }
+                    }
+                    lo + Vec3::new(f[0] * len[0], f[1] * len[1], f[2] * len[2])
+                })
+                .collect();
+            let mut excl: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for &(a, b) in &excluded {
+                if a < n && b < n && a != b {
+                    excl[a].push(b as u32);
+                    excl[b].push(a as u32);
+                }
+            }
+            for e in &mut excl {
+                e.sort_unstable();
+                e.dedup();
+            }
+
+            let (rows, within_cut, ncells) = reference_rows(&x, &bx, cutoff, skin, kind, &excl);
+            let pairs: usize = rows.iter().map(Vec::len).sum();
+            let per_atom = |directed: usize| match (n, kind) {
+                (0, _) => 0.0,
+                (_, NeighborListKind::Half) => 2.0 * directed as f64 / n as f64,
+                (_, NeighborListKind::Full) => directed as f64 / n as f64,
+            };
+            let stats = NeighborBuildStats {
+                builds: 1,
+                skipped_checks: 0,
+                pairs,
+                pairs_within_cutoff: within_cut,
+                neighbors_per_atom: per_atom(pairs),
+                neighbors_within_cutoff: per_atom(within_cut),
+                cells: ncells,
+            };
+            for padding in [0, 8] {
+                let mut offsets = vec![0];
+                let mut neigh = Vec::new();
+                let mut row_ends = Vec::new();
+                for row in &rows {
+                    let start = neigh.len();
+                    neigh.extend_from_slice(row);
+                    if padding != 0 {
+                        row_ends.push(pad_row(&mut neigh, start, padding, n as u32));
+                    }
+                    offsets.push(neigh.len());
+                }
+                for threads in [1, 2, 3, 7] {
+                    let mut nl = NeighborList::new(cutoff, skin, kind);
+                    nl.set_padding(padding);
+                    nl.set_threads(threads);
+                    nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
+                    let what = format!("padding {padding}, {threads} threads, {bx}");
+                    prop_assert_eq!(&nl.offsets, &offsets, "offsets: {}", what);
+                    prop_assert_eq!(&nl.neigh, &neigh, "neigh: {}", what);
+                    prop_assert_eq!(&nl.row_ends, &row_ends, "row_ends: {}", what);
+                    prop_assert_eq!(nl.stats(), stats, "stats: {}", what);
+                }
+            }
+        }
     }
 
     #[test]

@@ -372,6 +372,9 @@ impl Simulation {
             let atoms = &self.atoms;
             let nl = self.neighbor.as_mut().expect("checked above");
             nl.build_with(atoms.x(), &self.bx, |i| atoms.exclusions(i))?;
+        } else {
+            let nl = self.neighbor.as_mut().expect("checked above");
+            nl.note_skipped_check();
         }
         let dt = t0.elapsed().as_secs_f64();
         self.ledger.add(TaskKind::Neigh, dt);

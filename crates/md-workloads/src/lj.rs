@@ -93,6 +93,18 @@ mod tests {
     }
 
     #[test]
+    fn every_step_either_rebuilds_or_counts_a_skipped_check() {
+        // One forced build at set-up, then one displacement check per step.
+        let steps = 20usize;
+        let mut sim = build(1, 7).unwrap();
+        sim.run(steps as u64).unwrap();
+        let stats = sim.neighbor_list().unwrap().stats();
+        assert!(stats.builds > 1, "no rebuild in {steps} steps");
+        assert!(stats.skipped_checks > 0, "no kept list in {steps} steps");
+        assert_eq!(stats.builds + stats.skipped_checks, steps + 1);
+    }
+
+    #[test]
     fn neighbor_count_matches_table2() {
         // Table 2: ~55 neighbors/atom for the LJ melt (cutoff + skin).
         let sim = build(1, 7).unwrap();
