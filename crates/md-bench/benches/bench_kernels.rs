@@ -17,11 +17,16 @@
 //! and Chain decks as `run_deck` runs them, seconds per build and
 //! nanoseconds per stored pair.
 //!
+//! So are the CHARMM kernels on the rhodo deck (scalar and lanes probes,
+//! nanoseconds per stored pair on the scalar path) and one `erfc` call over
+//! the `g·r` range that deck's real-space Coulomb term spans.
+//!
 //! Results are written to `BENCH_kernels.json` at the workspace root; the
 //! harness reads the `lj_speedup` field to recalibrate the modeled CPU
 //! ns/pair when `run_deck --kernel lanes` runs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use md_core::math::erfc;
 use md_core::{KernelPath, Threads};
 use md_workloads::{build_deck_tuned, Benchmark, DeckTuning};
 use std::time::{Duration, Instant};
@@ -47,9 +52,10 @@ fn tuned(kernel: KernelPath) -> DeckTuning {
 
 /// Best-of-[`ROUNDS`] seconds per pair-force evaluation for the scalar and
 /// lanes paths on the benchmark's deck, measured interleaved on the same
-/// configuration. The deck is built on the lanes path so the neighbor rows
-/// carry padding for both probes; the scalar kernel ignores the pad slots.
-fn probe_seconds(benchmark: Benchmark) -> (f64, f64) {
+/// configuration, and the stored pairs one evaluation walks. The deck is
+/// built on the lanes path so the neighbor rows carry padding for both
+/// probes; the scalar kernel ignores the pad slots.
+fn probe_seconds(benchmark: Benchmark) -> (f64, f64, usize) {
     let mut deck =
         build_deck_tuned(benchmark, 1, 3, tuned(KernelPath::Lanes)).expect("deck builds");
     deck.simulation.run(3).expect("warmup steps");
@@ -67,7 +73,26 @@ fn probe_seconds(benchmark: Benchmark) -> (f64, f64) {
         scalar = scalar.min(sample(KernelPath::Scalar));
         lanes = lanes.min(sample(KernelPath::Lanes));
     }
-    (scalar, lanes)
+    let pairs = deck.simulation.neighbor_list().map_or(0, |nl| nl.len());
+    (scalar, lanes, pairs)
+}
+
+/// Best-of-[`ROUNDS`] nanoseconds per `erfc` call over `g·r` from 0.27 to
+/// 2.73: the rhodo deck's splitting parameter times 1 Å … its 10 Å cutoff.
+fn erfc_ns_per_call() -> f64 {
+    const CALLS: u32 = 1 << 20;
+    let mut best = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        let t0 = Instant::now();
+        let mut sum = 0.0;
+        for k in 0..CALLS {
+            let x = 0.27 + (2.73 - 0.27) * f64::from(k) / f64::from(CALLS);
+            sum += erfc(std::hint::black_box(x));
+        }
+        std::hint::black_box(sum);
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    best * 1e9 / f64::from(CALLS)
 }
 
 /// Best-of-[`ROUNDS`] seconds per forced neighbor rebuild on the benchmark's
@@ -97,10 +122,14 @@ fn guard_kernel_speedup(c: &mut Criterion) {
         neigh_lj * 1e3,
         neigh_chain * 1e3,
     );
-    let (scalar_lj, lanes_lj) = probe_seconds(Benchmark::Lj);
+    let (scalar_lj, lanes_lj, _) = probe_seconds(Benchmark::Lj);
     let lj_speedup = scalar_lj / lanes_lj.max(1e-12);
-    let (scalar_eam, lanes_eam) = probe_seconds(Benchmark::Eam);
+    let (scalar_eam, lanes_eam, _) = probe_seconds(Benchmark::Eam);
     let eam_speedup = scalar_eam / lanes_eam.max(1e-12);
+    let (scalar_charmm, lanes_charmm, charmm_pairs) = probe_seconds(Benchmark::Rhodo);
+    let charmm_speedup = scalar_charmm / lanes_charmm.max(1e-12);
+    let charmm_ns = scalar_charmm * 1e9 / charmm_pairs.max(1) as f64;
+    let erfc_ns = erfc_ns_per_call();
     println!(
         "bench_kernels: lj pair probe — scalar {:.2} ms, lanes {:.2} ms ({lj_speedup:.2}x); \
          eam — scalar {:.2} ms, lanes {:.2} ms ({eam_speedup:.2}x)",
@@ -108,6 +137,12 @@ fn guard_kernel_speedup(c: &mut Criterion) {
         lanes_lj * 1e3,
         scalar_eam * 1e3,
         lanes_eam * 1e3,
+    );
+    println!(
+        "bench_kernels: charmm pair probe — scalar {:.2} ms ({charmm_ns:.1} ns/pair), \
+         lanes {:.2} ms ({charmm_speedup:.2}x); erfc {erfc_ns:.1} ns/call",
+        scalar_charmm * 1e3,
+        lanes_charmm * 1e3,
     );
 
     // The blocked loops only reliably beat the scalar reference when the
@@ -138,6 +173,11 @@ fn guard_kernel_speedup(c: &mut Criterion) {
          \"lj_speedup\": {lj_speedup:.4},\n  \
          \"scalar_eam_pair_s\": {scalar_eam:.6e},\n  \"lanes_eam_pair_s\": {lanes_eam:.6e},\n  \
          \"eam_speedup\": {eam_speedup:.4},\n  \
+         \"scalar_charmm_pair_s\": {scalar_charmm:.6e},\n  \
+         \"lanes_charmm_pair_s\": {lanes_charmm:.6e},\n  \
+         \"charmm_speedup\": {charmm_speedup:.4},\n  \
+         \"charmm_ns_per_pair\": {charmm_ns:.2},\n  \
+         \"erfc_ns_per_call\": {erfc_ns:.2},\n  \
          \"lj_neigh_build_s\": {neigh_lj:.6e},\n  \
          \"lj_neigh_ns_per_pair\": {neigh_lj_ns:.2},\n  \
          \"chain_neigh_build_s\": {neigh_chain:.6e},\n  \

@@ -160,6 +160,12 @@ pub trait PairStyle: Send {
         PrecisionMode::Double
     }
 
+    /// Tells a style that carries the real-space half of an Ewald sum which
+    /// splitting parameter the long-range solver settled on, so both halves
+    /// split the Coulomb sum at the same place. Styles without such a term
+    /// ignore it.
+    fn set_g_ewald(&mut self, _g: f64) {}
+
     /// Attaches an observability recorder so threaded styles can emit
     /// per-worker spans (one lane per thread, showing the fork/join shape
     /// of the pair kernel). Serial styles ignore it.

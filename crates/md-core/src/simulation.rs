@@ -653,9 +653,11 @@ impl Simulation {
         Ok(())
     }
 
-    /// Tightens the long-range solver's accuracy target one notch and
-    /// re-runs its setup (recovery-ladder mitigation). Returns `false` if no
-    /// solver is configured or it has no accuracy knob.
+    /// Tightens the long-range solver's accuracy target one notch, re-runs
+    /// its setup and hands the splitting parameter that setup chose to the
+    /// pair style, which carries the real-space half of the same sum
+    /// (recovery-ladder mitigation). Returns `false` if no solver is
+    /// configured or it has no accuracy knob.
     ///
     /// # Errors
     ///
@@ -668,6 +670,10 @@ impl Simulation {
             return Ok(false);
         }
         ks.setup(&self.bx, self.atoms.charges())?;
+        let g = ks.stats().g_ewald;
+        if let Some(pair) = self.pair.as_mut() {
+            pair.set_g_ewald(g);
+        }
         Ok(true)
     }
 

@@ -14,7 +14,9 @@ use md_workloads::Benchmark;
 /// Per-benchmark CPU kernel rates (seconds per pair interaction).
 ///
 /// EAM pays two passes over the neighbor list; the granular history style
-/// pays hash-map bookkeeping per contact; CHARMM pays `erfc` per pair.
+/// pays hash-map bookkeeping per contact; CHARMM reads its damped Coulomb
+/// factors from a table (LAMMPS's `pair_modify table`, and the engine's
+/// `md_potentials::LjCharmmCoulLong`), so a pair costs about an LJ pair.
 pub fn cpu_pair_seconds(benchmark: Benchmark) -> f64 {
     match benchmark {
         Benchmark::Lj => 5.6e-9,

@@ -6,6 +6,50 @@
 //! `q_i q_j erfc(g r) / r`, whose reciprocal-space complement lives in
 //! `md-kspace`. Cross-type LJ coefficients mix arithmetically
 //! (`pair_modify mix arithmetic`, paper Table 2).
+//!
+//! ## The real-space Coulomb table
+//!
+//! Per pair the kernels need two factors of `r` alone, the energy factor
+//! `E = erfc(g r)/r` and the force factor
+//! `F = [erfc(g r) + 2 g r/√π · e^{−g² r²}]/r³ = −(1/r) dE/dr`. Neither is
+//! evaluated per pair: [`LjCharmmCoulLong::set_g_ewald`] tabulates both once
+//! per `g_ewald` over `r²`, as LAMMPS's `coul/long` styles do
+//! (`pair_modify table`, on by default and so what the paper's stock decks
+//! ran), and a pair costs a shift, one cache line and six multiply-adds.
+//!
+//! * **Knots** are the `f64` values of `r²` whose low `52 − 9` significand
+//!   bits are zero: 2⁹ per octave, evenly spaced inside an octave, so the
+//!   segment a pair falls in is `r².to_bits() >> 43` minus the first
+//!   segment's key, and its position inside the segment is the 43 bits
+//!   shifted out. No `sqrt`, no divide, no search.
+//! * **Span**: from the power of two six octaves below the octave of
+//!   `cut_coul²` up to the segment that holds `cut_coul²` — `r` from 1 Å to
+//!   the 10 Å cutoff on the rhodo deck, 3361 segments of 64 bytes (210 KiB),
+//!   one table per style, shared read-only by every [`crate::Threaded`]
+//!   chunk.
+//! * **Segments** hold the two cubic Hermite interpolants through the knot
+//!   values and the analytic slopes `dE/d(r²) = −F/2` and `dF/d(r²)`, as
+//!   Horner coefficients. Value and slope match at every knot, so `E` and `F`
+//!   are C¹ across segments and octaves.
+//! * **Error** against the analytic expressions, over the whole span:
+//!   ≤ 6e-11 relative at the deck's `g = 0.273 Å⁻¹` (k-space threshold
+//!   1e-4), ≤ 4.4e-10 at `g = 0.377` (threshold 1e-7, the tightest the paper
+//!   sweeps); it grows like `(g r_c)⁸` and is largest next to the cutoff,
+//!   where the factors themselves are smallest. `F` is tabulated, not
+//!   differentiated from the `E` table, so force and energy agree to the
+//!   same bound (a central difference of the tabulated energy meets the
+//!   tabulated force within 1e-6).
+//! * **Below the inner radius** (`r² <` first knot) the kernels evaluate the
+//!   analytic expression with `erfc` and `exp`. No bonded-excluded deck pair
+//!   gets there; a test gas with overlapping atoms does, and gets the exact
+//!   value instead of an extrapolated one.
+//! * **`g_ewald = 0`** (no solver attached) has no table: plain truncated
+//!   `q q / r`.
+//!
+//! There is no switch for the table. The per-pair `erfc` kernel it replaced
+//! was ~9× slower on the rhodo deck and no more accurate than the k-space
+//! half of the sum it is added to (whose error is the threshold, ≥ 1e-7), so
+//! nothing would select it.
 
 use crate::mixing::MixingRule;
 use md_core::kernel::{
@@ -16,7 +60,110 @@ use md_core::neighbor::NeighborList;
 use md_core::{
     CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, PrecisionMode, Vec3, V3,
 };
+use std::f64::consts::FRAC_2_SQRT_PI;
 use std::ops::Range;
+
+/// Knots per octave of `r²`, as a bit count: a knot is every `f64` whose
+/// low `52 − TABLE_BITS` significand bits are zero.
+const TABLE_BITS: u32 = 9;
+/// How far right the bits of `r²` shift to leave exponent + knot bits.
+const KEY_SHIFT: u32 = 52 - TABLE_BITS;
+/// Octaves of `r²` the table spans below the octave that holds `cut_coul²`.
+const TABLE_OCTAVES_BELOW: u64 = 6;
+
+/// One knot interval of the [`CoulTable`]: both cubics in Horner order,
+/// exactly one cache line.
+#[derive(Debug, Clone, Copy)]
+#[repr(align(64))]
+struct Segment {
+    energy: [f64; 4],
+    force: [f64; 4],
+}
+
+/// The `r²`-indexed table of the damped Coulomb factors (see the module docs).
+#[derive(Debug, Clone)]
+struct CoulTable {
+    g: f64,
+    /// Below this `r²` the kernels evaluate [`damped_coulomb`] instead.
+    inner2: f64,
+    /// `r².to_bits() >> KEY_SHIFT` of the first and the last segment.
+    key_lo: u64,
+    key_hi: u64,
+    segments: Vec<Segment>,
+}
+
+impl CoulTable {
+    fn new(g: f64, cut_coul: f64) -> Self {
+        let cut2 = cut_coul * cut_coul;
+        let key_hi = cut2.to_bits() >> KEY_SHIFT;
+        let key_lo = ((cut2.to_bits() >> 52).saturating_sub(TABLE_OCTAVES_BELOW)) << TABLE_BITS;
+        let knot = |key: u64| f64::from_bits(key << KEY_SHIFT);
+        let knots: Vec<[f64; 4]> = (key_lo..=key_hi + 1)
+            .map(|key| damped_coulomb(g, knot(key)))
+            .collect();
+        let segments = (key_lo..=key_hi)
+            .zip(knots.windows(2))
+            .map(|(key, w)| {
+                let h = knot(key + 1) - knot(key);
+                let [e0, f0, de0, df0] = w[0];
+                let [e1, f1, de1, df1] = w[1];
+                Segment {
+                    energy: hermite(e0, e1, h * de0, h * de1),
+                    force: hermite(f0, f1, h * df0, h * df1),
+                }
+            })
+            .collect();
+        CoulTable {
+            g,
+            inner2: knot(key_lo),
+            key_lo,
+            key_hi,
+            segments,
+        }
+    }
+
+    /// `(erfc(g r)/r, [erfc(g r) + 2 g r/√π · e^{−g² r²}]/r³)` at `r²`, read
+    /// from the table: a shift, a clamp, one cache line and six
+    /// multiply-adds. Meaningful for `inner2 ≤ r² < cut_coul²`; outside it
+    /// the clamp keeps the result finite (lanes that are masked off, or
+    /// re-evaluated by the caller, still pass through here).
+    #[inline(always)]
+    fn lookup(&self, r2: f64) -> (f64, f64) {
+        let bits = r2.to_bits();
+        let key = (bits >> KEY_SHIFT).clamp(self.key_lo, self.key_hi);
+        let seg = &self.segments[(key - self.key_lo) as usize];
+        // The bits below the knot bits, moved to the top of a significand
+        // in [1, 2): the position inside the segment, in [0, 1).
+        let below = bits & ((1u64 << KEY_SHIFT) - 1);
+        let t = f64::from_bits(1.0f64.to_bits() | (below << TABLE_BITS)) - 1.0;
+        let [e0, e1, e2, e3] = seg.energy;
+        let [f0, f1, f2, f3] = seg.force;
+        (
+            e0 + t * (e1 + t * (e2 + t * e3)),
+            f0 + t * (f1 + t * (f2 + t * f3)),
+        )
+    }
+}
+
+/// Coefficients, in `t ∈ [0, 1]`, of the cubic through `(0, y0)` and
+/// `(1, y1)` with slopes `d0` and `d1` there.
+fn hermite(y0: f64, y1: f64, d0: f64, d1: f64) -> [f64; 4] {
+    let dy = y1 - y0;
+    [y0, d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy]
+}
+
+/// The damped Coulomb factors at `u = r²` from `erfc` and `exp` directly,
+/// with their slopes in `u`: `[E, F, dE/du, dF/du]`, `E = erfc(g r)/r` and
+/// `F = −(1/r) dE/dr`. The table is built from all four; below its inner
+/// radius the kernels take the first two.
+fn damped_coulomb(g: f64, u: f64) -> [f64; 4] {
+    let r = u.sqrt();
+    let e = erfc(g * r) / r;
+    let gauss = FRAC_2_SQRT_PI * g * (-g * g * u).exp();
+    let f = (e + gauss) / u;
+    let df = -0.5 * (3.0 * e + gauss * (3.0 + 2.0 * g * g * u)) / (u * u);
+    [e, f, -0.5 * f, df]
+}
 
 /// `lj/charmm/coul/long` pair style.
 #[derive(Debug, Clone)]
@@ -28,10 +175,12 @@ pub struct LjCharmmCoulLong {
     lj4: Vec<f64>,
     inner_lj: f64,
     outer_lj: f64,
+    /// `1/(outer_lj² − inner_lj²)³`, the switching taper's normalisation.
+    switch_scale: f64,
     cut_coul: f64,
-    /// Ewald splitting parameter; set by the k-space solver via
-    /// [`LjCharmmCoulLong::set_g_ewald`].
-    g_ewald: f64,
+    /// The real-space Coulomb table for the current Ewald splitting
+    /// parameter; `None` while that is 0 (plain truncated `q q / r`).
+    table: Option<CoulTable>,
     mode: PrecisionMode,
     path: KernelPath,
     gather: LaneGather,
@@ -118,8 +267,9 @@ impl LjCharmmCoulLong {
             lj4,
             inner_lj,
             outer_lj,
+            switch_scale: (outer_lj * outer_lj - inner_lj * inner_lj).powi(-3),
             cut_coul,
-            g_ewald: 0.0,
+            table: None,
             mode: PrecisionMode::Double,
             path: KernelPath::default(),
             gather: LaneGather::default(),
@@ -127,17 +277,33 @@ impl LjCharmmCoulLong {
         })
     }
 
-    /// Sets the Ewald splitting parameter (the k-space solver knows it).
+    /// Sets the Ewald splitting parameter (the k-space solver knows it) and
+    /// builds the real-space table for it.
     ///
     /// With `g_ewald = 0` the Coulomb term degenerates to a plain truncated
     /// `q q / r`, which is also what tests without a k-space solver expect.
     pub fn set_g_ewald(&mut self, g: f64) {
-        self.g_ewald = g;
+        self.table = (g > 0.0).then(|| CoulTable::new(g, self.cut_coul));
     }
 
     /// The current Ewald splitting parameter.
     pub fn g_ewald(&self) -> f64 {
-        self.g_ewald
+        self.table.as_ref().map_or(0.0, |t| t.g)
+    }
+
+    /// Energy and force factors of the Coulomb term at `r² < cut_coul²`:
+    /// the pair's energy is `q q ·` the first, its `fpair` share `q q ·` the
+    /// second.
+    #[inline(always)]
+    fn coul_factors(&self, r2: f64) -> (f64, f64) {
+        match &self.table {
+            Some(t) if r2 >= t.inner2 => t.lookup(r2),
+            Some(t) => {
+                let [e, f, ..] = damped_coulomb(t.g, r2);
+                (e, f)
+            }
+            None => bare_coulomb(r2),
+        }
     }
 
     /// Whether the lane kernel can serve the current configuration: the
@@ -181,11 +347,12 @@ impl LjCharmmCoulLong {
         }
     }
 
-    /// Lane-blocked kernel: the LJ + switching part runs as a branch-free
-    /// 8-wide arithmetic sub-loop (selects instead of the `switch` branches),
-    /// while the Coulomb part — dominated by `erfc`/`exp`/`sqrt`, which do
-    /// not autovectorize — stays a per-lane scalar pass over the same block
-    /// buffers. Accumulation order per pair matches the reference kernel.
+    /// Lane-blocked kernel: displacement, LJ + switching (selects instead of
+    /// the `switch` branches) and the tabulated Coulomb term run as one
+    /// branch-free 8-wide arithmetic loop per block. The one thing that loop
+    /// cannot do — `erfc` for a pair closer than the table's inner radius —
+    /// is patched in afterwards, for the blocks that hold such a pair.
+    /// Accumulation order per pair matches the reference kernel.
     fn kernel_lanes(
         &self,
         sys: &PairSystem<'_>,
@@ -196,11 +363,11 @@ impl LjCharmmCoulLong {
         let cut_lj2 = self.outer_lj * self.outer_lj;
         let cut_coul2 = self.cut_coul * self.cut_coul;
         let qqr2e = sys.units.qqr2e;
-        let g = self.g_ewald;
-        let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
         let ri2 = self.inner_lj * self.inner_lj;
         let ro2 = self.outer_lj * self.outer_lj;
-        let denom = (ro2 - ri2).powi(3);
+        let scale = self.switch_scale;
+        let table = self.table.as_ref();
+        let inner2 = table.map_or(0.0, |t| t.inner2);
         let [(lx, hx), (ly, hy), (lz, hz)] = lane_wrap_params(sys.bx);
         let LjCharmmCoulLong {
             ntypes,
@@ -228,13 +395,16 @@ impl LjCharmmCoulLong {
         let mut dyb = [0.0f64; LANES];
         let mut dzb = [0.0f64; LANES];
         let mut r2b = [0.0f64; LANES];
+        let mut fljb = [0.0f64; LANES];
+        let mut qqb = [0.0f64; LANES];
         let mut fpb = [0.0f64; LANES];
         let mut elb = [0.0f64; LANES];
+        let mut ecb = [0.0f64; LANES];
         for i in rows {
             let xi = gather.xs[i];
             let yi = gather.ys[i];
             let zi = gather.zs[i];
-            let qi = gather.qs[i];
+            let qi = qqr2e * gather.qs[i];
             let base = sys.kinds[i] as usize * nt;
             let lj1r = &lj1[base..base + nt];
             let lj2r = &lj2[base..base + nt];
@@ -258,7 +428,7 @@ impl LjCharmmCoulLong {
                     l3b[lane] = lj3r[tj];
                     l4b[lane] = lj4r[tj];
                 }
-                // Phase A: displacement + LJ/switch, fully arithmetic.
+                let mut below_inner = false;
                 for lane in 0..LANES {
                     let dx = lane_min_image(xi - xjb[lane], lx, hx);
                     let dy = lane_min_image(yi - yjb[lane], ly, hy);
@@ -278,31 +448,35 @@ impl LjCharmmCoulLong {
                     // The scalar `switch` as selects: live lanes have r2 < ro2
                     // so only the core/taper cases exist; masked lanes zero out.
                     let a = ro2 - r2;
-                    let s_mid = a * a * (ro2 + 2.0 * r2 - 3.0 * ri2) / denom;
-                    let ds_mid = (-2.0 * a * (ro2 + 2.0 * r2 - 3.0 * ri2) + 2.0 * a * a) / denom;
+                    let b = ro2 + 2.0 * r2 - 3.0 * ri2;
                     let in_core = r2 <= ri2;
-                    let s = if in_core { 1.0 } else { s_mid };
-                    let ds = if in_core { 0.0 } else { ds_mid };
-                    fpb[lane] = (f_lj * s - 2.0 * e_lj * ds) * m;
+                    let s = if in_core { 1.0 } else { a * a * b * scale };
+                    let ds = if in_core {
+                        0.0
+                    } else {
+                        2.0 * a * (a - b) * scale
+                    };
+                    let f_lj = (f_lj * s - 2.0 * e_lj * ds) * m;
                     elb[lane] = e_lj * s * m;
+                    // Coulomb: lanes beyond the cutoff (the sentinel's among
+                    // them) carry a zero charge product through the lookup.
+                    let qq = qi * qjb[lane] * lane_mask(r2 < cut_coul2);
+                    let (ce, cf) = match table {
+                        Some(t) => t.lookup(r2),
+                        None => bare_coulomb(r2),
+                    };
+                    below_inner |= r2 < inner2;
+                    fljb[lane] = f_lj;
+                    qqb[lane] = qq;
+                    ecb[lane] = qq * ce;
+                    fpb[lane] = f_lj + qq * cf;
                 }
-                // Phase B: real-space Coulomb, scalar per lane (erfc/exp).
-                for lane in 0..LANES {
-                    let r2 = r2b[lane];
-                    if r2 < cut_coul2 {
-                        let r = r2.sqrt();
-                        let qq = qqr2e * qi * qjb[lane];
-                        if g > 0.0 {
-                            let gr = g * r;
-                            let erfc_gr = erfc(gr);
-                            let e_c = qq * erfc_gr / r;
-                            ecoul += e_c;
-                            fpb[lane] +=
-                                (e_c + qq * two_over_sqrt_pi * gr * (-gr * gr).exp() / r) / r2;
-                        } else {
-                            let e_c = qq / r;
-                            ecoul += e_c;
-                            fpb[lane] += e_c / r2;
+                if let (true, Some(t)) = (below_inner, table) {
+                    for lane in 0..LANES {
+                        if r2b[lane] < inner2 {
+                            let [ce, cf, ..] = damped_coulomb(t.g, r2b[lane]);
+                            ecb[lane] = qqb[lane] * ce;
+                            fpb[lane] = fljb[lane] + qqb[lane] * cf;
                         }
                     }
                 }
@@ -319,6 +493,7 @@ impl LjCharmmCoulLong {
                     accum.fy[j] -= dfy;
                     accum.fz[j] -= dfz;
                     evdwl += elb[lane];
+                    ecoul += ecb[lane];
                     virial += r2b[lane] * fpair;
                 }
             }
@@ -344,8 +519,6 @@ impl LjCharmmCoulLong {
         let cut_lj2 = self.outer_lj * self.outer_lj;
         let cut_coul2 = self.cut_coul * self.cut_coul;
         let qqr2e = sys.units.qqr2e;
-        let g = self.g_ewald;
-        let two_over_sqrt_pi = 2.0 / std::f64::consts::PI.sqrt();
         let nt = self.ntypes;
         let mut evdwl = 0.0;
         let mut ecoul = 0.0;
@@ -353,7 +526,7 @@ impl LjCharmmCoulLong {
         for i in rows {
             let xi = sys.x[i];
             let trow = sys.kinds[i] as usize * nt;
-            let qi = sys.charge[i];
+            let qi = qqr2e * sys.charge[i];
             let mut fi = Vec3::zero();
             for &j in nl.neighbors(i) {
                 let ju = j as usize;
@@ -372,19 +545,10 @@ impl LjCharmmCoulLong {
                     evdwl += e_lj * s;
                 }
                 if r2 < cut_coul2 {
-                    let r = r2.sqrt();
-                    let qq = qqr2e * qi * sys.charge[ju];
-                    if g > 0.0 {
-                        let gr = g * r;
-                        let erfc_gr = erfc(gr);
-                        let e_c = qq * erfc_gr / r;
-                        ecoul += e_c;
-                        fpair += (e_c + qq * two_over_sqrt_pi * gr * (-gr * gr).exp() / r) / r2;
-                    } else {
-                        let e_c = qq / r;
-                        ecoul += e_c;
-                        fpair += e_c / r2;
-                    }
+                    let qq = qi * sys.charge[ju];
+                    let (ce, cf) = self.coul_factors(r2);
+                    ecoul += qq * ce;
+                    fpair += qq * cf;
                 }
                 if fpair != 0.0 {
                     let df = d * fpair;
@@ -406,6 +570,7 @@ impl LjCharmmCoulLong {
     ///
     /// Returns `(s, ds_dr2)` with `s = 1` inside `inner²` and `s = 0` beyond
     /// `outer²`.
+    #[inline(always)]
     fn switch(&self, r2: f64) -> (f64, f64) {
         let ri2 = self.inner_lj * self.inner_lj;
         let ro2 = self.outer_lj * self.outer_lj;
@@ -414,14 +579,22 @@ impl LjCharmmCoulLong {
         } else if r2 >= ro2 {
             (0.0, 0.0)
         } else {
-            let denom = (ro2 - ri2).powi(3);
+            // s = a² b / (ro2 − ri2)³, ds/d(r2) = (−2ab + 2a²) / (ro2 − ri2)³
             let a = ro2 - r2;
-            let s = a * a * (ro2 + 2.0 * r2 - 3.0 * ri2) / denom;
-            // ds/d(r2) = [ -2a(ro2+2r2-3ri2) + 2a^2 ] / denom
-            let ds = (-2.0 * a * (ro2 + 2.0 * r2 - 3.0 * ri2) + 2.0 * a * a) / denom;
-            (s, ds)
+            let b = ro2 + 2.0 * r2 - 3.0 * ri2;
+            (
+                a * a * b * self.switch_scale,
+                2.0 * a * (a - b) * self.switch_scale,
+            )
         }
     }
+}
+
+/// Plain `q q / r`: the factors with no Ewald splitting.
+#[inline(always)]
+fn bare_coulomb(r2: f64) -> (f64, f64) {
+    let inv_r = 1.0 / r2.sqrt();
+    (inv_r, inv_r / r2)
 }
 
 impl PairStyle for LjCharmmCoulLong {
@@ -455,6 +628,10 @@ impl PairStyle for LjCharmmCoulLong {
 
     fn precision(&self) -> PrecisionMode {
         self.mode
+    }
+
+    fn set_g_ewald(&mut self, g: f64) {
+        LjCharmmCoulLong::set_g_ewald(self, g);
     }
 }
 
@@ -566,6 +743,133 @@ mod tests {
                 -dedr
             );
         }
+        // The tabulated force against the slope of the tabulated energy,
+        // Coulomb alone (epsilon 0) and a five-point stencil so that neither
+        // LJ curvature nor truncation hides a table error: below the inner
+        // radius, on it, on an octave boundary, mid-table, next to the cutoff.
+        let mut s = LjCharmmCoulLong::new(1, &[(0, 0.0, 3.0)], 8.0, 10.0, 10.0).unwrap();
+        s.set_g_ewald(0.273);
+        let h = 1e-3;
+        for r in [0.9, 1.0, 1.5, 4.0, 8.0, 9.0, 9.99] {
+            let mut e = |r: f64| charged_dimer(&mut s, r, 0.5, -0.4).0.ecoul;
+            let dedr =
+                (e(r - 2.0 * h) - 8.0 * e(r - h) + 8.0 * e(r + h) - e(r + 2.0 * h)) / (12.0 * h);
+            let (_, f) = charged_dimer(&mut s, r, 0.5, -0.4);
+            assert!(
+                (f[1].x + dedr).abs() <= 1e-6 * dedr.abs(),
+                "r = {r}: {} vs {}",
+                f[1].x,
+                -dedr
+            );
+        }
+    }
+
+    /// 32 + 32 opposite charges with LJ cores under NVE: the total energy
+    /// over 200 steps of 0.5 fs moves by what velocity Verlet itself leaves at
+    /// this timestep, 2.2e-4 of the starting kinetic energy — with the
+    /// per-pair erfc kernel this table replaced just as with the table.
+    #[test]
+    fn charged_box_conserves_energy_under_nve() {
+        use md_core::integrate::VelocityVerlet;
+        use md_core::{AtomStore, Simulation};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let units = UnitSystem::real();
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut atoms = AtomStore::new();
+        for k in 0..64 {
+            let cell = [k % 4, k / 4 % 4, k / 16];
+            let [x, y, z] = cell.map(|c| 6.0 * c as f64 + 2.0 + 2.0 * rng.gen::<f64>());
+            let q = if (cell[0] + cell[1] + cell[2]) % 2 == 0 {
+                0.4
+            } else {
+                -0.4
+            };
+            atoms.push_full(Vec3::new(x, y, z), Vec3::zero(), 0, q, 0.0, 0);
+        }
+        atoms.set_masses(vec![16.0]);
+        md_core::compute::seed_velocities(&mut atoms, &units, 300.0, 7);
+        let mut pair = style();
+        pair.set_g_ewald(0.273);
+        let mut sim = Simulation::builder(SimBox::cubic(24.0), atoms, units)
+            .pair(Box::new(pair))
+            .integrator(Box::new(VelocityVerlet::new()))
+            .skin(2.0)
+            .dt(0.5)
+            .build()
+            .unwrap();
+        let start = sim.thermo();
+        sim.run(200).unwrap();
+        let drift = ((sim.thermo().total_energy() - start.total_energy()) / start.kinetic).abs();
+        assert!(drift < 4e-4, "energy drift {drift:e} of the kinetic energy");
+    }
+
+    /// Largest relative error of the style's Coulomb factors against
+    /// [`damped_coulomb`] over `r2s`.
+    fn max_table_error(s: &LjCharmmCoulLong, r2s: impl Iterator<Item = f64>) -> f64 {
+        let g = s.g_ewald();
+        r2s.map(|r2| {
+            let (e, f) = s.coul_factors(r2);
+            let [e_ref, f_ref, ..] = damped_coulomb(g, r2);
+            ((e - e_ref) / e_ref).abs().max(((f - f_ref) / f_ref).abs())
+        })
+        .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn tabulated_factors_match_the_analytic_ones() {
+        // The deck's splitting at its stock threshold (1e-4) and at the
+        // tightest one the paper sweeps (1e-7).
+        for g in [0.273, 0.377] {
+            let mut s = style();
+            s.set_g_ewald(g);
+            let t = s.table.as_ref().unwrap();
+            let (inner2, cut2) = (t.inner2, 100.0);
+            assert!(inner2 <= 1.0 && std::mem::size_of_val(&t.segments[..]) <= 256 * 1024);
+            let n = 400_000;
+            let sweep = (0..=n).map(|k| {
+                let r = inner2.sqrt() + (10.0 - inner2.sqrt()) * k as f64 / n as f64;
+                (r * r).clamp(inner2, cut2)
+            });
+            let err = max_table_error(&s, sweep);
+            assert!(err <= 1e-9, "g = {g}: sweep error {err:e}");
+            // Both table ends, and knots (an octave boundary and an interior
+            // one) with their neighbours one ulp either side.
+            let ulp = |x: f64, by: i64| f64::from_bits((x.to_bits() as i64 + by) as u64);
+            let knots = [2.0 * inner2, 64.0, 64.125];
+            let edges = [inner2, ulp(inner2, 1), ulp(cut2, -1)]
+                .into_iter()
+                .chain(knots.into_iter().flat_map(|k| [ulp(k, -1), k, ulp(k, 1)]));
+            let err = max_table_error(&s, edges);
+            assert!(err <= 1e-9, "g = {g}: edge error {err:e}");
+            // Below the inner radius the analytic expression answers, exactly.
+            let below = [0.01, 0.5 * inner2, ulp(inner2, -1)];
+            assert_eq!(max_table_error(&s, below.into_iter()), 0.0);
+        }
+    }
+
+    #[test]
+    fn set_g_ewald_rebuilds_the_table() {
+        let mut s = style();
+        s.set_g_ewald(0.25);
+        assert_eq!(s.g_ewald(), 0.25);
+        let (first, f_first) = charged_dimer(&mut s, 5.0, 1.0, 1.0);
+        s.set_g_ewald(0.35);
+        assert_eq!(s.g_ewald(), 0.35);
+        let (second, _) = charged_dimer(&mut s, 5.0, 1.0, 1.0);
+        let qqr2e = UnitSystem::real().qqr2e;
+        for (e, g) in [(first, 0.25), (second, 0.35)] {
+            let want = qqr2e * erfc(g * 5.0) / 5.0;
+            assert!((e.ecoul - want).abs() <= 1e-9 * want, "g = {g}");
+        }
+        s.set_g_ewald(0.25);
+        let (again, f_again) = charged_dimer(&mut s, 5.0, 1.0, 1.0);
+        assert_eq!(again.ecoul.to_bits(), first.ecoul.to_bits());
+        assert_eq!(f_again, f_first);
+        s.set_g_ewald(0.0);
+        assert!(s.table.is_none());
+        let (bare, _) = charged_dimer(&mut s, 5.0, 1.0, 1.0);
+        assert!((bare.ecoul - qqr2e / 5.0).abs() <= 1e-12 * bare.ecoul);
     }
 
     #[test]

@@ -493,6 +493,10 @@ impl<P: Threadable> PairStyle for Threaded<P> {
         self.style.precision()
     }
 
+    fn set_g_ewald(&mut self, g: f64) {
+        self.style.set_g_ewald(g);
+    }
+
     fn set_recorder(&mut self, recorder: Recorder) {
         let count = self.team.threads.count;
         if recorder.is_enabled() && count > 1 {
@@ -716,6 +720,14 @@ mod tests {
         assert_eq!(threaded.cutoff(), 2.5);
         assert_eq!(threaded.nthreads(), 2);
         assert!(!threaded.mode().deterministic);
+    }
+
+    #[test]
+    fn g_ewald_reaches_the_wrapped_style() {
+        let style = LjCharmmCoulLong::new(1, &[(0, 0.1, 3.0)], 8.0, 10.0, 10.0).unwrap();
+        let mut threaded = Threaded::new(style, 2).unwrap();
+        PairStyle::set_g_ewald(&mut threaded, 0.31);
+        assert_eq!(threaded.style.g_ewald(), 0.31);
     }
 
     #[test]

@@ -127,6 +127,127 @@ fn pppm_and_ewald_agree_on_total_coulomb_energy() {
     assert!(rel < 0.02, "PPPM {e_pppm} vs Ewald {e_ewald} (rel {rel})");
 }
 
+/// The recovery ladder's `tighten-kspace` rung re-runs the solver's setup,
+/// which moves the Ewald splitting parameter; the pair style carries the
+/// real-space half of the same sum and has to move with it. Checked on 64
+/// charges held still: the style is told the solver's new `g_ewald`, and
+/// real + reciprocal space together still give the Ewald reference.
+#[test]
+fn tighten_kspace_moves_both_halves_of_the_ewald_sum() {
+    use md_core::integrate::{IntegrateContext, Integrator};
+    use md_core::neighbor::NeighborList;
+    use md_core::{AtomStore, EnergyVirial, PairStyle, PairSystem, Simulation, UnitSystem};
+    use md_potentials::LjCharmmCoulLong;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::{Arc, Mutex};
+
+    /// Leaves every atom where it is, so a step re-evaluates the forces only.
+    struct Frozen;
+    impl Integrator for Frozen {
+        fn name(&self) -> &'static str {
+            "frozen"
+        }
+        fn initial_integrate(&mut self, _: &mut AtomStore, _: &mut SimBox, _: &IntegrateContext) {}
+        fn final_integrate(&mut self, _: &mut AtomStore, _: &mut SimBox, _: &IntegrateContext) {}
+    }
+
+    /// The CHARMM style, recording every splitting parameter it is handed.
+    struct Recording {
+        style: LjCharmmCoulLong,
+        handed: Arc<Mutex<Vec<f64>>>,
+    }
+    impl PairStyle for Recording {
+        fn name(&self) -> &'static str {
+            self.style.name()
+        }
+        fn cutoff(&self) -> f64 {
+            self.style.cutoff()
+        }
+        fn compute(
+            &mut self,
+            sys: &PairSystem<'_>,
+            nl: &NeighborList,
+            f: &mut [V3],
+        ) -> EnergyVirial {
+            self.style.compute(sys, nl, f)
+        }
+        fn set_g_ewald(&mut self, g: f64) {
+            self.handed.lock().unwrap().push(g);
+            self.style.set_g_ewald(g);
+        }
+    }
+
+    let (l, cutoff) = (16.0, 6.0);
+    let bx = SimBox::cubic(l);
+    let units = UnitSystem::real();
+    let mut rng = StdRng::seed_from_u64(15);
+    let mut atoms = AtomStore::new();
+    for k in 0..64 {
+        let cell = [k % 4, k / 4 % 4, k / 16];
+        let [x, y, z] = cell.map(|c| 4.0 * c as f64 + 1.0 + 1.6 * rng.gen::<f64>());
+        let q = if (cell[0] + cell[1] + cell[2]) % 2 == 0 {
+            0.5
+        } else {
+            -0.5
+        };
+        atoms.push_full(Vec3::new(x, y, z), Vec3::zero(), 0, q, 0.0, 0);
+    }
+    atoms.set_masses(vec![12.0]);
+    let (x, q) = (atoms.x().to_vec(), atoms.charges().to_vec());
+
+    // Reference: Ewald at 1e-10 plus its own real-space sum, done directly.
+    let mut ewald = Ewald::new(cutoff, 1e-10);
+    ewald.set_qqr2e(units.qqr2e);
+    ewald.setup(&bx, &q).unwrap();
+    let g_ref = ewald.g_ewald();
+    let mut e_ref = ewald
+        .compute(&bx, &x, &q, &mut vec![Vec3::zero(); 64])
+        .ecoul;
+    for i in 0..64 {
+        for j in (i + 1)..64 {
+            let r = bx.min_image(x[i], x[j]).norm();
+            if r < cutoff {
+                e_ref += units.qqr2e * q[i] * q[j] * erfc(g_ref * r) / r;
+            }
+        }
+    }
+
+    // No LJ (epsilon 0): the pair style is the real-space Coulomb term alone.
+    let mut style = LjCharmmCoulLong::new(1, &[(0, 0.0, 3.0)], 4.0, 5.0, cutoff).unwrap();
+    let mut pppm = Pppm::new(cutoff, 1e-4, 5);
+    pppm.set_qqr2e(units.qqr2e);
+    pppm.setup(&bx, &q).unwrap();
+    style.set_g_ewald(pppm.g_ewald());
+    let handed = Arc::new(Mutex::new(Vec::new()));
+    let mut sim = Simulation::builder(bx, atoms, units)
+        .pair(Box::new(Recording {
+            style,
+            handed: handed.clone(),
+        }))
+        .kspace(Box::new(pppm))
+        .integrator(Box::new(Frozen))
+        .skin(1.0)
+        .dt(1.0)
+        .build()
+        .unwrap();
+    let g_loose = sim.kspace_stats().unwrap().g_ewald;
+    let rel_loose = ((sim.energy().ecoul - e_ref) / e_ref).abs();
+
+    for _ in 0..2 {
+        assert!(sim.tighten_kspace().unwrap());
+    }
+    let g_tight = sim.kspace_stats().unwrap().g_ewald;
+    assert!(g_tight > g_loose);
+    assert_eq!(handed.lock().unwrap().last(), Some(&g_tight));
+    sim.step().unwrap();
+    let rel_tight = ((sim.energy().ecoul - e_ref) / e_ref).abs();
+    assert!(
+        rel_tight < 1e-6 && rel_tight < rel_loose,
+        "relative to Ewald: {rel_loose:e} at 1e-4, {rel_tight:e} at 1e-6"
+    );
+}
+
 /// The rhodo deck holds its SHAKE constraints while NPT + PPPM integrate.
 #[test]
 fn rhodo_deck_maintains_constraints_under_npt() {

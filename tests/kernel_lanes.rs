@@ -19,7 +19,7 @@ use md_workloads::{build_deck_tuned, Benchmark, DeckTuning};
 const REL_TOL: f64 = 1e-10;
 
 fn steps_for(benchmark: Benchmark) -> (u64, u64) {
-    // (total steps, probe interval); rhodopsin is ~100x an LJ step.
+    // (total steps, probe interval); rhodopsin is ~11x an LJ step (debug build).
     match benchmark {
         Benchmark::Rhodo => (10, 5),
         _ => (50, 10),

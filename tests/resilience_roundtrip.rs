@@ -16,7 +16,7 @@ use md_workloads::{build_deck_with, Benchmark, Deck};
 
 const SEED: u64 = 2022;
 
-/// Steps before the checkpoint / after it. Rhodo is ~100x an LJ step in
+/// Steps before the checkpoint / after it. Rhodo is ~11x an LJ step in
 /// debug builds, so its window is shorter but still crosses neighbor
 /// rebuilds and thermo samples.
 fn windows(benchmark: Benchmark) -> (u64, u64) {

@@ -12,7 +12,7 @@
 use md_core::Threads;
 use md_workloads::{build_deck_with, Benchmark};
 
-/// Steps per deck. Rhodopsin (PPPM + SHAKE + NPT) costs ~100× an LJ step in
+/// Steps per deck. Rhodopsin (PPPM + SHAKE + NPT) costs ~11× an LJ step in
 /// debug builds, so it runs a shorter window that still spans several
 /// neighbor rebuilds and every kernel phase.
 fn steps_for(benchmark: Benchmark) -> u64 {
