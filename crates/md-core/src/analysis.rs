@@ -11,7 +11,7 @@ use crate::vec3::Vec3;
 use crate::V3;
 
 /// A radial distribution function g(r) histogram.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Rdf {
     rmax: f64,
     bins: Vec<f64>,

@@ -13,7 +13,7 @@ use crate::V3;
 use std::collections::HashSet;
 
 /// A covalent bond between two atoms, with a per-bond type index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Bond {
     /// Bond-type index into the bond style's parameter table.
     pub kind: u32,
@@ -24,7 +24,7 @@ pub struct Bond {
 }
 
 /// A three-body angle `i-j-k` centered on `j`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Angle {
     /// Angle-type index.
     pub kind: u32,
@@ -37,7 +37,7 @@ pub struct Angle {
 }
 
 /// A four-body dihedral `i-j-k-l` around the `j-k` axis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Dihedral {
     /// Dihedral-type index.
     pub kind: u32,
@@ -55,7 +55,7 @@ pub struct Dihedral {
 ///
 /// Invariants: all per-atom vectors have identical length; bond/angle/dihedral
 /// indices are validated against that length by [`AtomStore::validate`].
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct AtomStore {
     x: Vec<V3>,
     v: Vec<V3>,
@@ -69,7 +69,6 @@ pub struct AtomStore {
     /// identity permutation until [`AtomStore::reorder`] runs; afterwards
     /// `id[slot]` names the original atom living in `slot`, which is what
     /// lets checkpoints restore a sorted store onto a freshly built deck.
-    #[serde(default)]
     id: Vec<u32>,
     mass_by_type: Vec<f64>,
     bonds: Vec<Bond>,

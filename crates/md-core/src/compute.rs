@@ -8,7 +8,7 @@ use crate::vec3::Vec3;
 use crate::V3;
 
 /// One row of thermodynamic output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ThermoState {
     /// Timestep index.
     pub step: u64,

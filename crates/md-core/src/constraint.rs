@@ -12,7 +12,7 @@ use crate::error::{CoreError, Result};
 use crate::simbox::SimBox;
 
 /// One distance constraint between two atoms.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShakeParams {
     /// First atom.
     pub i: u32,

@@ -17,7 +17,7 @@ use crate::V3;
 ///
 /// The virial is `Σ r_ij · f_ij` over interactions; the pressure follows as
 /// `P = (N k_B T + virial / 3) / V` (times the unit system's `nktv2p`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyVirial {
     /// Van der Waals (or general non-Coulomb) potential energy.
     pub evdwl: f64,
@@ -219,7 +219,7 @@ pub trait DihedralStyle: Send {
 }
 
 /// Statistics a long-range solver exposes to the performance models.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct KspaceStats {
     /// FFT mesh dimensions.
     pub grid: [usize; 3],

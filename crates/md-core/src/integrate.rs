@@ -120,7 +120,7 @@ impl Integrator for VelocityVerlet {
 }
 
 /// Parameters for the Nose-Hoover NPT integrator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NptParams {
     /// Temperature set point.
     pub t_target: f64,

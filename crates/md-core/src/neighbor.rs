@@ -58,7 +58,7 @@ use crate::wire;
 use crate::V3;
 
 /// Whether each pair is listed once (half) or from both atoms (full).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NeighborListKind {
     /// Each `{i, j}` pair appears once, on the lower-indexed atom.
     Half,
@@ -68,7 +68,7 @@ pub enum NeighborListKind {
 
 /// Build/usage statistics, reported by Table 2 and consumed by the
 /// performance models.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NeighborBuildStats {
     /// Number of times the list was (re)built.
     pub builds: usize,
@@ -140,6 +140,13 @@ fn stencil_axis(c: usize, n: usize, periodic: bool) -> ([usize; 3], usize) {
     }
 }
 
+/// Cells per axis of the binning grid over `bx`: as many as stay at least
+/// `range` wide.
+fn grid(bx: &SimBox, range: f64) -> [usize; 3] {
+    let lengths = bx.lengths();
+    std::array::from_fn(|d| ((lengths[d] / range).floor() as usize).max(1))
+}
+
 /// The atoms counting-sorted by cell: cell `c` owns the slots
 /// `cell_start[c]..cell_start[c + 1]` of `cell_atoms` and of the packed
 /// coordinate copies, its members in descending atom index.
@@ -166,11 +173,7 @@ impl CellBins {
     /// cell count allocates nothing.
     fn fill(&mut self, x: &[V3], bx: &SimBox, range: f64) {
         let n = x.len();
-        let lengths = bx.lengths();
-        let mut ncell = [1usize; 3];
-        for d in 0..3 {
-            ncell[d] = ((lengths[d] / range).floor() as usize).max(1);
-        }
+        let ncell = grid(bx, range);
         self.ncell = ncell;
         let ncells = ncell[0] * ncell[1] * ncell[2];
         assert!(
@@ -407,6 +410,10 @@ pub struct NeighborList {
     /// empty with padding off, where a row ends at the next row's start.
     row_ends: Vec<usize>,
     x_at_build: Vec<V3>,
+    /// The box the last build binned in (`None` before the first build).
+    /// Under a barostat it is not the current box, and together with
+    /// `x_at_build` and the exclusions it is everything the rows derive from.
+    box_at_build: Option<SimBox>,
     stats: NeighborBuildStats,
     threads: usize,
     /// Lane width rows are padded to (0 = disabled).
@@ -436,6 +443,7 @@ impl NeighborList {
             neigh: Vec::new(),
             row_ends: Vec::new(),
             x_at_build: Vec::new(),
+            box_at_build: None,
             stats: NeighborBuildStats::default(),
             threads: 1,
             padding: 0,
@@ -524,6 +532,11 @@ impl NeighborList {
     /// Build statistics.
     pub fn stats(&self) -> NeighborBuildStats {
         self.stats
+    }
+
+    /// The box the last build binned in (`None` before the first build).
+    pub fn box_at_build(&self) -> Option<SimBox> {
+        self.box_at_build
     }
 
     /// The neighbor slice of atom `i` (with padding on, the unpadded prefix
@@ -686,6 +699,7 @@ impl NeighborList {
 
         self.x_at_build.clear();
         self.x_at_build.extend_from_slice(x);
+        self.box_at_build = Some(*bx);
         self.stats.builds += 1;
         let pairs = if lanes == 0 {
             self.neigh.len()
@@ -710,95 +724,87 @@ impl NeighborList {
         self.stats.neighbors_within_cutoff = per_atom(within_cut as f64);
         Ok(())
     }
-    /// Appends the list's full dynamic state for a checkpoint: the flattened
-    /// unpadded rows (the same bytes whether padding is on or off), the
-    /// reference positions of the rebuild trigger, and the statistics.
-    /// `x_at_build` is what makes resume bitwise-faithful — a fresh rebuild
-    /// at restore time would reset the displacement trigger and shift every
-    /// subsequent rebuild, changing summation orders.
+
+    /// Appends the list's checkpoint state: the inputs of its last build —
+    /// the positions and the box it binned — and the counters. The rows
+    /// themselves are not written: [`NeighborList::build_with`] returns the
+    /// same rows bit for bit from the same inputs at any thread count and
+    /// padding, so [`NeighborList::state_load`] rebuilds them. Keeping
+    /// `x_at_build` (rather than rebuilding from the positions at restore
+    /// time) is what keeps a resume bitwise-faithful: it is the reference of
+    /// the displacement trigger, and a moved reference would shift every
+    /// later rebuild and with it the summation orders.
     pub fn state_save(&self, w: &mut wire::Writer) {
-        if self.padding == 0 {
-            w.usizes(&self.offsets);
-            w.u32s(&self.neigh);
-        } else {
-            let (offsets, neigh, _) = self.layout(0);
-            w.usizes(&offsets);
-            w.u32s(&neigh);
-        }
         w.v3s(&self.x_at_build);
+        w.bool(self.box_at_build.is_some());
+        if let Some(bx) = &self.box_at_build {
+            bx.state_save(w);
+        }
         w.usize(self.stats.builds);
         w.usize(self.stats.skipped_checks);
         w.usize(self.stats.pairs);
         w.usize(self.stats.pairs_within_cutoff);
-        w.f64(self.stats.neighbors_per_atom);
-        w.f64(self.stats.neighbors_within_cutoff);
         w.usize(self.stats.cells);
     }
 
     /// Restores state written by [`NeighborList::state_save`] onto a list
     /// created with the same cutoff/skin/kind (the deck rebuild provides
-    /// those).
+    /// those) by running the build on the saved inputs, with this list's
+    /// thread count and padding and the caller's `exclusions` (as for
+    /// [`NeighborList::build_with`], in the atom order of the saved
+    /// positions, of which there must be `natoms`). The saved counters are
+    /// put back, so the rebuild does not count as a build.
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::CorruptState`] on a malformed or internally
-    /// inconsistent blob.
-    pub fn state_load(&mut self, r: &mut wire::Reader<'_>) -> Result<()> {
-        let offsets = r.usizes()?;
-        let neigh = r.u32s()?;
-        let x_at_build = r.v3s()?;
+    /// Returns [`CoreError::CorruptState`] on a malformed blob, on inputs the
+    /// build refuses, and when the rebuilt list's pair and cell counts are
+    /// not the recorded ones.
+    pub fn state_load<'a>(
+        &mut self,
+        r: &mut wire::Reader<'_>,
+        natoms: usize,
+        exclusions: impl Fn(usize) -> &'a [u32] + Sync,
+    ) -> Result<()> {
         let corrupt = |detail: String| CoreError::CorruptState {
             what: "neighbor list",
             detail,
         };
-        if offsets.first() != Some(&0) {
-            return Err(corrupt("offsets must start at 0".to_string()));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(corrupt("offsets must be monotone".to_string()));
-        }
-        if *offsets.last().expect("nonempty") != neigh.len() {
+        let x = r.v3s()?;
+        if x.len() != natoms {
             return Err(corrupt(format!(
-                "offsets cover {} entries but {} are stored",
-                offsets.last().expect("nonempty"),
-                neigh.len()
+                "{} reference positions for {natoms} atoms",
+                x.len()
             )));
         }
-        if x_at_build.len() + 1 != offsets.len() {
+        if !r.bool()? {
+            return Err(corrupt("saved before its first build".to_string()));
+        }
+        let bx = SimBox::state_load(r)?;
+        let (builds, skipped_checks) = (r.usize()?, r.usize()?);
+        let recorded @ (_, _, recorded_cells) = (r.usize()?, r.usize()?, r.usize()?);
+        // The grid is the one allocation the saved box sizes, so it is held
+        // to the recorded cell count (and the build's own `u32` limit) before
+        // the build allocates it.
+        let cells = grid(&bx, self.cutoff + self.skin)
+            .iter()
+            .try_fold(1usize, |product, &n| product.checked_mul(n));
+        if cells != Some(recorded_cells) || u32::try_from(recorded_cells).is_err() {
             return Err(corrupt(format!(
-                "{} reference positions for {} atoms",
-                x_at_build.len(),
-                offsets.len() - 1
+                "the saved box bins into {cells:?} cells, {recorded_cells} recorded"
             )));
         }
-        let natoms = x_at_build.len() as u32;
-        if neigh.iter().any(|&j| j >= natoms) {
-            return Err(corrupt("neighbor index out of range".to_string()));
-        }
-        let stats = NeighborBuildStats {
-            builds: r.usize()?,
-            skipped_checks: r.usize()?,
-            pairs: r.usize()?,
-            pairs_within_cutoff: r.usize()?,
-            neighbors_per_atom: r.f64()?,
-            neighbors_within_cutoff: r.f64()?,
-            cells: r.usize()?,
-        };
-        if stats.pairs != neigh.len() {
+        self.build_with(&x, &bx, exclusions)
+            .map_err(|e| corrupt(format!("rebuild from the saved inputs: {e}")))?;
+        let stats = &mut self.stats;
+        let rebuilt = (stats.pairs, stats.pairs_within_cutoff, stats.cells);
+        if rebuilt != recorded {
             return Err(corrupt(format!(
-                "statistics count {} pairs but {} are stored",
-                stats.pairs,
-                neigh.len()
+                "rebuilt (pairs, pairs within cutoff, cells) {rebuilt:?}, recorded {recorded:?}"
             )));
         }
-        // The blob holds unpadded rows; re-pad them to this list's width.
-        let lanes = std::mem::take(&mut self.padding);
-        self.offsets = offsets;
-        self.neigh = neigh;
-        self.row_ends.clear();
-        self.x_at_build = x_at_build;
-        self.stats = stats;
-        self.set_padding(lanes);
+        stats.builds = builds;
+        stats.skipped_checks = skipped_checks;
         Ok(())
     }
 }
@@ -1223,35 +1229,70 @@ mod tests {
         assert!(on_demand.row_ends.is_empty());
     }
 
-    #[test]
-    fn padding_survives_rebuild_and_state_round_trip() {
-        let bx = SimBox::cubic(10.0);
-        let x = random_positions(120, 10.0, 23);
-        let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
-        nl.set_padding(4);
-        nl.build(&x, &bx).unwrap();
-        nl.build(&x, &bx).unwrap(); // a rebuild writes padded rows again
-        assert_eq!(nl.padded_neighbors(0).len() % 4, 0);
+    proptest! {
+        /// A restore rebuilds the list from the saved build inputs alone:
+        /// whatever the atoms and the box did after the build, a fresh list
+        /// ends up with the saved list's rows, counters and trigger.
+        #[test]
+        fn state_round_trip_rebuilds_the_same_list(
+            full in proptest::bool::ANY,
+            seed in 0u64..1000,
+            n in 0usize..150,
+            drift in 0.0..0.3f64,
+            rescale in 0.9..1.1f64,
+            excluded in proptest::collection::vec((0usize..150, 0usize..150), 0..60),
+        ) {
+            let kind = if full { NeighborListKind::Full } else { NeighborListKind::Half };
+            let bx = SimBox::cubic(10.0).with_periodicity(true, true, seed % 2 == 0);
+            let x = random_positions(n, 10.0, seed);
+            let mut excl: Vec<Vec<u32>> = vec![Vec::new(); n];
+            for &(a, b) in &excluded {
+                if a < n && b < n && a != b {
+                    excl[a].push(b as u32);
+                    excl[b].push(a as u32);
+                }
+            }
+            for e in &mut excl {
+                e.sort_unstable();
+                e.dedup();
+            }
+            // What a barostatted run does between a build and a checkpoint.
+            let moved: Vec<V3> = x.iter().map(|&p| p * rescale + Vec3::splat(drift)).collect();
+            let later_box = bx.scaled(rescale);
 
-        let mut w = wire::Writer::new();
-        nl.state_save(&mut w);
-        let bytes = w.into_bytes();
-        // The wire rows are unpadded: the same bytes as with padding off.
-        let mut plain = nl.clone();
-        plain.set_padding(0);
-        let mut w = wire::Writer::new();
-        plain.state_save(&mut w);
-        assert_eq!(bytes, w.into_bytes());
+            let mut saved_bytes: Option<Vec<u8>> = None;
+            for padding in [0, 8] {
+                for threads in [1, 3] {
+                    let what = format!("padding {padding}, {threads} threads");
+                    let mut nl = NeighborList::new(2.0, 0.4, kind);
+                    nl.set_padding(padding);
+                    nl.set_threads(threads);
+                    nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
+                    nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
+                    let stale = nl.needs_rebuild(&moved, &later_box);
+                    if !stale {
+                        nl.note_skipped_check();
+                    }
+                    let mut w = wire::Writer::new();
+                    nl.state_save(&mut w);
+                    let bytes = w.into_bytes();
+                    // Neither the layout nor the thread count reaches the wire.
+                    prop_assert_eq!(saved_bytes.get_or_insert_with(|| bytes.clone()), &bytes);
 
-        let mut restored = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
-        restored.set_padding(4);
-        let mut r = wire::Reader::new(&bytes, "neighbor test");
-        restored.state_load(&mut r).unwrap();
-        assert_eq!(restored.padding(), 4);
-        assert_eq!(restored.len(), nl.len());
-        for i in 0..nl.natoms() {
-            assert_eq!(nl.neighbors(i), restored.neighbors(i));
-            assert_eq!(nl.padded_neighbors(i), restored.padded_neighbors(i));
+                    let mut restored = NeighborList::new(2.0, 0.4, kind);
+                    restored.set_padding(padding);
+                    restored.set_threads(threads);
+                    let mut r = wire::Reader::new(&bytes, "neighbor test");
+                    restored.state_load(&mut r, n, |i| excl[i].as_slice()).unwrap();
+                    prop_assert!(r.is_exhausted());
+                    prop_assert_eq!(&restored.offsets, &nl.offsets, "offsets: {}", what);
+                    prop_assert_eq!(&restored.neigh, &nl.neigh, "neigh: {}", what);
+                    prop_assert_eq!(&restored.row_ends, &nl.row_ends, "row_ends: {}", what);
+                    prop_assert_eq!(restored.stats(), nl.stats(), "stats: {}", what);
+                    prop_assert_eq!(restored.stats().builds, 2);
+                    prop_assert_eq!(restored.needs_rebuild(&moved, &later_box), stale);
+                }
+            }
         }
     }
 

@@ -132,9 +132,7 @@ impl_real!(f32);
 impl_real!(f64);
 
 /// Floating-point strategy for pairwise force kernels (paper Section 8).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum PrecisionMode {
     /// `f32` arithmetic, `f32` accumulation.
     Single,

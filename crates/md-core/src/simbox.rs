@@ -6,10 +6,11 @@
 
 use crate::error::{CoreError, Result};
 use crate::vec3::Vec3;
+use crate::wire;
 use crate::V3;
 
 /// An axis-aligned orthogonal simulation box.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimBox {
     lo: V3,
     hi: V3,
@@ -195,6 +196,29 @@ impl SimBox {
     /// Whether `x` lies inside the box (half-open on each axis).
     pub fn contains(&self, x: V3) -> bool {
         (0..3).all(|d| x[d] >= self.lo[d] && x[d] < self.hi[d])
+    }
+
+    /// Appends the corners and the periodicity flags for a checkpoint.
+    pub fn state_save(&self, w: &mut wire::Writer) {
+        w.v3(self.lo);
+        w.v3(self.hi);
+        for p in self.periodic {
+            w.bool(p);
+        }
+    }
+
+    /// Reads a box written by [`SimBox::state_save`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::CorruptState`] on truncation and on corners
+    /// [`SimBox::new`] refuses.
+    pub fn state_load(r: &mut wire::Reader<'_>) -> Result<Self> {
+        let bx = SimBox::new(r.v3()?, r.v3()?).map_err(|e| CoreError::CorruptState {
+            what: "box",
+            detail: e.to_string(),
+        })?;
+        Ok(bx.with_periodicity(r.bool()?, r.bool()?, r.bool()?))
     }
 }
 

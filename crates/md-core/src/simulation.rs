@@ -682,11 +682,14 @@ impl Simulation {
     ///
     /// The blob captures positions, velocities, forces, image flags, the
     /// box, step counter, timestep, energy accumulators, the thermo log, the
-    /// task ledger, the neighbor list (including its rebuild-trigger
-    /// reference positions), and the opaque per-component state of the
-    /// integrator, fixes, and pair style (RNG streams, barostat internals,
-    /// granular contact history). Static configuration — topology, masses,
-    /// charges, force-field parameters — is *not* stored: a restore target
+    /// task ledger, the inputs of the last neighbor build (its positions —
+    /// the rebuild trigger's reference — and its box) with the list's
+    /// counters, and the opaque per-component state of the integrator,
+    /// fixes, and pair style (RNG streams, barostat internals, granular
+    /// contact history). What is *not* stored is whatever a restore can
+    /// recompute: the neighbor rows, which [`Simulation::load_state`]
+    /// rebuilds from those inputs, and the static configuration — topology,
+    /// masses, charges, force-field parameters — for which a restore target
     /// is expected to be rebuilt from the same deck recipe first, then
     /// overlaid with [`Simulation::load_state`]. Together the two reproduce
     /// an uninterrupted run bitwise.
@@ -694,11 +697,7 @@ impl Simulation {
         let mut w = wire::Writer::new();
         w.u64(self.step);
         w.f64(self.dt);
-        w.v3(self.bx.lo());
-        w.v3(self.bx.hi());
-        for d in 0..3 {
-            w.bool(self.bx.is_periodic(d));
-        }
+        self.bx.state_save(&mut w);
         w.v3s(self.atoms.x());
         w.v3s(self.atoms.v());
         w.v3s(self.atoms.f());
@@ -761,7 +760,9 @@ impl Simulation {
 
     /// Restores state written by [`Simulation::save_state`] onto a
     /// simulation freshly rebuilt from the same deck recipe (same
-    /// benchmark, scale, seed, and thread count).
+    /// benchmark, scale, seed, thread count, kernel path and sort cadence).
+    /// The neighbor list is rebuilt from its saved inputs, which costs one
+    /// list build; the rebuild is charged to no task and counts as no build.
     ///
     /// On success the simulation continues bitwise-identically to the run
     /// that produced the blob. On error the simulation may be partially
@@ -770,8 +771,9 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`CoreError::CorruptState`] if the blob is malformed,
-    /// truncated, carries trailing bytes, or disagrees with this
-    /// simulation's structure (atom count, component population).
+    /// truncated, carries trailing bytes, disagrees with this simulation's
+    /// structure (atom count, component population), or rebuilds into a
+    /// neighbor list other than the one its counters record.
     pub fn load_state(&mut self, data: &[u8]) -> Result<()> {
         let mut r = wire::Reader::new(data, "simulation");
         let corrupt = |detail: String| CoreError::CorruptState {
@@ -784,10 +786,7 @@ impl Simulation {
             return Err(corrupt(format!("timestep {dt} is not positive and finite")));
         }
         self.dt = dt;
-        let lo = r.v3()?;
-        let hi = r.v3()?;
-        let periodic = [r.bool()?, r.bool()?, r.bool()?];
-        self.bx = SimBox::new(lo, hi)?.with_periodicity(periodic[0], periodic[1], periodic[2]);
+        self.bx = SimBox::state_load(&mut r)?;
         let n = self.atoms.len();
         let check_len = |what: &str, len: usize| {
             if len == n {
@@ -876,8 +875,11 @@ impl Simulation {
         }
         if has_neighbor {
             let blob = r.blob()?;
+            let atoms = &self.atoms;
             let nl = self.neighbor.as_mut().expect("checked above");
-            sub(blob, "neighbor list", &mut |sr| nl.state_load(sr))?;
+            sub(blob, "neighbor list", &mut |sr| {
+                nl.state_load(sr, n, |i| atoms.exclusions(i))
+            })?;
         }
         let blob = r.blob()?;
         sub(blob, "integrator", &mut |sr| self.integrator.state_load(sr))?;

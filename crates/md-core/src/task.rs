@@ -16,9 +16,7 @@ use std::time::Instant;
 /// exchange (IV), `Pair` is the pairwise potential (V), `Kspace` the
 /// long-range solver (VI), `Bond` the bonded forces (VII), and `Output` the
 /// thermodynamic output (VIII). Everything else is `Other`.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TaskKind {
     /// Computation of bonded forces.
     Bond,
@@ -81,14 +79,13 @@ impl std::fmt::Display for TaskKind {
 }
 
 /// Accumulated time per task, in seconds (wall-clock or simulated).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TaskLedger {
     seconds: [f64; 8],
     /// Number of timed phases attributed to each task. Unlike `seconds`
     /// (wall clock, noisy), the counts are exact integers: the
     /// thread-invariance suite asserts they are identical across thread
     /// counts, proving the threaded kernels execute the same step structure.
-    #[serde(default)]
     counts: [u64; 8],
 }
 

@@ -21,7 +21,7 @@
 //! the fp-associativity level (still deterministic for a *fixed* count).
 
 /// Shared-memory thread-team configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Threads {
     /// Worker threads for the hot kernels (1 = serial).
     pub count: usize,

@@ -7,7 +7,7 @@
 //! and Coulomb kernels need.
 
 /// Physical constants for one simulation unit system.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnitSystem {
     /// Short name ("lj", "metal", "real").
     pub name: &'static str,

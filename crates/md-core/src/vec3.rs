@@ -9,7 +9,7 @@ use std::ops::{
 ///
 /// Positions, velocities, and forces are stored as `Vec3<f64>` (alias
 /// [`crate::V3`]); pairwise kernels may instantiate `Vec3<f32>` internally.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3<R> {
     /// X component.
     pub x: R,

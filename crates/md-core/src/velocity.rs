@@ -13,7 +13,7 @@ use crate::units::UnitSystem;
 
 /// Hard velocity rescaling toward a target temperature whenever the
 /// instantaneous temperature strays outside a window.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TempRescale {
     /// Target temperature.
     pub t_target: f64,
@@ -63,7 +63,7 @@ impl TempRescale {
 
 /// Berendsen weak-coupling thermostat: velocities scale by
 /// `λ = sqrt(1 + (dt/τ)(T0/T - 1))` each step.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BerendsenThermostat {
     /// Target temperature.
     pub t_target: f64,

@@ -1,9 +1,9 @@
 //! Minimal little-endian binary encoding for checkpoint/restart state.
 //!
-//! The vendored `serde` is marker-traits only (no backend), so everything
-//! that must survive a process restart — atom arrays, RNG streams,
-//! thermostat internals, neighbor-list layout — is encoded by hand through
-//! [`Writer`]/[`Reader`]. The format is deliberately dumb: fixed-width
+//! Everything that must survive a process restart — atom arrays, RNG
+//! streams, thermostat internals, the inputs of the neighbor-list build — is
+//! encoded by hand through [`Writer`]/[`Reader`], so the byte layout is this
+//! module's and no dependency's. The format is deliberately dumb: fixed-width
 //! little-endian scalars, `u64` length prefixes, no alignment, no varints.
 //! `f64` round-trips through [`f64::to_bits`], so restored state is bitwise
 //! identical to what was saved — the property the resume tests assert.
@@ -109,8 +109,7 @@ impl Writer {
     /// Grows the buffer by `extra` zeroed bytes and returns the new tail.
     /// The bulk slice writers fill it with `chunks_exact_mut`, which the
     /// optimizer turns into one pass (these paths carry the multi-megabyte
-    /// atom and neighbor arrays, where per-element `extend_from_slice`
-    /// costs ~10x).
+    /// atom arrays, where per-element `extend_from_slice` costs ~10x).
     fn tail(&mut self, extra: usize) -> &mut [u8] {
         let start = self.buf.len();
         self.buf.resize(start + extra, 0);
@@ -138,14 +137,6 @@ impl Writer {
         self.usize(vs.len());
         for (dst, &v) in self.tail(vs.len() * 4).chunks_exact_mut(4).zip(vs) {
             dst.copy_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Writes a length-prefixed `usize` slice (as `u64`).
-    pub fn usizes(&mut self, vs: &[usize]) {
-        self.usize(vs.len());
-        for (dst, &v) in self.tail(vs.len() * 8).chunks_exact_mut(8).zip(vs) {
-            dst.copy_from_slice(&(v as u64).to_le_bytes());
         }
     }
 
@@ -333,19 +324,6 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    /// Reads a length-prefixed `usize` vector.
-    pub fn usizes(&mut self) -> Result<Vec<usize>> {
-        let n = self.len_for(8)?;
-        let bytes = self.raw(n * 8)?;
-        bytes
-            .chunks_exact(8)
-            .map(|b| {
-                let v = Self::le_u64(b);
-                usize::try_from(v).map_err(|_| self.corrupt(format!("length {v} exceeds usize")))
-            })
-            .collect()
-    }
-
     /// Reads a length-prefixed [`V3`] vector.
     pub fn v3s(&mut self) -> Result<Vec<V3>> {
         let n = self.len_for(24)?;
@@ -467,7 +445,6 @@ mod tests {
         w.v3s(&[Vec3::new(1.0, -2.5, 3e-300), Vec3::zero()]);
         w.i32x3s(&[[1, -2, 3]]);
         w.u32s(&[9, 8, 7]);
-        w.usizes(&[0, usize::MAX]);
         w.f64s(&[0.1, 0.2]);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes, "test");
@@ -475,7 +452,6 @@ mod tests {
         assert_eq!(vs[0], Vec3::new(1.0, -2.5, 3e-300));
         assert_eq!(r.i32x3s().unwrap(), vec![[1, -2, 3]]);
         assert_eq!(r.u32s().unwrap(), vec![9, 8, 7]);
-        assert_eq!(r.usizes().unwrap(), vec![0, usize::MAX]);
         assert_eq!(r.f64s().unwrap(), vec![0.1, 0.2]);
         r.expect_exhausted().unwrap();
     }

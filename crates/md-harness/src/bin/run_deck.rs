@@ -35,9 +35,12 @@
 //! `--checkpoint-every N` writes a checksummed checkpoint every N steps to
 //! `--checkpoint-dir` (default `checkpoints/`), keeping the newest
 //! `--checkpoint-retain` files (default 3). `--resume` restarts from the
-//! newest checkpoint in that directory; `--steps` stays the *total* step
-//! target, so a resumed run finishes exactly where an uninterrupted one
-//! would — bitwise, in deterministic mode.
+//! newest checkpoint in that directory, with the scale, threads, kernel
+//! path and sort cadence recorded in it (the flags and `MD_*` variables for
+//! those are not consulted, and the banner prints what the restored deck
+//! runs with); `--steps` stays the *total* step target, so a resumed run
+//! finishes exactly where an uninterrupted one would — bitwise, at the
+//! recorded thread count.
 //!
 //! `--faults SPEC` injects a deterministic fault schedule (see the
 //! md-resilience grammar): engine faults (`force-flip:<atom>@<step>`) are
@@ -288,7 +291,7 @@ fn obtain_deck(args: &Args) -> Deck {
 }
 
 fn main() {
-    let args = match parse_args() {
+    let mut args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e}");
@@ -296,6 +299,13 @@ fn main() {
         }
     };
     let mut deck = obtain_deck(&args);
+    // From here on the flags read what the simulation runs with, not what
+    // was asked for: the builder downgrades some requests, and a resumed
+    // deck takes its scale and tuning from the checkpoint.
+    args.scale = deck.scale;
+    args.threads = deck.simulation.threads();
+    args.kernel = deck.simulation.kernel_path();
+    args.sort_every = deck.simulation.sort_every();
     let resilient = args.checkpoint_every > 0
         || args.resume
         || !args.faults.engine_faults().is_empty()
@@ -308,7 +318,7 @@ fn main() {
         deck.simulation.atoms().len(),
         args.steps,
         args.threads,
-        deck.simulation.kernel_path(),
+        args.kernel,
         if args.sort_every > 0 {
             format!(", sort every {}", args.sort_every)
         } else {

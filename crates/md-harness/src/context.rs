@@ -30,7 +30,7 @@ const PROFILE_STEPS: u64 = 30;
 pub const SEED: u64 = 2022;
 
 /// Scales included in a run (1..=4 for the full paper sweep).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fidelity {
     /// All four paper sizes (32k..2048k atoms).
     Full,

@@ -36,7 +36,7 @@ pub const MAX_ORDER: usize = 5;
 
 /// Resolved k-space parameters for a requested relative force-error
 /// threshold.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KspaceAccuracy {
     /// Requested relative force error (e.g. `1e-4`).
     pub relative_error: f64,

@@ -16,7 +16,7 @@ use md_parallel::{Decomposition, MpiLedger, VirtualCluster, WorkloadCensus};
 use md_workloads::Benchmark;
 
 /// Options of one modeled run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuRunOptions {
     /// MPI ranks (= physical cores used; the paper pins one rank per core).
     pub ranks: usize,
@@ -33,14 +33,12 @@ pub struct CpuRunOptions {
     /// Whether to keep per-rank ledgers and per-step critical-path records
     /// in the result (md-insight's inputs; off by default because the
     /// figure sweeps run thousands of models and only need the means).
-    #[serde(default)]
     pub collect_rank_stats: bool,
     /// Imbalance-aware repartitioning cadence in steps (`0` disables it).
     /// Every `repartition_every` steps the model measures each rank's busy
     /// time over the window, asks the census for a suspect rank, and if one
     /// is named re-splits the owned-atom loads in inverse proportion to the
     /// measured per-atom rates.
-    #[serde(default)]
     pub repartition_every: u64,
 }
 
@@ -61,7 +59,7 @@ impl Default for CpuRunOptions {
 /// One imbalance-aware re-split of the modeled decomposition: which rank
 /// the census named as the straggler, how many atoms moved, and how the
 /// windowed compute `%varavg` changed across the re-split.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RepartitionEvent {
     /// Step the re-split happened at (a window boundary).
     pub step: u64,
@@ -77,7 +75,7 @@ pub struct RepartitionEvent {
 }
 
 /// Result of one modeled run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CpuRunResult {
     /// Benchmark identity.
     pub benchmark: Benchmark,
@@ -106,31 +104,24 @@ pub struct CpuRunResult {
     /// Per-rank task ledgers over the *simulated* window (`sim_steps`
     /// steps, unscaled — md-insight compares shares across ranks, not
     /// absolutes). Empty unless [`CpuRunOptions::collect_rank_stats`].
-    #[serde(default)]
     pub rank_tasks: Vec<TaskLedger>,
     /// Per-rank MPI ledgers over the simulated window (unscaled). Empty
     /// unless [`CpuRunOptions::collect_rank_stats`].
-    #[serde(default)]
     pub rank_mpi: Vec<MpiLedger>,
     /// Per-rank virtual clocks at the end of the simulated window. Empty
     /// unless [`CpuRunOptions::collect_rank_stats`].
-    #[serde(default)]
     pub rank_clocks: Vec<f64>,
     /// Per-step critical-path records over the simulated window. Empty
     /// unless [`CpuRunOptions::collect_rank_stats`].
-    #[serde(default)]
     pub critical_path: Vec<md_parallel::CriticalStep>,
     /// Classified unhealthy exchanges from the comm-health layer. Empty
     /// unless a policy was attached via [`CpuModel::set_comm_policy`].
-    #[serde(default)]
     pub comm_events: Vec<md_parallel::CommHealthEvent>,
     /// Ranks the comm-health layer declared failed (retry budget exhausted
     /// on a silent peer).
-    #[serde(default)]
     pub failed_ranks: Vec<usize>,
     /// Imbalance-aware re-splits performed on the
     /// [`CpuRunOptions::repartition_every`] cadence.
-    #[serde(default)]
     pub repartitions: Vec<RepartitionEvent>,
 }
 

@@ -28,9 +28,7 @@ use md_parallel::{Decomposition, RankLoad, WorkloadCensus};
 use md_workloads::Benchmark;
 
 /// GPU kernels and data-movement primitives of the paper's Figure 8 legend.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum KernelKind {
     /// `[CUDA memcpy DtoH]`.
     MemcpyDtoH,
@@ -127,7 +125,7 @@ impl std::fmt::Display for KernelKind {
 }
 
 /// Seconds of device activity per kernel (one device, one step).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct KernelLedger {
     seconds: [f64; 15],
 }
@@ -170,7 +168,7 @@ impl KernelLedger {
 }
 
 /// Options of one modeled GPU run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuRunOptions {
     /// Devices used (1, 2, 4, 6, 8 in the paper).
     pub gpus: usize,
@@ -188,7 +186,7 @@ impl Default for GpuRunOptions {
 }
 
 /// Result of one modeled GPU run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GpuRunResult {
     /// Benchmark identity.
     pub benchmark: Benchmark,

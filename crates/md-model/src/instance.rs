@@ -1,7 +1,7 @@
 //! The two evaluation platforms of the paper's Table 3.
 
 /// CPU specification (one socket).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuSpec {
     /// Marketing name.
     pub model: &'static str,
@@ -26,7 +26,7 @@ pub struct CpuSpec {
 }
 
 /// GPU specification (one device).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name.
     pub model: &'static str,
@@ -51,7 +51,7 @@ pub struct GpuSpec {
 }
 
 /// A full evaluation instance (Table 3 column).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instance {
     /// Instance label ("CPU Inst." / "GPU Inst.").
     pub name: &'static str,

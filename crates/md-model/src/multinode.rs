@@ -14,7 +14,7 @@ use md_core::{Result, SimBox};
 use md_parallel::LinkModel;
 
 /// An inter-node interconnect description.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     /// Per-message latency across nodes (seconds).
     pub latency: f64,
@@ -41,7 +41,7 @@ impl Interconnect {
 }
 
 /// Result of one multi-node modeled run.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MultiNodeResult {
     /// Nodes used.
     pub nodes: usize,

@@ -13,7 +13,7 @@ use md_kspace::KspaceAccuracy;
 use md_workloads::{atoms_at_scale, build_deck, Benchmark};
 
 /// K-space work at one size/threshold.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KspaceWork {
     /// PPPM mesh.
     pub grid: [usize; 3],
@@ -26,7 +26,7 @@ pub struct KspaceWork {
 }
 
 /// Operation counts of one benchmark at one size.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// Which benchmark.
     pub benchmark: Benchmark,

@@ -1,7 +1,7 @@
 //! A minimal JSON value model and recursive-descent parser.
 //!
-//! The offline container has no serde_json, but the exporter tests must
-//! parse the emitted Chrome trace back and validate it structurally. This
+//! The exporter tests parse the emitted Chrome trace back and validate it
+//! structurally, and the workspace takes no JSON dependency for that. This
 //! parser supports the full JSON grammar (objects, arrays, strings with
 //! escapes, numbers, booleans, null) and is strict about trailing garbage.
 

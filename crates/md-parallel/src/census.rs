@@ -107,7 +107,7 @@ pub fn replan_loads(loads: &[RankLoad], busy: &[f64]) -> Vec<RankLoad> {
 }
 
 /// Load of a single rank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankLoad {
     /// Atoms this rank owns.
     pub owned: usize,
@@ -116,7 +116,7 @@ pub struct RankLoad {
 }
 
 /// Per-rank loads for one decomposition of one system.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WorkloadCensus {
     loads: Vec<RankLoad>,
     natoms: usize,

@@ -25,7 +25,7 @@ const RANK_LANE_BASE: u32 = 1;
 const US: f64 = 1e6;
 
 /// A latency/bandwidth model of one communication link.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkModel {
     /// Per-message latency, seconds.
     pub latency: f64,
@@ -99,7 +99,7 @@ pub trait ClusterFaults: Send + Sync {
 /// most time in while doing so. A sequence of these is the chain of
 /// (rank, task) pairs that bulk-synchronous execution actually waited on —
 /// the per-step refinement of [`TaskLedger::max_across`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CriticalStep {
     /// Timestep index.
     pub step: u64,

@@ -18,7 +18,7 @@ use md_core::wire::{crc32, Reader, Writer};
 use md_core::CoreError;
 
 /// Classification of one communication exchange on one rank.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommStatus {
     /// Payload arrived within the deadline and passed the CRC check.
     Ok,
@@ -40,7 +40,7 @@ impl CommStatus {
 }
 
 /// Which collective the event classifies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommExchange {
     /// Paired `MPI_Sendrecv` halo exchange.
     Halo,
@@ -61,7 +61,7 @@ impl CommExchange {
 /// One classified unhealthy exchange (healthy exchanges only bump the
 /// `comm_exchange_ok` counter; materializing an event per rank per step
 /// would swamp the run).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommHealthEvent {
     /// Timestep the exchange belonged to.
     pub step: u64,
@@ -86,7 +86,7 @@ pub struct CommHealthEvent {
 
 /// Deterministic retry policy: per-exchange deadline, per-rank retry
 /// budget, and a seeded, capped exponential backoff.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommPolicy {
     /// Per-exchange deadline, seconds. An exchange whose peer has not
     /// answered by then is classified [`CommStatus::TimedOut`].

@@ -8,7 +8,7 @@
 use md_core::{CoreError, Result, SimBox, V3};
 
 /// A processor-grid factorization `px × py × pz`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ProcGrid {
     /// Ranks along x.
     pub px: usize,
@@ -85,7 +85,7 @@ impl std::fmt::Display for ProcGrid {
 }
 
 /// A concrete decomposition of a box across a processor grid.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Decomposition {
     bx: SimBox,
     grid: ProcGrid,

@@ -2,9 +2,7 @@
 //! Figures 5 and 12 break the MPI overhead into.
 
 /// The MPI functions the characterization distinguishes.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum MpiFunction {
     /// `MPI_Allreduce` — global reductions (thermo output, FFT norms).
     Allreduce,
@@ -62,7 +60,7 @@ impl std::fmt::Display for MpiFunction {
 }
 
 /// Seconds spent inside each MPI function.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MpiLedger {
     seconds: [f64; 7],
     /// Seconds of the total that are pure waiting on other ranks (the

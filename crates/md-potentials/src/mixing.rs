@@ -3,7 +3,7 @@
 //! deck uses `mix arithmetic`).
 
 /// How ε and σ for unlike type pairs derive from the like-pair values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MixingRule {
     /// Lorentz-Berthelot: `ε = √(ε_i ε_j)`, `σ = (σ_i + σ_j)/2`.
     Arithmetic,

@@ -5,25 +5,31 @@
 //! ```text
 //! magic     8 bytes   "VRLCHKP\0"
 //! body      wire-encoded:
-//!   version   u32     format revision (currently 1)
+//!   version   u32     format revision (currently 2)
 //!   header            deck recipe: benchmark name, scale, seed, threads,
-//!                     deterministic flag, step index
+//!                     deterministic flag, kernel path, sort cadence, step
+//!                     index
 //!   state     blob    Simulation::save_state payload
 //! crc       u32-le    CRC-32 (IEEE) over the body
 //! ```
 //!
 //! Everything after the magic is little-endian via [`md_core::wire`]. The
-//! header stores the *recipe*, not the static data: restore rebuilds the
-//! deck from `(benchmark, scale, seed, threads)` — which regenerates
-//! topology, masses, charges, and force-field parameters bit-for-bit — and
-//! then overlays the dynamic state blob. Files are written to a `.tmp`
-//! sibling, fsynced, and renamed into place, so a crash mid-write never
-//! corrupts the latest good checkpoint.
+//! file stores what a restore cannot recompute, and nothing else. The header
+//! is the *recipe*, not the static data: restore rebuilds the deck from
+//! `(benchmark, scale, seed)` and the tuning the run used (threads, kernel
+//! path, sort cadence) — which regenerates topology, masses, charges, and
+//! force-field parameters bit-for-bit — and then overlays the dynamic state
+//! blob. The blob in turn holds no neighbor rows, only the positions and
+//! the box of the last build, from which the overlay rebuilds the list
+//! (revision 1 stored the rows, 58–93 % of a file, and of the tuning only
+//! the threads; a revision-1 file is refused by its version). Files are
+//! written to a `.tmp` sibling, fsynced, and renamed into place, so a crash
+//! mid-write never corrupts the latest good checkpoint.
 
 use crate::{ResilienceError, Result};
 use md_core::wire::{self, Reader, Writer};
-use md_core::{CoreError, Threads};
-use md_workloads::{build_deck_with, Benchmark, Deck};
+use md_core::{CoreError, KernelPath, Threads};
+use md_workloads::{build_deck_tuned, Benchmark, Deck, DeckTuning};
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -31,7 +37,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &[u8; 8] = b"VRLCHKP\0";
 
 /// Current format revision.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Filename extension for checkpoint files.
 pub const EXTENSION: &str = "mdchk";
@@ -47,20 +53,37 @@ pub struct CheckpointHeader {
     pub seed: u64,
     /// Thread-team configuration the run used.
     pub threads: Threads,
+    /// Pair-kernel path the run used.
+    pub kernel: KernelPath,
+    /// Morton-sort cadence the run used (0 = never).
+    pub sort_every: u64,
     /// Step index the state was captured at.
     pub step: u64,
 }
 
 impl CheckpointHeader {
-    /// Captures the recipe of `deck` (threads taken from its simulation) at
-    /// its current step.
+    /// Captures the recipe of `deck` at its current step. The tuning is what
+    /// its simulation runs with, after the builder's downgrades (deterministic
+    /// mode pins the scalar kernel and never sorts), not what was asked for.
     pub fn of(deck: &Deck, seed: u64) -> Self {
+        let sim = &deck.simulation;
         CheckpointHeader {
             benchmark: deck.benchmark,
             scale: deck.scale,
             seed,
-            threads: deck.simulation.threads(),
-            step: deck.simulation.step_index(),
+            threads: sim.threads(),
+            kernel: sim.kernel_path(),
+            sort_every: sim.sort_every(),
+            step: sim.step_index(),
+        }
+    }
+
+    /// The tuning a restore builds the deck with.
+    pub fn tuning(&self) -> DeckTuning {
+        DeckTuning {
+            threads: self.threads,
+            kernel: self.kernel,
+            sort_every: self.sort_every,
         }
     }
 
@@ -70,25 +93,35 @@ impl CheckpointHeader {
         w.u64(self.seed);
         w.usize(self.threads.count);
         w.bool(self.threads.deterministic);
+        w.str(&self.kernel.to_string());
+        w.u64(self.sort_every);
         w.u64(self.step);
     }
 
     fn read(r: &mut Reader<'_>) -> Result<Self> {
-        let name = r.str()?;
-        let benchmark = Benchmark::parse(&name).map_err(|_| {
+        let unknown = |what: &str, name: &str| {
             ResilienceError::Core(CoreError::CorruptState {
                 what: "checkpoint",
-                detail: format!("unknown benchmark `{name}`"),
+                detail: format!("unknown {what} `{name}`"),
             })
-        })?;
+        };
+        let name = r.str()?;
+        let benchmark = Benchmark::parse(&name).map_err(|_| unknown("benchmark", &name))?;
+        let scale = r.usize()?;
+        let seed = r.u64()?;
+        let threads = Threads {
+            count: r.usize()?,
+            deterministic: r.bool()?,
+        };
+        let name = r.str()?;
+        let kernel = KernelPath::parse(&name).ok_or_else(|| unknown("kernel path", &name))?;
         Ok(CheckpointHeader {
             benchmark,
-            scale: r.usize()?,
-            seed: r.u64()?,
-            threads: Threads {
-                count: r.usize()?,
-                deterministic: r.bool()?,
-            },
+            scale,
+            seed,
+            threads,
+            kernel,
+            sort_every: r.u64()?,
             step: r.u64()?,
         })
     }
@@ -203,16 +236,16 @@ impl Checkpoint {
         Checkpoint::decode(&bytes)
     }
 
-    /// Rebuilds the deck from the stored recipe and overlays the dynamic
-    /// state, yielding a simulation that continues bitwise-identically to
-    /// the checkpointed run.
+    /// Rebuilds the deck from the stored recipe — no environment variable
+    /// has a say — and overlays the dynamic state, yielding a simulation that
+    /// continues bitwise-identically to the checkpointed run.
     ///
     /// # Errors
     ///
     /// Propagates deck-construction failures and state-blob corruption.
     pub fn restore(&self) -> Result<Deck> {
         let h = &self.header;
-        let mut deck = build_deck_with(h.benchmark, h.scale, h.seed, h.threads)?;
+        let mut deck = build_deck_tuned(h.benchmark, h.scale, h.seed, h.tuning())?;
         deck.simulation.load_state(&self.state)?;
         Ok(deck)
     }
@@ -322,6 +355,7 @@ impl CheckpointManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use md_workloads::build_deck_with;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("mdchk_test_{tag}_{}", std::process::id()));

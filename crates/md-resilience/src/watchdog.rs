@@ -175,6 +175,8 @@ pub struct Watchdog {
     config: WatchdogConfig,
     prev_x: Vec<V3>,
     baseline_temperature: Option<f64>,
+    /// `Simulation::sorts_performed` at the previous check.
+    sorts_seen: u64,
     /// How many events each counter class has accumulated (mirrors the
     /// md-observe counters, available even with a disabled recorder).
     events_seen: u64,
@@ -187,6 +189,7 @@ impl Watchdog {
             config,
             prev_x: Vec::new(),
             baseline_temperature: None,
+            sorts_seen: 0,
             events_seen: 0,
         }
     }
@@ -219,41 +222,70 @@ impl Watchdog {
         let f = atoms.f();
         let bx = sim.sim_box();
 
-        // Non-finite forces / state: always on. Report the first offender
-        // of each class — one NaN makes every later index meaningless.
-        if let Some(atom) = f.iter().position(|fi| !is_finite(*fi)) {
-            events.push(HealthEvent::NonFiniteForce { atom });
-        }
-        if let Some(atom) = x
-            .iter()
-            .zip(v)
-            .position(|(xi, vi)| !is_finite(*xi) || !is_finite(*vi))
-        {
-            events.push(HealthEvent::NonFiniteState { atom });
+        // A Morton sort since the previous check moved the atoms to other
+        // slots: the displacement reference is in the old order and is
+        // dropped, as after a rollback.
+        if sim.sorts_performed() != self.sorts_seen {
+            self.sorts_seen = sim.sorts_performed();
+            self.prev_x.clear();
         }
 
-        // Displacement since the previous check, min-image so periodic
-        // wrapping does not read as a jump.
-        if let Some(nl) = sim.neighbor_list() {
-            let limit = self.config.displacement_skin_factor * nl.skin();
-            if limit > 0.0 && self.prev_x.len() == x.len() {
-                let mut worst: Option<(usize, f64)> = None;
-                for (i, (now, before)) in x.iter().zip(&self.prev_x).enumerate() {
-                    let d = bx.min_image(*now, *before).norm();
-                    if d > limit && worst.is_none_or(|(_, w)| d > w) {
-                        worst = Some((i, d));
+        // One pass over the per-atom arrays serves the three per-atom
+        // classes, with the rare outcomes screened by tests that cost a few
+        // flops (a pass per class with the exact tests was 1.6% of an LJ
+        // step, most of the 2% `bench_resilience` allows the watchdog and
+        // the snapshots together). The displacement since the previous
+        // check is min-image, so periodic wrapping does not read as a jump;
+        // a min-image distance is never longer than the plain one, so the
+        // plain one screens. A first check, or one after a reset, has no
+        // reference and only records one.
+        let limit = sim
+            .neighbor_list()
+            .map(|nl| self.config.displacement_skin_factor * nl.skin());
+        let limit2 = match limit {
+            Some(l) if l > 0.0 && self.prev_x.len() == x.len() => l * l,
+            _ => f64::INFINITY,
+        };
+        if limit.is_some() {
+            self.prev_x.resize(x.len(), md_core::Vec3::zero());
+        }
+        let mut non_finite = false;
+        let mut worst: Option<(usize, f64)> = None;
+        for i in 0..x.len() {
+            let (xi, vi, fi) = (x[i], v[i], f[i]);
+            // Times zero, a sum is NaN exactly when a term is not finite.
+            let sum = xi.x + xi.y + xi.z + vi.x + vi.y + vi.z + fi.x + fi.y + fi.z;
+            non_finite |= (sum * 0.0).is_nan();
+            if limit.is_some() {
+                let before = std::mem::replace(&mut self.prev_x[i], xi);
+                if (xi - before).norm2() > limit2 {
+                    let d2 = bx.min_image(xi, before).norm2();
+                    if d2 > limit2 && worst.is_none_or(|(_, w)| d2 > w) {
+                        worst = Some((i, d2));
                     }
                 }
-                if let Some((atom, distance)) = worst {
-                    events.push(HealthEvent::DisplacementSpike {
-                        atom,
-                        distance,
-                        limit,
-                    });
-                }
             }
-            self.prev_x.clear();
-            self.prev_x.extend_from_slice(x);
+        }
+        // Non-finite forces / state: always on. Report the first offender
+        // of each class — one NaN makes every later index meaningless.
+        if non_finite {
+            if let Some(atom) = f.iter().position(|fi| !is_finite(*fi)) {
+                events.push(HealthEvent::NonFiniteForce { atom });
+            }
+            if let Some(atom) = x
+                .iter()
+                .zip(v)
+                .position(|(xi, vi)| !is_finite(*xi) || !is_finite(*vi))
+            {
+                events.push(HealthEvent::NonFiniteState { atom });
+            }
+        }
+        if let (Some((atom, d2)), Some(limit)) = (worst, limit) {
+            events.push(HealthEvent::DisplacementSpike {
+                atom,
+                distance: d2.sqrt(),
+                limit,
+            });
         }
 
         // Energy drift (engine-maintained; zero until thermo sampling with
@@ -315,8 +347,8 @@ fn is_finite(v: V3) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_core::Threads;
-    use md_workloads::{build_deck_with, Benchmark};
+    use md_core::{KernelPath, Threads};
+    use md_workloads::{build_deck_tuned, build_deck_with, Benchmark, DeckTuning};
 
     fn lj() -> md_workloads::Deck {
         build_deck_with(Benchmark::Lj, 1, 11, Threads::deterministic(1)).unwrap()
@@ -366,6 +398,35 @@ mod tests {
         assert!(dog.check(&deck.simulation).is_empty(), "prime reference");
         // Teleport one atom a third of the box: far beyond 10x skin, but
         // within min-image range so the distance is measured faithfully.
+        let jump = deck.simulation.sim_box().lengths().x / 3.0;
+        deck.simulation.atoms_mut().x_mut()[7].x += jump;
+        let events = dog.check(&deck.simulation);
+        assert!(
+            events
+                .iter()
+                .any(|e| matches!(e, HealthEvent::DisplacementSpike { atom: 7, .. })),
+            "events: {events:?}"
+        );
+    }
+
+    #[test]
+    fn morton_sort_is_not_a_displacement_spike() {
+        let tuning = DeckTuning {
+            threads: Threads::serial(),
+            kernel: KernelPath::Scalar,
+            sort_every: 5,
+        };
+        let mut deck = build_deck_tuned(Benchmark::Lj, 1, 11, tuning).unwrap();
+        let mut dog = Watchdog::new(WatchdogConfig::default());
+        // The sort puts other atoms into the slots the reference was taken
+        // in; read slot by slot that is a jump of up to half the box.
+        for _ in 0..40 {
+            deck.simulation.step().unwrap();
+            let events = dog.check(&deck.simulation);
+            assert!(events.is_empty(), "unexpected events: {events:?}");
+        }
+        assert!(deck.simulation.sorts_performed() >= 1, "no sort happened");
+        // The reference is back after one check: a real jump still fires.
         let jump = deck.simulation.sim_box().lengths().x / 3.0;
         deck.simulation.atoms_mut().x_mut()[7].x += jump;
         let events = dog.check(&deck.simulation);

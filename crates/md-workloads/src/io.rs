@@ -14,7 +14,7 @@ use std::io::BufRead;
 use std::path::Path;
 
 /// Which per-atom columns the `Atoms` section carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtomStyle {
     /// `id type x y z` — LJ/EAM-style decks.
     Atomic,

@@ -107,9 +107,7 @@ pub(crate) fn wrap_pair<P: Threadable + 'static>(
 }
 
 /// The five benchmarks of the suite.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Benchmark {
     /// Bead-spring polymer melt with FENE bonds.
     Chain,

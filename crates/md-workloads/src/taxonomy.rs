@@ -3,7 +3,7 @@
 use crate::Benchmark;
 
 /// Static characteristics of one benchmark deck (one Table 2 column).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeckInfo {
     /// Benchmark identity.
     pub benchmark: &'static str,

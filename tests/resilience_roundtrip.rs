@@ -6,13 +6,20 @@
 //! PPPM accumulators, neighbor rebuild schedule), so all five run here, in
 //! deterministic mode at 1 and 4 threads.
 //!
+//! A checkpoint holds no neighbor rows: the restore rebuilds them from the
+//! positions and the box of the last build. The tuned cases below cover
+//! what that rebuild depends on and deterministic mode pins away — padded
+//! rows for the lanes kernels, a Morton-sorted atom order, a threaded build,
+//! a box that has moved on since the build (NPT), a full list — with the
+//! tuning taken from the checkpoint header, not from the environment.
+//!
 //! Corruption tests ride along: a checkpoint with any flipped byte or any
 //! truncation must be rejected with a typed error, never restored or
 //! panicked on.
 
-use md_core::Threads;
+use md_core::{KernelPath, NeighborListKind, Threads, LANES};
 use md_resilience::Checkpoint;
-use md_workloads::{build_deck_with, Benchmark, Deck};
+use md_workloads::{build_deck_tuned, build_deck_with, Benchmark, Deck, DeckTuning};
 
 const SEED: u64 = 2022;
 
@@ -67,11 +74,26 @@ fn assert_identical(uninterrupted: &Fingerprint, resumed: &Fingerprint, label: &
 /// Run `k1` steps, checkpoint through the full encode/decode byte path,
 /// restore into a freshly built deck, run `k2` more on both — compare.
 fn roundtrip(benchmark: Benchmark, threads: Threads) {
-    let label = format!("{benchmark} x{}", threads.count);
     let (k1, k2) = windows(benchmark);
+    let original = build_deck_with(benchmark, 1, SEED, threads).expect("deck builds");
+    let ckpt = roundtrip_from(original, k1, k2, |_| {});
+    assert_eq!(ckpt.header.threads, threads);
+}
 
-    let mut original = build_deck_with(benchmark, 1, SEED, threads).expect("deck builds");
+/// The body of [`roundtrip`] on a deck built by the caller; `at_checkpoint`
+/// sees the deck at the step the checkpoint is taken, to assert that the
+/// case covers what it is there for. Returns the decoded checkpoint.
+fn roundtrip_from(
+    mut original: Deck,
+    k1: u64,
+    k2: u64,
+    at_checkpoint: impl Fn(&Deck),
+) -> Checkpoint {
+    let benchmark = original.benchmark;
+    let label = format!("{benchmark} x{}", original.simulation.threads().count);
+
     original.simulation.run(k1).expect("pre-checkpoint run");
+    at_checkpoint(&original);
     let bytes = Checkpoint::capture(&original, SEED).encode();
 
     // The uninterrupted arm keeps going on the same simulation object.
@@ -83,12 +105,17 @@ fn roundtrip(benchmark: Benchmark, threads: Threads) {
     let ckpt = Checkpoint::decode(&bytes).expect("checkpoint decodes");
     assert_eq!(ckpt.header.step, k1);
     assert_eq!(ckpt.header.benchmark, benchmark);
-    assert_eq!(ckpt.header.threads, threads);
     let mut resumed = ckpt.restore().expect("checkpoint restores");
     assert_eq!(resumed.simulation.step_index(), k1, "{label}: resume step");
     resumed.simulation.run(k2).expect("resumed run");
 
     assert_identical(&reference, &fingerprint(&resumed), &label);
+    assert_eq!(
+        original.simulation.neighbor_list().map(|nl| nl.stats()),
+        resumed.simulation.neighbor_list().map(|nl| nl.stats()),
+        "{label}: neighbor statistics"
+    );
+    ckpt
 }
 
 macro_rules! roundtrip_tests {
@@ -111,6 +138,75 @@ roundtrip_tests! {
     chute_roundtrips_threaded: Benchmark::Chute, 4;
     rhodo_roundtrips_serial: Benchmark::Rhodo, 1;
     rhodo_roundtrips_threaded: Benchmark::Rhodo, 4;
+}
+
+/// The tuned path end to end: two fast-mode threads, the lanes kernel over
+/// sentinel-padded rows, and a Morton sort before the checkpoint, so the
+/// restore has to permute the fresh deck's atoms before it rebuilds the
+/// list. `MD_KERNEL` / `MD_SORT_EVERY` are unset here, so a restore that
+/// took the kernel or the cadence from the environment would resume on the
+/// scalar kernel without sorting, and diverge.
+fn tuned_roundtrip(benchmark: Benchmark) {
+    let tuning = DeckTuning {
+        threads: Threads::fast(2),
+        kernel: KernelPath::Lanes,
+        sort_every: 7,
+    };
+    let original = build_deck_tuned(benchmark, 1, SEED, tuning).expect("deck builds");
+    let ckpt = roundtrip_from(original, 25, 20, |deck| {
+        let sim = &deck.simulation;
+        assert!(sim.sorts_performed() >= 1, "no sort before the checkpoint");
+        assert_eq!(sim.neighbor_list().expect("pair deck").padding(), LANES);
+    });
+    assert_eq!(ckpt.header.threads, tuning.threads);
+    assert_eq!(ckpt.header.kernel, KernelPath::Lanes);
+    assert_eq!(ckpt.header.sort_every, 7);
+}
+
+#[test]
+fn lj_roundtrips_tuned() {
+    tuned_roundtrip(Benchmark::Lj);
+}
+
+#[test]
+fn eam_roundtrips_tuned() {
+    tuned_roundtrip(Benchmark::Eam);
+}
+
+/// Under NPT the box moves every step while the list keeps the rows of the
+/// box it was built in: the restore has to rebuild in that box, not in the
+/// current one.
+#[test]
+fn rhodo_roundtrips_after_the_box_left_the_build_box() {
+    let tuning = DeckTuning {
+        threads: Threads::fast(2),
+        kernel: KernelPath::Lanes,
+        sort_every: 0,
+    };
+    let original = build_deck_tuned(Benchmark::Rhodo, 1, SEED, tuning).expect("deck builds");
+    roundtrip_from(original, 4, 4, |deck| {
+        let sim = &deck.simulation;
+        let built_in = sim.neighbor_list().expect("pair deck").box_at_build();
+        assert_ne!(built_in, Some(*sim.sim_box()), "the box did not move");
+    });
+}
+
+/// Chute: a full list, contact history keyed by atom index, and a pair
+/// style that vetoes the sort — the header records the cadence the
+/// simulation runs with (none), not the one asked for.
+#[test]
+fn chute_roundtrips_fast_mode() {
+    let tuning = DeckTuning {
+        threads: Threads::fast(2),
+        kernel: KernelPath::Scalar,
+        sort_every: 7,
+    };
+    let original = build_deck_tuned(Benchmark::Chute, 1, SEED, tuning).expect("deck builds");
+    let ckpt = roundtrip_from(original, 15, 20, |deck| {
+        let nl = deck.simulation.neighbor_list().expect("pair deck");
+        assert_eq!(nl.kind(), NeighborListKind::Full);
+    });
+    assert_eq!(ckpt.header.sort_every, 0);
 }
 
 #[test]
