@@ -105,6 +105,44 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+/// The environment knob `name` read through `parse`: `default` when the
+/// variable is unset.
+///
+/// # Errors
+///
+/// See [`parse_knob`].
+pub(crate) fn env_knob<T>(
+    name: &'static str,
+    default: T,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T> {
+    let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    parse_knob(name, value.as_deref(), default, parse)
+}
+
+/// The pure half of [`env_knob`]: `value` is what the environment holds for
+/// `name` (`None` = unset, which is `default`).
+///
+/// # Errors
+///
+/// Returns [`CoreError::InvalidParameter`] naming the variable when it is set
+/// to something `parse` refuses, so a typo never falls back to the default
+/// without a word.
+pub(crate) fn parse_knob<T>(
+    name: &'static str,
+    value: Option<&str>,
+    default: T,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T> {
+    let Some(value) = value else {
+        return Ok(default);
+    };
+    parse(value.trim()).ok_or_else(|| CoreError::InvalidParameter {
+        name,
+        reason: format!("cannot use the environment value `{value}`"),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,13 +49,15 @@ impl KernelPath {
         }
     }
 
-    /// Read `MD_KERNEL` from the environment; unset or unparsable means
+    /// Read `MD_KERNEL` from the environment; unset means
     /// [`KernelPath::Scalar`].
-    pub fn from_env() -> Self {
-        std::env::var("MD_KERNEL")
-            .ok()
-            .and_then(|v| Self::parse(&v))
-            .unwrap_or_default()
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::CoreError::InvalidParameter`] naming the variable if
+    /// it is set to something [`KernelPath::parse`] does not know.
+    pub fn from_env() -> crate::Result<Self> {
+        crate::error::env_knob("MD_KERNEL", Self::default(), Self::parse)
     }
 
     /// True when this is the lane-blocked path.
@@ -213,6 +215,21 @@ mod tests {
         assert_eq!(KernelPath::parse("nope"), None);
         assert_eq!("lanes".parse::<KernelPath>().unwrap(), KernelPath::Lanes);
         assert!("warp".parse::<KernelPath>().is_err());
+    }
+
+    #[test]
+    fn md_kernel_parses_or_names_itself() {
+        let knob =
+            |v| crate::error::parse_knob("MD_KERNEL", v, KernelPath::default(), KernelPath::parse);
+        assert_eq!(knob(None), Ok(KernelPath::Scalar));
+        assert_eq!(knob(Some("lanes")), Ok(KernelPath::Lanes));
+        match knob(Some("avx")) {
+            Err(crate::CoreError::InvalidParameter { name, reason }) => {
+                assert_eq!(name, "MD_KERNEL");
+                assert!(reason.contains("avx"), "{reason}");
+            }
+            other => panic!("expected a typed error, got {other:?}"),
+        }
     }
 
     #[test]

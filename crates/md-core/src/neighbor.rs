@@ -45,8 +45,9 @@
 //! The build is shared-memory parallel when [`NeighborList::set_threads`]
 //! asks for more than one thread: binning stays serial (it fixes the order
 //! inside every cell), the per-atom candidate search fans out over
-//! contiguous atom stripes, and the per-stripe results are concatenated in
-//! stripe order. Because each atom's neighbor row depends only on the
+//! contiguous atom stripes ([`crate::threads::fork_join`], span
+//! `neigh_build`), and the per-stripe results are concatenated in stripe
+//! order. Because each atom's neighbor row depends only on the
 //! (serial) bin structure and on per-pair arithmetic that no thread shares,
 //! the threaded build is **bitwise identical** to the serial one at any
 //! thread count — no `deterministic` toggle is needed here, unlike the
@@ -54,8 +55,10 @@
 
 use crate::error::{CoreError, Result};
 use crate::simbox::SimBox;
+use crate::threads::{fork_join, Threads};
 use crate::wire;
 use crate::V3;
+use md_observe::Recorder;
 
 /// Whether each pair is listed once (half) or from both atoms (full).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -415,7 +418,9 @@ pub struct NeighborList {
     /// `x_at_build` and the exclusions it is everything the rows derive from.
     box_at_build: Option<SimBox>,
     stats: NeighborBuildStats,
-    threads: usize,
+    threads: Threads,
+    /// Where the threaded build's workers record their spans.
+    recorder: Recorder,
     /// Lane width rows are padded to (0 = disabled).
     padding: usize,
     /// The last build's binning, kept for its storage: reused across
@@ -445,7 +450,8 @@ impl NeighborList {
             x_at_build: Vec::new(),
             box_at_build: None,
             stats: NeighborBuildStats::default(),
-            threads: 1,
+            threads: Threads::serial(),
+            recorder: Recorder::disabled(),
             padding: 0,
             bins: CellBins::default(),
             stripe_bufs: Vec::new(),
@@ -455,12 +461,17 @@ impl NeighborList {
     /// Sets the worker-thread count for subsequent builds (1 = serial).
     /// The threaded build produces bitwise-identical lists at any count.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        self.threads = Threads::fast(threads);
     }
 
     /// Worker threads used for builds.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.threads.count
+    }
+
+    /// Attaches the recorder the threaded build's `neigh_build` spans go to.
+    pub(crate) fn set_recorder(&mut self, recorder: Recorder) {
+        self.recorder = recorder;
     }
 
     /// Pads every row to a multiple of `lanes` for the lane kernels (or, with
@@ -634,42 +645,37 @@ impl NeighborList {
         let scan = RowScan::new(&self.bins, x, bx, self.kind, range2, cut2);
         let search = |i: usize, scratch: &mut Vec<u32>| scan.append_row(i, exclusions(i), scratch);
 
-        let t = self.threads.min(n.max(1));
+        // This site keeps a serial branch instead of running one part
+        // inline: rows are variable-length, so workers cannot write into
+        // `self.neigh` where the rows will end up. The threaded form fills
+        // private stripe buffers and copies them into place; one thread
+        // writes in place and pays neither the buffers nor the copy (serial
+        // `lj_melt`: ~4.8 MB per rebuild, a third of its peak RSS).
+        let t = self.threads.count.min(n.max(1));
         if t > 1 {
             // Stripe the atom range across threads; each worker fills a
             // persistent private (row lengths, neighbors) buffer.
             // Concatenating in stripe order reproduces the serial layout
             // exactly, so the stripe width never affects the result.
-            let stripe = n.div_ceil(t);
+            let stripe = self.threads.stripe(n);
             let mut bufs = std::mem::take(&mut self.stripe_bufs);
             if bufs.len() < t {
                 bufs.resize_with(t, StripeBuf::default);
             }
-            crossbeam::thread::scope(|s| {
-                let mut handles = Vec::with_capacity(t);
-                for (k, buf) in bufs.iter_mut().take(t).enumerate() {
-                    let lo = k * stripe;
-                    let hi = ((k + 1) * stripe).min(n);
-                    let search = &search;
-                    handles.push(s.spawn(move |_| {
-                        buf.lens.clear();
-                        buf.neigh.clear();
-                        buf.wc = 0;
-                        for i in lo..hi {
-                            let row_start = buf.neigh.len();
-                            buf.wc += search(i, &mut buf.neigh);
-                            buf.lens.push(buf.neigh.len() - row_start);
-                            if lanes != 0 {
-                                pad_row(&mut buf.neigh, row_start, lanes, sentinel);
-                            }
-                        }
-                    }));
+            let stripes = bufs.iter_mut().take(t);
+            fork_join(stripes, &self.recorder, "neigh_build", |k, buf| {
+                buf.lens.clear();
+                buf.neigh.clear();
+                buf.wc = 0;
+                for i in k * stripe..((k + 1) * stripe).min(n) {
+                    let row_start = buf.neigh.len();
+                    buf.wc += search(i, &mut buf.neigh);
+                    buf.lens.push(buf.neigh.len() - row_start);
+                    if lanes != 0 {
+                        pad_row(&mut buf.neigh, row_start, lanes, sentinel);
+                    }
                 }
-                for h in handles {
-                    h.join().expect("neighbor build worker panicked");
-                }
-            })
-            .expect("neighbor build scope panicked");
+            });
             for buf in bufs.iter().take(t) {
                 within_cut += buf.wc;
                 let mut off = self.neigh.len();

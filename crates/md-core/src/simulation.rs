@@ -25,7 +25,7 @@ use crate::kernel::{KernelPath, LANES};
 use crate::neighbor::NeighborList;
 use crate::simbox::SimBox;
 use crate::task::{TaskKind, TaskLedger};
-use crate::threads::Threads;
+use crate::threads::{Threads, THREAD_LANE_BASE};
 use crate::units::UnitSystem;
 use crate::vec3::Vec3;
 use crate::wire;
@@ -197,10 +197,20 @@ impl Simulation {
     }
 
     /// Attaches an observability recorder after construction. The handle is
-    /// shared with the pair style and the k-space solver (if any), which
-    /// emit kernel-phase and per-thread sub-spans on the same timeline.
+    /// shared with the neighbor list, the pair style and the k-space solver
+    /// (if any), which emit kernel-phase sub-spans and — through
+    /// [`crate::threads::fork_join`], on the `thread k` lanes named here —
+    /// one span per worker of every fork on the same timeline.
     pub fn set_recorder(&mut self, recorder: Recorder) {
         recorder.set_lane_name(ENGINE_LANE, "engine");
+        if self.threads.count > 1 {
+            for k in 0..self.threads.count {
+                recorder.set_lane_name(THREAD_LANE_BASE + k as u32, format!("thread {k}"));
+            }
+        }
+        if let Some(nl) = self.neighbor.as_mut() {
+            nl.set_recorder(recorder.clone());
+        }
         if let Some(p) = self.pair.as_mut() {
             p.set_recorder(recorder.clone());
         }
@@ -1042,7 +1052,9 @@ impl SimulationBuilder {
     /// Sets the shared-memory thread-team configuration (defaults to
     /// serial). Applied to the neighbor-list build and the k-space solver;
     /// pair styles thread through the `Threaded` wrapper in
-    /// `md-potentials`, which the workload decks construct to match.
+    /// `md-potentials`, which the workload decks construct to match. All
+    /// three fork through [`crate::threads::fork_join`], so a traced run
+    /// shows every fork of a step on the `thread 0..count` lanes.
     pub fn threads(mut self, threads: Threads) -> Self {
         self.threads = threads;
         self

@@ -72,12 +72,19 @@ pub fn morton_perm(x: &[V3], bx: &SimBox) -> Vec<u32> {
 }
 
 /// Read the Morton-sort cadence from `MD_SORT_EVERY` (steps between sorts,
-/// applied at neighbor rebuilds). Unset, unparsable, or `0` disables.
-pub fn sort_every_from_env() -> u64 {
-    std::env::var("MD_SORT_EVERY")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(0)
+/// applied at neighbor rebuilds). Unset or `0` disables.
+///
+/// # Errors
+///
+/// Returns [`crate::CoreError::InvalidParameter`] naming the variable if it
+/// is set to anything but a step count.
+pub fn sort_every_from_env() -> crate::Result<u64> {
+    crate::error::env_knob("MD_SORT_EVERY", 0, parse_cadence)
+}
+
+/// A sort cadence as `MD_SORT_EVERY` spells it.
+fn parse_cadence(value: &str) -> Option<u64> {
+    value.parse().ok()
 }
 
 /// True when `perm` is the identity permutation (no reorder needed).
@@ -104,6 +111,22 @@ mod tests {
 
     fn test_box() -> SimBox {
         SimBox::cubic(8.0)
+    }
+
+    #[test]
+    fn md_sort_every_parses_or_names_itself() {
+        let knob = |v| crate::error::parse_knob("MD_SORT_EVERY", v, 0, parse_cadence);
+        assert_eq!(knob(None), Ok(0));
+        assert_eq!(knob(Some("0")), Ok(0));
+        assert_eq!(knob(Some("25")), Ok(25));
+        for bad in ["x", "-1", "2.5", ""] {
+            match knob(Some(bad)) {
+                Err(crate::CoreError::InvalidParameter { name, .. }) => {
+                    assert_eq!(name, "MD_SORT_EVERY");
+                }
+                other => panic!("`{bad}`: expected a typed error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

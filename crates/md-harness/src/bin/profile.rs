@@ -31,18 +31,24 @@
 //! host↔device critical path, and traced runs gain one lane per modeled
 //! device.
 
-use md_core::{TaskKind, Threads};
+use md_core::TaskKind;
 use md_harness::insight;
 use md_harness::render::{fnum, TextTable};
 use md_model::{
     CpuModel, CpuRunOptions, CpuRunResult, GpuModel, GpuRunOptions, GpuTracedRun, WorkloadProfile,
 };
 use md_observe::{chrome_trace_json, metrics_jsonl, text_report, ObserveConfig, Recorder};
-use md_workloads::{build_deck_with, build_positions, Benchmark};
+use md_workloads::{build_deck_tuned, build_positions, Benchmark, DeckTuning};
 
 fn main() {
     let mut steps: u64 = 20;
-    let mut threads = Threads::from_env();
+    // All four environment knobs up front: a typo in one of them ends the
+    // run here instead of failing every deck build below.
+    let mut tuning = DeckTuning::from_env().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let threads = &mut tuning.threads;
     let mut trace_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
     let mut analyze = false;
@@ -95,12 +101,12 @@ fn main() {
     header.extend(TaskKind::ALL.iter().map(|t| format!("{t} %")));
     let mut table = TextTable::new(header);
 
-    if threads.active() {
-        eprintln!("[profile] hot kernels on {threads}");
+    if tuning.threads.active() {
+        eprintln!("[profile] hot kernels on {}", tuning.threads);
     }
     for bench in Benchmark::ALL {
         eprint!("[profile] {bench}: building ... ");
-        let mut deck = match build_deck_with(bench, 1, 2022, threads) {
+        let mut deck = match build_deck_tuned(bench, 1, 2022, tuning) {
             Ok(d) => d,
             Err(e) => {
                 eprintln!("failed: {e}");

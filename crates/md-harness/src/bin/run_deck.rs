@@ -150,14 +150,17 @@ fn parse_args() -> Result<Args, String> {
             .to_string()
     })?;
     let benchmark = Benchmark::parse(&bench_name).map_err(|e| e.to_string())?;
+    // The flags below override the environment's knobs; a knob set to
+    // something unreadable ends the run here.
+    let env = DeckTuning::from_env().map_err(|e| e.to_string())?;
     let mut out = Args {
         benchmark,
         steps: 100,
         scale: 1,
         thermo: 20,
-        threads: Threads::from_env(),
-        kernel: KernelPath::from_env(),
-        sort_every: md_core::sort::sort_every_from_env(),
+        threads: env.threads,
+        kernel: env.kernel,
+        sort_every: env.sort_every,
         dump: None,
         write_data_path: None,
         checkpoint_every: 0,

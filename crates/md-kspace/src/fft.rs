@@ -5,7 +5,9 @@
 //! since the mesh sizing rounds up to powers of two.
 
 use crate::complex::Complex;
-use md_core::{CoreError, Result};
+use md_core::threads::fork_join;
+use md_core::{CoreError, Result, Threads};
+use md_observe::Recorder;
 
 /// Transform direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,13 +104,22 @@ pub fn dft_reference(data: &[Complex], dir: Direction) -> Vec<Complex> {
 /// [`Fft3d::set_threads`]). Every line is an independent 1D FFT over the
 /// same input values no matter which thread runs it, so the threaded
 /// transform is bitwise identical to the serial one at any thread count.
+/// All scratch is sized when the thread count is set, so a transform
+/// allocates nothing of its own.
 #[derive(Debug, Clone)]
 pub struct Fft3d {
     nx: usize,
     ny: usize,
     nz: usize,
-    threads: usize,
-    scratch: Vec<Complex>,
+    threads: Threads,
+    /// One strided-line buffer per worker, `max(ny, nz)` long: the y lines of
+    /// the x/y pass and the z lines of the serial z pass go through it.
+    lines: Vec<Vec<Complex>>,
+    /// The threaded z pass's private stripe buffers, one per worker; empty
+    /// on one thread.
+    stripes: Vec<Vec<Complex>>,
+    /// Where the workers of a threaded transform record their spans.
+    recorder: Recorder,
 }
 
 impl Fft3d {
@@ -126,25 +137,38 @@ impl Fft3d {
                 });
             }
         }
-        Ok(Fft3d {
+        let mut fft = Fft3d {
             nx,
             ny,
             nz,
-            threads: 1,
-            scratch: vec![Complex::ZERO; nx.max(ny).max(nz)],
-        })
+            threads: Threads::serial(),
+            lines: Vec::new(),
+            stripes: Vec::new(),
+            recorder: Recorder::disabled(),
+        };
+        fft.set_threads(1);
+        Ok(fft)
     }
 
     /// Sets how many threads [`Fft3d::transform`] batches its 1D lines over
     /// (clamped to at least 1). The result is bitwise independent of the
     /// thread count.
     pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
+        self.threads = Threads::fast(threads);
+        let t = self.threads.count;
+        self.lines = vec![vec![Complex::ZERO; self.ny.max(self.nz)]; t];
+        let stripe = self.threads.stripe(self.nx * self.ny) * self.nz;
+        self.stripes = vec![vec![Complex::ZERO; stripe]; if t == 1 { 0 } else { t }];
     }
 
     /// Thread count used by [`Fft3d::transform`].
     pub fn threads(&self) -> usize {
-        self.threads
+        self.threads.count
+    }
+
+    /// Attaches the recorder the `fft_xy` / `fft_z` worker spans go to.
+    pub(crate) fn set_recorder(&mut self, recorder: Recorder) {
+        self.recorder = recorder;
     }
 
     /// Mesh dimensions `(nx, ny, nz)`.
@@ -170,6 +194,9 @@ impl Fft3d {
 
     /// Transforms `data` (length `nx·ny·nz`) in place.
     ///
+    /// The mesh dimensions are powers of two by construction, so once `data`
+    /// has been length-checked the inner `fft1d` calls cannot fail.
+    ///
     /// # Errors
     ///
     /// Returns an error if `data` has the wrong length.
@@ -182,112 +209,62 @@ impl Fft3d {
             });
         }
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
-        if self.threads > 1 {
-            return self.transform_threaded(data, dir);
-        }
-        // X lines are contiguous.
-        for iz in 0..nz {
-            for iy in 0..ny {
-                let base = self.index(0, iy, iz);
-                fft1d(&mut data[base..base + nx], dir)?;
-            }
-        }
-        // Y lines (stride nx).
-        for iz in 0..nz {
-            for ix in 0..nx {
-                for iy in 0..ny {
-                    self.scratch[iy] = data[self.index(ix, iy, iz)];
-                }
-                fft1d(&mut self.scratch[..ny], dir)?;
-                for iy in 0..ny {
-                    data[self.index(ix, iy, iz)] = self.scratch[iy];
-                }
-            }
-        }
-        // Z lines (stride nx·ny).
-        for iy in 0..ny {
-            for ix in 0..nx {
-                for iz in 0..nz {
-                    self.scratch[iz] = data[self.index(ix, iy, iz)];
-                }
-                fft1d(&mut self.scratch[..nz], dir)?;
-                for iz in 0..nz {
-                    data[self.index(ix, iy, iz)] = self.scratch[iz];
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Threaded transform body. The x and y passes are plane-local, so each
-    /// thread owns a contiguous slab of z planes; the z pass stripes the
-    /// `nx·ny` lines across threads, each gathering and transforming its
-    /// lines into a private buffer before a serial scatter.
-    ///
-    /// The mesh dimensions are powers of two by construction and `data` has
-    /// been length-checked, so the inner `fft1d` calls cannot fail.
-    fn transform_threaded(&self, data: &mut [Complex], dir: Direction) -> Result<()> {
-        let (nx, ny, nz) = (self.nx, self.ny, self.nz);
         let plane = nx * ny;
-        // X and Y passes: slab-parallel over z planes, private y scratch.
-        let planes_per = nz.div_ceil(self.threads.min(nz));
-        crossbeam::thread::scope(|s| {
-            for slab in data.chunks_mut(plane * planes_per) {
-                s.spawn(move |_| {
-                    let mut scratch = vec![Complex::ZERO; ny];
-                    for zplane in slab.chunks_mut(plane) {
-                        for iy in 0..ny {
-                            let base = iy * nx;
-                            fft1d(&mut zplane[base..base + nx], dir)
-                                .expect("x line is a power of two");
-                        }
-                        for ix in 0..nx {
-                            for iy in 0..ny {
-                                scratch[iy] = zplane[iy * nx + ix];
-                            }
-                            fft1d(&mut scratch[..ny], dir).expect("y line is a power of two");
-                            for iy in 0..ny {
-                                zplane[iy * nx + ix] = scratch[iy];
-                            }
-                        }
+        // X and Y passes are plane-local: each part owns a contiguous slab
+        // of z planes and a private buffer for the strided y lines.
+        let slabs = data.chunks_mut(plane * self.threads.stripe(nz));
+        let parts = slabs.zip(&mut self.lines);
+        fork_join(parts, &self.recorder, "fft_xy", |_, (slab, line)| {
+            for zplane in slab.chunks_mut(plane) {
+                for iy in 0..ny {
+                    let base = iy * nx;
+                    fft1d(&mut zplane[base..base + nx], dir).expect("x line is a power of two");
+                }
+                for ix in 0..nx {
+                    for iy in 0..ny {
+                        line[iy] = zplane[iy * nx + ix];
                     }
-                });
+                    fft1d(&mut line[..ny], dir).expect("y line is a power of two");
+                    for iy in 0..ny {
+                        zplane[iy * nx + ix] = line[iy];
+                    }
+                }
             }
-        })
-        .expect("fft worker panicked");
-        // Z pass: line l = iy·nx + ix sits at data[iz·plane + l]. Stripe the
-        // lines; each thread transforms its stripe into a private buffer.
-        let lines_per = plane.div_ceil(self.threads.min(plane));
-        let stripes: Vec<(usize, usize)> = (0..plane)
-            .step_by(lines_per)
-            .map(|lo| (lo, (lo + lines_per).min(plane)))
-            .collect();
-        let results: Vec<Vec<Complex>> = crossbeam::thread::scope(|s| {
-            let data = &*data;
-            let handles: Vec<_> = stripes
-                .iter()
-                .map(|&(lo, hi)| {
-                    s.spawn(move |_| {
-                        let mut buf = vec![Complex::ZERO; (hi - lo) * nz];
-                        for li in 0..hi - lo {
-                            let line = &mut buf[li * nz..(li + 1) * nz];
-                            for (iz, v) in line.iter_mut().enumerate() {
-                                *v = data[iz * plane + lo + li];
-                            }
-                            fft1d(line, dir).expect("z line is a power of two");
-                        }
-                        buf
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fft worker panicked"))
-                .collect()
-        })
-        .expect("fft worker panicked");
-        for (&(lo, hi), buf) in stripes.iter().zip(&results) {
-            for li in 0..hi - lo {
+        });
+        // Z pass: line l = iy·nx + ix sits at data[iz·plane + l], strided
+        // through every plane, so workers cannot own disjoint `&mut` pieces
+        // of `data`. That is why this site keeps a serial branch instead of
+        // running one part inline: the threaded form transforms each stripe
+        // of lines in a private buffer and scatters them back serially — a
+        // copy of the whole mesh per transform that one thread, working
+        // through its one line buffer, does not pay.
+        if self.threads.count == 1 {
+            let line = &mut self.lines[0][..nz];
+            for l in 0..plane {
+                for (iz, v) in line.iter_mut().enumerate() {
+                    *v = data[iz * plane + l];
+                }
+                fft1d(line, dir).expect("z line is a power of two");
+                for (iz, v) in line.iter().enumerate() {
+                    data[iz * plane + l] = *v;
+                }
+            }
+            return Ok(());
+        }
+        let lines_per = self.threads.stripe(plane);
+        let mesh = &*data;
+        let parts = (0..plane).step_by(lines_per).zip(&mut self.stripes);
+        fork_join(parts, &self.recorder, "fft_z", |_, (lo, buf)| {
+            for li in 0..lines_per.min(plane - lo) {
+                let line = &mut buf[li * nz..(li + 1) * nz];
+                for (iz, v) in line.iter_mut().enumerate() {
+                    *v = mesh[iz * plane + lo + li];
+                }
+                fft1d(line, dir).expect("z line is a power of two");
+            }
+        });
+        for (lo, buf) in (0..plane).step_by(lines_per).zip(&self.stripes) {
+            for li in 0..lines_per.min(plane - lo) {
                 for iz in 0..nz {
                     data[iz * plane + lo + li] = buf[li * nz + iz];
                 }

@@ -14,16 +14,13 @@ use crate::accuracy::KspaceAccuracy;
 use crate::complex::Complex;
 use crate::fft::{Direction, Fft3d};
 use md_core::force::KspaceStats;
+use md_core::threads::fork_join;
 use md_core::{CoreError, EnergyVirial, KspaceStyle, Result, SimBox, Threads, Vec3, V3};
 use md_observe::Recorder;
 
 /// Trace lane the solver reports on (shares the engine's lane so the
 /// sub-spans nest under the driver's `Kspace` span).
 const KSPACE_LANE: u32 = 0;
-
-/// First trace lane used for per-thread spans (matches the convention the
-/// threaded pair kernels use, so fork/join shapes line up across crates).
-const THREAD_LANE_BASE: u32 = 64;
 
 /// Maximum supported assignment order (matches [`crate::accuracy::MAX_ORDER`]).
 const MAX_ORDER: usize = 5;
@@ -49,12 +46,20 @@ pub struct Pppm {
     /// Scratch meshes.
     rho: Vec<Complex>,
     field: [Vec<Complex>; 3],
+    /// Per-atom scratch kept across calls: each atom's leftmost mesh index
+    /// and B-spline weights per dimension, shared by spread and interp.
+    bases: Vec<[i64; 3]>,
+    weights: Vec<[[f64; MAX_ORDER]; 3]>,
+    /// Per-z-plane energy partials of the k-space pass.
+    energy_parts: Vec<f64>,
     recorder: Recorder,
-    /// Shared-memory threading knob. Every parallel section here (charge
-    /// spread, FFT line batches, k-space field, interpolation) decomposes by
-    /// mesh slab or atom stripe with a fixed reduction order, so the result
-    /// is bitwise identical to serial at ANY thread count — the
-    /// `deterministic` flag changes nothing for this solver.
+    /// Shared-memory threading knob. Every parallel section here (B-spline
+    /// weights, charge spread, FFT line batches, k-space field,
+    /// interpolation) decomposes by mesh slab or atom stripe with a fixed
+    /// reduction order, so the result is bitwise identical to serial at ANY
+    /// thread count — the `deterministic` flag changes nothing for this
+    /// solver. Each section is one `fork_join` over one loop body; on one
+    /// thread its single part runs inline.
     threads: Threads,
 }
 
@@ -90,6 +95,9 @@ impl Pppm {
             qqr2e: 1.0,
             rho: Vec::new(),
             field: [Vec::new(), Vec::new(), Vec::new()],
+            bases: Vec::new(),
+            weights: Vec::new(),
+            energy_parts: Vec::new(),
             recorder: Recorder::disabled(),
             threads: Threads::serial(),
         }
@@ -191,6 +199,7 @@ impl KspaceStyle for Pppm {
         let (nx, ny, nz) = (self.grid[0], self.grid[1], self.grid[2]);
         let mut fft = Fft3d::new(nx, ny, nz)?;
         fft.set_threads(self.threads.count);
+        fft.set_recorder(self.recorder.clone());
         let len = fft.len();
 
         // Precompute Green's function and wavevectors.
@@ -248,6 +257,9 @@ impl KspaceStyle for Pppm {
     }
 
     fn set_recorder(&mut self, recorder: Recorder) {
+        if let Some(fft) = self.fft.as_mut() {
+            fft.set_recorder(recorder.clone());
+        }
         self.recorder = recorder;
     }
 
@@ -271,10 +283,9 @@ impl KspaceStyle for Pppm {
     }
 
     fn compute(&mut self, bx: &SimBox, x: &[V3], q: &[f64], f: &mut [V3]) -> EnergyVirial {
-        let Some(fft) = self.fft.clone() else {
+        let Some(mut fft) = self.fft.take() else {
             return EnergyVirial::default();
         };
-        let mut fft: Fft3d = fft;
         let (nx, ny, nz) = fft.dims();
         let l = bx.lengths();
         let lo = bx.lo();
@@ -284,23 +295,24 @@ impl KspaceStyle for Pppm {
         let rec = self.recorder.clone();
 
         // 1. Charge assignment ("make_rho" + "particle_map").
-        //
-        // Threaded by OWNED Z-SLAB: every worker walks all atoms but only
-        // scatters into the contiguous range of z planes it owns. Each mesh
-        // point therefore accumulates its contributions in atom order — the
-        // exact order the serial loop uses — so the mesh is bitwise
-        // identical to serial at any thread count.
         let span = rec.span(KSPACE_LANE, "kspace", "charge_assign");
         let order = self.order;
         let grid = self.grid;
         let plane = nx * ny;
-        let t_req = self.threads.count.max(1);
-        let mut bases: Vec<[i64; 3]> = vec![[0i64; 3]; n_atoms];
-        let mut weights: Vec<[[f64; MAX_ORDER]; 3]> = vec![[[0.0; MAX_ORDER]; 3]; n_atoms];
+        let stripe = self.threads.stripe(n_atoms);
+        let planes_per = self.threads.stripe(nz);
         // B-spline bases/weights are per-atom elementwise: stripe-parallel.
-        let eval = |lo_i: usize, bs: &mut [[i64; 3]], ws: &mut [[[f64; MAX_ORDER]; 3]]| {
+        // Every entry is overwritten, so the resize is a no-op in steady
+        // state.
+        self.bases.resize(n_atoms, [0; 3]);
+        self.weights.resize(n_atoms, [[0.0; MAX_ORDER]; 3]);
+        let parts = self
+            .bases
+            .chunks_mut(stripe)
+            .zip(self.weights.chunks_mut(stripe));
+        fork_join(parts, &rec, "pppm_bspline", |k, (bs, ws)| {
             for (di, (b3, w3)) in bs.iter_mut().zip(ws.iter_mut()).enumerate() {
-                let xi = x[lo_i + di];
+                let xi = x[k * stripe + di];
                 for d in 0..3 {
                     let frac = ((xi[d] - lo[d]) / l[d]).rem_euclid(1.0);
                     let (b, w) = bspline_row(order, frac * grid[d] as f64);
@@ -308,25 +320,17 @@ impl KspaceStyle for Pppm {
                     w3[d] = w;
                 }
             }
-        };
-        let t = t_req.min(n_atoms.max(1));
-        if t > 1 {
-            let stripe = n_atoms.div_ceil(t);
-            crossbeam::thread::scope(|s| {
-                for (k, (bs, ws)) in bases
-                    .chunks_mut(stripe)
-                    .zip(weights.chunks_mut(stripe))
-                    .enumerate()
-                {
-                    let eval = &eval;
-                    s.spawn(move |_| eval(k * stripe, bs, ws));
-                }
-            })
-            .expect("pppm worker panicked");
-        } else {
-            eval(0, &mut bases, &mut weights);
-        }
-        let spread = |z_lo: usize, z_hi: usize, slab: &mut [Complex]| {
+        });
+        let (bases, weights) = (&self.bases, &self.weights);
+        // Threaded by OWNED Z-SLAB: every worker walks all atoms but only
+        // scatters into the contiguous range of z planes it owns. Each mesh
+        // point therefore accumulates its contributions in atom order — the
+        // exact order one thread owning every plane uses — so the mesh is
+        // bitwise identical to serial at any thread count.
+        let slabs = self.rho.chunks_mut(plane * planes_per);
+        fork_join(slabs, &rec, "pppm_spread", |k, slab| {
+            let z_lo = k * planes_per;
+            let z_hi = (z_lo + planes_per).min(nz);
             for z in slab.iter_mut() {
                 *z = Complex::ZERO;
             }
@@ -348,26 +352,7 @@ impl KspaceStyle for Pppm {
                     }
                 }
             }
-        };
-        let t = t_req.min(nz);
-        if t > 1 {
-            let planes_per = nz.div_ceil(t);
-            crossbeam::thread::scope(|s| {
-                for (k, slab) in self.rho.chunks_mut(plane * planes_per).enumerate() {
-                    let spread = &spread;
-                    let rec = &rec;
-                    s.spawn(move |_| {
-                        let _guard = rec.span(THREAD_LANE_BASE + k as u32, "thread", "pppm_spread");
-                        let z_lo = k * planes_per;
-                        spread(z_lo, (z_lo + planes_per).min(nz), slab);
-                    });
-                }
-            })
-            .expect("pppm worker panicked");
-        } else {
-            spread(0, nz, &mut self.rho);
-        }
-
+        });
         drop(span);
 
         // 2. Forward FFT.
@@ -387,12 +372,17 @@ impl KspaceStyle for Pppm {
         let green = &self.green;
         let kvec = &self.kvec;
         let rho = &self.rho;
-        let mut energy_parts = vec![0.0f64; nz];
-        let field_pass = |z_lo: usize,
-                          f0: &mut [Complex],
-                          f1: &mut [Complex],
-                          f2: &mut [Complex],
-                          eparts: &mut [f64]| {
+        self.energy_parts.clear();
+        self.energy_parts.resize(nz, 0.0);
+        let [fx, fy, fz] = &mut self.field;
+        let slab = plane * planes_per;
+        let parts = fx
+            .chunks_mut(slab)
+            .zip(fy.chunks_mut(slab))
+            .zip(fz.chunks_mut(slab))
+            .zip(self.energy_parts.chunks_mut(planes_per));
+        fork_join(parts, &rec, "pppm_field", |k, (((f0, f1), f2), eparts)| {
+            let z_lo = k * planes_per;
             for (p, ep) in eparts.iter_mut().enumerate() {
                 for j in 0..plane {
                     let idx = (z_lo + p) * plane + j;
@@ -408,36 +398,14 @@ impl KspaceStyle for Pppm {
                     *ep += g * r.norm2();
                     // F̂_d = -i k_d A B ρ̂.
                     let minus_i_rho = Complex::new(r.im, -r.re); // -i * rho
-                    let k = kvec[idx];
-                    f0[li] = minus_i_rho.scale(g * k.x);
-                    f1[li] = minus_i_rho.scale(g * k.y);
-                    f2[li] = minus_i_rho.scale(g * k.z);
+                    let kv = kvec[idx];
+                    f0[li] = minus_i_rho.scale(g * kv.x);
+                    f1[li] = minus_i_rho.scale(g * kv.y);
+                    f2[li] = minus_i_rho.scale(g * kv.z);
                 }
             }
-        };
-        let [fx, fy, fz] = &mut self.field;
-        let t = t_req.min(nz);
-        if t > 1 {
-            let planes_per = nz.div_ceil(t);
-            let slab = plane * planes_per;
-            crossbeam::thread::scope(|s| {
-                for (k, (((c0, c1), c2), ep)) in fx
-                    .chunks_mut(slab)
-                    .zip(fy.chunks_mut(slab))
-                    .zip(fz.chunks_mut(slab))
-                    .zip(energy_parts.chunks_mut(planes_per))
-                    .enumerate()
-                {
-                    let field_pass = &field_pass;
-                    s.spawn(move |_| field_pass(k * planes_per, c0, c1, c2, ep));
-                }
-            })
-            .expect("pppm worker panicked");
-        } else {
-            field_pass(0, fx, fy, fz, &mut energy_parts);
-        }
-        let energy: f64 = energy_parts.iter().sum();
-
+        });
+        let energy: f64 = self.energy_parts.iter().sum();
         drop(span);
 
         // 4. Three inverse FFTs (un-normalized: multiply back by mesh size).
@@ -454,9 +422,9 @@ impl KspaceStyle for Pppm {
         let span = rec.span(KSPACE_LANE, "kspace", "field_interp");
         let force_pref = self.qqr2e * 4.0 * std::f64::consts::PI / volume * scale_back;
         let field = &self.field;
-        let interp = |lo_i: usize, fs: &mut [V3]| {
+        fork_join(f.chunks_mut(stripe), &rec, "pppm_interp", |k, fs| {
             for (di, fi) in fs.iter_mut().enumerate() {
-                let i = lo_i + di;
+                let i = k * stripe + di;
                 let base = bases[i];
                 let w3 = &weights[i];
                 let mut e_at = Vec3::zero();
@@ -477,24 +445,7 @@ impl KspaceStyle for Pppm {
                 }
                 *fi += e_at * (force_pref * q[i]);
             }
-        };
-        let t = t_req.min(n_atoms.max(1));
-        if t > 1 {
-            let stripe = n_atoms.div_ceil(t);
-            crossbeam::thread::scope(|s| {
-                for (k, fs) in f.chunks_mut(stripe).enumerate() {
-                    let interp = &interp;
-                    let rec = &rec;
-                    s.spawn(move |_| {
-                        let _guard = rec.span(THREAD_LANE_BASE + k as u32, "thread", "pppm_interp");
-                        interp(k * stripe, fs);
-                    });
-                }
-            })
-            .expect("pppm worker panicked");
-        } else {
-            interp(0, f);
-        }
+        });
         drop(span);
         self.fft = Some(fft);
 
@@ -526,6 +477,7 @@ impl KspaceStyle for Pppm {
 mod tests {
     use super::*;
     use crate::ewald::Ewald;
+    use md_core::threads::THREAD_LANE_BASE;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 

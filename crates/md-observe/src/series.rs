@@ -71,7 +71,10 @@ impl StepSeries {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "step series needs capacity >= 1");
         StepSeries {
-            buf: Vec::with_capacity(capacity.min(4096)),
+            // Grows on push: a disabled recorder — every neighbor list, FFT
+            // plan and solver holds one until a real one is attached — must
+            // cost no 450 KB buffer it will never fill.
+            buf: Vec::new(),
             capacity,
             head: 0,
             pushed: 0,

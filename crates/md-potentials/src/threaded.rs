@@ -41,17 +41,12 @@
 //! ```
 
 use md_core::neighbor::{NeighborList, NeighborListKind};
+use md_core::threads::fork_join;
 use md_core::{
     CoreError, EnergyVirial, LaneAccum, PairStyle, PairSystem, PrecisionMode, Threads, Vec3, V3,
 };
 use md_observe::Recorder;
 use std::ops::Range;
-use std::time::Instant;
-
-/// First trace lane for per-thread worker spans ("thread 0", "thread 1", …).
-/// The engine owns lane 0 and the virtual-cluster ranks own lanes `1..`, so
-/// worker lanes start well above both.
-const THREAD_LANE_BASE: u32 = 64;
 
 /// A pair style executed by a team of threads over private chunk buffers.
 ///
@@ -211,55 +206,19 @@ fn refill<T: Clone>(buf: &mut Vec<T>, len: usize, zero: T) {
     buf.resize(len, zero);
 }
 
-/// Deals `jobs` to `t` workers in contiguous blocks and runs `body` on each
-/// job — inline when one worker suffices, on scoped threads otherwise. Each
-/// worker's wall time is recorded as a `name` span on its own trace lane.
-/// Which worker runs which job never affects results: jobs only touch their
-/// own state, and callers reduce job outputs in job order afterwards.
-fn run_jobs<J: Send>(
-    jobs: &mut [J],
-    t: usize,
-    recorder: &Recorder,
-    name: &'static str,
-    body: impl Fn(&mut J) + Send + Sync,
-) {
-    if t <= 1 || jobs.len() <= 1 {
-        for job in jobs.iter_mut() {
-            body(job);
-        }
-        return;
-    }
-    let per_thread = jobs.len().div_ceil(t);
-    crossbeam::thread::scope(|scope| {
-        for (k, jobs_k) in jobs.chunks_mut(per_thread).enumerate() {
-            let body = &body;
-            scope.spawn(move |_| {
-                let t0 = Instant::now();
-                for job in jobs_k.iter_mut() {
-                    body(job);
-                }
-                recorder.record_span(
-                    THREAD_LANE_BASE + k as u32,
-                    "thread",
-                    name,
-                    t0,
-                    t0.elapsed().as_secs_f64(),
-                );
-            });
-        }
-    })
-    .expect("threaded pair worker panicked");
-}
-
 impl ChunkTeam {
-    /// The chunk row ranges over `0..n` and the worker count to run them on;
-    /// makes sure every chunk has its private buffers.
+    /// The chunk row ranges over `0..n` and how many consecutive chunks each
+    /// worker takes (`jobs.chunks_mut(deal)` is the parts of a fork); makes
+    /// sure every chunk has its private buffers. Which worker runs which
+    /// chunk never affects results: a chunk job only touches its own state,
+    /// and callers reduce job outputs in job order afterwards.
     fn split(&mut self, n: usize) -> (Vec<Range<usize>>, usize) {
         let bounds = chunk_bounds(n, self.threads.chunks().min(n));
         if self.bufs.len() < bounds.len() {
             self.bufs.resize_with(bounds.len(), ChunkBuf::default);
         }
-        (bounds, self.threads.count.min(n).max(1))
+        let deal = self.threads.stripe(bounds.len());
+        (bounds, deal)
     }
 
     /// The whole decomposition of a purely pairwise style over `n` atoms:
@@ -270,14 +229,14 @@ impl ChunkTeam {
         &mut self,
         n: usize,
         f: &mut [V3],
-        kernel: impl Fn(Range<usize>, &mut ChunkBuf) -> EnergyVirial + Send + Sync,
+        kernel: impl Fn(Range<usize>, &mut ChunkBuf) -> EnergyVirial + Sync,
     ) -> EnergyVirial {
         struct Job<'a> {
             rows: Range<usize>,
             buf: &'a mut ChunkBuf,
             energy: EnergyVirial,
         }
-        let (bounds, t) = self.split(n);
+        let (bounds, deal) = self.split(n);
         let mut jobs: Vec<Job<'_>> = bounds
             .into_iter()
             .zip(&mut self.bufs)
@@ -287,10 +246,12 @@ impl ChunkTeam {
                 energy: EnergyVirial::default(),
             })
             .collect();
-        run_jobs(&mut jobs, t, &self.recorder, "pair", |job| {
-            refill(&mut job.buf.f, n, Vec3::zero());
-            if !job.rows.is_empty() {
-                job.energy = kernel(job.rows.clone(), job.buf);
+        fork_join(jobs.chunks_mut(deal), &self.recorder, "pair", |_, jobs| {
+            for job in jobs {
+                refill(&mut job.buf.f, n, Vec3::zero());
+                if !job.rows.is_empty() {
+                    job.energy = kernel(job.rows.clone(), job.buf);
+                }
             }
         });
         let mut total = EnergyVirial::default();
@@ -334,7 +295,7 @@ impl Threadable for crate::SuttonChenEam {
         let mut dembed = std::mem::take(&mut self.dembed);
         let style = &*self;
         let n = sys.x.len();
-        let (bounds, t) = team.split(n);
+        let (bounds, deal) = team.split(n);
         let recorder = &team.recorder;
         // Lane-kernel scatter buffers carry one extra ghost slot.
         let spare = usize::from(use_lanes);
@@ -355,15 +316,22 @@ impl Threadable for crate::SuttonChenEam {
                 e_pair: 0.0,
             })
             .collect();
-        run_jobs(&mut djobs, t, recorder, "eam_density", |job| {
-            refill(job.rho, n + spare, 0.0);
-            let rows = job.rows.clone();
-            job.e_pair = if use_lanes {
-                style.density_chunk_lanes(sys, nl, rows, job.rho, &style.gather)
-            } else {
-                style.density_chunk(sys, nl, rows, job.rho)
-            };
-        });
+        fork_join(
+            djobs.chunks_mut(deal),
+            recorder,
+            "eam_density",
+            |_, jobs| {
+                for job in jobs {
+                    refill(job.rho, n + spare, 0.0);
+                    let rows = job.rows.clone();
+                    job.e_pair = if use_lanes {
+                        style.density_chunk_lanes(sys, nl, rows, job.rho, &style.gather)
+                    } else {
+                        style.density_chunk(sys, nl, rows, job.rho)
+                    };
+                }
+            },
+        );
         refill(&mut rho, n, 0.0);
         let mut e_pair = 0.0;
         for job in &djobs {
@@ -397,8 +365,10 @@ impl Threadable for crate::SuttonChenEam {
                 });
             }
             let rho_ref: &[f64] = &rho;
-            run_jobs(&mut ejobs, t, recorder, "eam_embed", |job| {
-                job.e_embed = style.embed_slice(&rho_ref[job.rows.clone()], job.dembed);
+            fork_join(ejobs.chunks_mut(deal), recorder, "eam_embed", |_, jobs| {
+                for job in jobs {
+                    job.e_embed = style.embed_slice(&rho_ref[job.rows.clone()], job.dembed);
+                }
             });
             for job in &ejobs {
                 e_embed += job.e_embed;
@@ -421,16 +391,19 @@ impl Threadable for crate::SuttonChenEam {
             })
             .collect();
         let dembed_ref: &[f64] = &dembed;
-        run_jobs(&mut fjobs, t, recorder, "eam_force", |job| {
-            let ChunkBuf { f: buf, acc, .. } = &mut *job.buf;
-            refill(buf, n, Vec3::zero());
-            let rows = job.rows.clone();
-            if use_lanes {
-                acc.reset(n);
-                job.virial = style.force_chunk_lanes(sys, nl, rows, dembed_ref, &style.gather, acc);
-                acc.fold_into(buf);
-            } else {
-                job.virial = style.force_chunk(sys, nl, rows, dembed_ref, buf);
+        fork_join(fjobs.chunks_mut(deal), recorder, "eam_force", |_, jobs| {
+            for job in jobs {
+                let ChunkBuf { f: buf, acc, .. } = &mut *job.buf;
+                refill(buf, n, Vec3::zero());
+                let rows = job.rows.clone();
+                if use_lanes {
+                    acc.reset(n);
+                    job.virial =
+                        style.force_chunk_lanes(sys, nl, rows, dembed_ref, &style.gather, acc);
+                    acc.fold_into(buf);
+                } else {
+                    job.virial = style.force_chunk(sys, nl, rows, dembed_ref, buf);
+                }
             }
         });
         let mut virial = 0.0;
@@ -498,12 +471,6 @@ impl<P: Threadable> PairStyle for Threaded<P> {
     }
 
     fn set_recorder(&mut self, recorder: Recorder) {
-        let count = self.team.threads.count;
-        if recorder.is_enabled() && count > 1 {
-            for k in 0..count {
-                recorder.set_lane_name(THREAD_LANE_BASE + k as u32, format!("thread {k}"));
-            }
-        }
         self.team.recorder = recorder;
     }
 

@@ -67,7 +67,7 @@ pub fn positions(scale: usize, seed: u64) -> (SimBox, Vec<V3>) {
 ///
 /// Propagates engine construction failures.
 pub fn build(scale: usize, seed: u64) -> Result<Simulation> {
-    build_with(scale, seed, Threads::from_env())
+    build_with(scale, seed, Threads::from_env()?)
 }
 
 /// Builds the runnable deck with an explicit threading knob. The granular
@@ -79,7 +79,7 @@ pub fn build(scale: usize, seed: u64) -> Result<Simulation> {
 ///
 /// Propagates engine construction failures.
 pub fn build_with(scale: usize, seed: u64, threads: Threads) -> Result<Simulation> {
-    build_tuned(scale, seed, crate::DeckTuning::with_threads(threads))
+    build_tuned(scale, seed, crate::DeckTuning::with_threads(threads)?)
 }
 
 /// Builds the runnable deck with the full in-core tuning knob set. The

@@ -52,7 +52,10 @@ use md_potentials::{Threadable, Threaded};
 /// knobs from the environment (`MD_KERNEL`, `MD_SORT_EVERY`) so existing
 /// thread-only call sites pick them up transparently;
 /// [`SimulationBuilder`](md_core::SimulationBuilder) downgrades both to the
-/// scalar/no-sort reference under deterministic mode.
+/// scalar/no-sort reference under deterministic mode. A variable that is set
+/// to something unreadable is an error naming it, never a silent default —
+/// so every builder that reads the environment ([`build_deck`],
+/// [`build_deck_with`], the per-deck `build`/`build_with`) returns it.
 #[derive(Debug, Clone, Copy)]
 pub struct DeckTuning {
     /// Shared-memory thread team.
@@ -65,18 +68,28 @@ pub struct DeckTuning {
 
 impl DeckTuning {
     /// Explicit threads; kernel path and sort cadence from the environment.
-    pub fn with_threads(threads: Threads) -> Self {
-        DeckTuning {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] naming `MD_KERNEL` or
+    /// `MD_SORT_EVERY` if it is set to something unreadable.
+    pub fn with_threads(threads: Threads) -> Result<Self> {
+        Ok(DeckTuning {
             threads,
-            kernel: KernelPath::from_env(),
-            sort_every: md_core::sort::sort_every_from_env(),
-        }
+            kernel: KernelPath::from_env()?,
+            sort_every: md_core::sort::sort_every_from_env()?,
+        })
     }
 
     /// Everything from the environment (`MD_THREADS`, `MD_DETERMINISTIC`,
     /// `MD_KERNEL`, `MD_SORT_EVERY`).
-    pub fn from_env() -> Self {
-        Self::with_threads(Threads::from_env())
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::InvalidParameter`] naming the first of the four
+    /// that is set to something unreadable.
+    pub fn from_env() -> Result<Self> {
+        Self::with_threads(Threads::from_env()?)
     }
 
     /// Replaces the kernel path.
@@ -232,7 +245,7 @@ impl std::fmt::Debug for Deck {
 ///
 /// Returns an error if `scale` is outside 1..=4 or construction fails.
 pub fn build_deck(benchmark: Benchmark, scale: usize, seed: u64) -> Result<Deck> {
-    build_deck_with(benchmark, scale, seed, Threads::from_env())
+    build_deck_with(benchmark, scale, seed, Threads::from_env()?)
 }
 
 /// Builds a runnable deck with an explicit shared-memory threading knob.
@@ -250,7 +263,7 @@ pub fn build_deck_with(
     seed: u64,
     threads: Threads,
 ) -> Result<Deck> {
-    build_deck_tuned(benchmark, scale, seed, DeckTuning::with_threads(threads))
+    build_deck_tuned(benchmark, scale, seed, DeckTuning::with_threads(threads)?)
 }
 
 /// Builds a runnable deck with the full in-core tuning knob set: threads,

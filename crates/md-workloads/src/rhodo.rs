@@ -185,7 +185,7 @@ pub fn positions(scale: usize, seed: u64) -> (SimBox, Vec<V3>) {
 ///
 /// Propagates engine construction failures.
 pub fn build(scale: usize, seed: u64) -> Result<Simulation> {
-    build_with(scale, seed, Threads::from_env())
+    build_with(scale, seed, Threads::from_env()?)
 }
 
 /// Builds the runnable deck with an explicit threading knob (CHARMM pair
@@ -199,7 +199,7 @@ pub fn build_with(scale: usize, seed: u64, threads: Threads) -> Result<Simulatio
         scale,
         seed,
         KSPACE_ERROR,
-        crate::DeckTuning::with_threads(threads),
+        crate::DeckTuning::with_threads(threads)?,
     )
 }
 
@@ -219,7 +219,7 @@ pub fn build_tuned(scale: usize, seed: u64, tuning: crate::DeckTuning) -> Result
 ///
 /// Propagates engine construction failures.
 pub fn build_with_error(scale: usize, seed: u64, kspace_error: f64) -> Result<Simulation> {
-    build_full(scale, seed, kspace_error, crate::DeckTuning::from_env())
+    build_full(scale, seed, kspace_error, crate::DeckTuning::from_env()?)
 }
 
 fn build_full(

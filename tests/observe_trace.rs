@@ -4,10 +4,11 @@
 //! virtual rank, per-lane monotonic span timestamps, and every task category
 //! of the LAMMPS taxonomy represented.
 
-use md_core::TaskKind;
+use md_core::threads::THREAD_LANE_BASE;
+use md_core::{TaskKind, Threads};
 use md_observe::{chrome_trace_json, metrics_jsonl, text_report, Json, ObserveConfig, Recorder};
 use md_parallel::{LinkModel, VirtualCluster};
-use md_workloads::{build_deck, Benchmark};
+use md_workloads::{build_deck, build_deck_with, Benchmark};
 use std::collections::{BTreeMap, BTreeSet};
 
 const STEPS: u64 = 5;
@@ -128,4 +129,79 @@ fn metrics_jsonl_and_report_cover_the_run() {
     let report = text_report(&rec);
     assert!(report.contains("Pair"), "report lists tasks:\n{report}");
     assert!(report.contains("p99"), "report has percentiles:\n{report}");
+}
+
+/// The `(name, lane)` pairs of the `thread`-category spans recorded so far.
+fn thread_spans(rec: &Recorder) -> BTreeSet<(&'static str, u32)> {
+    rec.events()
+        .iter()
+        .filter(|e| e.cat == "thread")
+        .map(|e| (e.name, e.lane))
+        .collect()
+}
+
+#[test]
+fn every_fork_of_a_threaded_step_shows_on_both_thread_lanes() {
+    let rec = Recorder::default();
+    let mut deck =
+        build_deck_with(Benchmark::Rhodo, 1, 7, Threads::fast(2)).expect("rhodo deck builds");
+    let sim = &mut deck.simulation;
+    sim.set_recorder(rec.clone());
+    let lanes = [THREAD_LANE_BASE, THREAD_LANE_BASE + 1];
+    let names = rec.snapshot().lanes;
+    assert_eq!(names.get(&lanes[0]).map(String::as_str), Some("thread 0"));
+    assert_eq!(names.get(&lanes[1]).map(String::as_str), Some("thread 1"));
+
+    // Any step: the pair kernel, the four PPPM phases and both FFT passes.
+    sim.step().expect("one rhodo step");
+    let seen = thread_spans(&rec);
+    for name in [
+        "pair",
+        "pppm_bspline",
+        "pppm_spread",
+        "pppm_field",
+        "pppm_interp",
+        "fft_xy",
+        "fft_z",
+    ] {
+        for lane in lanes {
+            assert!(
+                seen.contains(&(name, lane)),
+                "no {name} span on lane {lane}: {seen:?}"
+            );
+        }
+    }
+    assert!(
+        seen.iter().all(|(_, lane)| lanes.contains(lane)),
+        "{seen:?}"
+    );
+
+    // A rebuild step adds the neighbor build.
+    let builds = |sim: &md_core::Simulation| sim.neighbor_list().expect("pair deck").stats().builds;
+    let built = builds(sim);
+    for _ in 0..60 {
+        if builds(sim) > built {
+            break;
+        }
+        sim.step().expect("rhodo step");
+    }
+    assert!(builds(sim) > built, "no rebuild in 60 rhodo steps");
+    let seen = thread_spans(&rec);
+    for lane in lanes {
+        assert!(
+            seen.contains(&("neigh_build", lane)),
+            "no neigh_build on lane {lane}"
+        );
+    }
+}
+
+#[test]
+fn a_serial_step_records_no_thread_spans() {
+    let rec = Recorder::default();
+    let mut deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::serial()).expect("lj deck builds");
+    deck.simulation.set_recorder(rec.clone());
+    deck.simulation.run(STEPS).expect("short run");
+    assert!(rec.event_count() > 0, "the run was traced");
+    assert_eq!(thread_spans(&rec), BTreeSet::new());
+    assert!(!rec.snapshot().lanes.contains_key(&THREAD_LANE_BASE));
 }
