@@ -83,6 +83,25 @@ impl FromStr for KernelPath {
     }
 }
 
+/// The widest vector ISA this build was compiled for (`cfg!`, so a fact of
+/// the binary, not of the host): what the compiler could aim the lane blocks
+/// at. Banners print it so a lanes-vs-scalar ratio reads next to its build.
+pub fn target_features() -> &'static str {
+    if cfg!(target_feature = "avx512f") {
+        "avx512f"
+    } else if cfg!(all(target_feature = "avx2", target_feature = "fma")) {
+        "avx2,fma"
+    } else if cfg!(target_feature = "avx2") {
+        "avx2"
+    } else if cfg!(target_feature = "neon") {
+        "neon"
+    } else if cfg!(target_feature = "sse2") {
+        "sse2"
+    } else {
+        "none"
+    }
+}
+
 /// Mask as arithmetic: `1.0` when the lane is live, `0.0` when masked.
 /// Multiplying a lane's force/energy contribution by this is the branch-free
 /// replacement for `if r2 >= cut2 { continue; }`.

@@ -430,8 +430,8 @@ impl Simulation {
     /// neighbor list through the requested kernel path, without touching the
     /// simulation's own force/energy state. Both paths can thus be probed on
     /// the exact same configuration — the basis of the lanes-vs-scalar
-    /// agreement tests and of `bench_kernels` (probing sidesteps chaotic
-    /// trajectory divergence, which would swamp per-step kernel error).
+    /// agreement tests and of every lanes-vs-scalar timing (probing sidesteps
+    /// chaotic trajectory divergence, which would swamp per-step kernel error).
     ///
     /// Probing [`KernelPath::Lanes`] enables neighbor-row padding on demand;
     /// the rows then stay padded across subsequent rebuilds.

@@ -101,9 +101,12 @@ fn main() {
     header.extend(TaskKind::ALL.iter().map(|t| format!("{t} %")));
     let mut table = TextTable::new(header);
 
-    if tuning.threads.active() {
-        eprintln!("[profile] hot kernels on {}", tuning.threads);
-    }
+    eprintln!(
+        "[profile] hot kernels on {}, {} kernel, target features {}",
+        tuning.threads,
+        tuning.kernel,
+        md_core::kernel::target_features()
+    );
     for bench in Benchmark::ALL {
         eprint!("[profile] {bench}: building ... ");
         let mut deck = match build_deck_tuned(bench, 1, 2022, tuning) {

@@ -25,10 +25,10 @@
 //! with padded neighbor rows; `--sort-every N` Morton-reorders the atoms at
 //! the first neighbor rebuild at or after every N steps. Defaults come from
 //! `MD_KERNEL` / `MD_SORT_EVERY`; `--deterministic` forces the scalar path
-//! and disables sorting (the bitwise reference contract). When the lanes
-//! path is active and a `BENCH_kernels.json` measurement exists next to the
-//! baselines dir, the modeled cluster's CPU ns/pair is recalibrated by the
-//! measured speedup.
+//! and disables sorting (the bitwise reference contract). A deck that ran
+//! the lanes path times both kernels on itself after the last step (three
+//! interleaved pair probes, minimum per path) and prints the two times; the
+//! modeled cluster's CPU ns/pair is recalibrated by that lanes/scalar ratio.
 //!
 //! ## Resilience
 //!
@@ -80,10 +80,8 @@
 //! flamegraph tooling). Modeled per-task step costs are compared against
 //! `--baselines DIR` (default `baselines/`) per deck; `--update-baselines`
 //! folds this run into the stored baseline (refused under fault injection,
-//! which would poison it) and appends one provenance-tagged entry to the
-//! cross-run trend history `<baselines>/<deck>.history.jsonl`. The process
-//! exits 3 when a perf regression is detected (4 when a rank crash is
-//! unrecoverable), so CI can gate on it.
+//! which would poison it). The process exits 3 when a perf regression is
+//! detected (4 when a rank crash is unrecoverable), so CI can gate on it.
 //!
 //! `--gpu-insight` additionally runs the traced GPU-instance model on the
 //! same deck: every modeled device gets its own trace lane (kernels and
@@ -315,7 +313,7 @@ fn main() {
         || !args.faults.crashes().is_empty();
 
     println!(
-        "running {} at scale {} ({} atoms), {} steps, {}, {} kernel{}",
+        "running {} at scale {} ({} atoms), {} steps, {}, {} kernel{}, target features {}",
         args.benchmark,
         args.scale,
         deck.simulation.atoms().len(),
@@ -326,7 +324,8 @@ fn main() {
             format!(", sort every {}", args.sort_every)
         } else {
             String::new()
-        }
+        },
+        md_core::kernel::target_features()
     );
     let mut dump = args
         .dump
@@ -476,10 +475,26 @@ fn main() {
         }
     }
 
+    // The model's ns/pair table was tuned against the scalar kernels, so a
+    // deck that ran the lanes path measures on itself what that path costs
+    // relative to scalar; the modeled cluster below runs at that rate.
+    let pair_rate_scale = insight::probe_lanes_vs_scalar(&mut deck)
+        .unwrap_or_else(|e| fail(format!("pair probe failed: {e}")))
+        .map(|(scalar, lanes)| {
+            println!(
+                "pair probe on this deck: scalar {:.2} ms, lanes {:.2} ms per evaluation \
+                 (lanes/scalar {:.3})",
+                scalar * 1e3,
+                lanes * 1e3,
+                lanes / scalar
+            );
+            lanes / scalar
+        });
+
     // The modeled 8-rank cluster runs when cluster faults need replaying
     // and/or the insight analyzer needs per-rank stats.
     let model_run = if args.faults.has_cluster_faults() || args.insight.is_some() {
-        match run_model_cluster(&args, &recorder) {
+        match run_model_cluster(&args, &recorder, pair_rate_scale) {
             Ok(run) => Some(run),
             Err(e) => fail(format!("modeled cluster run failed: {e}")),
         }
@@ -535,16 +550,6 @@ fn main() {
                 args.baselines
                     .join(format!("{}.json", args.benchmark))
                     .display()
-            );
-            let deck_name = args.benchmark.to_string();
-            if let Err(e) =
-                insight::append_trend(&args.baselines, &deck_name, &obs, args.threads.count)
-            {
-                fail(format!("cannot append trend entry: {e}"));
-            }
-            println!(
-                "appended trend entry to {}",
-                md_insight::trend::history_path(&args.baselines, &deck_name).display()
             );
         }
     }
@@ -611,20 +616,6 @@ fn write_shrink_reports(path: &std::path::Path, shrinks: &[ShrinkReport]) -> std
     std::fs::write(path, buf)
 }
 
-/// Pulls the `"lj_speedup"` measurement out of a `BENCH_kernels.json`
-/// written by `cargo bench -p md-bench --bench bench_kernels` (hand-rolled
-/// scan — the file is machine-written, flat, and tiny).
-fn read_kernel_speedup(path: &std::path::Path) -> Option<f64> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let key = "\"lj_speedup\":";
-    let at = text.find(key)? + key.len();
-    let rest = text[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 /// Simulated-window length of the traced GPU-instance model (fixed so the
 /// device-lane trace and per-device shares are deck-reproducible).
 const GPU_MODEL_SIM_STEPS: u64 = 40;
@@ -672,8 +663,14 @@ const MODEL_SIM_STEPS: u64 = 60;
 /// mechanism), halo faults cost extra link transfers. Per-rank lanes land
 /// in `--trace` output, injections surface as `fault_*` counters, and
 /// per-rank ledgers plus critical-path records feed the insight analyzer.
-/// Returns the result and the modeled step count its ledgers are scaled to.
-fn run_model_cluster(args: &Args, recorder: &Recorder) -> md_core::Result<(CpuRunResult, u64)> {
+/// `pair_rate_scale` is this run's measured lanes/scalar pair-kernel ratio
+/// (`None` on the scalar path: the calibration table stands). Returns the
+/// result and the modeled step count its ledgers are scaled to.
+fn run_model_cluster(
+    args: &Args,
+    recorder: &Recorder,
+    pair_rate_scale: Option<f64>,
+) -> md_core::Result<(CpuRunResult, u64)> {
     // Cover the whole fault schedule plus slack so skew is visible
     // downstream, but never less than the fixed baseline window.
     let horizon = args
@@ -685,17 +682,9 @@ fn run_model_cluster(args: &Args, recorder: &Recorder) -> md_core::Result<(CpuRu
     let profile = WorkloadProfile::measure(args.benchmark, 20, 1)?;
     let (bx, x) = build_positions(args.benchmark, 1, DECK_SEED)?;
     let mut model = CpuModel::new();
-    // The ns/pair calibration table was tuned against the scalar kernels;
-    // when this run used the lanes path and a bench_kernels measurement is
-    // on disk, fold the measured speedup into the modeled pair rate.
-    if args.kernel.is_lanes() {
-        if let Some(speedup) = read_kernel_speedup(std::path::Path::new("BENCH_kernels.json")) {
-            model.recalibrate_pair_rate(1.0 / speedup);
-            println!(
-                "  pair rate recalibrated by measured lanes speedup {speedup:.2}x \
-                 (BENCH_kernels.json)"
-            );
-        }
+    if let Some(scale) = pair_rate_scale {
+        model.recalibrate_pair_rate(scale);
+        println!("  pair rate recalibrated by this run's lanes/scalar ratio {scale:.3}");
     }
     model.set_recorder(recorder.clone());
     if args.faults.has_cluster_faults() {

@@ -6,16 +6,17 @@
 
 use std::collections::BTreeMap;
 use std::path::Path;
+use std::time::Instant;
 
-use md_core::TaskKind;
+use md_core::{KernelPath, TaskKind};
 use md_insight::{
     folded_stacks, openmetrics, Baseline, Breakdown, CriticalPathSummary, DeviceCriticalPath,
     GpuAttribution, ImbalanceReport, InsightReport, MpiTable, RegressionConfig, RepartitionSummary,
-    TrendEntry,
 };
 use md_model::gpu::GpuTimeline;
 use md_model::CpuRunResult;
 use md_observe::Recorder;
+use md_workloads::{Benchmark, Deck};
 
 /// Builds the per-metric observations fed to the regression comparator:
 /// modeled per-step cost of every task that does per-step work, plus the
@@ -101,30 +102,37 @@ pub fn check_regression(
     Ok(regressed)
 }
 
-/// Appends the run's observations to the per-deck trend history
-/// (`baselines_dir/<deck>.history.jsonl`). Provenance comes from the
-/// environment: `MD_COMMIT` (falling back to `GITHUB_SHA`) and `MD_HOST`
-/// (falling back to `HOSTNAME`), each `unknown` when unset — so CI tags
-/// entries without the harness shelling out to git.
-pub fn append_trend(
-    baselines_dir: &Path,
-    deck: &str,
-    obs: &BTreeMap<String, f64>,
-    threads: usize,
-) -> Result<(), String> {
-    let var = |names: &[&str]| {
-        names
-            .iter()
-            .find_map(|n| std::env::var(n).ok().filter(|v| !v.is_empty()))
-            .unwrap_or_else(|| "unknown".to_string())
-    };
-    let entry = TrendEntry {
-        commit: var(&["MD_COMMIT", "GITHUB_SHA"]),
-        host: var(&["MD_HOST", "HOSTNAME"]),
-        threads,
-        metrics: obs.clone(),
-    };
-    md_insight::trend::append_entry(baselines_dir, deck, &entry)
+/// Seconds per pair-force evaluation through the scalar and through the
+/// lanes kernel, `(scalar, lanes)`, on the deck in hand: the minimum of
+/// three interleaved [`md_core::Simulation::pair_probe`] timings per path,
+/// on the current positions and neighbor list. `lanes / scalar` is the
+/// multiplier [`md_model::CpuModel::recalibrate_pair_rate`] takes, because
+/// the model's ns/pair table was tuned against the scalar kernels. `None`
+/// when the deck runs the scalar kernel: nothing to recalibrate. Probing
+/// leaves the simulation's forces, energies and trajectory untouched.
+///
+/// # Errors
+///
+/// Propagates `pair_probe`'s error (no pair style).
+pub fn probe_lanes_vs_scalar(deck: &mut Deck) -> md_core::Result<Option<(f64, f64)>> {
+    // Chute's granular style has no lanes kernel, whatever was asked for,
+    // and every evaluation advances its contact history.
+    if !deck.simulation.kernel_path().is_lanes() || deck.benchmark == Benchmark::Chute {
+        return Ok(None);
+    }
+    let sim = &mut deck.simulation;
+    let (mut scalar, mut lanes) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        for (path, best) in [
+            (KernelPath::Scalar, &mut scalar),
+            (KernelPath::Lanes, &mut lanes),
+        ] {
+            let t0 = Instant::now();
+            std::hint::black_box(sim.pair_probe(path)?);
+            *best = best.min(t0.elapsed().as_secs_f64());
+        }
+    }
+    Ok(Some((scalar, lanes)))
 }
 
 /// Writes the `--insight <dir>` artifacts: the rendered report, an
@@ -152,9 +160,10 @@ pub fn write_outputs(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use md_core::Threads;
     use md_model::{CpuModel, CpuRunOptions, WorkloadProfile};
     use md_observe::ObserveConfig;
-    use md_workloads::{build_positions, Benchmark};
+    use md_workloads::{build_deck_tuned, build_positions, DeckTuning};
 
     fn modeled_run(recorder: &Recorder) -> CpuRunResult {
         let profile = WorkloadProfile::measure(Benchmark::Lj, 10, 1).expect("profile");
@@ -209,20 +218,75 @@ mod tests {
         assert!(rendered.contains("per-device breakdown"));
     }
 
+    fn serial(kernel: KernelPath) -> DeckTuning {
+        DeckTuning {
+            threads: Threads::serial(),
+            kernel,
+            sort_every: 0,
+        }
+    }
+
     #[test]
-    fn trend_appends_in_run_order_with_provenance() {
-        let dir = std::env::temp_dir().join(format!("md_trend_harness_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let obs = BTreeMap::from([("step_seconds.total".to_string(), 0.5)]);
-        append_trend(&dir, "lj", &obs, 4).unwrap();
-        append_trend(&dir, "lj", &obs, 8).unwrap();
-        let history = md_insight::trend::load_history(&dir, "lj").unwrap();
-        assert_eq!(history.len(), 2);
-        assert_eq!(history[0].threads, 4);
-        assert_eq!(history[1].threads, 8);
-        assert!(!history[0].commit.is_empty());
-        assert_eq!(history[0].metrics["step_seconds.total"], 0.5);
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn lanes_probe_measures_the_deck_and_leaves_its_trajectory_alone() {
+        let build = || build_deck_tuned(Benchmark::Eam, 1, 3, serial(KernelPath::Lanes)).unwrap();
+        let (mut probed, mut twin) = (build(), build());
+        let (scalar, lanes) = probe_lanes_vs_scalar(&mut probed)
+            .expect("eam has a pair style")
+            .expect("a lanes deck is measured");
+        let scale = lanes / scalar;
+        assert!(scale.is_finite() && scale > 0.2 && scale < 5.0, "{scale}");
+
+        let state = |sim: &md_core::Simulation| -> Vec<u64> {
+            let atoms = sim.atoms();
+            [atoms.x(), atoms.v(), atoms.f()]
+                .into_iter()
+                .flatten()
+                .flat_map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .chain([sim.thermo().total_energy().to_bits()])
+                .collect()
+        };
+        probed.simulation.run(1).unwrap();
+        twin.simulation.run(1).unwrap();
+        assert_eq!(state(&probed.simulation), state(&twin.simulation));
+    }
+
+    #[test]
+    fn a_deck_on_the_scalar_kernel_is_not_probed() {
+        for (benchmark, asked) in [
+            (Benchmark::Lj, KernelPath::Scalar),
+            (Benchmark::Chute, KernelPath::Lanes),
+        ] {
+            let mut deck = build_deck_tuned(benchmark, 1, 3, serial(asked)).unwrap();
+            assert_eq!(probe_lanes_vs_scalar(&mut deck).unwrap(), None);
+        }
+    }
+
+    #[test]
+    fn recalibration_scales_modeled_pair_seconds_and_nothing_else() {
+        let profile = WorkloadProfile::measure(Benchmark::Lj, 10, 1).expect("profile");
+        let (bx, x) = build_positions(Benchmark::Lj, 1, 1).expect("positions");
+        let opts = CpuRunOptions {
+            ranks: 1,
+            sim_steps: 20,
+            ..CpuRunOptions::default()
+        };
+        let scale = 0.75;
+        let base = CpuModel::new().simulate(&profile, &bx, &x, &opts).unwrap();
+        let mut model = CpuModel::new();
+        model.recalibrate_pair_rate(scale);
+        let scaled = model.simulate(&profile, &bx, &x, &opts).unwrap();
+        let (pair, want) = (
+            scaled.tasks.seconds(TaskKind::Pair),
+            scale * base.tasks.seconds(TaskKind::Pair),
+        );
+        assert!(want > 0.0 && ((pair - want) / want).abs() <= 1e-12);
+        for task in [TaskKind::Neigh, TaskKind::Modify] {
+            assert_eq!(
+                scaled.tasks.seconds(task).to_bits(),
+                base.tasks.seconds(task).to_bits(),
+                "{task}"
+            );
+        }
     }
 
     #[test]

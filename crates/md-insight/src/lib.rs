@@ -22,10 +22,6 @@
 //! - [`regression`] — EWMA/z-score comparison of per-deck per-task
 //!   step-cost records against a stored [`Baseline`] (the `baselines/`
 //!   directory), producing a structured [`RegressionReport`].
-//! - [`trend`] — an append-only per-deck JSONL history of headline metrics
-//!   tagged with commit/host/threads, with longitudinal summaries and a
-//!   drift bisector ([`trend::bisect_regression`] names the run that first
-//!   pushed a metric past tolerance).
 //! - [`export`] — OpenMetrics text snapshots and folded-stack (flamegraph)
 //!   output from an [`md_observe::ObserveSnapshot`], with strict parsers so
 //!   tests can round-trip both formats.
@@ -34,15 +30,14 @@
 //!   end-of-run characterization report `run_deck --insight` prints).
 //!
 //! md-insight consumes data *after* it is recorded: it adds zero per-step
-//! work to the engine (the `bench_insight` guard holds the instrumentation
-//! side to the same ≤ 2%-per-step budget as md-observe).
+//! work to the engine (`overhead_guard` holds the disabled md-observe hooks
+//! it reads from to ≤ 2 % of an LJ step).
 
 pub mod attribution;
 pub mod critical_path;
 pub mod export;
 pub mod regression;
 pub mod report;
-pub mod trend;
 
 pub use attribution::{
     Breakdown, DeviceBreakdown, GpuAttribution, ImbalanceReport, MpiRow, MpiTable,
@@ -54,4 +49,3 @@ pub use regression::{
     Baseline, MetricBaseline, MetricVerdict, RegressionConfig, RegressionReport, Verdict,
 };
 pub use report::{Finding, InsightReport, Severity};
-pub use trend::{TrendEntry, TrendSummary};

@@ -4,7 +4,7 @@
 //! [`HealthEvent`]s instead of letting a numerical blow-up silently corrupt
 //! a long campaign (or panic deep inside a kernel). Every check is an O(N)
 //! scan over per-atom arrays or an O(1) scalar comparison, so the monitor
-//! costs a small fraction of a force evaluation; `bench_resilience` guards
+//! costs a small fraction of a force evaluation; `overhead_guard` guards
 //! that fraction.
 //!
 //! Events are also mirrored into the simulation's md-observe recorder as
@@ -233,7 +233,7 @@ impl Watchdog {
         // One pass over the per-atom arrays serves the three per-atom
         // classes, with the rare outcomes screened by tests that cost a few
         // flops (a pass per class with the exact tests was 1.6% of an LJ
-        // step, most of the 2% `bench_resilience` allows the watchdog and
+        // step, most of the 2% `overhead_guard` allows the watchdog and
         // the snapshots together). The displacement since the previous
         // check is min-image, so periodic wrapping does not read as a jump;
         // a min-image distance is never longer than the plain one, so the
