@@ -8,7 +8,6 @@
 use crate::atoms::{Angle, Bond, Dihedral};
 use crate::error::Result;
 use crate::neighbor::{NeighborList, NeighborListKind};
-use crate::real::PrecisionMode;
 use crate::simbox::SimBox;
 use crate::units::UnitSystem;
 use crate::V3;
@@ -148,16 +147,6 @@ pub trait PairStyle: Send {
     /// sorting for them.
     fn supports_reorder(&self) -> bool {
         true
-    }
-
-    /// Selects the floating-point strategy (paper Section 8).
-    ///
-    /// Styles without reduced-precision kernels may ignore this.
-    fn set_precision(&mut self, _mode: PrecisionMode) {}
-
-    /// The currently active floating-point strategy.
-    fn precision(&self) -> PrecisionMode {
-        PrecisionMode::Double
     }
 
     /// Tells a style that carries the real-space half of an Ewald sum which

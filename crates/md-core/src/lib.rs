@@ -40,7 +40,6 @@ pub mod integrate;
 pub mod kernel;
 pub mod math;
 pub mod neighbor;
-pub mod real;
 pub mod simbox;
 pub mod simulation;
 pub mod sort;
@@ -62,7 +61,6 @@ pub use force::{
 pub use integrate::{Integrator, NoseHooverNpt, NptParams, VelocityVerlet};
 pub use kernel::{KernelPath, LaneAccum, LaneGather, LANES};
 pub use neighbor::{NeighborBuildStats, NeighborList, NeighborListKind};
-pub use real::{PrecisionMode, Real};
 pub use simbox::SimBox;
 pub use simulation::{Simulation, SimulationBuilder, StepReport};
 pub use task::{TaskKind, TaskLedger};
@@ -72,5 +70,5 @@ pub use units::UnitSystem;
 pub use vec3::Vec3;
 pub use velocity::{BerendsenThermostat, TempRescale};
 
-/// Convenience alias for the engine's state-precision vector (always `f64`).
+/// Convenience alias for the engine's vector (always `f64`).
 pub type V3 = Vec3<f64>;

@@ -433,27 +433,26 @@ impl Simulation {
     /// agreement tests and of every lanes-vs-scalar timing (probing sidesteps
     /// chaotic trajectory divergence, which would swamp per-step kernel error).
     ///
-    /// Probing [`KernelPath::Lanes`] enables neighbor-row padding on demand;
-    /// the rows then stay padded across subsequent rebuilds.
+    /// Probing [`KernelPath::Lanes`] on a style that has a lanes kernel
+    /// enables neighbor-row padding on demand; the rows then stay padded
+    /// across subsequent rebuilds. A style without one probes scalar.
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if no pair style is
     /// configured.
     pub fn pair_probe(&mut self, path: KernelPath) -> Result<(Vec<V3>, EnergyVirial)> {
-        if path.is_lanes() {
-            if let Some(nl) = self.neighbor.as_mut() {
-                if nl.padding() < LANES {
-                    nl.set_padding(LANES);
-                }
-            }
-        }
-        let (Some(pair), Some(nl)) = (self.pair.as_mut(), self.neighbor.as_ref()) else {
+        let (Some(pair), Some(nl)) = (self.pair.as_mut(), self.neighbor.as_mut()) else {
             return Err(CoreError::InvalidParameter {
                 name: "pair",
                 reason: "pair_probe needs a pair style and neighbor list".to_string(),
             });
         };
+        let prev = pair.kernel_path();
+        pair.set_kernel_path(path);
+        if pair.kernel_path().is_lanes() && nl.padding() < LANES {
+            nl.set_padding(LANES);
+        }
         let sys = PairSystem {
             bx: &self.bx,
             x: self.atoms.x(),
@@ -465,8 +464,6 @@ impl Simulation {
             units: &self.units,
             dt: self.dt,
         };
-        let prev = pair.kernel_path();
-        pair.set_kernel_path(path);
         let mut f = vec![Vec3::zero(); self.atoms.len()];
         let energy = pair.compute(&sys, nl, &mut f);
         pair.set_kernel_path(prev);
@@ -1122,7 +1119,7 @@ impl SimulationBuilder {
         // operation tree) and never sorts (a relabeling permutes summation
         // order); both knobs silently fall back rather than erroring so
         // `MD_DETERMINISTIC=1 MD_KERNEL=lanes` stays a valid environment.
-        let kernel_path = if self.threads.deterministic {
+        let mut kernel_path = if self.threads.deterministic {
             KernelPath::Scalar
         } else {
             self.kernel_path
@@ -1132,7 +1129,18 @@ impl SimulationBuilder {
         } else {
             self.sort_every
         };
-        let neighbor = match &self.pair {
+        // A style without a lanes kernel keeps running scalar: record the
+        // path it runs and pad rows only for that, as `sort_every` falls
+        // back to 0 for a style that cannot reorder.
+        let mut pair = self.pair;
+        if let Some(p) = pair.as_mut() {
+            p.set_kernel_path(kernel_path);
+            kernel_path = p.kernel_path();
+            if !p.supports_reorder() {
+                sort_every = 0;
+            }
+        }
+        let neighbor = match &pair {
             Some(p) => {
                 let cutoff = p.cutoff();
                 if !(cutoff > 0.0 && cutoff.is_finite()) {
@@ -1157,13 +1165,6 @@ impl SimulationBuilder {
             }
             None => None,
         };
-        let mut pair = self.pair;
-        if let Some(p) = pair.as_mut() {
-            p.set_kernel_path(kernel_path);
-            if !p.supports_reorder() {
-                sort_every = 0;
-            }
-        }
         let mut kspace = self.kspace;
         if let Some(ks) = kspace.as_mut() {
             ks.set_threads(self.threads);

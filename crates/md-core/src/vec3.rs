@@ -1,16 +1,13 @@
-//! A minimal 3-vector generic over the kernel scalar type.
+//! A minimal `f64` 3-vector: positions, velocities, and forces.
 
-use crate::real::Real;
 use std::ops::{
     Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign,
 };
 
-/// A 3-component vector of [`Real`] scalars.
-///
-/// Positions, velocities, and forces are stored as `Vec3<f64>` (alias
-/// [`crate::V3`]); pairwise kernels may instantiate `Vec3<f32>` internally.
+/// A 3-component `f64` vector (alias [`crate::V3`]).
+// `R` stays only so the benchmark harness's spelling `Vec3<f64>` still names this type.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Vec3<R> {
+pub struct Vec3<R = f64> {
     /// X component.
     pub x: R,
     /// Y component.
@@ -19,10 +16,10 @@ pub struct Vec3<R> {
     pub z: R,
 }
 
-impl<R: Real> Vec3<R> {
+impl Vec3 {
     /// Creates a vector from its components.
     #[inline(always)]
-    pub fn new(x: R, y: R, z: R) -> Self {
+    pub fn new(x: f64, y: f64, z: f64) -> Self {
         Vec3 { x, y, z }
     }
 
@@ -30,21 +27,21 @@ impl<R: Real> Vec3<R> {
     #[inline(always)]
     pub fn zero() -> Self {
         Vec3 {
-            x: R::ZERO,
-            y: R::ZERO,
-            z: R::ZERO,
+            x: 0.0,
+            y: 0.0,
+            z: 0.0,
         }
     }
 
     /// A vector with all components equal to `v`.
     #[inline(always)]
-    pub fn splat(v: R) -> Self {
+    pub fn splat(v: f64) -> Self {
         Vec3 { x: v, y: v, z: v }
     }
 
     /// Dot product.
     #[inline(always)]
-    pub fn dot(self, other: Self) -> R {
+    pub fn dot(self, other: Self) -> f64 {
         self.x * other.x + self.y * other.y + self.z * other.z
     }
 
@@ -60,13 +57,13 @@ impl<R: Real> Vec3<R> {
 
     /// Squared Euclidean norm.
     #[inline(always)]
-    pub fn norm2(self) -> R {
+    pub fn norm2(self) -> f64 {
         self.dot(self)
     }
 
     /// Euclidean norm.
     #[inline(always)]
-    pub fn norm(self) -> R {
+    pub fn norm(self) -> f64 {
         self.norm2().sqrt()
     }
 
@@ -80,24 +77,14 @@ impl<R: Real> Vec3<R> {
         }
     }
 
-    /// Converts each component via `f64` into another scalar width.
-    #[inline(always)]
-    pub fn cast<S: Real>(self) -> Vec3<S> {
-        Vec3 {
-            x: S::from_f64(self.x.to_f64()),
-            y: S::from_f64(self.y.to_f64()),
-            z: S::from_f64(self.z.to_f64()),
-        }
-    }
-
     /// Largest absolute component, useful for displacement triggers.
     #[inline(always)]
-    pub fn max_abs(self) -> R {
+    pub fn max_abs(self) -> f64 {
         self.x.abs().max(self.y.abs()).max(self.z.abs())
     }
 }
 
-impl<R: Real> Add for Vec3<R> {
+impl Add for Vec3 {
     type Output = Self;
     #[inline(always)]
     fn add(self, o: Self) -> Self {
@@ -105,7 +92,7 @@ impl<R: Real> Add for Vec3<R> {
     }
 }
 
-impl<R: Real> Sub for Vec3<R> {
+impl Sub for Vec3 {
     type Output = Self;
     #[inline(always)]
     fn sub(self, o: Self) -> Self {
@@ -113,7 +100,7 @@ impl<R: Real> Sub for Vec3<R> {
     }
 }
 
-impl<R: Real> Neg for Vec3<R> {
+impl Neg for Vec3 {
     type Output = Self;
     #[inline(always)]
     fn neg(self) -> Self {
@@ -121,23 +108,23 @@ impl<R: Real> Neg for Vec3<R> {
     }
 }
 
-impl<R: Real> Mul<R> for Vec3<R> {
+impl Mul<f64> for Vec3 {
     type Output = Self;
     #[inline(always)]
-    fn mul(self, s: R) -> Self {
+    fn mul(self, s: f64) -> Self {
         Vec3::new(self.x * s, self.y * s, self.z * s)
     }
 }
 
-impl<R: Real> Div<R> for Vec3<R> {
+impl Div<f64> for Vec3 {
     type Output = Self;
     #[inline(always)]
-    fn div(self, s: R) -> Self {
+    fn div(self, s: f64) -> Self {
         Vec3::new(self.x / s, self.y / s, self.z / s)
     }
 }
 
-impl<R: Real> AddAssign for Vec3<R> {
+impl AddAssign for Vec3 {
     #[inline(always)]
     fn add_assign(&mut self, o: Self) {
         self.x += o.x;
@@ -146,7 +133,7 @@ impl<R: Real> AddAssign for Vec3<R> {
     }
 }
 
-impl<R: Real> SubAssign for Vec3<R> {
+impl SubAssign for Vec3 {
     #[inline(always)]
     fn sub_assign(&mut self, o: Self) {
         self.x -= o.x;
@@ -155,28 +142,28 @@ impl<R: Real> SubAssign for Vec3<R> {
     }
 }
 
-impl<R: Real> MulAssign<R> for Vec3<R> {
+impl MulAssign<f64> for Vec3 {
     #[inline(always)]
-    fn mul_assign(&mut self, s: R) {
+    fn mul_assign(&mut self, s: f64) {
         self.x *= s;
         self.y *= s;
         self.z *= s;
     }
 }
 
-impl<R: Real> DivAssign<R> for Vec3<R> {
+impl DivAssign<f64> for Vec3 {
     #[inline(always)]
-    fn div_assign(&mut self, s: R) {
+    fn div_assign(&mut self, s: f64) {
         self.x /= s;
         self.y /= s;
         self.z /= s;
     }
 }
 
-impl<R: Real> Index<usize> for Vec3<R> {
-    type Output = R;
+impl Index<usize> for Vec3 {
+    type Output = f64;
     #[inline(always)]
-    fn index(&self, i: usize) -> &R {
+    fn index(&self, i: usize) -> &f64 {
         match i {
             0 => &self.x,
             1 => &self.y,
@@ -186,9 +173,9 @@ impl<R: Real> Index<usize> for Vec3<R> {
     }
 }
 
-impl<R: Real> IndexMut<usize> for Vec3<R> {
+impl IndexMut<usize> for Vec3 {
     #[inline(always)]
-    fn index_mut(&mut self, i: usize) -> &mut R {
+    fn index_mut(&mut self, i: usize) -> &mut f64 {
         match i {
             0 => &mut self.x,
             1 => &mut self.y,
@@ -198,19 +185,19 @@ impl<R: Real> IndexMut<usize> for Vec3<R> {
     }
 }
 
-impl<R: Real> From<[R; 3]> for Vec3<R> {
-    fn from(a: [R; 3]) -> Self {
+impl From<[f64; 3]> for Vec3 {
+    fn from(a: [f64; 3]) -> Self {
         Vec3::new(a[0], a[1], a[2])
     }
 }
 
-impl<R: Real> From<Vec3<R>> for [R; 3] {
-    fn from(v: Vec3<R>) -> Self {
+impl From<Vec3> for [f64; 3] {
+    fn from(v: Vec3) -> Self {
         [v.x, v.y, v.z]
     }
 }
 
-impl<R: Real> std::fmt::Display for Vec3<R> {
+impl std::fmt::Display for Vec3 {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "({}, {}, {})", self.x, self.y, self.z)
     }
@@ -255,8 +242,6 @@ mod tests {
         assert_eq!(v[0] + v[1] + v[2], 12.0);
         let arr: [f64; 3] = v.into();
         assert_eq!(Vec3::from(arr), v);
-        let w: Vec3<f32> = v.cast();
-        assert_eq!(w.z, 9.0f32);
     }
 
     #[test]

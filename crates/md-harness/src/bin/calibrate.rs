@@ -5,9 +5,9 @@
 //! cargo run --release -p md-harness --bin calibrate [--quick]
 //! ```
 
-use md_core::{PrecisionMode, TaskKind};
+use md_core::TaskKind;
 use md_harness::{ExperimentContext, Fidelity};
-use md_model::KernelKind;
+use md_model::{KernelKind, PrecisionMode};
 use md_workloads::Benchmark;
 
 fn row(name: &str, paper: f64, ours: f64) {

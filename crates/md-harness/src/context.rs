@@ -6,9 +6,10 @@
 //! "profiling experiment" path measures real runs; the "benchmarking
 //! experiment" path sweeps the parameter space through the instance models.
 
-use md_core::{PrecisionMode, Result, SimBox, V3};
+use md_core::{Result, SimBox, V3};
 use md_model::{
-    CpuModel, CpuRunOptions, CpuRunResult, GpuModel, GpuRunOptions, GpuRunResult, WorkloadProfile,
+    CpuModel, CpuRunOptions, CpuRunResult, GpuModel, GpuRunOptions, GpuRunResult, PrecisionMode,
+    WorkloadProfile,
 };
 use md_parallel::{Decomposition, WorkloadCensus};
 use md_workloads::{build_positions, Benchmark};

@@ -9,8 +9,8 @@
 use crate::context::{ExperimentContext, CPU_PROCS, GPU_DEVICES, KSPACE_ERRORS, MPI_PROCS};
 use crate::render::{fnum, TextTable};
 use crate::Figure;
-use md_core::{PrecisionMode, Result, TaskKind};
-use md_model::KernelKind;
+use md_core::{Result, TaskKind};
+use md_model::{KernelKind, PrecisionMode};
 use md_parallel::MpiFunction;
 use md_workloads::{size_label, Benchmark};
 

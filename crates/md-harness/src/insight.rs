@@ -16,7 +16,7 @@ use md_insight::{
 use md_model::gpu::GpuTimeline;
 use md_model::CpuRunResult;
 use md_observe::Recorder;
-use md_workloads::{Benchmark, Deck};
+use md_workloads::Deck;
 
 /// Builds the per-metric observations fed to the regression comparator:
 /// modeled per-step cost of every task that does per-step work, plus the
@@ -115,9 +115,7 @@ pub fn check_regression(
 ///
 /// Propagates `pair_probe`'s error (no pair style).
 pub fn probe_lanes_vs_scalar(deck: &mut Deck) -> md_core::Result<Option<(f64, f64)>> {
-    // Chute's granular style has no lanes kernel, whatever was asked for,
-    // and every evaluation advances its contact history.
-    if !deck.simulation.kernel_path().is_lanes() || deck.benchmark == Benchmark::Chute {
+    if !deck.simulation.kernel_path().is_lanes() {
         return Ok(None);
     }
     let sim = &mut deck.simulation;
@@ -163,7 +161,7 @@ mod tests {
     use md_core::Threads;
     use md_model::{CpuModel, CpuRunOptions, WorkloadProfile};
     use md_observe::ObserveConfig;
-    use md_workloads::{build_deck_tuned, build_positions, DeckTuning};
+    use md_workloads::{build_deck_tuned, build_positions, Benchmark, DeckTuning};
 
     fn modeled_run(recorder: &Recorder) -> CpuRunResult {
         let profile = WorkloadProfile::measure(Benchmark::Lj, 10, 1).expect("profile");

@@ -7,9 +7,56 @@
 //! threshold moves work between tasks — emerge from the operation counts,
 //! not from these constants.
 
-use md_core::PrecisionMode;
 use md_parallel::LinkModel;
 use md_workloads::Benchmark;
+
+/// Floating-point strategy of the modeled pair kernels (paper Section 8).
+///
+/// The engine itself computes in `f64`; this axis only selects the
+/// paper-anchored factors below ([`cpu_precision_factor`],
+/// [`gpu_precision_factor`]) and the GPU's per-atom byte width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+pub enum PrecisionMode {
+    /// `f32` arithmetic, `f32` accumulation.
+    Single,
+    /// `f32` arithmetic, `f64` force accumulation (the LAMMPS default).
+    #[default]
+    Mixed,
+    /// `f64` arithmetic throughout.
+    Double,
+}
+
+impl PrecisionMode {
+    /// All modes, in the order the paper reports them.
+    pub const ALL: [PrecisionMode; 3] = [
+        PrecisionMode::Single,
+        PrecisionMode::Mixed,
+        PrecisionMode::Double,
+    ];
+
+    /// Short lowercase label used in figure legends ("single", "mixed", "double").
+    pub fn label(self) -> &'static str {
+        match self {
+            PrecisionMode::Single => "single",
+            PrecisionMode::Mixed => "mixed",
+            PrecisionMode::Double => "double",
+        }
+    }
+
+    /// Bytes per scalar moved through the arithmetic units.
+    pub fn compute_width(self) -> usize {
+        match self {
+            PrecisionMode::Single | PrecisionMode::Mixed => 4,
+            PrecisionMode::Double => 8,
+        }
+    }
+}
+
+impl std::fmt::Display for PrecisionMode {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.label())
+    }
+}
 
 /// Per-benchmark CPU kernel rates (seconds per pair interaction).
 ///
@@ -232,6 +279,20 @@ mod tests {
                 > cpu_precision_factor(PrecisionMode::Single)
         );
         assert!(gpu_precision_factor(PrecisionMode::Double) > 1.5);
+    }
+
+    #[test]
+    fn mode_widths() {
+        assert_eq!(PrecisionMode::Single.compute_width(), 4);
+        assert_eq!(PrecisionMode::Mixed.compute_width(), 4);
+        assert_eq!(PrecisionMode::Double.compute_width(), 8);
+    }
+
+    #[test]
+    fn labels_are_stable() {
+        for m in PrecisionMode::ALL {
+            assert_eq!(m.to_string(), m.label());
+        }
     }
 
     #[test]

@@ -8,10 +8,9 @@
 //! clocks, and the resulting ledgers regenerate the CPU figures (3–6, 10–12,
 //! 14–15).
 
-use crate::calib;
+use crate::calib::{self, PrecisionMode};
 use crate::workload::WorkloadProfile;
-use md_core::{PrecisionMode, TaskKind, TaskLedger};
-use md_core::{Result, SimBox};
+use md_core::{Result, SimBox, TaskKind, TaskLedger};
 use md_parallel::{Decomposition, MpiLedger, VirtualCluster, WorkloadCensus};
 use md_workloads::Benchmark;
 

@@ -20,9 +20,9 @@
 //!   gets its own md-observe trace lane at simulated time. md-insight's
 //!   per-device attribution and host↔device critical path consume this.
 
-use crate::calib;
+use crate::calib::{self, PrecisionMode};
 use crate::workload::WorkloadProfile;
-use md_core::{PrecisionMode, Result, SimBox, TaskKind, TaskLedger};
+use md_core::{Result, SimBox, TaskKind, TaskLedger};
 use md_observe::Recorder;
 use md_parallel::{Decomposition, RankLoad, WorkloadCensus};
 use md_workloads::Benchmark;

@@ -24,6 +24,7 @@ pub mod multinode;
 pub mod power;
 pub mod workload;
 
+pub use calib::PrecisionMode;
 pub use cpu::{CpuModel, CpuRunOptions, CpuRunResult, RepartitionEvent};
 pub use gpu::{
     GpuModel, GpuRunOptions, GpuRunResult, GpuSegment, GpuStepSchedule, GpuTimeline, GpuTracedRun,

@@ -57,9 +57,7 @@ use md_core::kernel::{
 };
 use md_core::math::erfc;
 use md_core::neighbor::NeighborList;
-use md_core::{
-    CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, PrecisionMode, Vec3, V3,
-};
+use md_core::{CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, Vec3, V3};
 use std::f64::consts::FRAC_2_SQRT_PI;
 use std::ops::Range;
 
@@ -181,7 +179,6 @@ pub struct LjCharmmCoulLong {
     /// The real-space Coulomb table for the current Ewald splitting
     /// parameter; `None` while that is 0 (plain truncated `q q / r`).
     table: Option<CoulTable>,
-    mode: PrecisionMode,
     path: KernelPath,
     gather: LaneGather,
     accum: LaneAccum,
@@ -270,7 +267,6 @@ impl LjCharmmCoulLong {
             switch_scale: (outer_lj * outer_lj - inner_lj * inner_lj).powi(-3),
             cut_coul,
             table: None,
-            mode: PrecisionMode::Double,
             path: KernelPath::default(),
             gather: LaneGather::default(),
             accum: LaneAccum::default(),
@@ -620,14 +616,6 @@ impl PairStyle for LjCharmmCoulLong {
 
     fn kernel_path(&self) -> KernelPath {
         self.path
-    }
-
-    fn set_precision(&mut self, mode: PrecisionMode) {
-        self.mode = mode;
-    }
-
-    fn precision(&self) -> PrecisionMode {
-        self.mode
     }
 
     fn set_g_ewald(&mut self, g: f64) {

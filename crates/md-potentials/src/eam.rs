@@ -15,9 +15,7 @@ use md_core::kernel::{
     ghost_position, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LANES,
 };
 use md_core::neighbor::NeighborList;
-use md_core::{
-    CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, PrecisionMode, Vec3, V3,
-};
+use md_core::{CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, Vec3, V3};
 use std::ops::Range;
 
 /// Sutton-Chen analytic EAM.
@@ -38,7 +36,6 @@ pub struct SuttonChenEam {
     pub(crate) rho: Vec<f64>,
     /// Scratch: per-atom dF/dρ.
     pub(crate) dembed: Vec<f64>,
-    mode: PrecisionMode,
     path: KernelPath,
     pub(crate) gather: LaneGather,
     accum: LaneAccum,
@@ -79,7 +76,6 @@ impl SuttonChenEam {
             cutoff,
             rho: Vec::new(),
             dembed: Vec::new(),
-            mode: PrecisionMode::Double,
             path: KernelPath::default(),
             gather: LaneGather::default(),
             accum: LaneAccum::default(),
@@ -447,14 +443,6 @@ impl PairStyle for SuttonChenEam {
 
     fn kernel_path(&self) -> KernelPath {
         self.path
-    }
-
-    fn set_precision(&mut self, mode: PrecisionMode) {
-        self.mode = mode;
-    }
-
-    fn precision(&self) -> PrecisionMode {
-        self.mode
     }
 }
 

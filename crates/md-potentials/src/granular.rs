@@ -9,7 +9,7 @@
 //! contact from both sides, which is exactly what the engine does here.
 
 use md_core::neighbor::{NeighborList, NeighborListKind};
-use md_core::{CoreError, EnergyVirial, Fix, PairStyle, PairSystem, PrecisionMode, Vec3, V3};
+use md_core::{CoreError, EnergyVirial, Fix, PairStyle, PairSystem, Vec3, V3};
 use std::collections::HashMap;
 
 /// `gran/hooke/history` pair style.
@@ -156,8 +156,6 @@ impl PairStyle for GranHookeHistory {
             virial: 0.5 * virial,
         }
     }
-
-    fn set_precision(&mut self, _mode: PrecisionMode) {}
 
     fn state_save(&self, w: &mut md_core::wire::Writer) {
         // The contact history is the style's only carried state. HashMap

@@ -14,9 +14,8 @@
 //! plus the fixes the decks use: [`Gravity`], [`GranWall`], [`Freeze`]
 //! (the Langevin thermostat lives in `md-core`).
 //!
-//! The Lennard-Jones kernel is generic over compute/accumulate precision so
-//! the paper's Section 8 sensitivity study (single / mixed / double) runs on
-//! real code paths.
+//! Every style computes in `f64`; the paper's Section 8 precision study
+//! (single / mixed / double) is priced by `md_model`, not run here.
 //!
 //! ## Example
 //!

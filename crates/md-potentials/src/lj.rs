@@ -1,16 +1,14 @@
 //! The 12-6 Lennard-Jones pair potential with cutoff (LAMMPS `lj/cut`).
 //!
-//! This is the potential behind the LJ melt and Chain benchmarks. The kernel
-//! is generic over compute precision `R` and accumulate precision `A`, so a
-//! [`PrecisionMode`] selects real single / mixed / double code paths for the
-//! paper's Section 8 study.
+//! This is the potential behind the LJ melt and Chain benchmarks. Both
+//! kernels, the scalar reference and the lane-blocked path, compute in `f64`.
 
 use crate::mixing::MixingRule;
 use md_core::kernel::{
     ghost_position, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LANES,
 };
 use md_core::neighbor::NeighborList;
-use md_core::{CoreError, EnergyVirial, PairStyle, PairSystem, PrecisionMode, Real, Vec3, V3};
+use md_core::{CoreError, EnergyVirial, PairStyle, PairSystem, V3};
 use std::ops::Range;
 
 /// `lj/cut` pair style.
@@ -26,7 +24,6 @@ pub struct LjCut {
     /// Flattened per-type-pair `4 ε σ⁶` (energy) table.
     lj4: Vec<f64>,
     cutoff: f64,
-    mode: PrecisionMode,
     path: KernelPath,
 }
 
@@ -120,7 +117,6 @@ impl LjCut {
             lj3,
             lj4,
             cutoff,
-            mode: PrecisionMode::Double,
             path: KernelPath::default(),
         })
     }
@@ -147,51 +143,44 @@ impl LjCut {
         rows: Range<usize>,
         f: &mut [V3],
     ) -> EnergyVirial {
-        if self.path.is_lanes()
-            && self.mode == PrecisionMode::Double
-            && nl.padding() != 0
-            && nl.padding().is_multiple_of(LANES)
-        {
+        if self.path.is_lanes() && nl.padding() != 0 && nl.padding().is_multiple_of(LANES) {
             return if self.ntypes == 1 {
                 self.kernel_lanes::<true>(sys, nl, rows, f)
             } else {
                 self.kernel_lanes::<false>(sys, nl, rows, f)
             };
         }
-        match self.mode {
-            PrecisionMode::Single => self.kernel::<f32, f32>(sys, nl, rows, f),
-            PrecisionMode::Mixed => self.kernel::<f32, f64>(sys, nl, rows, f),
-            PrecisionMode::Double => self.kernel::<f64, f64>(sys, nl, rows, f),
-        }
+        self.kernel(sys, nl, rows, f)
     }
 
-    fn kernel<R: Real, A: Real>(
+    /// Scalar reference kernel over the unpadded half-list rows.
+    fn kernel(
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
         rows: Range<usize>,
         f: &mut [V3],
     ) -> EnergyVirial {
-        let cut2 = R::from_f64(self.cutoff * self.cutoff);
-        let l: Vec3<R> = sys.bx.lengths().cast();
+        let cut2 = self.cutoff * self.cutoff;
+        let l = sys.bx.lengths();
         let pbc = [
             sys.bx.is_periodic(0),
             sys.bx.is_periodic(1),
             sys.bx.is_periodic(2),
         ];
-        let half = R::from_f64(0.5);
-        let mut evdwl = A::ZERO;
-        let mut virial = A::ZERO;
+        let half = 0.5;
+        let mut evdwl = 0.0;
+        let mut virial = 0.0;
         let nt = self.ntypes;
         for i in rows {
-            let xi: Vec3<R> = sys.x[i].cast();
+            let xi = sys.x[i];
             // Hoist the type-table row base out of the inner loop; the pair
             // lookup below only adds the neighbor's type.
             let trow = sys.kinds[i] as usize * nt;
-            let mut fi: Vec3<A> = Vec3::zero();
+            let mut fi = V3::zero();
             for &j in nl.neighbors(i) {
                 let ju = j as usize;
-                let mut d: Vec3<R> = xi - sys.x[ju].cast();
+                let mut d = xi - sys.x[ju];
                 for k in 0..3 {
                     if pbc[k] {
                         let lk = l[k];
@@ -207,26 +196,22 @@ impl LjCut {
                     continue;
                 }
                 let k = trow + sys.kinds[ju] as usize;
-                let inv2 = R::ONE / r2;
+                let inv2 = 1.0 / r2;
                 let inv6 = inv2 * inv2 * inv2;
-                let lj1 = R::from_f64(self.lj1[k]);
-                let lj2 = R::from_f64(self.lj2[k]);
-                let fpair = inv6 * (lj1 * inv6 - lj2) * inv2;
+                let fpair = inv6 * (self.lj1[k] * inv6 - self.lj2[k]) * inv2;
                 let df = d * fpair;
-                fi += df.cast::<A>();
+                fi += df;
                 // Newton's third law: the half list stores each pair once.
-                f[ju] -= df.cast::<f64>();
-                let e = inv6 * (R::from_f64(self.lj3[k]) * inv6 - R::from_f64(self.lj4[k]));
-                evdwl += A::from_f64(e.to_f64());
-                virial += A::from_f64((r2 * fpair).to_f64());
+                f[ju] -= df;
+                evdwl += inv6 * (self.lj3[k] * inv6 - self.lj4[k]);
+                virial += r2 * fpair;
             }
-            let fi64: Vec3<f64> = fi.cast();
-            f[i] += fi64;
+            f[i] += fi;
         }
         EnergyVirial {
-            evdwl: evdwl.to_f64(),
+            evdwl,
             ecoul: 0.0,
-            virial: virial.to_f64(),
+            virial,
         }
     }
 
@@ -390,21 +375,13 @@ impl PairStyle for LjCut {
     fn kernel_path(&self) -> KernelPath {
         self.path
     }
-
-    fn set_precision(&mut self, mode: PrecisionMode) {
-        self.mode = mode;
-    }
-
-    fn precision(&self) -> PrecisionMode {
-        self.mode
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_core::neighbor::NeighborListKind;
-    use md_core::{SimBox, UnitSystem};
+    use md_core::neighbor::{brute_force_pairs, NeighborListKind};
+    use md_core::{SimBox, UnitSystem, Vec3};
 
     fn dimer(r: f64) -> (SimBox, Vec<V3>, NeighborList) {
         let bx = SimBox::cubic(20.0);
@@ -488,22 +465,6 @@ mod tests {
     }
 
     #[test]
-    fn precision_modes_agree_to_single_accuracy() {
-        let mut lj = LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap();
-        let (e_d, f_d) = compute_dimer(&mut lj, 1.3);
-        lj.set_precision(PrecisionMode::Single);
-        let (e_s, f_s) = compute_dimer(&mut lj, 1.3);
-        lj.set_precision(PrecisionMode::Mixed);
-        let (e_m, f_m) = compute_dimer(&mut lj, 1.3);
-        assert!((e_d.evdwl - e_s.evdwl).abs() < 1e-5);
-        assert!((e_d.evdwl - e_m.evdwl).abs() < 1e-5);
-        assert!((f_d[0] - f_s[0]).norm() < 1e-4);
-        assert!((f_d[0] - f_m[0]).norm() < 1e-4);
-        // And double really is more precise than single against itself.
-        assert_ne!(e_s.evdwl, e_d.evdwl);
-    }
-
-    #[test]
     fn mixing_fills_cross_terms() {
         let lj = LjCut::with_mixing(
             2,
@@ -518,10 +479,10 @@ mod tests {
         assert!((lj.pair_energy(0, 1, r) - want).abs() < 1e-12);
     }
 
-    #[test]
-    fn lanes_path_matches_scalar_on_a_dense_gas() {
-        // Two atom types with distinct coefficients exercise the per-lane
-        // type-table gather as well as the masked cutoff arithmetic.
+    /// Runs `check` on a 200-atom two-type periodic gas and the `lj/cut`
+    /// style for it; the distinct per-type coefficients exercise the
+    /// type-table lookups as well as the cutoff test.
+    fn with_dense_gas(check: impl FnOnce(&PairSystem<'_>, &mut NeighborList, &mut LjCut)) {
         let bx = SimBox::cubic(9.0);
         let mut x = Vec::new();
         let mut kinds = Vec::new();
@@ -555,28 +516,75 @@ mod tests {
             dt: 0.005,
         };
         let mut lj = LjCut::new(2, &[(0, 0, 1.0, 1.0), (1, 1, 0.7, 1.1)], 2.5).unwrap();
-        let mut f_ref = vec![Vec3::zero(); x.len()];
-        let e_ref = lj.compute(&sys, &nl, &mut f_ref);
+        check(&sys, &mut nl, &mut lj);
+    }
 
-        nl.set_padding(LANES);
-        lj.set_kernel_path(KernelPath::Lanes);
-        assert_eq!(lj.kernel_path(), KernelPath::Lanes);
-        let mut f_lanes = vec![Vec3::zero(); x.len()];
-        let e_lanes = lj.compute(&sys, &nl, &mut f_lanes);
+    #[test]
+    fn lanes_path_matches_scalar_on_a_dense_gas() {
+        with_dense_gas(|sys, nl, lj| {
+            let n = sys.x.len();
+            let mut f_ref = vec![Vec3::zero(); n];
+            let e_ref = lj.compute(sys, nl, &mut f_ref);
 
-        let scale = e_ref.evdwl.abs().max(1.0);
-        assert!(
-            (e_ref.evdwl - e_lanes.evdwl).abs() / scale < 1e-12,
-            "evdwl {} vs {}",
-            e_ref.evdwl,
-            e_lanes.evdwl
-        );
-        assert!((e_ref.virial - e_lanes.virial).abs() / e_ref.virial.abs().max(1.0) < 1e-12);
-        for i in 0..x.len() {
-            let d = (f_ref[i] - f_lanes[i]).norm();
-            let s = f_ref[i].norm().max(1.0);
-            assert!(d / s < 1e-12, "atom {i}: {} vs {}", f_ref[i], f_lanes[i]);
-        }
+            nl.set_padding(LANES);
+            lj.set_kernel_path(KernelPath::Lanes);
+            assert_eq!(lj.kernel_path(), KernelPath::Lanes);
+            let mut f_lanes = vec![Vec3::zero(); n];
+            let e_lanes = lj.compute(sys, nl, &mut f_lanes);
+
+            let scale = e_ref.evdwl.abs().max(1.0);
+            assert!(
+                (e_ref.evdwl - e_lanes.evdwl).abs() / scale < 1e-12,
+                "evdwl {} vs {}",
+                e_ref.evdwl,
+                e_lanes.evdwl
+            );
+            assert!((e_ref.virial - e_lanes.virial).abs() / e_ref.virial.abs().max(1.0) < 1e-12);
+            for i in 0..n {
+                let d = (f_ref[i] - f_lanes[i]).norm();
+                let s = f_ref[i].norm().max(1.0);
+                assert!(d / s < 1e-12, "atom {i}: {} vs {}", f_ref[i], f_lanes[i]);
+            }
+        });
+    }
+
+    #[test]
+    fn scalar_kernel_matches_a_brute_force_pair_sum() {
+        with_dense_gas(|sys, nl, lj| {
+            let mut f = vec![Vec3::zero(); sys.x.len()];
+            let e = lj.compute(sys, nl, &mut f);
+
+            // The like pairs of `with_dense_gas`, geometric-mixed as `LjCut::new` does.
+            let (eps, sig) = ([1.0f64, 0.7], [1.0f64, 1.1]);
+            let (mut evdwl, mut virial, mut virial_scale) = (0.0, 0.0, 0.0);
+            for (i, j) in brute_force_pairs(sys.x, sys.bx, lj.cutoff()) {
+                let (ti, tj) = (sys.kinds[i as usize], sys.kinds[j as usize]);
+                let r = sys
+                    .bx
+                    .min_image(sys.x[i as usize], sys.x[j as usize])
+                    .norm();
+                evdwl += lj.pair_energy(ti, tj, r);
+                // r·f = -r dE/dr for E = 4ε((σ/r)^12 - (σ/r)^6).
+                let e_ij = (eps[ti as usize] * eps[tj as usize]).sqrt();
+                let s6 = ((sig[ti as usize] * sig[tj as usize]).sqrt() / r).powi(6);
+                let rf = 24.0 * e_ij * (2.0 * s6 * s6 - s6);
+                virial += rf;
+                virial_scale += rf.abs();
+            }
+            assert!(
+                (e.evdwl - evdwl).abs() / evdwl.abs() < 1e-12,
+                "evdwl {} vs brute force {evdwl}",
+                e.evdwl
+            );
+            assert!(
+                (e.virial - virial).abs() / virial_scale < 1e-12,
+                "virial {} vs brute force {virial}",
+                e.virial
+            );
+            let net = f.iter().fold(V3::zero(), |acc, &fi| acc + fi);
+            let f_scale: f64 = f.iter().map(|fi| fi.norm()).sum();
+            assert!(net.norm() / f_scale < 1e-10, "net force {net} on {f_scale}");
+        });
     }
 
     #[test]

@@ -42,9 +42,7 @@
 
 use md_core::neighbor::{NeighborList, NeighborListKind};
 use md_core::threads::fork_join;
-use md_core::{
-    CoreError, EnergyVirial, LaneAccum, PairStyle, PairSystem, PrecisionMode, Threads, Vec3, V3,
-};
+use md_core::{CoreError, EnergyVirial, LaneAccum, PairStyle, PairSystem, Threads, Vec3, V3};
 use md_observe::Recorder;
 use std::ops::Range;
 
@@ -458,14 +456,6 @@ impl<P: Threadable> PairStyle for Threaded<P> {
         self.style.supports_reorder()
     }
 
-    fn set_precision(&mut self, mode: PrecisionMode) {
-        self.style.set_precision(mode);
-    }
-
-    fn precision(&self) -> PrecisionMode {
-        self.style.precision()
-    }
-
     fn set_g_ewald(&mut self, g: f64) {
         self.style.set_g_ewald(g);
     }
@@ -679,11 +669,8 @@ mod tests {
     }
 
     #[test]
-    fn precision_plumbs_through() {
-        let mut threaded =
-            Threaded::new(LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), 2).unwrap();
-        threaded.set_precision(PrecisionMode::Single);
-        assert_eq!(threaded.precision(), PrecisionMode::Single);
+    fn new_wraps_in_fast_mode() {
+        let threaded = Threaded::new(LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), 2).unwrap();
         assert_eq!(threaded.cutoff(), 2.5);
         assert_eq!(threaded.nthreads(), 2);
         assert!(!threaded.mode().deterministic);

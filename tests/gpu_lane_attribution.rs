@@ -41,7 +41,7 @@ fn traced(bench: Benchmark, gpus: usize, recorder: Option<&Recorder>) -> GpuTrac
             &x,
             &GpuRunOptions {
                 gpus,
-                precision: md_core::PrecisionMode::Mixed,
+                precision: md_model::PrecisionMode::Mixed,
             },
             SIM_STEPS,
         )

@@ -5,8 +5,9 @@
 //! These run at `Fidelity::Quick` (32k and 256k sizes) so CI stays fast; the
 //! full sweep is produced by the `figures` binary and the benches.
 
-use md_core::{PrecisionMode, TaskKind};
+use md_core::TaskKind;
 use md_harness::{ExperimentContext, Fidelity};
+use md_model::PrecisionMode;
 use md_workloads::Benchmark;
 use std::sync::OnceLock;
 

@@ -13,7 +13,8 @@
 //! a lane-blocked form), so its lanes probe falls through to scalar and the
 //! comparison is trivially exact — the test still pins that contract.
 
-use md_core::{EnergyVirial, KernelPath, Threads, V3};
+use md_core::{EnergyVirial, KernelPath, Threads, LANES, V3};
+use md_resilience::Checkpoint;
 use md_workloads::{build_deck_tuned, Benchmark, DeckTuning};
 
 const REL_TOL: f64 = 1e-10;
@@ -116,4 +117,31 @@ fn chute_deck_lanes_matches_scalar() {
 #[test]
 fn rhodo_deck_lanes_matches_scalar() {
     assert_lanes_matches_scalar(Benchmark::Rhodo);
+}
+
+/// A deck reports the kernel its pair style runs, not the one asked for:
+/// asked for lanes, chute's scalar-only granular style builds a scalar deck
+/// on unpadded rows and checkpoints it as scalar, while LJ and EAM run their
+/// lanes kernels on rows padded to `LANES`.
+#[test]
+fn a_deck_reports_the_kernel_its_style_runs() {
+    for (benchmark, runs, padding) in [
+        (Benchmark::Lj, KernelPath::Lanes, LANES),
+        (Benchmark::Eam, KernelPath::Lanes, LANES),
+        (Benchmark::Chute, KernelPath::Scalar, 0),
+    ] {
+        let tuning = DeckTuning {
+            threads: Threads::serial(),
+            kernel: KernelPath::Lanes,
+            sort_every: 0,
+        };
+        let deck = build_deck_tuned(benchmark, 1, 2022, tuning).expect("deck builds");
+        let sim = &deck.simulation;
+        assert_eq!(sim.kernel_path(), runs, "{benchmark}");
+        let nl = sim.neighbor_list().expect("decks have a pair style");
+        assert_eq!(nl.padding(), padding, "{benchmark}");
+        let written = Checkpoint::decode(&Checkpoint::capture(&deck, 2022).encode())
+            .expect("checkpoint decodes");
+        assert_eq!(written.header.kernel, runs, "{benchmark}");
+    }
 }
