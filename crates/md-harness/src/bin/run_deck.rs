@@ -11,8 +11,7 @@
 //!          [--faults SPEC] [--trace out.json]
 //!          [--comm-timeout SECS] [--max-rank-retries K]
 //!          [--repartition-every N]
-//!          [--insight DIR] [--baselines DIR] [--update-baselines]
-//!          [--gpu-insight]
+//!          [--insight DIR] [--gpu-insight]
 //! ```
 //!
 //! `--threads T` runs the hot kernels (pair, neighbor build, PPPM) on `T`
@@ -77,11 +76,10 @@
 //! 8-rank cluster executes with per-rank stats and critical-path tracking,
 //! and DIR receives `report.txt` (the characterization report, also printed),
 //! `metrics.om` (OpenMetrics snapshot), and `folded.txt` (folded stacks for
-//! flamegraph tooling). Modeled per-task step costs are compared against
-//! `--baselines DIR` (default `baselines/`) per deck; `--update-baselines`
-//! folds this run into the stored baseline (refused under fault injection,
-//! which would poison it). The process exits 3 when a perf regression is
-//! detected (4 when a rank crash is unrecoverable), so CI can gate on it.
+//! flamegraph tooling). Under cluster faults the same model also runs once
+//! without them (its fault-free twin, same options, no recorder), and the
+//! report ranks a `fault.cost` finding: what the faults added to a modeled
+//! step, task by task.
 //!
 //! `--gpu-insight` additionally runs the traced GPU-instance model on the
 //! same deck: every modeled device gets its own trace lane (kernels and
@@ -130,8 +128,6 @@ struct Args {
     max_rank_retries: u32,
     repartition_every: u64,
     insight: Option<PathBuf>,
-    baselines: PathBuf,
-    update_baselines: bool,
     gpu_insight: bool,
 }
 
@@ -144,7 +140,7 @@ fn parse_args() -> Result<Args, String> {
          [--write-data FILE] [--checkpoint-every N] [--checkpoint-dir DIR] \
          [--checkpoint-retain K] [--resume] [--faults SPEC] [--trace FILE] \
          [--comm-timeout SECS] [--max-rank-retries K] [--repartition-every N] \
-         [--insight DIR] [--baselines DIR] [--update-baselines] [--gpu-insight]"
+         [--insight DIR] [--gpu-insight]"
             .to_string()
     })?;
     let benchmark = Benchmark::parse(&bench_name).map_err(|e| e.to_string())?;
@@ -171,8 +167,6 @@ fn parse_args() -> Result<Args, String> {
         max_rank_retries: 3,
         repartition_every: 0,
         insight: None,
-        baselines: PathBuf::from("baselines"),
-        update_baselines: false,
         gpu_insight: false,
     };
     while let Some(flag) = args.next() {
@@ -234,8 +228,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("{e}"))?;
             }
             "--insight" => out.insight = Some(PathBuf::from(value("--insight")?)),
-            "--baselines" => out.baselines = PathBuf::from(value("--baselines")?),
-            "--update-baselines" => out.update_baselines = true,
             "--gpu-insight" => out.gpu_insight = true,
             other => return Err(format!("unknown flag {other}")),
         }
@@ -514,27 +506,14 @@ fn main() {
         None
     };
 
-    let mut regressed = false;
     if let Some(dir) = &args.insight {
-        let (result, model_steps) = model_run.as_ref().expect("insight forces a model run");
+        let (result, twin, model_steps) = model_run.as_ref().expect("insight forces a model run");
         let mut report = insight::analyze(result, &recorder);
+        if let Some(twin) = twin {
+            insight::attach_fault_cost(&mut report, result, twin, *model_steps);
+        }
         if let Some(gpu) = &gpu_run {
             insight::attach_gpu(&mut report, &gpu.timeline);
-        }
-        let obs = insight::observations(result, *model_steps);
-        let update = args.update_baselines;
-        if update && !args.faults.is_empty() {
-            fail("--update-baselines under --faults would poison the baseline; refusing");
-        }
-        match insight::check_regression(
-            &mut report,
-            &args.benchmark.to_string(),
-            &obs,
-            &args.baselines,
-            update,
-        ) {
-            Ok(r) => regressed = r,
-            Err(e) => fail(format!("regression check failed: {e}")),
         }
         if let Err(e) = insight::write_outputs(dir, &report, &recorder) {
             fail(format!("cannot write insight outputs: {e}"));
@@ -544,14 +523,6 @@ fn main() {
             "wrote insight report to {} (report.txt, metrics.om, folded.txt)",
             dir.display()
         );
-        if update {
-            println!(
-                "updated baseline {}",
-                args.baselines
-                    .join(format!("{}.json", args.benchmark))
-                    .display()
-            );
-        }
     }
 
     // Without `--insight` the GPU sections still deserve a report.
@@ -588,10 +559,6 @@ fn main() {
     }
     if let Some(d) = &dump {
         println!("wrote {} trajectory frames", d.frames());
-    }
-    if regressed {
-        eprintln!("perf regression detected; exiting 3");
-        std::process::exit(3);
     }
 }
 
@@ -652,9 +619,9 @@ fn run_gpu_model(args: &Args, recorder: &Recorder) -> md_core::Result<GpuTracedR
     Ok(traced)
 }
 
-/// Simulated-window floor for the modeled cluster, so baseline comparisons
-/// always average over the same number of modeled steps regardless of the
-/// fault schedule's horizon.
+/// Simulated-window floor for the modeled cluster, so a short or empty
+/// fault schedule still leaves the imbalance and critical-path statistics
+/// enough steps to settle.
 const MODEL_SIM_STEPS: u64 = 60;
 
 /// Runs the modeled 8-rank virtual cluster, replaying the cluster-side
@@ -665,14 +632,15 @@ const MODEL_SIM_STEPS: u64 = 60;
 /// per-rank ledgers plus critical-path records feed the insight analyzer.
 /// `pair_rate_scale` is this run's measured lanes/scalar pair-kernel ratio
 /// (`None` on the scalar path: the calibration table stands). Returns the
-/// result and the modeled step count its ledgers are scaled to.
+/// result, its fault-free twin when `--insight` prices cluster faults, and
+/// the modeled step count both runs' ledgers are scaled to.
 fn run_model_cluster(
     args: &Args,
     recorder: &Recorder,
     pair_rate_scale: Option<f64>,
-) -> md_core::Result<(CpuRunResult, u64)> {
+) -> md_core::Result<(CpuRunResult, Option<CpuRunResult>, u64)> {
     // Cover the whole fault schedule plus slack so skew is visible
-    // downstream, but never less than the fixed baseline window.
+    // downstream, but never less than the window floor.
     let horizon = args
         .faults
         .max_cluster_step()
@@ -685,10 +653,6 @@ fn run_model_cluster(
     if let Some(scale) = pair_rate_scale {
         model.recalibrate_pair_rate(scale);
         println!("  pair rate recalibrated by this run's lanes/scalar ratio {scale:.3}");
-    }
-    model.set_recorder(recorder.clone());
-    if args.faults.has_cluster_faults() {
-        model.set_faults(Arc::new(args.faults.clone()));
     }
     // Police the modeled exchanges when asked to, or whenever the fault
     // schedule carries comm faults the detection layer must catch.
@@ -703,6 +667,14 @@ fn run_model_cluster(
             seed: DECK_SEED,
             ..md_parallel::CommPolicy::default()
         });
+    }
+    // The fault-free twin is this model before it gets the faults and the
+    // recorder, so trace lanes and counters describe only the faulted run.
+    let twin_model =
+        (args.insight.is_some() && args.faults.has_cluster_faults()).then(|| model.clone());
+    model.set_recorder(recorder.clone());
+    if args.faults.has_cluster_faults() {
+        model.set_faults(Arc::new(args.faults.clone()));
     }
     let opts = CpuRunOptions {
         ranks: 8,
@@ -748,5 +720,11 @@ fn run_model_cluster(
             ev.varavg_after_percent
         );
     }
-    Ok((result, opts.steps))
+    let twin = twin_model
+        .map(|twin| twin.simulate(&profile, &bx, &x, &opts))
+        .transpose()?;
+    if let Some(twin) = &twin {
+        println!("  fault-free twin: modeled {:.1} TS/s", twin.ts_per_sec);
+    }
+    Ok((result, twin, opts.steps))
 }

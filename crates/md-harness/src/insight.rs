@@ -1,46 +1,25 @@
 //! Harness-side glue for md-insight: turns one modeled cluster run (plus
 //! whatever the recorder retained from the real-engine run) into the
-//! end-of-run characterization report, checks it against the per-deck
-//! baseline under `baselines/`, and writes the export artifacts
-//! (`report.txt`, `metrics.om`, `folded.txt`) for `--insight <dir>`.
+//! end-of-run characterization report, prices injected faults against the
+//! run's fault-free twin, and writes the export artifacts (`report.txt`,
+//! `metrics.om`, `folded.txt`) for `--insight <dir>`.
 
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
-use md_core::{KernelPath, TaskKind};
+use md_core::KernelPath;
 use md_insight::{
-    folded_stacks, openmetrics, Baseline, Breakdown, CriticalPathSummary, DeviceCriticalPath,
-    GpuAttribution, ImbalanceReport, InsightReport, MpiTable, RegressionConfig, RepartitionSummary,
+    folded_stacks, openmetrics, Breakdown, CriticalPathSummary, DeviceCriticalPath, FaultCost,
+    GpuAttribution, ImbalanceReport, InsightReport, MpiTable, RepartitionSummary,
 };
 use md_model::gpu::GpuTimeline;
 use md_model::CpuRunResult;
 use md_observe::Recorder;
 use md_workloads::Deck;
 
-/// Builds the per-metric observations fed to the regression comparator:
-/// modeled per-step cost of every task that does per-step work, plus the
-/// total. Modeled costs are pure arithmetic over workload counts, so these
-/// values are bit-deterministic and host-independent — safe to compare
-/// against committed baselines.
-pub fn observations(result: &CpuRunResult, steps: u64) -> BTreeMap<String, f64> {
-    let steps = steps.max(1) as f64;
-    let mut obs = BTreeMap::new();
-    for (task, seconds) in result.tasks.iter() {
-        // Other holds one-time init cost, not per-step work.
-        if task != TaskKind::Other {
-            obs.insert(format!("step_seconds.{}", task.label()), seconds / steps);
-        }
-    }
-    obs.insert("step_seconds.total".to_string(), result.step_seconds);
-    obs
-}
-
 /// Assembles the analysis sections from a modeled run (which must have been
 /// produced with `collect_rank_stats`) and the recorder's retained step
 /// samples from the real-engine run, then finalizes the findings list.
-/// Regression is left to [`check_regression`] so callers without a
-/// baseline directory can still analyze.
 pub fn analyze(result: &CpuRunResult, recorder: &Recorder) -> InsightReport {
     let snapshot = recorder.snapshot();
     let mut report = InsightReport {
@@ -77,29 +56,18 @@ pub fn attach_gpu(report: &mut InsightReport, timeline: &GpuTimeline) {
     report.finalize();
 }
 
-/// Compares the observations against `baselines_dir/<deck>.json` and stores
-/// the verdict in the report (re-finalizing the findings). With `update`,
-/// the run is absorbed into the baseline and saved — callers must refuse to
-/// update when fault injection is active, or the baseline gets poisoned.
-/// Returns whether any metric regressed.
-pub fn check_regression(
+/// Attaches what the injected faults cost: `faulted` against `twin`, the
+/// same model and options run without faults, both scaled to `steps`
+/// modeled steps. Re-finalizes so the `fault.cost` finding ranks with the
+/// rest.
+pub fn attach_fault_cost(
     report: &mut InsightReport,
-    deck: &str,
-    obs: &BTreeMap<String, f64>,
-    baselines_dir: &Path,
-    update: bool,
-) -> Result<bool, String> {
-    let cfg = RegressionConfig::default();
-    let mut baseline = Baseline::load(baselines_dir, deck)?.unwrap_or_else(|| Baseline::new(deck));
-    let regression = baseline.compare(obs, &cfg);
-    let regressed = regression.regressed;
-    report.regression = Some(regression);
+    faulted: &CpuRunResult,
+    twin: &CpuRunResult,
+    steps: u64,
+) {
+    report.fault_cost = Some(FaultCost::from_ledgers(&faulted.tasks, &twin.tasks, steps));
     report.finalize();
-    if update {
-        baseline.absorb(obs, &cfg);
-        baseline.save(baselines_dir)?;
-    }
-    Ok(regressed)
 }
 
 /// Seconds per pair-force evaluation through the scalar and through the
@@ -158,16 +126,14 @@ pub fn write_outputs(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use md_core::Threads;
+    use md_core::{TaskKind, Threads};
     use md_model::{CpuModel, CpuRunOptions, WorkloadProfile};
     use md_observe::ObserveConfig;
     use md_workloads::{build_deck_tuned, build_positions, Benchmark, DeckTuning};
 
-    fn modeled_run(recorder: &Recorder) -> CpuRunResult {
+    fn simulate(model: &CpuModel) -> CpuRunResult {
         let profile = WorkloadProfile::measure(Benchmark::Lj, 10, 1).expect("profile");
         let (bx, x) = build_positions(Benchmark::Lj, 1, 1).expect("positions");
-        let mut model = CpuModel::new();
-        model.set_recorder(recorder.clone());
         let opts = CpuRunOptions {
             ranks: 4,
             sim_steps: 20,
@@ -176,6 +142,12 @@ mod tests {
             ..CpuRunOptions::default()
         };
         model.simulate(&profile, &bx, &x, &opts).expect("simulate")
+    }
+
+    fn modeled_run(recorder: &Recorder) -> CpuRunResult {
+        let mut model = CpuModel::new();
+        model.set_recorder(recorder.clone());
+        simulate(&model)
     }
 
     #[test]
@@ -288,13 +260,54 @@ mod tests {
     }
 
     #[test]
-    fn observations_are_per_step_and_deterministic() {
+    fn a_healthy_runs_twin_is_bit_identical() {
+        // The twin is the configured model cloned before the recorder is
+        // attached, as run_deck builds it.
         let recorder = Recorder::new(ObserveConfig::default());
-        let a = observations(&modeled_run(&recorder), 10_000);
-        let b = observations(&modeled_run(&recorder), 10_000);
-        assert_eq!(a, b, "modeled costs are bit-deterministic");
-        assert!(a.contains_key("step_seconds.Pair"));
-        assert!(a.contains_key("step_seconds.total"));
-        assert!(!a.contains_key("step_seconds.Other"), "init cost excluded");
+        let mut model = CpuModel::new();
+        let twin_model = model.clone();
+        model.set_recorder(recorder.clone());
+        let (run, twin) = (simulate(&model), simulate(&twin_model));
+        assert_eq!(run.step_seconds.to_bits(), twin.step_seconds.to_bits());
+        for task in TaskKind::ALL {
+            assert_eq!(
+                run.tasks.seconds(task).to_bits(),
+                twin.tasks.seconds(task).to_bits(),
+                "{task}"
+            );
+        }
+
+        let mut report = analyze(&run, &recorder);
+        assert_eq!(report.imbalance.as_ref().unwrap().suspect_rank, None);
+        attach_fault_cost(&mut report, &run, &twin, CpuRunOptions::default().steps);
+        let cost = report.fault_cost.as_ref().expect("fault-cost section");
+        assert!(cost.tasks.iter().all(|c| c.delta == 0.0));
+        assert_eq!(cost.step_delta(), 0.0);
+    }
+
+    #[test]
+    fn observations_are_per_step_and_deterministic() {
+        // The fault-cost rows are a run's per-step modeled costs.
+        let recorder = Recorder::new(ObserveConfig::default());
+        let (a, b) = (modeled_run(&recorder), modeled_run(&recorder));
+        let steps = CpuRunOptions::default().steps;
+        let cost = FaultCost::from_ledgers(&a.tasks, &b.tasks, steps);
+        assert!(
+            cost.tasks
+                .iter()
+                .all(|c| c.faulted.to_bits() == c.twin.to_bits()),
+            "modeled costs are bit-deterministic"
+        );
+        let pair = cost
+            .tasks
+            .iter()
+            .find(|c| c.task == TaskKind::Pair)
+            .expect("Pair row");
+        assert_eq!(pair.twin, a.tasks.seconds(TaskKind::Pair) / steps as f64);
+        assert!(cost.twin_step > 0.0);
+        assert!(
+            cost.tasks.iter().all(|c| c.task != TaskKind::Other),
+            "init cost excluded"
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! Per-task bottleneck attribution and load-imbalance metrics.
 //!
-//! Three views, all over the eight-task LAMMPS taxonomy:
+//! Five views, all over the eight-task LAMMPS taxonomy:
 //!
 //! - [`Breakdown`]: where the time went (shares + dominant task), from
 //!   either a [`TaskLedger`] or a window of [`StepSample`]s (Fig. 3).
@@ -11,6 +11,8 @@
 //!   whose non-communication time sticks out, not the ones stuck in
 //!   `MPI_Wait`).
 //! - [`MpiTable`]: per-MPI-function overhead across ranks (Figs. 4–5).
+//! - [`FaultCost`]: per-task per-step seconds an injected fault added,
+//!   read off the same modeled run without faults (its fault-free twin).
 //! - [`GpuAttribution`]: per-device kernel-vs-memcpy-vs-idle shares and
 //!   PCIe traffic from the GPU model's traced offload schedule (Figs. 7–9).
 
@@ -18,11 +20,6 @@ use md_core::{TaskKind, TaskLedger};
 use md_model::gpu::GpuTimeline;
 use md_observe::StepSample;
 use md_parallel::{MpiFunction, MpiLedger};
-
-/// A rank whose compute time exceeds the mean by more than this fraction is
-/// flagged as the imbalance suspect. Shared with md-parallel's census so the
-/// analyzer and the repartitioner name the same straggler.
-pub const SUSPECT_EXCESS_THRESHOLD: f64 = md_parallel::SUSPECT_EXCESS_FRACTION;
 
 /// One task's share of a breakdown.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,10 +146,10 @@ pub struct ImbalanceReport {
     /// waiting that imbalance *causes* is excluded so the rank that causes
     /// it stands out.
     pub rank_compute_seconds: Vec<f64>,
-    /// Rank whose compute time exceeds the mean by more than
-    /// [`SUSPECT_EXCESS_THRESHOLD`], if any (the imbalance source).
+    /// The imbalance source: [`md_parallel::suspect_rank`] over
+    /// `rank_compute_seconds`, the rule the repartitioner re-splits by.
     pub suspect_rank: Option<usize>,
-    /// That rank's excess over the mean, percent.
+    /// The largest compute time's excess over the mean, percent.
     pub suspect_excess_percent: f64,
     /// The compute task with the worst `%varavg` among tasks carrying at
     /// least 1% of the mean compute time.
@@ -203,18 +200,16 @@ impl ImbalanceReport {
             .map(|l| l.total() - l.seconds(TaskKind::Comm) - l.seconds(TaskKind::Other))
             .collect();
         let mean = rank_compute_seconds.iter().sum::<f64>() / n;
-        let (max_rank, max_compute) = rank_compute_seconds
+        let max_compute = rank_compute_seconds
             .iter()
             .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite compute"))
-            .expect("non-empty");
+            .fold(f64::MIN, f64::max);
         let excess = if mean > 0.0 {
             (max_compute - mean) / mean
         } else {
             0.0
         };
-        let suspect_rank = (excess > SUSPECT_EXCESS_THRESHOLD).then_some(max_rank);
+        let suspect_rank = md_parallel::suspect_rank(&rank_compute_seconds);
 
         let mean_compute_total = mean.max(f64::MIN_POSITIVE);
         let worst = per_task
@@ -338,6 +333,88 @@ impl MpiTable {
             total_mean_seconds: total_mean,
             skew_mean_seconds: skew_mean,
         }
+    }
+}
+
+/// One task's per-step seconds in a faulted run and in its fault-free twin.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TaskCost {
+    /// The task.
+    pub task: TaskKind,
+    /// Seconds per step without faults.
+    pub twin: f64,
+    /// Seconds per step with faults.
+    pub faulted: f64,
+    /// `faulted − twin`.
+    pub delta: f64,
+}
+
+/// What injected faults cost, task by task: the faulted run against its
+/// twin, the same model and options run without faults. Modeled costs are
+/// bit-deterministic, so the twin repeats exactly and the delta is the
+/// faults' alone.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FaultCost {
+    /// Tasks with per-step work, largest delta first.
+    pub tasks: Vec<TaskCost>,
+    /// The twin's seconds per step, summed over those tasks.
+    pub twin_step: f64,
+    /// The faulted run's seconds per step, summed over those tasks.
+    pub faulted_step: f64,
+}
+
+impl FaultCost {
+    /// Compares two ledgers scaled to the same `steps` (e.g.
+    /// `CpuRunResult::tasks` of both runs).
+    pub fn from_ledgers(faulted: &TaskLedger, twin: &TaskLedger, steps: u64) -> FaultCost {
+        let steps = steps.max(1) as f64;
+        let mut tasks: Vec<TaskCost> = TaskKind::ALL
+            .iter()
+            // Other holds one-time init cost, not per-step work.
+            .filter(|&&task| task != TaskKind::Other)
+            .map(|&task| {
+                let (faulted, twin) = (faulted.seconds(task) / steps, twin.seconds(task) / steps);
+                TaskCost {
+                    task,
+                    twin,
+                    faulted,
+                    delta: faulted - twin,
+                }
+            })
+            .filter(|c| c.twin != 0.0 || c.faulted != 0.0)
+            .collect();
+        tasks.sort_by(|a, b| b.delta.total_cmp(&a.delta));
+        FaultCost {
+            twin_step: tasks.iter().map(|c| c.twin).sum(),
+            faulted_step: tasks.iter().map(|c| c.faulted).sum(),
+            tasks,
+        }
+    }
+
+    /// What the faults added to a step, seconds.
+    pub fn step_delta(&self) -> f64 {
+        self.faulted_step - self.twin_step
+    }
+
+    /// Renders the per-task table, largest delta first.
+    pub fn render(&self) -> String {
+        let mut out = String::from("task          twin s/step  faulted s/step       delta\n");
+        let rows = self
+            .tasks
+            .iter()
+            .map(|c| (c.task.label(), c.twin, c.faulted, c.delta));
+        let total = (
+            "total",
+            self.twin_step,
+            self.faulted_step,
+            self.step_delta(),
+        );
+        for (label, twin, faulted, delta) in rows.chain([total]) {
+            out.push_str(&format!(
+                "{label:<8} {twin:>16.3e} {faulted:>15.3e} {delta:>+11.3e}\n"
+            ));
+        }
+        out
     }
 }
 
@@ -580,6 +657,49 @@ mod tests {
         let r = ImbalanceReport::from_rank_ledgers(&ledgers);
         assert_eq!(r.suspect_rank, None);
         assert_eq!(r.per_task[TaskKind::Pair.index()].varavg_percent, 0.0);
+    }
+
+    #[test]
+    fn tied_ranks_name_the_suspect_the_repartitioner_names() {
+        // Ranks 1 and 2 tie for the most compute; the census names the first.
+        let ledgers: Vec<TaskLedger> = [1.0, 4.0, 4.0, 1.0]
+            .iter()
+            .map(|&s| ledger(&[(TaskKind::Pair, s)]))
+            .collect();
+        let r = ImbalanceReport::from_rank_ledgers(&ledgers);
+        assert_eq!(
+            r.suspect_rank,
+            md_parallel::suspect_rank(&r.rank_compute_seconds)
+        );
+        assert_eq!(r.suspect_rank, Some(1));
+        assert!((r.suspect_excess_percent - 60.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fault_cost_ranks_per_step_deltas_and_skips_init() {
+        let twin = ledger(&[
+            (TaskKind::Pair, 8.0),
+            (TaskKind::Comm, 2.0),
+            (TaskKind::Other, 5.0),
+        ]);
+        let faulted = ledger(&[
+            (TaskKind::Pair, 10.0),
+            (TaskKind::Comm, 20.0),
+            (TaskKind::Neigh, 1.0),
+            (TaskKind::Other, 5.0),
+        ]);
+        let cost = FaultCost::from_ledgers(&faulted, &twin, 1000);
+        let order: Vec<TaskKind> = cost.tasks.iter().map(|c| c.task).collect();
+        assert_eq!(order, [TaskKind::Comm, TaskKind::Pair, TaskKind::Neigh]);
+        assert_eq!(cost.tasks[0].twin, 2.0e-3);
+        assert_eq!(cost.tasks[0].faulted, 20.0e-3);
+        assert!((cost.tasks[0].delta - 18.0e-3).abs() < 1e-15);
+        assert!((cost.twin_step - 10.0e-3).abs() < 1e-15);
+        assert!((cost.step_delta() - 21.0e-3).abs() < 1e-15);
+        let rendered = cost.render();
+        assert!(rendered.lines().nth(1).unwrap().starts_with("Comm"));
+        assert!(rendered.contains("total"));
+        assert!(!rendered.contains("Other"));
     }
 
     #[test]

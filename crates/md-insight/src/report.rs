@@ -1,15 +1,13 @@
 //! The assembled characterization report: attribution + imbalance + MPI +
-//! critical path + regression, distilled into a severity-ranked findings
+//! critical path + fault cost, distilled into a severity-ranked findings
 //! list with a human-readable rendering.
 
-use md_core::TaskKind;
 use md_observe::Recorder;
 
 use crate::attribution::{
-    Breakdown, GpuAttribution, ImbalanceReport, MpiTable, RepartitionSummary,
+    Breakdown, FaultCost, GpuAttribution, ImbalanceReport, MpiTable, RepartitionSummary,
 };
 use crate::critical_path::{BoundSegment, CriticalPathSummary, DeviceCriticalPath};
-use crate::regression::{RegressionReport, Verdict};
 
 /// How urgent a finding is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -18,7 +16,7 @@ pub enum Severity {
     Info,
     /// Something looks off; worth a look.
     Warning,
-    /// Actionable problem (regression, strong imbalance).
+    /// Actionable problem (a named imbalance suspect).
     Critical,
 }
 
@@ -65,8 +63,9 @@ pub struct InsightReport {
     /// Imbalance-aware re-split summary, if the model ran with a
     /// repartition cadence and actually re-split.
     pub repartition: Option<RepartitionSummary>,
-    /// Regression check, if a baseline was available.
-    pub regression: Option<RegressionReport>,
+    /// What injected faults cost against the fault-free twin, if the
+    /// modeled cluster ran with faults.
+    pub fault_cost: Option<FaultCost>,
     /// Severity-ranked findings (most severe first).
     pub findings: Vec<Finding>,
 }
@@ -266,31 +265,19 @@ impl InsightReport {
                 });
             }
         }
-        if let Some(reg) = &self.regression {
-            let regressed: Vec<&str> = reg
-                .verdicts
-                .iter()
-                .filter(|v| v.verdict == Verdict::Regressed)
-                .map(|v| v.name.as_str())
-                .collect();
-            if regressed.is_empty() {
+        if let Some(cost) = &self.fault_cost {
+            if let Some(top) = cost.tasks.first() {
                 findings.push(Finding {
-                    severity: Severity::Info,
-                    kind: "regression.ok",
+                    severity: Severity::Warning,
+                    kind: "fault.cost",
                     message: format!(
-                        "no perf regression vs the {} baseline ({} metrics checked)",
-                        reg.deck,
-                        reg.verdicts.len()
-                    ),
-                });
-            } else {
-                findings.push(Finding {
-                    severity: Severity::Critical,
-                    kind: "regression.detected",
-                    message: format!(
-                        "perf REGRESSED vs the {} baseline: {}",
-                        reg.deck,
-                        regressed.join(", ")
+                        "the injected faults add {:.3e} s to a modeled step ({:.3e} -> {:.3e} s \
+                         against the fault-free twin), most of it in {} ({:+.3e} s)",
+                        cost.step_delta(),
+                        cost.twin_step,
+                        cost.faulted_step,
+                        top.task.label(),
+                        top.delta
                     ),
                 });
             }
@@ -417,24 +404,19 @@ impl InsightReport {
                 ));
             }
         }
-        if let Some(reg) = &self.regression {
-            out.push_str("\n-- perf regression --\n");
-            out.push_str(&reg.render());
+        if let Some(cost) = &self.fault_cost {
+            out.push_str("\n-- fault cost against the fault-free twin --\n");
+            out.push_str(&cost.render());
         }
         out
     }
-}
-
-/// Which task dominated: convenience for tests and the harness.
-pub fn dominant_task(breakdown: &Breakdown) -> TaskKind {
-    breakdown.dominant
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attribution::ImbalanceReport;
-    use md_core::TaskLedger;
+    use md_core::{TaskKind, TaskLedger};
     use md_observe::ObserveConfig;
 
     fn skewed_ledgers() -> Vec<TaskLedger> {
@@ -617,6 +599,30 @@ mod tests {
         let rec = Recorder::new(ObserveConfig::default());
         report.publish_counters(&rec);
         assert_eq!(rec.snapshot().counters["imbalance_repartitions"], 1.0);
+    }
+
+    #[test]
+    fn fault_cost_finding_names_the_step_delta_and_the_top_task() {
+        let twin = skewed_ledgers()[0].clone();
+        let mut faulted = twin.clone();
+        faulted.add(TaskKind::Comm, 3.0);
+        faulted.add(TaskKind::Pair, 1.0);
+        let mut report = InsightReport {
+            fault_cost: Some(FaultCost::from_ledgers(&faulted, &twin, 10)),
+            ..InsightReport::default()
+        };
+        report.finalize();
+        let f = report
+            .findings
+            .iter()
+            .find(|f| f.kind == "fault.cost")
+            .expect("fault-cost finding");
+        assert_eq!(f.severity, Severity::Warning);
+        assert!(f.message.contains("add 4.000e-1 s"), "{}", f.message);
+        assert!(f.message.contains("most of it in Comm"), "{}", f.message);
+        assert!(report
+            .render()
+            .contains("fault cost against the fault-free twin"));
     }
 
     #[test]

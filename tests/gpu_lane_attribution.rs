@@ -260,7 +260,6 @@ fn run_deck_gpu_insight_cli_reports_and_exports_device_lanes() {
         .arg(&trace_path)
         .arg("--insight")
         .arg(&out_dir)
-        .args(["--baselines", "baselines"])
         .output()
         .expect("run_deck executes");
     let stdout = String::from_utf8_lossy(&output.stdout);
@@ -280,6 +279,8 @@ fn run_deck_gpu_insight_cli_reports_and_exports_device_lanes() {
         "stdout:\n{stdout}"
     );
     assert!(stdout.contains("per-device breakdown"), "stdout:\n{stdout}");
+    // A run without faults has no twin to price them against.
+    assert!(!stdout.contains("fault.cost"), "stdout:\n{stdout}");
 
     // The trace file carries the device lanes and memcpy spans.
     let trace = std::fs::read_to_string(&trace_path).expect("trace written");
