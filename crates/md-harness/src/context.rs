@@ -7,6 +7,7 @@
 //! experiment" path sweeps the parameter space through the instance models.
 
 use md_core::{Result, SimBox, V3};
+use md_model::calib::gpu_host_ranks;
 use md_model::{
     CpuModel, CpuRunOptions, CpuRunResult, GpuModel, GpuRunOptions, GpuRunResult, PrecisionMode,
     WorkloadProfile,
@@ -134,6 +135,12 @@ impl ExperimentContext {
 
     /// Decomposition + census of a benchmark at a scale over `ranks` (cached).
     ///
+    /// A miss measures `ranks` together with every rank count of the
+    /// paper's sweeps for this deck that is not cached yet — [`CPU_PROCS`],
+    /// plus the GPU host ranks over [`GPU_DEVICES`] if the deck runs on the
+    /// GPU package — in one binned pass over the positions, so the rest of
+    /// a (deck, scale) sweep finds its censuses cached.
+    ///
     /// # Errors
     ///
     /// Propagates decomposition failures.
@@ -143,19 +150,27 @@ impl ExperimentContext {
         scale: usize,
         ranks: usize,
     ) -> Result<(Decomposition, WorkloadCensus)> {
-        let key = (benchmark, scale, ranks);
-        if let Some(c) = self.censuses.lock().expect("poisoned").get(&key) {
-            return Ok(c.clone());
-        }
+        let wanted = {
+            let cache = self.censuses.lock().expect("poisoned");
+            if let Some(c) = cache.get(&(benchmark, scale, ranks)) {
+                return Ok(c.clone());
+            }
+            let mut wanted = vec![ranks];
+            for p in sweep_ranks(benchmark) {
+                if !wanted.contains(&p) && !cache.contains_key(&(benchmark, scale, p)) {
+                    wanted.push(p);
+                }
+            }
+            wanted
+        };
         let (bx, x) = self.system(benchmark, scale)?;
         let profile = self.profile(benchmark)?;
-        let decomp = Decomposition::new(bx, ranks)?;
-        let census = WorkloadCensus::measure(&decomp, &x, profile.ghost_cutoff);
-        self.censuses
-            .lock()
-            .expect("poisoned")
-            .insert(key, (decomp.clone(), census.clone()));
-        Ok((decomp, census))
+        let mut measured = WorkloadCensus::measure_all(&bx, &wanted, &x, profile.ghost_cutoff)?;
+        let mut cache = self.censuses.lock().expect("poisoned");
+        for (&p, entry) in wanted.iter().zip(&measured) {
+            cache.insert((benchmark, scale, p), entry.clone());
+        }
+        Ok(measured.swap_remove(0))
     }
 
     /// One modeled CPU run at the paper's defaults.
@@ -226,13 +241,21 @@ impl ExperimentContext {
         if let Some(err) = kspace_error {
             profile = profile.with_kspace_error(err)?;
         }
-        let ranks =
-            (md_model::calib::RANKS_PER_GPU * gpus).min(md_model::calib::MAX_GPU_HOST_RANKS);
+        let ranks = gpu_host_ranks(gpus);
         let (_, census) = self.census(benchmark, scale, ranks)?;
         let opts = GpuRunOptions { gpus, precision };
         self.gpu_model
             .simulate_with_census(&profile, &census, &opts)
     }
+}
+
+/// Every rank count the paper's sweeps decompose `benchmark` over.
+fn sweep_ranks(benchmark: Benchmark) -> impl Iterator<Item = usize> {
+    let gpu = GPU_DEVICES
+        .into_iter()
+        .filter(move |_| benchmark.gpu_supported())
+        .map(gpu_host_ranks);
+    CPU_PROCS.into_iter().chain(gpu)
 }
 
 /// Displaces positions by a small thermal amplitude (5% of the mean
@@ -275,6 +298,28 @@ mod tests {
         let (_, c2) = ctx.census(Benchmark::Lj, 1, 8).unwrap();
         assert_eq!(c1.loads(), c2.loads());
         assert_eq!(d1.nranks(), 8);
+    }
+
+    #[test]
+    fn a_batch_filled_entry_equals_a_fresh_measure() {
+        let ctx = ExperimentContext::new(Fidelity::Quick);
+        // One miss fills every sweep rank count of (lj, 1).
+        ctx.census(Benchmark::Lj, 1, 8).unwrap();
+        let (bx, x) = ctx.system(Benchmark::Lj, 1).unwrap();
+        let cutoff = ctx.profile(Benchmark::Lj).unwrap().ghost_cutoff;
+        let cached = ctx.censuses.lock().unwrap().clone();
+        assert_eq!(
+            cached.len(),
+            12,
+            "7 CPU process counts + 5 GPU host rank counts"
+        );
+        for p in sweep_ranks(Benchmark::Lj) {
+            let (d, census) = &cached[&(Benchmark::Lj, 1, p)];
+            let fresh = Decomposition::new(bx, p).unwrap();
+            assert_eq!(d.grid(), fresh.grid(), "{p} ranks");
+            let measured = WorkloadCensus::measure(&fresh, &x, cutoff);
+            assert_eq!(census.loads(), measured.loads(), "{p} ranks");
+        }
     }
 
     #[test]

@@ -178,6 +178,12 @@ pub const RANKS_PER_GPU: usize = 6;
 /// Upper bound on host ranks of the GPU instance.
 pub const MAX_GPU_HOST_RANKS: usize = 48;
 
+/// Host MPI ranks driving `gpus` devices: [`RANKS_PER_GPU`] each, at most
+/// [`MAX_GPU_HOST_RANKS`] in all.
+pub fn gpu_host_ranks(gpus: usize) -> usize {
+    (RANKS_PER_GPU * gpus).min(MAX_GPU_HOST_RANKS)
+}
+
 /// GPU pair-kernel rate (seconds per pair, fp32).
 pub fn gpu_pair_seconds(benchmark: Benchmark) -> f64 {
     match benchmark {

@@ -555,7 +555,7 @@ impl GpuModel {
         positions: &[md_core::V3],
         opts: &GpuRunOptions,
     ) -> Result<GpuRunResult> {
-        let ranks = (calib::RANKS_PER_GPU * opts.gpus).min(calib::MAX_GPU_HOST_RANKS);
+        let ranks = calib::gpu_host_ranks(opts.gpus);
         let decomp = Decomposition::new(*bx, ranks)?;
         let census = WorkloadCensus::measure(&decomp, positions, profile.ghost_cutoff);
         self.simulate_with_census(profile, &census, opts)
@@ -580,7 +580,7 @@ impl GpuModel {
         opts: &GpuRunOptions,
         sim_steps: u64,
     ) -> Result<GpuTracedRun> {
-        let ranks = (calib::RANKS_PER_GPU * opts.gpus).min(calib::MAX_GPU_HOST_RANKS);
+        let ranks = calib::gpu_host_ranks(opts.gpus);
         let decomp = Decomposition::new(*bx, ranks)?;
         let census = WorkloadCensus::measure(&decomp, positions, profile.ghost_cutoff);
         let result = self.simulate_with_census(profile, &census, opts)?;
@@ -589,7 +589,7 @@ impl GpuModel {
     }
 
     /// Runs the model with an already-measured census over
-    /// `min(6·gpus, 48)` host ranks.
+    /// [`calib::gpu_host_ranks`] host ranks.
     ///
     /// # Errors
     ///
@@ -607,7 +607,7 @@ impl GpuModel {
                 reason: format!("the reference GPU package lacks the {} pair style", bench),
             });
         }
-        let ranks = (calib::RANKS_PER_GPU * opts.gpus).min(calib::MAX_GPU_HOST_RANKS);
+        let ranks = calib::gpu_host_ranks(opts.gpus);
         if census.nranks() != ranks {
             return Err(md_core::CoreError::LengthMismatch {
                 what: "census ranks",

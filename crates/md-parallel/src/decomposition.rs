@@ -121,14 +121,10 @@ impl Decomposition {
     /// wrapped by fractional-coordinate clamping, so ghosts resolve too).
     pub fn rank_of_position(&self, x: V3) -> usize {
         let f = self.bx.fractional(x);
-        let cell = |frac: f64, n: usize| -> usize {
-            let w = frac.rem_euclid(1.0);
-            ((w * n as f64) as usize).min(n - 1)
-        };
         self.grid.rank_of(
-            cell(f.x, self.grid.px),
-            cell(f.y, self.grid.py),
-            cell(f.z, self.grid.pz),
+            owner_cell(f.x, self.grid.px),
+            owner_cell(f.y, self.grid.py),
+            owner_cell(f.z, self.grid.pz),
         )
     }
 
@@ -180,15 +176,19 @@ impl Decomposition {
         }
         out
     }
+}
 
-    /// Counts owned atoms per rank (O(N)).
-    pub fn count_owned(&self, x: &[V3]) -> Vec<usize> {
-        let mut counts = vec![0usize; self.nranks()];
-        for &p in x {
-            counts[self.rank_of_position(p)] += 1;
-        }
-        counts
-    }
+/// The owner rule along one axis: the cell among `n` that holds fractional
+/// coordinate `frac`, wrapped into `[0, 1)` first. Atoms sit inside the box
+/// almost always, so the wrap (a libm `fmod`) runs only for those outside.
+#[inline]
+pub(crate) fn owner_cell(frac: f64, n: usize) -> usize {
+    let w = if (0.0..1.0).contains(&frac) {
+        frac
+    } else {
+        frac.rem_euclid(1.0)
+    };
+    ((w * n as f64) as usize).min(n - 1)
 }
 
 #[cfg(test)]
@@ -280,17 +280,27 @@ mod tests {
     }
 
     #[test]
-    fn count_owned_is_conserved() {
-        let bx = SimBox::cubic(10.0);
-        let d = Decomposition::new(bx, 27).unwrap();
-        let x: Vec<V3> = (0..500)
-            .map(|i| {
-                let t = i as f64;
-                Vec3::new((t * 0.617) % 10.0, (t * 0.379) % 10.0, (t * 0.211) % 10.0)
-            })
-            .collect();
-        let counts = d.count_owned(&x);
-        assert_eq!(counts.iter().sum::<usize>(), 500);
+    fn owner_cell_fast_path_equals_the_wrap() {
+        let reference =
+            |frac: f64, n: usize| ((frac.rem_euclid(1.0) * n as f64) as usize).min(n - 1);
+        for frac in [
+            -0.0,
+            0.0,
+            0.25,
+            0.5,
+            0.999_999_999,
+            1.0,
+            1.25,
+            -0.25,
+            -1e-17,
+            3.0,
+            -7.5,
+            f64::NAN,
+        ] {
+            for n in [1, 2, 3, 4, 7] {
+                assert_eq!(owner_cell(frac, n), reference(frac, n), "{frac} over {n}");
+            }
+        }
     }
 
     #[test]

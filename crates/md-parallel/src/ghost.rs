@@ -28,23 +28,46 @@ pub struct GhostExchange {
 }
 
 /// Maximum per-axis candidate subdomains (cutoff spans at most a few cells).
-const MAX_AXIS: usize = 12;
+pub(crate) const MAX_AXIS: usize = 12;
 
-/// Per-axis candidate subdomain indices (with the periodic shift that maps
-/// the atom into that subdomain's frame), allocation-free.
-fn axis_candidates(
-    coord: f64,
-    lo: f64,
+/// `v.floor() as i64` without libm: truncate, then step down when the
+/// truncation rounded a negative fraction up. Exact for every finite `v`
+/// (a truncated value below 2^53 is representable, one above is `v`
+/// itself) and equal to the cast at the saturated ends and for NaN.
+#[inline]
+pub(crate) fn floor_i64(v: f64) -> i64 {
+    let t = v as i64;
+    if t as f64 > v {
+        t.saturating_sub(1)
+    } else {
+        t
+    }
+}
+
+/// The cells `i_lo..=i_hi` an atom's halo reaches along one axis of `n`
+/// cells of width `s`, unwrapped (they may lie outside `0..n`).
+#[inline]
+pub(crate) fn axis_range(coord: f64, lo: f64, s: f64, cutoff: f64) -> (i64, i64) {
+    (
+        floor_i64((coord - cutoff - lo) / s),
+        floor_i64((coord + cutoff - lo) / s),
+    )
+}
+
+/// The candidate subdomains of the unwrapped range `i_lo..=i_hi` along one
+/// axis, each with the periodic shift that maps the atom into that
+/// subdomain's frame, allocation-free. A periodic axis wraps every `i`; a
+/// non-periodic one keeps only the cells inside `0..n`. At most
+/// [`MAX_AXIS`] are kept. Distinct `i` that land on the same cell differ in
+/// shift by a whole box length, so no candidate repeats.
+pub(crate) fn axis_candidates(
+    (i_lo, i_hi): (i64, i64),
     len: f64,
     n: usize,
     periodic: bool,
-    cutoff: f64,
 ) -> ([(usize, f64); MAX_AXIS], usize) {
-    let s = len / n as f64;
     let mut out = [(0usize, 0.0f64); MAX_AXIS];
     let mut count = 0usize;
-    let i_lo = ((coord - cutoff - lo) / s).floor() as i64;
-    let i_hi = ((coord + cutoff - lo) / s).floor() as i64;
     for i in i_lo..=i_hi {
         if count == MAX_AXIS {
             break; // cutoff wraps the axis more than once; halo saturated
@@ -53,13 +76,8 @@ fn axis_candidates(
             let w = i.rem_euclid(n as i64) as usize;
             // Shift that maps the atom next to subdomain w.
             let shift = -((i - w as i64) as f64) / n as f64 * len;
-            let dup = out[..count]
-                .iter()
-                .any(|&(idx, sh)| idx == w && (sh - shift).abs() < 1e-9);
-            if !dup {
-                out[count] = (w, shift);
-                count += 1;
-            }
+            out[count] = (w, shift);
+            count += 1;
         } else if i >= 0 && i < n as i64 {
             out[count] = (i as usize, 0.0);
             count += 1;
@@ -69,7 +87,9 @@ fn axis_candidates(
 }
 
 impl GhostExchange {
-    /// Builds owned/ghost sets for every rank of `d` at the given cutoff.
+    /// Builds owned/ghost sets for every rank of `d` at the given cutoff,
+    /// materializing every ghost copy: the explicit exchange the census
+    /// ([`crate::WorkloadCensus`]) is held to.
     ///
     /// O(N · k) where `k` is the (small) number of subdomains within the
     /// cutoff of an atom.
@@ -78,13 +98,19 @@ impl GhostExchange {
         let grid = d.grid();
         let l = bx.lengths();
         let lo = bx.lo();
+        let dims = [grid.px, grid.py, grid.pz];
+        let axis = |p: V3, a: usize| {
+            let s = l[a] / dims[a] as f64;
+            let range = axis_range(p[a], lo[a], s, cutoff);
+            axis_candidates(range, l[a], dims[a], bx.is_periodic(a))
+        };
         let mut ranks = vec![RankAtoms::default(); d.nranks()];
         for (gi, &p) in x.iter().enumerate() {
             let owner = d.rank_of_position(p);
             ranks[owner].owned.push(gi);
-            let (cx, nx) = axis_candidates(p.x, lo.x, l.x, grid.px, bx.is_periodic(0), cutoff);
-            let (cy, ny) = axis_candidates(p.y, lo.y, l.y, grid.py, bx.is_periodic(1), cutoff);
-            let (cz, nz) = axis_candidates(p.z, lo.z, l.z, grid.pz, bx.is_periodic(2), cutoff);
+            let (cx, nx) = axis(p, 0);
+            let (cy, ny) = axis(p, 1);
+            let (cz, nz) = axis(p, 2);
             for &(ix, sx) in &cx[..nx] {
                 for &(iy, sy) in &cy[..ny] {
                     for &(iz, sz) in &cz[..nz] {
@@ -99,36 +125,6 @@ impl GhostExchange {
             }
         }
         GhostExchange { ranks, cutoff }
-    }
-
-    /// Counts owned and ghost atoms per rank without materializing the ghost
-    /// copies (O(N·k), allocation-free inner loop) — the census fast path.
-    pub fn count(d: &Decomposition, x: &[V3], cutoff: f64) -> (Vec<usize>, Vec<usize>) {
-        let bx = d.sim_box();
-        let grid = d.grid();
-        let l = bx.lengths();
-        let lo = bx.lo();
-        let mut owned = vec![0usize; d.nranks()];
-        let mut ghosts = vec![0usize; d.nranks()];
-        for &p in x {
-            let owner = d.rank_of_position(p);
-            owned[owner] += 1;
-            let (cx, nx) = axis_candidates(p.x, lo.x, l.x, grid.px, bx.is_periodic(0), cutoff);
-            let (cy, ny) = axis_candidates(p.y, lo.y, l.y, grid.py, bx.is_periodic(1), cutoff);
-            let (cz, nz) = axis_candidates(p.z, lo.z, l.z, grid.pz, bx.is_periodic(2), cutoff);
-            for &(ix, sx) in &cx[..nx] {
-                for &(iy, sy) in &cy[..ny] {
-                    for &(iz, sz) in &cz[..nz] {
-                        let r = grid.rank_of(ix, iy, iz);
-                        if r == owner && sx == 0.0 && sy == 0.0 && sz == 0.0 {
-                            continue;
-                        }
-                        ghosts[r] += 1;
-                    }
-                }
-            }
-        }
-        (owned, ghosts)
     }
 
     /// The owned/ghost sets of rank `r`.
@@ -175,6 +171,35 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn floor_i64_equals_the_libm_floor() {
+        for v in [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            2.999_999,
+            -2.000_001,
+            1e-300,
+            -1e-300,
+            4.5e15,
+            -4.5e15,
+            9.1e18,
+            -9.1e18,
+            1e19,
+            -1e19,
+            1e300,
+            -1e300,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ] {
+            assert_eq!(floor_i64(v), v.floor() as i64, "{v}");
+        }
     }
 
     #[test]

@@ -5,6 +5,20 @@ use md_parallel::{
     Decomposition, GhostExchange, LinkModel, ProcGrid, VirtualCluster, WorkloadCensus,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// `n` uniform positions in `bx`, reaching up to 5 % of the mean spacing
+/// past every wall, as a thermally smeared lattice leaves them.
+fn smeared_positions(bx: &SimBox, n: usize, seed: u64) -> Vec<V3> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let spill = 0.05 * (bx.volume() / n as f64).cbrt();
+    let (lo, l) = (bx.lo(), bx.lengths());
+    let mut coord = |a: usize| lo[a] - spill + rng.gen::<f64>() * (l[a] + 2.0 * spill);
+    (0..n)
+        .map(|_| Vec3::new(coord(0), coord(1), coord(2)))
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -42,27 +56,57 @@ proptest! {
     }
 
     /// Owned counts always partition the atom set; census ghosts match the
-    /// explicit exchange.
+    /// explicit exchange rank by rank — on anisotropic boxes, with or
+    /// without a fixed-wall z axis, at a zero cutoff (the shrink report's
+    /// owned-only census), a cutoff inside one subdomain, and one that spans
+    /// many (the per-axis candidate cap), with atoms smeared past the walls.
     #[test]
-    fn census_partitions_and_counts(seed in 0u64..300, p in 2usize..28) {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let l = 14.0;
-        let bx = SimBox::cubic(l);
-        let n = 200;
-        let x: Vec<V3> = (0..n)
-            .map(|_| Vec3::new(rng.gen::<f64>() * l, rng.gen::<f64>() * l, rng.gen::<f64>() * l))
-            .collect();
+    fn census_partitions_and_counts(
+        seed in 0u64..300,
+        p in 1usize..65,
+        lengths in (6.0..30.0f64, 6.0..30.0f64, 6.0..30.0f64),
+        z_periodic in proptest::bool::ANY,
+        // Zero, inside one subdomain, or spanning many, a third each.
+        cutoff in (0usize..3, 0.0..1.0f64).prop_map(|(kind, u)| match kind {
+            0 => 0.0,
+            1 => 0.3 + 2.7 * u,
+            _ => 8.0 + 32.0 * u,
+        }),
+    ) {
+        let bx = SimBox::orthogonal(lengths.0, lengths.1, lengths.2)
+            .with_periodicity(true, true, z_periodic);
+        let x = smeared_positions(&bx, 200, seed);
         let d = Decomposition::new(bx, p).unwrap();
-        let census = WorkloadCensus::measure(&d, &x, 1.5);
-        prop_assert_eq!(census.loads().iter().map(|r| r.owned).sum::<usize>(), n);
-        let exchange = GhostExchange::build(&d, &x, 1.5);
+        let census = WorkloadCensus::measure(&d, &x, cutoff);
+        prop_assert_eq!(census.loads().iter().map(|r| r.owned).sum::<usize>(), x.len());
+        let exchange = GhostExchange::build(&d, &x, cutoff);
         for r in 0..p {
-            prop_assert_eq!(census.loads()[r].owned, exchange.rank(r).owned.len());
-            prop_assert_eq!(census.loads()[r].ghosts, exchange.rank(r).ghosts.len());
+            prop_assert_eq!(census.loads()[r].owned, exchange.rank(r).owned.len(), "rank {}", r);
+            prop_assert_eq!(census.loads()[r].ghosts, exchange.rank(r).ghosts.len(), "rank {}", r);
         }
         prop_assert!(census.imbalance() >= 1.0 - 1e-12);
+    }
+
+    /// One pass over many rank counts gives each the census a pass of its
+    /// own gives, decomposition and all.
+    #[test]
+    fn census_measure_all_equals_measure_one_at_a_time(
+        seed in 0u64..300,
+        ranks in proptest::collection::vec(1usize..65, 0..8),
+        z_periodic in proptest::bool::ANY,
+        cutoff in 0.0..6.0f64,
+    ) {
+        let bx = SimBox::orthogonal(18.0, 12.0, 27.0).with_periodicity(true, true, z_periodic);
+        let x = smeared_positions(&bx, 300, seed);
+        let all = WorkloadCensus::measure_all(&bx, &ranks, &x, cutoff).unwrap();
+        prop_assert_eq!(all.len(), ranks.len());
+        for ((d, census), &p) in all.iter().zip(&ranks) {
+            let single = Decomposition::new(bx, p).unwrap();
+            prop_assert_eq!(d.grid(), single.grid());
+            let alone = WorkloadCensus::measure(&single, &x, cutoff);
+            prop_assert_eq!(census.loads(), alone.loads());
+            prop_assert_eq!(census.natoms(), alone.natoms());
+        }
     }
 
     /// Face neighbors are symmetric under periodic wrap: if b is a's +x
@@ -124,5 +168,36 @@ proptest! {
             .map(|(i, _)| i)
             .expect("nonempty");
         prop_assert_eq!(c.mpi_ledger(slowest).skew_seconds(), 0.0);
+    }
+}
+
+/// The census against the explicit exchange on each named case at least
+/// once, whatever the random draws above cover.
+#[test]
+fn census_named_cases_equal_the_exchange() {
+    let chute = SimBox::orthogonal(20.0, 20.0, 30.0).with_periodicity(true, true, false);
+    let slab = SimBox::orthogonal(40.0, 10.0, 6.0);
+    let small = SimBox::cubic(6.0);
+    let cases = [
+        ("non-periodic z", chute, 48, 1.2),
+        ("anisotropic", slab, 36, 2.5),
+        ("zero cutoff", chute, 7, 0.0),
+        ("cutoff past the candidate cap", small, 64, 20.0),
+        ("cutoff past the cap, fixed wall", chute, 64, 60.0),
+    ];
+    for (name, bx, p, cutoff) in cases {
+        let x = smeared_positions(&bx, 400, 11);
+        let d = Decomposition::new(bx, p).unwrap();
+        let census = WorkloadCensus::measure(&d, &x, cutoff);
+        let exchange = GhostExchange::build(&d, &x, cutoff);
+        for r in 0..p {
+            let load = census.loads()[r];
+            assert_eq!(load.owned, exchange.rank(r).owned.len(), "{name}: rank {r}");
+            assert_eq!(
+                load.ghosts,
+                exchange.rank(r).ghosts.len(),
+                "{name}: rank {r}"
+            );
+        }
     }
 }

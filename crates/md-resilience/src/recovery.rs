@@ -34,7 +34,7 @@ use crate::watchdog::{HealthEvent, Watchdog};
 use crate::{ResilienceError, Result};
 use md_core::wire::{crc32, Reader, Writer};
 use md_core::CoreError;
-use md_parallel::{Decomposition, WorkloadCensus};
+use md_parallel::WorkloadCensus;
 use md_workloads::Deck;
 
 /// Knobs for the rollback-and-retry driver.
@@ -172,10 +172,10 @@ impl ShrinkReport {
     ) -> Result<Self> {
         let bx = *deck.simulation.sim_box();
         let x = deck.simulation.atoms().x();
-        // Owned-atom imbalance only; a zero ghost cutoff keeps the census
-        // O(N) on the recovery path.
-        let before = WorkloadCensus::measure(&Decomposition::new(bx, ranks_before)?, x, 0.0);
-        let after = WorkloadCensus::measure(&Decomposition::new(bx, ranks_before - 1)?, x, 0.0);
+        // Owned-atom imbalance only (a zero ghost cutoff), both rank counts
+        // in one pass.
+        let censuses = WorkloadCensus::measure_all(&bx, &[ranks_before, ranks_before - 1], x, 0.0)?;
+        let (before, after) = (&censuses[0].1, &censuses[1].1);
         Ok(ShrinkReport {
             step,
             rollback_step,
