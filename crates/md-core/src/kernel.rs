@@ -2,8 +2,8 @@
 //!
 //! The pair styles ship two functionally identical inner loops:
 //!
-//! * [`KernelPath::Scalar`] — the original branchy AoS loop. It is the
-//!   bitwise reference: deterministic mode always pins this path.
+//! * [`KernelPath::Scalar`] — the original branchy AoS loop and the
+//!   reference the lanes path is tested against.
 //! * [`KernelPath::Lanes`] — lane-blocked loops over flattened `x/y/z/type`
 //!   scratch arrays ([`LaneGather`]/[`LaneAccum`]) driven by the padded
 //!   neighbor rows of [`crate::NeighborList`]. Each block is a fixed-size
@@ -32,7 +32,7 @@ pub const LANES: usize = 8;
 /// Which inner-loop implementation the pair styles run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPath {
-    /// Branchy reference loop; bitwise-stable, used by deterministic mode.
+    /// Branchy reference loop; the oracle for [`KernelPath::Lanes`].
     #[default]
     Scalar,
     /// Lane-blocked, arithmetically masked loop over padded neighbor rows.

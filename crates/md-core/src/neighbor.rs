@@ -50,8 +50,8 @@
 //! order. Because each atom's neighbor row depends only on the
 //! (serial) bin structure and on per-pair arithmetic that no thread shares,
 //! the threaded build is **bitwise identical** to the serial one at any
-//! thread count — no `deterministic` toggle is needed here, unlike the
-//! floating-point reductions in `md-potentials::threaded` and `md-kspace`.
+//! thread count, unlike the pair-force reductions in
+//! `md-potentials::threaded`, which reassociate across counts.
 
 use crate::error::{CoreError, Result};
 use crate::simbox::SimBox;

@@ -1058,11 +1058,10 @@ impl SimulationBuilder {
     }
 
     /// Selects the pair-kernel inner loop (defaults to the scalar
-    /// reference; env `MD_KERNEL`, CLI `--kernel`). Deterministic thread
-    /// mode always pins [`KernelPath::Scalar`] — it is the bitwise-stable
-    /// path whose floating-point operation tree the determinism contract
-    /// freezes. When the lanes path is active the neighbor list maintains
-    /// sentinel-padded rows for it.
+    /// reference; env `MD_KERNEL`, CLI `--kernel`). A style without a lanes
+    /// kernel keeps running [`KernelPath::Scalar`], and the simulation
+    /// records that. When the lanes path is active the neighbor list
+    /// maintains sentinel-padded rows for it.
     pub fn kernel_path(mut self, path: KernelPath) -> Self {
         self.kernel_path = path;
         self
@@ -1070,9 +1069,8 @@ impl SimulationBuilder {
 
     /// Morton-sorts the atoms every `every` steps at neighbor-rebuild
     /// boundaries (0 disables; the LAMMPS `atom_modify sort` analogue).
-    /// Ignored in deterministic thread mode (sorting relabels atoms, which
-    /// permutes floating-point summation order) and for pair styles that
-    /// keep per-index caches ([`PairStyle::supports_reorder`] is `false`).
+    /// Ignored for pair styles that keep per-index caches
+    /// ([`PairStyle::supports_reorder`] is `false`).
     pub fn sort_every(mut self, every: u64) -> Self {
         self.sort_every = every;
         self
@@ -1115,20 +1113,8 @@ impl SimulationBuilder {
                 ),
             });
         }
-        // Deterministic mode pins the scalar kernel (the bitwise-reference
-        // operation tree) and never sorts (a relabeling permutes summation
-        // order); both knobs silently fall back rather than erroring so
-        // `MD_DETERMINISTIC=1 MD_KERNEL=lanes` stays a valid environment.
-        let mut kernel_path = if self.threads.deterministic {
-            KernelPath::Scalar
-        } else {
-            self.kernel_path
-        };
-        let mut sort_every = if self.threads.deterministic {
-            0
-        } else {
-            self.sort_every
-        };
+        let mut kernel_path = self.kernel_path;
+        let mut sort_every = self.sort_every;
         // A style without a lanes kernel keeps running scalar: record the
         // path it runs and pad rows only for that, as `sort_every` falls
         // back to 0 for a style that cannot reorder.

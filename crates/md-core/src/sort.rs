@@ -9,9 +9,9 @@
 //!
 //! Sorting is a pure relabeling: the pair set, energies, and forces are
 //! invariant under it (up to floating-point summation order), which the
-//! atom-sort test suite locks down. Deterministic mode never sorts — it
-//! pins the exact floating-point reduction tree, and a relabeling changes
-//! summation order.
+//! atom-sort test suite locks down. A sorted run therefore repeats bitwise
+//! (the sort is a function of the positions), but it is not bitwise the
+//! unsorted run: a relabeling changes summation order.
 
 use crate::simbox::SimBox;
 use crate::vec3::Vec3;

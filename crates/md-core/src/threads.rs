@@ -40,16 +40,18 @@
 //!
 //! ## Determinism contract
 //!
-//! With `deterministic` set, every parallel reduction uses a *fixed-order*
-//! chunk decomposition whose shape is independent of the thread count: the
-//! atom range is split into [`Threads::DET_CHUNKS`] chunks, each chunk's
-//! partial sum is accumulated in serial order, and the partials are reduced
-//! in ascending chunk order. Running the same deck at 1, 2, or 4 threads
-//! then reproduces the exact same floating-point operation tree, so the
-//! trajectories match **bitwise** (locked in by `tests/thread_invariance.rs`).
-//! In fast mode the chunk count equals the thread count, which removes the
-//! redundant buffer traffic but lets results drift across thread counts at
-//! the fp-associativity level (still deterministic for a *fixed* count).
+//! A run is reproducible **bitwise at a fixed thread count**: the pair
+//! kernels cut their rows with [`Threads::stripe`], one part per worker, and
+//! add the parts' partial results in ascending part order, so the same
+//! count performs the same floating-point operations in the same order
+//! (`tests/thread_invariance.rs` runs every deck twice at 2 and 4 threads).
+//! Across thread counts the pair sums are equal up to floating-point
+//! reassociation: a step's forces agree with the serial run's to ~1e-12
+//! relative and its energy, one sum over every pair, to ~1e-11; trajectories
+//! drift apart from there at the rate chaos allows. The neighbor build and
+//! PPPM do not reassociate — their threaded forms write disjoint slices and
+//! reduce in a fixed order — so they are bitwise the serial result at any
+//! count.
 
 use crate::error::{env_knob, Result};
 use md_observe::Recorder;
@@ -86,77 +88,42 @@ pub fn fork_join<P: Send>(
     });
 }
 
-/// Shared-memory thread-team configuration.
+/// Shared-memory thread-team configuration: how many workers the hot
+/// kernels fork.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Threads {
     /// Worker threads for the hot kernels (1 = serial).
     pub count: usize,
-    /// Fixed-order reductions: bitwise thread-count-invariant trajectories.
-    pub deterministic: bool,
 }
 
 impl Threads {
-    /// Fixed chunk count used by deterministic-mode reductions. The chunk
-    /// decomposition (and therefore the reduction tree) must not depend on
-    /// the thread count, so deterministic runs use this many chunks
-    /// regardless of `count`; thread counts above it gain nothing.
-    pub const DET_CHUNKS: usize = 16;
-
     /// Serial execution (the default everywhere).
     pub fn serial() -> Self {
-        Threads {
-            count: 1,
-            deterministic: false,
-        }
+        Threads { count: 1 }
     }
 
-    /// `n` threads in fast mode (per-count-deterministic reductions).
+    /// `n` threads (at least one).
     pub fn fast(n: usize) -> Self {
-        Threads {
-            count: n.max(1),
-            deterministic: false,
-        }
+        Threads { count: n.max(1) }
     }
 
-    /// `n` threads with bitwise thread-count-invariant reductions.
-    pub fn deterministic(n: usize) -> Self {
-        Threads {
-            count: n.max(1),
-            deterministic: true,
-        }
-    }
-
-    /// Reads the knob from the environment: `MD_THREADS` (thread count,
-    /// default 1) and `MD_DETERMINISTIC` (`1`/`true`/`on` switches the
-    /// fixed-order reductions on, `0`/`false`/`off` or unset leaves them
-    /// off). This is what the CI thread matrix sets.
+    /// Reads the thread count from `MD_THREADS` (default 1). This is what
+    /// the CI thread matrix sets.
     ///
     /// # Errors
     ///
     /// Returns [`crate::CoreError::InvalidParameter`] naming the variable if
-    /// either is set to something else: a typo must not quietly test the
-    /// serial path.
+    /// it is set to anything but a positive integer: a typo must not quietly
+    /// test the serial path.
     pub fn from_env() -> Result<Self> {
         Ok(Threads {
             count: env_knob("MD_THREADS", 1, parse_count)?,
-            deterministic: env_knob("MD_DETERMINISTIC", false, parse_switch)?,
         })
     }
 
-    /// Whether any kernel should take its threaded path. Deterministic mode
-    /// counts as active even at one thread: the fixed-chunk reduction must
-    /// run so a 1-thread trajectory is comparable to an n-thread one.
+    /// Whether any kernel should take its threaded path.
     pub fn active(self) -> bool {
-        self.count > 1 || self.deterministic
-    }
-
-    /// The reduction chunk count this configuration implies.
-    pub fn chunks(self) -> usize {
-        if self.deterministic {
-            Self::DET_CHUNKS
-        } else {
-            self.count
-        }
+        self.count > 1
     }
 
     /// The stripe width that deals `n` items to the team: `0..n` cut into
@@ -173,15 +140,6 @@ fn parse_count(value: &str) -> Option<usize> {
     value.parse().ok().filter(|&count| count > 0)
 }
 
-/// An on/off switch as `MD_DETERMINISTIC` spells it.
-fn parse_switch(value: &str) -> Option<bool> {
-    match value {
-        "1" | "true" | "on" => Some(true),
-        "0" | "false" | "off" => Some(false),
-        _ => None,
-    }
-}
-
 impl Default for Threads {
     fn default() -> Self {
         Threads::serial()
@@ -190,17 +148,8 @@ impl Default for Threads {
 
 impl std::fmt::Display for Threads {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} thread{}{}",
-            self.count,
-            if self.count == 1 { "" } else { "s" },
-            if self.deterministic {
-                " (deterministic)"
-            } else {
-                ""
-            }
-        )
+        let plural = if self.count == 1 { "" } else { "s" };
+        write!(f, "{} thread{plural}", self.count)
     }
 }
 
@@ -219,26 +168,14 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_is_active_even_single_threaded() {
-        assert!(Threads::deterministic(1).active());
-        assert_eq!(Threads::deterministic(1).chunks(), Threads::DET_CHUNKS);
-        assert_eq!(Threads::deterministic(4).chunks(), Threads::DET_CHUNKS);
-        assert_eq!(Threads::fast(4).chunks(), 4);
-    }
-
-    #[test]
     fn zero_counts_clamp_to_one() {
         assert_eq!(Threads::fast(0).count, 1);
-        assert_eq!(Threads::deterministic(0).count, 1);
     }
 
     #[test]
     fn display_names_the_mode() {
         assert_eq!(Threads::serial().to_string(), "1 thread");
-        assert_eq!(
-            Threads::deterministic(4).to_string(),
-            "4 threads (deterministic)"
-        );
+        assert_eq!(Threads::fast(4).to_string(), "4 threads");
     }
 
     #[test]
@@ -382,23 +319,10 @@ mod tests {
         assert_eq!(count(None), Ok(1));
         assert_eq!(count(Some("4")), Ok(4));
         assert_eq!(count(Some(" 2 ")), Ok(2));
-        let switch = |v| parse_knob("MD_DETERMINISTIC", v, false, parse_switch);
-        assert_eq!(switch(None), Ok(false));
-        for on in ["1", "true", "on"] {
-            assert_eq!(switch(Some(on)), Ok(true));
-        }
-        for off in ["0", "false", "off"] {
-            assert_eq!(switch(Some(off)), Ok(false));
-        }
-        for (got, variable) in [
-            (count(Some("four")).map(|_| ()), "MD_THREADS"),
-            (count(Some("0")).map(|_| ()), "MD_THREADS"),
-            (count(Some("")).map(|_| ()), "MD_THREADS"),
-            (switch(Some("yes")).map(|_| ()), "MD_DETERMINISTIC"),
-        ] {
-            match got {
-                Err(CoreError::InvalidParameter { name, .. }) => assert_eq!(name, variable),
-                other => panic!("{variable}: expected a typed error, got {other:?}"),
+        for bad in ["four", "0", ""] {
+            match count(Some(bad)) {
+                Err(CoreError::InvalidParameter { name, .. }) => assert_eq!(name, "MD_THREADS"),
+                other => panic!("{bad:?}: expected a typed error, got {other:?}"),
             }
         }
     }

@@ -5,14 +5,13 @@
 //!
 //! ```text
 //! cargo run --release -p md-harness --bin profile [--steps N]
-//!     [--threads T] [--deterministic] [--trace out.json] [--metrics out.jsonl]
+//!     [--threads T] [--trace out.json] [--metrics out.jsonl]
 //!     [--analyze]
 //! ```
 //!
 //! `--threads T` runs the hot kernels on `T` shared-memory threads (traced
-//! runs then also get per-thread fork/join lanes); `--deterministic` pins
-//! the parallel reductions to a fixed-chunk order. Defaults come from
-//! `MD_THREADS` / `MD_DETERMINISTIC`.
+//! runs then also get per-thread fork/join lanes). The default comes from
+//! `MD_THREADS`.
 //!
 //! With `--trace`, every step is recorded through `md-observe` and the run
 //! ends with a Chrome `trace_event` JSON (open in `chrome://tracing` or
@@ -42,7 +41,7 @@ use md_workloads::{build_deck_tuned, build_positions, Benchmark, DeckTuning};
 
 fn main() {
     let mut steps: u64 = 20;
-    // All four environment knobs up front: a typo in one of them ends the
+    // All three environment knobs up front: a typo in one of them ends the
     // run here instead of failing every deck build below.
     let mut tuning = DeckTuning::from_env().unwrap_or_else(|e| {
         eprintln!("{e}");
@@ -77,7 +76,6 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-            "--deterministic" => threads.deterministic = true,
             "--trace" => trace_path = Some(value(&mut args)),
             "--metrics" => metrics_path = Some(value(&mut args)),
             "--analyze" => analyze = true,

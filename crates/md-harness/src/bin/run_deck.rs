@@ -3,8 +3,7 @@
 //!
 //! ```text
 //! run_deck <benchmark> [--steps N] [--scale S] [--thermo N]
-//!          [--threads T] [--deterministic]
-//!          [--kernel scalar|lanes] [--sort-every N]
+//!          [--threads T] [--kernel scalar|lanes] [--sort-every N]
 //!          [--dump traj.xyz] [--write-data out.data]
 //!          [--checkpoint-every N] [--checkpoint-dir DIR]
 //!          [--checkpoint-retain K] [--resume]
@@ -15,19 +14,17 @@
 //! ```
 //!
 //! `--threads T` runs the hot kernels (pair, neighbor build, PPPM) on `T`
-//! shared-memory threads; `--deterministic` switches the parallel
-//! reductions to a fixed-chunk order so any thread count reproduces the
-//! serial trajectory bitwise. Defaults come from `MD_THREADS` /
-//! `MD_DETERMINISTIC`.
+//! shared-memory threads (default `MD_THREADS`, else 1). A run repeats
+//! bitwise at a fixed thread count; another count agrees to floating-point
+//! reassociation in the pair sums.
 //!
 //! `--kernel lanes` selects the lane-blocked (autovectorized) pair kernels
 //! with padded neighbor rows; `--sort-every N` Morton-reorders the atoms at
 //! the first neighbor rebuild at or after every N steps. Defaults come from
-//! `MD_KERNEL` / `MD_SORT_EVERY`; `--deterministic` forces the scalar path
-//! and disables sorting (the bitwise reference contract). A deck that ran
-//! the lanes path times both kernels on itself after the last step (three
-//! interleaved pair probes, minimum per path) and prints the two times; the
-//! modeled cluster's CPU ns/pair is recalibrated by that lanes/scalar ratio.
+//! `MD_KERNEL` / `MD_SORT_EVERY`. A deck that ran the lanes path times both
+//! kernels on itself after the last step (three interleaved pair probes,
+//! minimum per path) and prints the two times; the modeled cluster's CPU
+//! ns/pair is recalibrated by that lanes/scalar ratio.
 //!
 //! ## Resilience
 //!
@@ -135,9 +132,8 @@ fn parse_args() -> Result<Args, String> {
     let mut args = std::env::args().skip(1);
     let bench_name = args.next().ok_or_else(|| {
         "usage: run_deck <lj|chain|eam|chute|rhodo> [--steps N] [--scale S] \
-         [--thermo N] [--threads T] [--deterministic] \
-         [--kernel scalar|lanes] [--sort-every N] [--dump FILE] \
-         [--write-data FILE] [--checkpoint-every N] [--checkpoint-dir DIR] \
+         [--thermo N] [--threads T] [--kernel scalar|lanes] [--sort-every N] \
+         [--dump FILE] [--write-data FILE] [--checkpoint-every N] [--checkpoint-dir DIR] \
          [--checkpoint-retain K] [--resume] [--faults SPEC] [--trace FILE] \
          [--comm-timeout SECS] [--max-rank-retries K] [--repartition-every N] \
          [--insight DIR] [--gpu-insight]"
@@ -184,7 +180,6 @@ fn parse_args() -> Result<Args, String> {
                     return Err("--threads requires at least 1".to_string());
                 }
             }
-            "--deterministic" => out.threads.deterministic = true,
             "--kernel" => out.kernel = value("--kernel")?.parse()?,
             "--sort-every" => {
                 out.sort_every = value("--sort-every")?.parse().map_err(|e| format!("{e}"))?;

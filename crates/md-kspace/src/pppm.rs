@@ -57,8 +57,7 @@ pub struct Pppm {
     /// weights, charge spread, FFT line batches, k-space field,
     /// interpolation) decomposes by mesh slab or atom stripe with a fixed
     /// reduction order, so the result is bitwise identical to serial at ANY
-    /// thread count — the `deterministic` flag changes nothing for this
-    /// solver. Each section is one `fork_join` over one loop body; on one
+    /// thread count. Each section is one `fork_join` over one loop body; on one
     /// thread its single part runs inline.
     threads: Threads,
 }

@@ -4,7 +4,8 @@
 //! this wrapper is how that comparison is reproduced here).
 //!
 //! [`Threaded`] statically splits the atom-row loop into contiguous row
-//! ranges (chunks). Every chunk runs the style's own row-range kernel —
+//! ranges (chunks), one per worker, cut by [`Threads::stripe`] — MD-Bench's
+//! static row split. Every chunk runs the style's own row-range kernel —
 //! the same `for i in rows` loop the serial `compute` runs over `0..n` —
 //! against the *one shared* neighbor list, into a private full-length force
 //! buffer (so Newton's-third-law updates never race), and the buffers are
@@ -17,14 +18,13 @@
 //!
 //! ## Determinism
 //!
-//! The reduction order is *per chunk, ascending* — never per thread. In
-//! fast mode ([`Threads::fast`]) the chunk count equals the thread count, so
-//! results are reproducible for a fixed count but drift across counts at the
-//! fp-associativity level. In deterministic mode ([`Threads::deterministic`])
-//! the atom range is always split into [`Threads::DET_CHUNKS`] chunks
-//! regardless of the thread count, making the floating-point operation tree
-//! — and therefore the trajectory — **bitwise identical** at 1, 2, or 4
-//! threads. `tests/thread_invariance.rs` locks this in for every deck.
+//! The reduction order is *per chunk, ascending* — never the order in which
+//! workers finish. A fixed thread count therefore repeats the same
+//! floating-point operations, and its trajectory, bitwise. Another count
+//! groups the partial sums differently, so forces agree with the serial
+//! kernel's to ~1e-12 relative rather than bit for bit
+//! (`tests/thread_invariance.rs` holds both for every deck). At one thread
+//! the wrapper calls the style's serial `compute` directly.
 //!
 //! Styles opt in through [`Threadable`]: the purely pairwise styles hand
 //! their row-range kernel to one shared chunk-and-reduce driver, while the
@@ -48,9 +48,7 @@ use std::ops::Range;
 
 /// A pair style executed by a team of threads over private chunk buffers.
 ///
-/// Wraps any [`Threadable`] style. Construct with [`Threaded::new`] (fast
-/// mode) or [`Threaded::with_mode`] (full [`Threads`] control, including the
-/// deterministic fixed-chunk reductions).
+/// Wraps any [`Threadable`] style; construct with [`Threaded::new`].
 pub struct Threaded<P> {
     style: P,
     team: ChunkTeam,
@@ -89,15 +87,15 @@ struct ChunkBuf {
 }
 
 /// Styles whose force computation [`Threaded`] knows how to decompose into
-/// fixed-order reductions over atom-row chunks.
+/// chunk-ordered reductions over atom-row chunks.
 ///
 /// Purely pairwise styles pass their row-range kernel to the shared
 /// chunk-and-reduce driver; the many-body EAM runs its own two-pass scheme
 /// over the same row ranges. Styles with shared mutable inter-pair state
 /// (the granular history style) must not implement this trait.
 pub trait Threadable: PairStyle + Sync {
-    /// Evaluates forces with the chunk decomposition `team` implies (see
-    /// [`Threads::chunks`]), reducing all partial results in ascending
+    /// Evaluates forces over the chunks `team` cuts (one per worker, see
+    /// [`Threads::stripe`]), reducing all partial results in ascending
     /// chunk order.
     fn compute_chunked(
         &mut self,
@@ -140,26 +138,13 @@ impl Threadable for crate::LjCharmmCoulLong {
 }
 
 impl<P: Threadable> Threaded<P> {
-    /// Wraps `style` for fast-mode execution on `nthreads` threads.
+    /// Wraps `style` for execution on `nthreads` threads.
     ///
     /// # Errors
     ///
     /// Returns an error if `nthreads` is zero.
     pub fn new(style: P, nthreads: usize) -> Result<Self, CoreError> {
-        let threads = Threads {
-            count: nthreads,
-            deterministic: false,
-        };
-        Self::with_mode(style, threads)
-    }
-
-    /// Wraps `style` with full control over count and determinism.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `threads.count` is zero.
-    pub fn with_mode(style: P, threads: Threads) -> Result<Self, CoreError> {
-        if threads.count == 0 {
+        if nthreads == 0 {
             return Err(CoreError::InvalidParameter {
                 name: "threads",
                 reason: "need at least one thread".to_string(),
@@ -168,7 +153,7 @@ impl<P: Threadable> Threaded<P> {
         Ok(Threaded {
             style,
             team: ChunkTeam {
-                threads,
+                threads: Threads { count: nthreads },
                 recorder: Recorder::disabled(),
                 bufs: Vec::new(),
             },
@@ -179,23 +164,6 @@ impl<P: Threadable> Threaded<P> {
     pub fn nthreads(&self) -> usize {
         self.team.threads.count
     }
-
-    /// The full thread-team configuration.
-    pub fn mode(&self) -> Threads {
-        self.team.threads
-    }
-}
-
-/// Evenly sized chunk row ranges over `0..n`. Depends only on `n` and
-/// `nchunks` — never the thread count — which is what makes the
-/// deterministic decomposition thread-count invariant. Trailing chunks may
-/// be empty.
-fn chunk_bounds(n: usize, nchunks: usize) -> Vec<Range<usize>> {
-    let nchunks = nchunks.max(1);
-    let size = n.div_ceil(nchunks).max(1);
-    (0..nchunks)
-        .map(|c| (c * size).min(n)..((c + 1) * size).min(n))
-        .collect()
 }
 
 /// Zeroes a reused buffer at length `len`, keeping its capacity.
@@ -205,18 +173,20 @@ fn refill<T: Clone>(buf: &mut Vec<T>, len: usize, zero: T) {
 }
 
 impl ChunkTeam {
-    /// The chunk row ranges over `0..n` and how many consecutive chunks each
-    /// worker takes (`jobs.chunks_mut(deal)` is the parts of a fork); makes
-    /// sure every chunk has its private buffers. Which worker runs which
-    /// chunk never affects results: a chunk job only touches its own state,
-    /// and callers reduce job outputs in job order afterwards.
-    fn split(&mut self, n: usize) -> (Vec<Range<usize>>, usize) {
-        let bounds = chunk_bounds(n, self.threads.chunks().min(n));
+    /// The chunk row ranges over `0..n`, [`Threads::stripe`] wide, at most
+    /// one per worker (each is one part of a fork); makes sure every chunk
+    /// has its private buffers. A chunk job only touches its own state, and
+    /// callers reduce job outputs in job order afterwards.
+    fn split(&mut self, n: usize) -> Vec<Range<usize>> {
+        let stripe = self.threads.stripe(n);
+        let bounds: Vec<Range<usize>> = (0..n)
+            .step_by(stripe)
+            .map(|start| start..(start + stripe).min(n))
+            .collect();
         if self.bufs.len() < bounds.len() {
             self.bufs.resize_with(bounds.len(), ChunkBuf::default);
         }
-        let deal = self.threads.stripe(bounds.len());
-        (bounds, deal)
+        bounds
     }
 
     /// The whole decomposition of a purely pairwise style over `n` atoms:
@@ -234,8 +204,8 @@ impl ChunkTeam {
             buf: &'a mut ChunkBuf,
             energy: EnergyVirial,
         }
-        let (bounds, deal) = self.split(n);
-        let mut jobs: Vec<Job<'_>> = bounds
+        let mut jobs: Vec<Job<'_>> = self
+            .split(n)
             .into_iter()
             .zip(&mut self.bufs)
             .map(|(rows, buf)| Job {
@@ -244,13 +214,9 @@ impl ChunkTeam {
                 energy: EnergyVirial::default(),
             })
             .collect();
-        fork_join(jobs.chunks_mut(deal), &self.recorder, "pair", |_, jobs| {
-            for job in jobs {
-                refill(&mut job.buf.f, n, Vec3::zero());
-                if !job.rows.is_empty() {
-                    job.energy = kernel(job.rows.clone(), job.buf);
-                }
-            }
+        fork_join(jobs.iter_mut(), &self.recorder, "pair", |_, job| {
+            refill(&mut job.buf.f, n, Vec3::zero());
+            job.energy = kernel(job.rows.clone(), job.buf);
         });
         let mut total = EnergyVirial::default();
         for job in &jobs {
@@ -268,8 +234,7 @@ impl Threadable for crate::SuttonChenEam {
     /// full-length density buffers + pair-energy partials, reduced in chunk
     /// order; (2) the embedding derivative over disjoint chunk slices of ρ;
     /// (3) per-chunk force buffers + virial partials, reduced in chunk
-    /// order. All cross-chunk sums are fixed-order, so the deterministic
-    /// mode's trajectories are thread-count invariant.
+    /// order.
     fn compute_chunked(
         &mut self,
         sys: &PairSystem<'_>,
@@ -293,7 +258,7 @@ impl Threadable for crate::SuttonChenEam {
         let mut dembed = std::mem::take(&mut self.dembed);
         let style = &*self;
         let n = sys.x.len();
-        let (bounds, deal) = team.split(n);
+        let bounds = team.split(n);
         let recorder = &team.recorder;
         // Lane-kernel scatter buffers carry one extra ghost slot.
         let spare = usize::from(use_lanes);
@@ -314,22 +279,15 @@ impl Threadable for crate::SuttonChenEam {
                 e_pair: 0.0,
             })
             .collect();
-        fork_join(
-            djobs.chunks_mut(deal),
-            recorder,
-            "eam_density",
-            |_, jobs| {
-                for job in jobs {
-                    refill(job.rho, n + spare, 0.0);
-                    let rows = job.rows.clone();
-                    job.e_pair = if use_lanes {
-                        style.density_chunk_lanes(sys, nl, rows, job.rho, &style.gather)
-                    } else {
-                        style.density_chunk(sys, nl, rows, job.rho)
-                    };
-                }
-            },
-        );
+        fork_join(djobs.iter_mut(), recorder, "eam_density", |_, job| {
+            refill(job.rho, n + spare, 0.0);
+            let rows = job.rows.clone();
+            job.e_pair = if use_lanes {
+                style.density_chunk_lanes(sys, nl, rows, job.rho, &style.gather)
+            } else {
+                style.density_chunk(sys, nl, rows, job.rho)
+            };
+        });
         refill(&mut rho, n, 0.0);
         let mut e_pair = 0.0;
         for job in &djobs {
@@ -363,10 +321,8 @@ impl Threadable for crate::SuttonChenEam {
                 });
             }
             let rho_ref: &[f64] = &rho;
-            fork_join(ejobs.chunks_mut(deal), recorder, "eam_embed", |_, jobs| {
-                for job in jobs {
-                    job.e_embed = style.embed_slice(&rho_ref[job.rows.clone()], job.dembed);
-                }
+            fork_join(ejobs.iter_mut(), recorder, "eam_embed", |_, job| {
+                job.e_embed = style.embed_slice(&rho_ref[job.rows.clone()], job.dembed);
             });
             for job in &ejobs {
                 e_embed += job.e_embed;
@@ -389,19 +345,16 @@ impl Threadable for crate::SuttonChenEam {
             })
             .collect();
         let dembed_ref: &[f64] = &dembed;
-        fork_join(fjobs.chunks_mut(deal), recorder, "eam_force", |_, jobs| {
-            for job in jobs {
-                let ChunkBuf { f: buf, acc, .. } = &mut *job.buf;
-                refill(buf, n, Vec3::zero());
-                let rows = job.rows.clone();
-                if use_lanes {
-                    acc.reset(n);
-                    job.virial =
-                        style.force_chunk_lanes(sys, nl, rows, dembed_ref, &style.gather, acc);
-                    acc.fold_into(buf);
-                } else {
-                    job.virial = style.force_chunk(sys, nl, rows, dembed_ref, buf);
-                }
+        fork_join(fjobs.iter_mut(), recorder, "eam_force", |_, job| {
+            let ChunkBuf { f: buf, acc, .. } = &mut *job.buf;
+            refill(buf, n, Vec3::zero());
+            let rows = job.rows.clone();
+            if use_lanes {
+                acc.reset(n);
+                job.virial = style.force_chunk_lanes(sys, nl, rows, dembed_ref, &style.gather, acc);
+                acc.fold_into(buf);
+            } else {
+                job.virial = style.force_chunk(sys, nl, rows, dembed_ref, buf);
             }
         });
         let mut virial = 0.0;
@@ -595,85 +548,10 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_mode_is_bitwise_thread_count_invariant() {
-        let (bx, x, nl) = rig(400, 11);
-        let reference = {
-            let mut w = Threaded::with_mode(
-                LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(),
-                Threads::deterministic(1),
-            )
-            .unwrap();
-            forces(&mut w, &bx, &x, &nl)
-        };
-        for t in [2usize, 3, 4, 7] {
-            let mut w = Threaded::with_mode(
-                LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(),
-                Threads::deterministic(t),
-            )
-            .unwrap();
-            let (f, e) = forces(&mut w, &bx, &x, &nl);
-            assert_eq!(
-                e.evdwl.to_bits(),
-                reference.1.evdwl.to_bits(),
-                "{t}: energy"
-            );
-            assert_eq!(
-                e.virial.to_bits(),
-                reference.1.virial.to_bits(),
-                "{t}: virial"
-            );
-            for i in 0..x.len() {
-                for d in 0..3 {
-                    assert_eq!(
-                        f[i][d].to_bits(),
-                        reference.0[i][d].to_bits(),
-                        "{t} threads: atom {i} axis {d}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_eam_deterministic_is_bitwise_invariant() {
-        let (bx, x, nl) = eam_rig(5, 0.15);
-        let reference = {
-            let mut w =
-                Threaded::with_mode(SuttonChenEam::copper(), Threads::deterministic(1)).unwrap();
-            forces(&mut w, &bx, &x, &nl)
-        };
-        for t in [2usize, 4] {
-            let mut w =
-                Threaded::with_mode(SuttonChenEam::copper(), Threads::deterministic(t)).unwrap();
-            let (f, e) = forces(&mut w, &bx, &x, &nl);
-            assert_eq!(
-                e.evdwl.to_bits(),
-                reference.1.evdwl.to_bits(),
-                "{t}: energy"
-            );
-            assert_eq!(
-                e.virial.to_bits(),
-                reference.1.virial.to_bits(),
-                "{t}: virial"
-            );
-            for i in 0..x.len() {
-                for d in 0..3 {
-                    assert_eq!(
-                        f[i][d].to_bits(),
-                        reference.0[i][d].to_bits(),
-                        "{t} threads: atom {i} axis {d}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn new_wraps_in_fast_mode() {
         let threaded = Threaded::new(LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), 2).unwrap();
         assert_eq!(threaded.cutoff(), 2.5);
         assert_eq!(threaded.nthreads(), 2);
-        assert!(!threaded.mode().deterministic);
     }
 
     #[test]
@@ -688,14 +566,12 @@ mod tests {
     fn reports_the_wrapped_style_by_name() {
         let threaded = Threaded::new(LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), 2).unwrap();
         assert_eq!(threaded.name(), "lj/cut");
-        let threaded =
-            Threaded::with_mode(SuttonChenEam::copper(), Threads::deterministic(1)).unwrap();
+        let threaded = Threaded::new(SuttonChenEam::copper(), 1).unwrap();
         assert_eq!(threaded.name(), "eam");
     }
 
     #[test]
     fn rejects_zero_threads() {
-        // `new` goes through `with_mode`: one validation, one error.
         let err = Threaded::new(LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(), 0).unwrap_err();
         assert!(matches!(
             err,
@@ -704,38 +580,26 @@ mod tests {
                 ..
             }
         ));
-        assert!(Threaded::with_mode(
-            LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap(),
-            Threads {
-                count: 0,
-                deterministic: true
-            }
-        )
-        .is_err());
     }
 
-    /// `Threaded` on `path` under `mode` against the serial scalar reference
-    /// on the same configuration. The chunk reduction (and the lanes path)
-    /// reassociates sums, so agreement is at the fp-noise level, not exact —
-    /// relative, because the unscreened random gas has near-contact pairs
-    /// with enormous r^-12 terms. In deterministic mode the result must also
-    /// be bitwise what one thread computes.
+    /// `Threaded` on `path` at `t` threads against the serial scalar
+    /// reference on the same configuration. The chunk reduction (and the
+    /// lanes path) reassociates sums, so agreement is at the fp-noise level,
+    /// not exact — relative, because the unscreened random gas has
+    /// near-contact pairs with enormous r^-12 terms.
     fn check_against_serial<P: Threadable>(
         make: impl Fn() -> P,
         (bx, x, mut nl): (SimBox, Vec<V3>, NeighborList),
-        mode: Threads,
+        t: usize,
         path: KernelPath,
     ) {
         let (f0, e0) = forces(&mut make(), &bx, &x, &nl);
         if path.is_lanes() {
             nl.set_padding(LANES);
         }
-        let run = |mode: Threads| {
-            let mut threaded = Threaded::with_mode(make(), mode).unwrap();
-            threaded.set_kernel_path(path);
-            forces(&mut threaded, &bx, &x, &nl)
-        };
-        let (f1, e1) = run(mode);
+        let mut threaded = Threaded::new(make(), t).unwrap();
+        threaded.set_kernel_path(path);
+        let (f1, e1) = forces(&mut threaded, &bx, &x, &nl);
         let tol = 1e-10;
         let rel = |a: f64, b: f64| (a - b).abs() / a.abs().max(1.0);
         assert!(rel(e0.evdwl, e1.evdwl) < tol, "evdwl {e0:?} vs {e1:?}");
@@ -748,11 +612,6 @@ mod tests {
                 f0[i],
                 f1[i]
             );
-        }
-        if mode.deterministic {
-            let (f2, e2) = run(Threads::deterministic(1));
-            assert_eq!(e1, e2, "deterministic energies across thread counts");
-            assert_eq!(f1, f2, "deterministic forces across thread counts");
         }
     }
 
@@ -771,32 +630,28 @@ mod tests {
         fn threaded_eam_matches_serial(
             seed in 0u64..1000,
             t in 1usize..6,
-            det in proptest::bool::ANY,
             lanes in proptest::bool::ANY,
         ) {
-            let mode = if det { Threads::deterministic(t) } else { Threads::fast(t) };
             let path = if lanes { KernelPath::Lanes } else { KernelPath::Scalar };
-            check_against_serial(SuttonChenEam::copper, eam_rig(seed, 0.25), mode, path);
+            check_against_serial(SuttonChenEam::copper, eam_rig(seed, 0.25), t, path);
         }
 
         /// The row-range chunk path must agree with the serial pairwise
-        /// styles (LJ and CHARMM) under both modes, on either kernel path,
-        /// for arbitrary counts.
+        /// styles (LJ and CHARMM), on either kernel path, for arbitrary
+        /// counts.
         #[test]
         fn threaded_lj_matches_serial(
             seed in 0u64..1000,
             t in 1usize..6,
-            det in proptest::bool::ANY,
             lanes in proptest::bool::ANY,
             use_charmm in proptest::bool::ANY,
         ) {
-            let mode = if det { Threads::deterministic(t) } else { Threads::fast(t) };
             let path = if lanes { KernelPath::Lanes } else { KernelPath::Scalar };
             if use_charmm {
-                check_against_serial(charmm, rig(200, seed), mode, path);
+                check_against_serial(charmm, rig(200, seed), t, path);
             } else {
                 let lj = || LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap();
-                check_against_serial(lj, rig(200, seed), mode, path);
+                check_against_serial(lj, rig(200, seed), t, path);
             }
         }
     }

@@ -4,14 +4,13 @@
 //! per pair, so forces and energies must agree to rounding — well inside
 //! 1e-12 relative — on any configuration, including ones with pad slots in
 //! every neighbor row, multiple atom types, and non-cubic densities. Each
-//! case also runs the lanes path through `Threaded` (1..6 threads, fast or
-//! deterministic): its row-range chunks read the same padded list, so they
-//! must stay within 1e-10 of the serial scalar reference, and deterministic
-//! mode must be bitwise thread-count invariant.
+//! case also runs the lanes path through `Threaded` (1..6 threads): its
+//! row-range chunks read the same padded list, so they must stay within
+//! 1e-10 of the serial scalar reference.
 
 use md_core::kernel::{KernelPath, LANES};
 use md_core::neighbor::NeighborList;
-use md_core::{PairStyle, PairSystem, SimBox, Threads, UnitSystem, Vec3, V3};
+use md_core::{PairStyle, PairSystem, SimBox, UnitSystem, Vec3, V3};
 use md_potentials::{LjCharmmCoulLong, LjCut, SuttonChenEam, Threadable, Threaded};
 use proptest::prelude::*;
 
@@ -106,22 +105,13 @@ fn assert_close((fs, es, vs): &Eval, (fl, el, vl): &Eval, tol: f64, what: &str) 
     }
 }
 
-fn assert_paths_agree<P: Threadable>(rig: &Rig, make: impl Fn() -> P, threads: usize, det: bool) {
+fn assert_paths_agree<P: Threadable>(rig: &Rig, make: impl Fn() -> P, threads: usize) {
     let scalar = rig.eval(&mut make(), KernelPath::Scalar);
     let lanes = rig.eval(&mut make(), KernelPath::Lanes);
     assert_close(&scalar, &lanes, REL_TOL, "lanes");
-    let threaded = |mode: Threads| {
-        let mut style = Threaded::with_mode(make(), mode).expect("at least one thread");
-        rig.eval(&mut style, KernelPath::Lanes)
-    };
-    if det {
-        let chunked = threaded(Threads::deterministic(threads));
-        assert_close(&scalar, &chunked, THREADED_REL_TOL, "deterministic lanes");
-        assert_eq!(chunked, threaded(Threads::deterministic(1)), "thread count");
-    } else {
-        let chunked = threaded(Threads::fast(threads));
-        assert_close(&scalar, &chunked, THREADED_REL_TOL, "fast lanes");
-    }
+    let mut style = Threaded::new(make(), threads).expect("at least one thread");
+    let chunked = rig.eval(&mut style, KernelPath::Lanes);
+    assert_close(&scalar, &chunked, THREADED_REL_TOL, "threaded lanes");
 }
 
 proptest! {
@@ -132,11 +122,10 @@ proptest! {
     fn lj_single_type_lanes_matches_scalar(
         seed in 0u64..500,
         threads in 1usize..6,
-        det in proptest::bool::ANY,
     ) {
         let rig = Rig::random(seed, 24, 9.5, 0.8, 1);
         let lj = || LjCut::new(1, &[(0, 0, 1.0, 1.0)], 2.5).unwrap();
-        assert_paths_agree(&rig, lj, threads, det);
+        assert_paths_agree(&rig, lj, threads);
     }
 
     /// Multi-type LJ exercises the per-lane coefficient gather.
@@ -144,11 +133,10 @@ proptest! {
     fn lj_multi_type_lanes_matches_scalar(
         seed in 0u64..500,
         threads in 1usize..6,
-        det in proptest::bool::ANY,
     ) {
         let rig = Rig::random(seed, 28, 10.5, 0.8, 2);
         let lj = || LjCut::new(2, &[(0, 0, 1.0, 1.0), (1, 1, 0.7, 1.1)], 2.8).unwrap();
-        assert_paths_agree(&rig, lj, threads, det);
+        assert_paths_agree(&rig, lj, threads);
     }
 
     /// CHARMM LJ + real-space Ewald Coulomb, charged alternating gas.
@@ -156,7 +144,6 @@ proptest! {
     fn charmm_lanes_matches_scalar(
         seed in 0u64..300,
         threads in 1usize..6,
-        det in proptest::bool::ANY,
     ) {
         let rig = Rig::random(seed, 20, 24.0, 1.5, 2);
         let charmm = || {
@@ -166,7 +153,7 @@ proptest! {
             style.set_g_ewald(0.25);
             style
         };
-        assert_paths_agree(&rig, charmm, threads, det);
+        assert_paths_agree(&rig, charmm, threads);
     }
 
     /// EAM: the lanes path splits density and force passes into lane blocks
@@ -176,9 +163,8 @@ proptest! {
     fn eam_lanes_matches_scalar(
         seed in 0u64..300,
         threads in 1usize..6,
-        det in proptest::bool::ANY,
     ) {
         let rig = Rig::random(seed, 18, 13.0, 1.9, 1);
-        assert_paths_agree(&rig, SuttonChenEam::copper, threads, det);
+        assert_paths_agree(&rig, SuttonChenEam::copper, threads);
     }
 }

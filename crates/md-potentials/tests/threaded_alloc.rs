@@ -45,7 +45,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const STEADY_STATE_BYTES: u64 = 4096;
 
 /// Bytes one compute call allocates after a warm-up call, on a jittered
-/// lattice of `8 × 8 × 8·layers` atoms in two fast-mode chunks.
+/// lattice of `8 × 8 × 8·layers` atoms in two chunks.
 fn steady_state_bytes<P: Threadable>(style: P, path: KernelPath, layers: usize) -> u64 {
     let spacing = 1.5;
     let bx = SimBox::orthogonal(8.0 * spacing, 8.0 * spacing, 8.0 * spacing * layers as f64);

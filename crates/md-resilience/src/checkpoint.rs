@@ -5,10 +5,9 @@
 //! ```text
 //! magic     8 bytes   "VRLCHKP\0"
 //! body      wire-encoded:
-//!   version   u32     format revision (currently 2)
-//!   header            deck recipe: benchmark name, scale, seed, threads,
-//!                     deterministic flag, kernel path, sort cadence, step
-//!                     index
+//!   version   u32     format revision (currently 3)
+//!   header            deck recipe: benchmark name, scale, seed, thread
+//!                     count, kernel path, sort cadence, step index
 //!   state     blob    Simulation::save_state payload
 //! crc       u32-le    CRC-32 (IEEE) over the body
 //! ```
@@ -22,9 +21,10 @@
 //! blob. The blob in turn holds no neighbor rows, only the positions and
 //! the box of the last build, from which the overlay rebuilds the list
 //! (revision 1 stored the rows, 58–93 % of a file, and of the tuning only
-//! the threads; a revision-1 file is refused by its version). Files are
-//! written to a `.tmp` sibling, fsynced, and renamed into place, so a crash
-//! mid-write never corrupts the latest good checkpoint.
+//! the threads; revision 2 stored a deterministic-mode flag after the thread
+//! count; a file of either is refused by its version). Files are written to
+//! a `.tmp` sibling, fsynced, and renamed into place, so a crash mid-write
+//! never corrupts the latest good checkpoint.
 
 use crate::{ResilienceError, Result};
 use md_core::wire::{self, Reader, Writer};
@@ -37,7 +37,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &[u8; 8] = b"VRLCHKP\0";
 
 /// Current format revision.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Filename extension for checkpoint files.
 pub const EXTENSION: &str = "mdchk";
@@ -63,8 +63,9 @@ pub struct CheckpointHeader {
 
 impl CheckpointHeader {
     /// Captures the recipe of `deck` at its current step. The tuning is what
-    /// its simulation runs with, after the builder's downgrades (deterministic
-    /// mode pins the scalar kernel and never sorts), not what was asked for.
+    /// its simulation runs with, after the builder's fallbacks (a style
+    /// without a lanes kernel runs scalar, one that cannot reorder never
+    /// sorts), not what was asked for.
     pub fn of(deck: &Deck, seed: u64) -> Self {
         let sim = &deck.simulation;
         CheckpointHeader {
@@ -92,7 +93,6 @@ impl CheckpointHeader {
         w.usize(self.scale);
         w.u64(self.seed);
         w.usize(self.threads.count);
-        w.bool(self.threads.deterministic);
         w.str(&self.kernel.to_string());
         w.u64(self.sort_every);
         w.u64(self.step);
@@ -109,10 +109,7 @@ impl CheckpointHeader {
         let benchmark = Benchmark::parse(&name).map_err(|_| unknown("benchmark", &name))?;
         let scale = r.usize()?;
         let seed = r.u64()?;
-        let threads = Threads {
-            count: r.usize()?,
-            deterministic: r.bool()?,
-        };
+        let threads = Threads { count: r.usize()? };
         let name = r.str()?;
         let kernel = KernelPath::parse(&name).ok_or_else(|| unknown("kernel path", &name))?;
         Ok(CheckpointHeader {
@@ -366,7 +363,7 @@ mod tests {
 
     #[test]
     fn encode_decode_round_trips() {
-        let mut deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::deterministic(1)).unwrap();
+        let mut deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::serial()).unwrap();
         deck.simulation.run(5).unwrap();
         let ckpt = Checkpoint::capture(&deck, 7);
         let decoded = Checkpoint::decode(&ckpt.encode()).unwrap();
@@ -377,7 +374,7 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::deterministic(1)).unwrap();
+        let deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::serial()).unwrap();
         let good = Checkpoint::capture(&deck, 7).encode();
         // Flip one payload bit: checksum must catch it.
         let mut bad = good.clone();
@@ -403,7 +400,7 @@ mod tests {
         let dir = tmpdir("prune");
         let mgr = CheckpointManager::new(&dir, 2, 2).unwrap();
         assert!(mgr.latest().unwrap().is_none());
-        let mut deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::deterministic(1)).unwrap();
+        let mut deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::serial()).unwrap();
         for _ in 0..3 {
             deck.simulation.run(2).unwrap();
             assert!(mgr.due(deck.simulation.step_index()));
@@ -421,7 +418,7 @@ mod tests {
     fn atomic_write_leaves_no_tmp_behind() {
         let dir = tmpdir("atomic");
         let mgr = CheckpointManager::new(&dir, 1, 0).unwrap();
-        let mut deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::deterministic(1)).unwrap();
+        let mut deck = build_deck_with(Benchmark::Lj, 1, 7, Threads::serial()).unwrap();
         deck.simulation.run(1).unwrap();
         let path = mgr.save(&deck, 7).unwrap();
         assert!(path.exists());

@@ -8,8 +8,8 @@
 //!   snapshots of the full [`md_core::Simulation`] dynamic state, written
 //!   atomically (temp-file + rename). A run restored from a checkpoint
 //!   continues **bitwise identically** to one that was never interrupted
-//!   (deterministic mode, any thread count) — `tests/resilience_roundtrip.rs`
-//!   locks this in for all five decks.
+//!   (at the thread count it recorded, serial or threaded) —
+//!   `tests/resilience_roundtrip.rs` locks this in for all five decks.
 //! * **Numerical watchdog** ([`watchdog`]) — a per-step health monitor
 //!   (non-finite forces/positions, runaway displacement, energy-drift
 //!   budget, escaped atoms, temperature spikes) that raises typed

@@ -526,7 +526,7 @@ mod tests {
     use md_workloads::{build_deck_with, Benchmark};
 
     fn lj(seed: u64) -> Deck {
-        build_deck_with(Benchmark::Lj, 1, seed, Threads::deterministic(1)).unwrap()
+        build_deck_with(Benchmark::Lj, 1, seed, Threads::serial()).unwrap()
     }
 
     fn fingerprint(deck: &Deck) -> Vec<u64> {

@@ -351,7 +351,7 @@ mod tests {
     use md_workloads::{build_deck_tuned, build_deck_with, Benchmark, DeckTuning};
 
     fn lj() -> md_workloads::Deck {
-        build_deck_with(Benchmark::Lj, 1, 11, Threads::deterministic(1)).unwrap()
+        build_deck_with(Benchmark::Lj, 1, 11, Threads::serial()).unwrap()
     }
 
     #[test]

@@ -13,7 +13,7 @@ use md_workloads::Benchmark;
 use proptest::prelude::*;
 
 fn checkpoint(
-    (benchmark, lanes, deterministic): (usize, bool, bool),
+    (benchmark, lanes): (usize, bool),
     (scale, threads): (usize, usize),
     (seed, sort_every, step): (u64, u64, u64),
     state: Vec<u8>,
@@ -23,10 +23,7 @@ fn checkpoint(
             benchmark: Benchmark::ALL[benchmark % Benchmark::ALL.len()],
             scale,
             seed,
-            threads: Threads {
-                count: threads,
-                deterministic,
-            },
+            threads: Threads { count: threads },
             kernel: if lanes {
                 KernelPath::Lanes
             } else {
@@ -45,7 +42,7 @@ proptest! {
     /// Encoding then decoding returns the header and the payload.
     #[test]
     fn checkpoint_round_trips(
-        kind in (0usize..5, proptest::bool::ANY, proptest::bool::ANY),
+        kind in (0usize..5, proptest::bool::ANY),
         size in (1usize..64, 1usize..64),
         counters in (0u64..u64::MAX, 0u64..1000, 0u64..u64::MAX),
         state in proptest::collection::vec(0u8..=255, 0..512),
@@ -59,7 +56,7 @@ proptest! {
     /// Cutting the file anywhere is detected.
     #[test]
     fn every_truncation_is_rejected(
-        kind in (0usize..5, proptest::bool::ANY, proptest::bool::ANY),
+        kind in (0usize..5, proptest::bool::ANY),
         state in proptest::collection::vec(0u8..=255, 0..256),
     ) {
         let good = checkpoint(kind, (1, 2), (7, 20, 40), state).encode();
@@ -72,7 +69,7 @@ proptest! {
     /// trailer — to any other value is detected.
     #[test]
     fn every_single_byte_flip_is_rejected(
-        kind in (0usize..5, proptest::bool::ANY, proptest::bool::ANY),
+        kind in (0usize..5, proptest::bool::ANY),
         state in proptest::collection::vec(0u8..=255, 0..256),
         flip in 1u8..=255,
     ) {
@@ -86,13 +83,29 @@ proptest! {
     }
 }
 
-/// A file of the previous revision — rows in the state blob, threads the
-/// only tuning in the header — carries a valid CRC, so the version field is
+/// Frames `body` as a file: magic, body, a valid CRC.
+fn framed(body: Writer) -> Vec<u8> {
+    let body = body.into_bytes();
+    let mut file = MAGIC.to_vec();
+    file.extend_from_slice(&body);
+    file.extend_from_slice(&crc32(&body).to_le_bytes());
+    file
+}
+
+/// A file of an older revision carries a valid CRC, so the version field is
 /// all that keeps its header from being read as this revision's. It must be
 /// refused by name.
+fn assert_refused(file: &[u8], revision: u32) {
+    let err = Checkpoint::decode(file).expect_err("an old revision is refused");
+    let message = err.to_string();
+    let expected = format!("unsupported format version {revision} (this build reads {VERSION})");
+    assert!(message.contains(&expected), "{message}");
+}
+
+/// Revision 1: rows in the state blob, threads the only tuning in the
+/// header.
 #[test]
 fn a_revision_1_file_is_refused_by_its_version() {
-    assert_eq!(VERSION, 2, "write the next revision's refusal test");
     let mut body = Writer::new();
     body.u32(1);
     body.str("lj");
@@ -102,15 +115,24 @@ fn a_revision_1_file_is_refused_by_its_version() {
     body.bool(true); // deterministic
     body.u64(15); // step
     body.blob(&[0xAB; 200]);
-    let body = body.into_bytes();
-    let mut file = MAGIC.to_vec();
-    file.extend_from_slice(&body);
-    file.extend_from_slice(&crc32(&body).to_le_bytes());
+    assert_refused(&framed(body), 1);
+}
 
-    let err = Checkpoint::decode(&file).expect_err("revision 1 is refused");
-    let message = err.to_string();
-    assert!(
-        message.contains("unsupported format version 1 (this build reads 2)"),
-        "{message}"
-    );
+/// Revision 2: the whole tuning in the header, with a deterministic-mode
+/// flag after the thread count.
+#[test]
+fn a_revision_2_file_is_refused_by_its_version() {
+    assert_eq!(VERSION, 3, "write the next revision's refusal test");
+    let mut body = Writer::new();
+    body.u32(2);
+    body.str("lj");
+    body.usize(1); // scale
+    body.u64(2022); // seed
+    body.usize(4); // threads
+    body.bool(false); // deterministic
+    body.str("scalar"); // kernel
+    body.u64(0); // sort cadence
+    body.u64(15); // step
+    body.blob(&[0xAB; 200]);
+    assert_refused(&framed(body), 2);
 }

@@ -46,19 +46,20 @@ use md_core::force::PairStyle;
 use md_core::{CoreError, KernelPath, Result, Simulation, Threads};
 use md_potentials::{Threadable, Threaded};
 
-/// In-core tuning knobs shared by every deck builder: the thread team, the
+/// In-core tuning knobs shared by every deck builder: the thread count, the
 /// pair-kernel path (scalar reference vs lane-blocked), and the Morton
 /// atom-sort cadence. [`DeckTuning::with_threads`] fills the kernel and sort
 /// knobs from the environment (`MD_KERNEL`, `MD_SORT_EVERY`) so existing
-/// thread-only call sites pick them up transparently;
-/// [`SimulationBuilder`](md_core::SimulationBuilder) downgrades both to the
-/// scalar/no-sort reference under deterministic mode. A variable that is set
-/// to something unreadable is an error naming it, never a silent default —
-/// so every builder that reads the environment ([`build_deck`],
-/// [`build_deck_with`], the per-deck `build`/`build_with`) returns it.
+/// thread-only call sites pick them up transparently. Any combination runs
+/// as asked, except that a style without a lanes kernel or without
+/// reordering support keeps the scalar path or no sort, and the simulation
+/// records what it runs. A variable that is set to something unreadable is
+/// an error naming it, never a silent default — so every builder that reads
+/// the environment ([`build_deck`], [`build_deck_with`], the per-deck
+/// `build`/`build_with`) returns it.
 #[derive(Debug, Clone, Copy)]
 pub struct DeckTuning {
-    /// Shared-memory thread team.
+    /// Shared-memory thread count.
     pub threads: Threads,
     /// Pair-kernel inner-loop selection.
     pub kernel: KernelPath,
@@ -81,12 +82,12 @@ impl DeckTuning {
         })
     }
 
-    /// Everything from the environment (`MD_THREADS`, `MD_DETERMINISTIC`,
-    /// `MD_KERNEL`, `MD_SORT_EVERY`).
+    /// Everything from the environment (`MD_THREADS`, `MD_KERNEL`,
+    /// `MD_SORT_EVERY`).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidParameter`] naming the first of the four
+    /// Returns [`CoreError::InvalidParameter`] naming the first of the three
     /// that is set to something unreadable.
     pub fn from_env() -> Result<Self> {
         Self::with_threads(Threads::from_env()?)
@@ -105,15 +106,14 @@ impl DeckTuning {
     }
 }
 
-/// Boxes `style` for the builder, wrapping it in [`Threaded`] when the
-/// threading knob is active (more than one thread, or deterministic mode so
-/// even one thread follows the fixed-chunk reduction order).
+/// Boxes `style` for the builder, wrapping it in [`Threaded`] when more
+/// than one thread is asked for; one thread runs the style's serial kernel.
 pub(crate) fn wrap_pair<P: Threadable + 'static>(
     style: P,
     threads: Threads,
 ) -> Result<Box<dyn PairStyle>> {
     if threads.active() {
-        Ok(Box::new(Threaded::with_mode(style, threads)?))
+        Ok(Box::new(Threaded::new(style, threads.count)?))
     } else {
         Ok(Box::new(style))
     }
@@ -237,9 +237,8 @@ impl std::fmt::Debug for Deck {
 }
 
 /// Builds a runnable deck for `benchmark` at replication factor `scale`
-/// (1..=4), deterministically seeded. Threading comes from the environment
-/// (`MD_THREADS`, `MD_DETERMINISTIC`); use [`build_deck_with`] to set it
-/// explicitly.
+/// (1..=4), deterministically seeded. The thread count comes from
+/// `MD_THREADS`; use [`build_deck_with`] to set it explicitly.
 ///
 /// # Errors
 ///

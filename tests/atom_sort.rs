@@ -1,8 +1,7 @@
 //! Morton-order atom sorting: the reorder must be a pure relabeling (same
-//! physics under the permutation), obey the deterministic-mode contract
-//! (sorting disabled so trajectories stay bitwise thread-invariant), respect
-//! a pair style's veto (granular history is index-coupled), and survive
-//! checkpoint round-trips with identities intact.
+//! physics under the permutation), respect a pair style's veto (granular
+//! history is index-coupled), and survive checkpoint round-trips with
+//! identities intact.
 
 use md_core::{KernelPath, Threads};
 use md_workloads::{build_deck_tuned, Benchmark, DeckTuning};
@@ -74,43 +73,6 @@ fn sorting_preserves_forces_through_id_mapping() {
     }
 }
 
-/// Deterministic mode disables sorting by contract — that is what keeps
-/// trajectories bitwise identical across thread counts (the documented
-/// resolution of sort-vs-bitwise): a deterministic run with a sort cadence
-/// must produce the exact thermo and positions of one without.
-#[test]
-fn deterministic_mode_ignores_sort_cadence_bitwise() {
-    let run = |sort_every: u64| {
-        let mut deck = build_deck_tuned(
-            Benchmark::Lj,
-            1,
-            2022,
-            tuning(Threads::deterministic(2), sort_every),
-        )
-        .expect("deck builds");
-        deck.simulation.run(50).expect("deck runs");
-        let bits: Vec<u64> = deck
-            .simulation
-            .atoms()
-            .x()
-            .iter()
-            .flat_map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
-            .collect();
-        let thermo = deck.simulation.thermo();
-        (deck.simulation.sorts_performed(), bits, thermo)
-    };
-    let (sorts_with, bits_with, thermo_with) = run(10);
-    let (sorts_without, bits_without, thermo_without) = run(0);
-    assert_eq!(sorts_with, 0, "deterministic mode must not sort");
-    assert_eq!(sorts_without, 0);
-    assert_eq!(bits_with, bits_without, "positions diverged");
-    assert_eq!(
-        thermo_with.total_energy().to_bits(),
-        thermo_without.total_energy().to_bits(),
-        "thermo diverged"
-    );
-}
-
 /// Granular history terms are keyed by atom index, so the chute deck's pair
 /// style vetoes reordering (`supports_reorder == false`) and the cadence is
 /// inert there.
@@ -126,7 +88,7 @@ fn granular_deck_never_sorts() {
     );
 }
 
-/// Fast-mode LJ with a sort cadence actually sorts and stays physical: total
+/// LJ with a sort cadence actually sorts and stays physical: total
 /// energy of the NVE melt is conserved to the same order as the unsorted
 /// run (relabeling atoms cannot add energy).
 #[test]

@@ -1,9 +1,9 @@
-//! Chaos-under-determinism: a rank crash at a fixed step must be survived
-//! by the degraded-mode shrink on every deck, and because the shrink rolls
-//! back to a healthy snapshot and replays on the survivors — touching no
-//! physics knob — the post-shrink trajectory must be **bitwise identical**
-//! both across two faulted runs and against a crash-free run of the same
-//! deck. The `shrink.reports` artifact must round-trip the wire decoder.
+//! Chaos at a fixed thread count: a rank crash at a fixed step must be
+//! survived by the degraded-mode shrink on every deck, and because the
+//! shrink rolls back to a healthy snapshot and replays on the survivors —
+//! touching no physics knob — the post-shrink trajectory must be **bitwise
+//! identical** both across two faulted runs and against a crash-free run of
+//! the same deck. The `shrink.reports` artifact must round-trip the wire decoder.
 //!
 //! Riding along: a fault plan that defeats the whole mitigation ladder
 //! (more crashes than the retry budget) must exit with the dedicated
@@ -47,7 +47,8 @@ fn read_shrink_reports(dir: &Path) -> Vec<ShrinkReport> {
     reports
 }
 
-/// Two faulted runs and one crash-free run of `deck`, all deterministic.
+/// Two faulted runs and one crash-free run of `deck`, all on the same
+/// thread count.
 /// The crash at `crash_step` must be shrunk past, every arm must agree
 /// bitwise on the final atom state, and the shrink report must record the
 /// 8 -> 7 rank transition.
@@ -71,7 +72,6 @@ fn chaos_run_is_deterministic(deck: &str, steps: u64, crash_step: u64, ckpt_ever
             &steps_s,
             "--thermo",
             &thermo_s,
-            "--deterministic",
             "--faults",
             &fault,
             "--checkpoint-every",
@@ -123,7 +123,6 @@ fn chaos_run_is_deterministic(deck: &str, steps: u64, crash_step: u64, ckpt_ever
         &steps_s,
         "--thermo",
         &thermo_s,
-        "--deterministic",
         "--checkpoint-every",
         &ckpt_s,
         "--checkpoint-dir",
@@ -169,7 +168,6 @@ fn ladder_exhaustion_exits_with_the_unrecoverable_code() {
         "30",
         "--thermo",
         "30",
-        "--deterministic",
         "--faults",
         "rank-crash:0@5,rank-crash:1@6,rank-crash:2@7,rank-crash:3@8,rank-crash:4@9",
     ]);
@@ -201,7 +199,6 @@ fn cli_repartitioning_names_the_slow_rank() {
         "10",
         "--thermo",
         "10",
-        "--deterministic",
         "--faults",
         "rank-slow:3x4@0",
         "--repartition-every",

@@ -247,15 +247,7 @@ fn run_deck_gpu_insight_cli_reports_and_exports_device_lanes() {
     let trace_path = std::env::temp_dir().join(format!("md-gpu-trace-{tag}.json"));
     let output = Command::new(env!("CARGO_BIN_EXE_run_deck"))
         .current_dir(repo_root())
-        .args([
-            "lj",
-            "--steps",
-            "10",
-            "--thermo",
-            "10",
-            "--deterministic",
-            "--gpu-insight",
-        ])
+        .args(["lj", "--steps", "10", "--thermo", "10", "--gpu-insight"])
         .arg("--trace")
         .arg(&trace_path)
         .arg("--insight")

@@ -155,7 +155,7 @@ fn faulted_run_costs_more_than_its_fault_free_twin() {
     );
 }
 
-/// Runs `run_deck <deck> --steps 10 --deterministic --faults rank-slow:3x4@0
+/// Runs `run_deck <deck> --steps 10 --faults rank-slow:3x4@0
 /// --insight <dir>` and returns its output and the insight directory.
 fn run_deck_rank_slow(deck: &str) -> (Output, PathBuf) {
     let out_dir = std::env::temp_dir().join(format!("md-insight-{deck}-{}", std::process::id()));
@@ -168,7 +168,6 @@ fn run_deck_rank_slow(deck: &str) -> (Output, PathBuf) {
             "10",
             "--thermo",
             "10",
-            "--deterministic",
             "--faults",
             &format!("rank-slow:{SLOWED_RANK}x4@0"),
             "--insight",

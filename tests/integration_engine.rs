@@ -30,7 +30,7 @@ fn lj_deck_conserves_energy_over_100_steps() {
 }
 
 /// The same conservation bound must survive a LONG window on the threaded
-/// engine: 1000 NVE steps of the 32k LJ melt on 4 fast-mode threads.
+/// engine: 1000 NVE steps of the 32k LJ melt on 4 threads.
 #[test]
 fn threaded_lj_deck_conserves_energy_over_1000_steps() {
     let mut deck = build_deck_with(Benchmark::Lj, 1, 11, Threads::fast(4)).unwrap();

@@ -3,15 +3,16 @@
 //! interrupted — positions, velocities, forces, images, step counter, and
 //! thermo history. Every deck exercises its own state surface (Langevin
 //! RNG streams, Nose-Hoover/barostat internals, granular contact history,
-//! PPPM accumulators, neighbor rebuild schedule), so all five run here, in
-//! deterministic mode at 1 and 4 threads.
+//! PPPM accumulators, neighbor rebuild schedule), so all five run here,
+//! serial (the unwrapped pair styles) and on 4 threads (the `Threaded`
+//! chunk path).
 //!
 //! A checkpoint holds no neighbor rows: the restore rebuilds them from the
 //! positions and the box of the last build. The tuned cases below cover
-//! what that rebuild depends on and deterministic mode pins away — padded
-//! rows for the lanes kernels, a Morton-sorted atom order, a threaded build,
-//! a box that has moved on since the build (NPT), a full list — with the
-//! tuning taken from the checkpoint header, not from the environment.
+//! what that rebuild depends on beyond the default tuning — padded rows for
+//! the lanes kernels, a Morton-sorted atom order, a threaded build, a box
+//! that has moved on since the build (NPT), a full list — with the tuning
+//! taken from the checkpoint header, not from the environment.
 //!
 //! Corruption tests ride along: a checkpoint with any flipped byte or any
 //! truncation must be rejected with a typed error, never restored or
@@ -122,25 +123,25 @@ macro_rules! roundtrip_tests {
     ($($name:ident: $bench:expr, $threads:expr;)*) => {$(
         #[test]
         fn $name() {
-            roundtrip($bench, Threads::deterministic($threads));
+            roundtrip($bench, $threads);
         }
     )*}
 }
 
 roundtrip_tests! {
-    lj_roundtrips_serial: Benchmark::Lj, 1;
-    lj_roundtrips_threaded: Benchmark::Lj, 4;
-    chain_roundtrips_serial: Benchmark::Chain, 1;
-    chain_roundtrips_threaded: Benchmark::Chain, 4;
-    eam_roundtrips_serial: Benchmark::Eam, 1;
-    eam_roundtrips_threaded: Benchmark::Eam, 4;
-    chute_roundtrips_serial: Benchmark::Chute, 1;
-    chute_roundtrips_threaded: Benchmark::Chute, 4;
-    rhodo_roundtrips_serial: Benchmark::Rhodo, 1;
-    rhodo_roundtrips_threaded: Benchmark::Rhodo, 4;
+    lj_roundtrips_serial: Benchmark::Lj, Threads::serial();
+    lj_roundtrips_threaded: Benchmark::Lj, Threads::fast(4);
+    chain_roundtrips_serial: Benchmark::Chain, Threads::serial();
+    chain_roundtrips_threaded: Benchmark::Chain, Threads::fast(4);
+    eam_roundtrips_serial: Benchmark::Eam, Threads::serial();
+    eam_roundtrips_threaded: Benchmark::Eam, Threads::fast(4);
+    chute_roundtrips_serial: Benchmark::Chute, Threads::serial();
+    chute_roundtrips_threaded: Benchmark::Chute, Threads::fast(4);
+    rhodo_roundtrips_serial: Benchmark::Rhodo, Threads::serial();
+    rhodo_roundtrips_threaded: Benchmark::Rhodo, Threads::fast(4);
 }
 
-/// The tuned path end to end: two fast-mode threads, the lanes kernel over
+/// The tuned path end to end: two threads, the lanes kernel over
 /// sentinel-padded rows, and a Morton sort before the checkpoint, so the
 /// restore has to permute the fresh deck's atoms before it rebuilds the
 /// list. `MD_KERNEL` / `MD_SORT_EVERY` are unset here, so a restore that
@@ -211,8 +212,7 @@ fn chute_roundtrips_fast_mode() {
 
 #[test]
 fn corrupted_checkpoints_are_rejected() {
-    let mut deck =
-        build_deck_with(Benchmark::Lj, 1, SEED, Threads::deterministic(1)).expect("deck builds");
+    let mut deck = build_deck_with(Benchmark::Lj, 1, SEED, Threads::serial()).expect("deck builds");
     deck.simulation.run(5).expect("runs");
     let good = Checkpoint::capture(&deck, SEED).encode();
     assert!(Checkpoint::decode(&good).is_ok(), "control");
@@ -241,7 +241,7 @@ fn corrupted_checkpoints_are_rejected() {
 
 #[test]
 fn restored_state_cannot_cross_decks() {
-    let mut lj = build_deck_with(Benchmark::Lj, 1, SEED, Threads::deterministic(1)).unwrap();
+    let mut lj = build_deck_with(Benchmark::Lj, 1, SEED, Threads::serial()).unwrap();
     lj.simulation.run(3).unwrap();
     let mut ckpt = Checkpoint::capture(&lj, SEED);
     // Forge the header onto a structurally different deck (Chain carries a
