@@ -15,29 +15,27 @@
 //! the atoms of each cell, a running sum turns the counts into each cell's
 //! first slot, and a second pass drops every atom into its cell's next slot —
 //! its index into `cell_atoms`, its position into three packed per-axis
-//! arrays. A cell's members are then one contiguous run, and the search of an
-//! atom is at most 27 linear scans over packed coordinates instead of 27
-//! pointer chases through the position array.
+//! arrays. A cell's members are then one contiguous run, in descending atom
+//! index, and since cell `(x + 1, y, z)` follows cell `(x, y, z)`, so is
+//! every x-row of cells.
 //!
-//! Inside a cell the members are stored in **descending** atom index. That
-//! is the order in which the per-cell linked lists this module used to build
-//! were walked (last in, first out), and the order inside a neighbor row
-//! decides the summation order of every force kernel: keeping it keeps every
-//! trajectory, checkpoint and baseline bit for bit. It also makes the `j > i`
-//! candidates of a half list a prefix of each run, found by bisection, so
-//! the other half of the run is never looked at.
-//!
-//! The minimum-image correction stays in the scan, candidate by candidate,
-//! with the comparisons and the `± L` of [`SimBox::min_image`]. Shifting a
-//! whole cell's coordinates once would be cheaper, but `(xj + L) - xi` and
-//! `(xj - xi) + L` round differently, and a pair whose squared distance
-//! lands on the other side of `(cutoff + skin)²` would enter or leave a row.
-//! For the same reason the stencil is the full 27 cells in `dz, dy, dx`
-//! order for half lists too: a half stencil would change which row owns a
-//! pair. What the scan does shed is the branches — distances are computed
-//! four candidates at a time in vector registers, and a survivor is
-//! appended by writing every candidate at the row's cursor and advancing the
-//! cursor only for a survivor; the exclusion lookup runs over survivors only.
+//! The search of atom `i` scans the stencil one `(dz, dy)` row at a time,
+//! each row one slot range, split only where a periodic x axis wraps. A full
+//! list scans all 9 rows of the 27 cells, in `dz, dy, dx` order. A half list
+//! scans the forward half (LAMMPS's `half/bin/newton` stencil): the members
+//! stored after `i` in its own cell and the 13 cells after it, so each pair
+//! is stored once, on the row that reaches the other atom through a forward
+//! offset. Each range is scanned against `x_i` shifted once by the range's
+//! periodic image, so the scan computes plain differences. The box is at
+//! least twice `cutoff + skin` wide, so at most one image of a partner is in
+//! range: on a two-cell periodic axis the offsets −1 and +1 reach the other
+//! cell's two images, and the list is the pair set of [`brute_force_pairs`]
+//! (up to the rounding of `r²` for a pair an ulp from `cutoff + skin`). The
+//! order inside a row, the summation order of every force kernel, is the
+//! one the stencil fixes. Distances are computed four candidates at a time
+//! in vector registers, a survivor is appended by writing every candidate at
+//! the row's cursor and advancing the cursor only for a survivor, and the
+//! exclusion lookup runs over survivors only.
 //!
 //! All of the binning scratch persists in the list, so a steady-state build
 //! allocates nothing (`tests/neighbor_alloc.rs`).
@@ -63,7 +61,8 @@ use md_observe::Recorder;
 /// Whether each pair is listed once (half) or from both atoms (full).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NeighborListKind {
-    /// Each `{i, j}` pair appears once, on the lower-indexed atom.
+    /// Each `{i, j}` pair appears once, on the row whose half stencil
+    /// reaches the other atom.
     Half,
     /// Each `{i, j}` pair appears in both atoms' lists.
     Full,
@@ -87,6 +86,9 @@ pub struct NeighborBuildStats {
     /// Neighbors per atom within the bare cutoff — the "Neighbors/atom" row
     /// of the paper's Table 2.
     pub neighbors_within_cutoff: f64,
+    /// Excluded partners per atom within the bare cutoff, left out of
+    /// `neighbors_within_cutoff` (same convention).
+    pub excluded_within_cutoff: f64,
     /// Cells in the binning grid at the last build.
     pub cells: usize,
 }
@@ -97,7 +99,7 @@ pub struct NeighborBuildStats {
 struct StripeBuf {
     lens: Vec<usize>,
     neigh: Vec<u32>,
-    wc: usize,
+    counts: [usize; 2],
 }
 
 /// Pads the row that starts at `start` and ends `neigh` with `sentinel` up to
@@ -113,35 +115,6 @@ fn pad_row(neigh: &mut Vec<u32>, start: usize, lanes: usize, sentinel: u32) -> u
 /// block the compiler turns into vector code (two SSE2 or one AVX register
 /// of `f64`). The packed coordinate arrays end in this many padding slots.
 const CHUNK: usize = 4;
-
-/// The cell coordinates that the offsets `-1, 0, +1` around `c` reach on an
-/// axis of `n` cells, in that order, and how many there are. A periodic axis
-/// wraps; with fewer than 3 cells its offsets alias (`n == 2`: `+1` is the
-/// cell `-1` reached; `n == 1`: all three are cell 0) and only the first
-/// visit is kept, since a second visit of a cell can only re-find the same
-/// partners. A non-periodic axis drops the offsets that leave the grid.
-#[inline(always)]
-fn stencil_axis(c: usize, n: usize, periodic: bool) -> ([usize; 3], usize) {
-    if periodic {
-        let below = if c == 0 { n - 1 } else { c - 1 };
-        let above = if c + 1 == n { 0 } else { c + 1 };
-        ([below, c, above], n.min(3))
-    } else {
-        let mut cells = [0usize; 3];
-        let mut len = 0;
-        if c > 0 {
-            cells[len] = c - 1;
-            len += 1;
-        }
-        cells[len] = c;
-        len += 1;
-        if c + 1 < n {
-            cells[len] = c + 1;
-            len += 1;
-        }
-        (cells, len)
-    }
-}
 
 /// Cells per axis of the binning grid over `bx`: as many as stay at least
 /// `range` wide.
@@ -234,74 +207,36 @@ struct RowScan<'a> {
     bins: &'a CellBins,
     x: &'a [V3],
     bx: &'a SimBox,
-    /// Box length per axis, and half of it: the two constants of
-    /// [`SimBox::min_image`]. A non-periodic axis gets an infinite half
-    /// length, so neither comparison ever fires and its displacement stays
-    /// untouched.
-    wrap: [f64; 3],
-    half_len: [f64; 3],
+    lengths: V3,
     half: bool,
     range2: f64,
     cut2: f64,
 }
 
 impl<'a> RowScan<'a> {
-    fn new(
-        bins: &'a CellBins,
-        x: &'a [V3],
-        bx: &'a SimBox,
-        kind: NeighborListKind,
-        range2: f64,
-        cut2: f64,
-    ) -> Self {
-        let lengths = bx.lengths();
-        let mut wrap = [0.0f64; 3];
-        let mut half_len = [f64::INFINITY; 3];
-        for d in 0..3 {
-            if bx.is_periodic(d) {
-                wrap[d] = lengths[d];
-                half_len[d] = 0.5 * lengths[d];
-            }
-        }
-        RowScan {
-            bins,
-            x,
-            bx,
-            wrap,
-            half_len,
-            half: kind == NeighborListKind::Half,
-            range2,
-            cut2,
-        }
-    }
-
-    /// The minimum-image correction of [`SimBox::min_image`] on one axis:
-    /// the same comparisons against `0.5 * L` and the same `- L` / `+ L`, so
-    /// the squared distance has the same bits and every `r2 < range2` decides
-    /// as it would there. Written as two selects of a constant instead of an
-    /// if/else chain so the compiler can correct [`CHUNK`] candidates at a
-    /// time; the `0.0` an uncorrected displacement gets added cannot change
-    /// its square.
+    /// The cell `c + o` on axis `d` and the shift that takes its atoms to
+    /// the image the offset reaches (`0` inside the grid, `∓L` across a
+    /// periodic boundary), or `None` past the end of a non-periodic axis.
     #[inline(always)]
-    fn min_image(&self, d: f64, axis: usize) -> f64 {
-        let down = if d > self.half_len[axis] {
-            self.wrap[axis]
+    fn step(&self, c: usize, o: isize, d: usize) -> Option<(usize, f64)> {
+        let (n, raw) = (self.bins.ncell[d] as isize, c as isize + o);
+        if (0..n).contains(&raw) {
+            Some((raw as usize, 0.0))
+        } else if !self.bx.is_periodic(d) {
+            None
+        } else if raw < 0 {
+            Some(((raw + n) as usize, -self.lengths[d]))
         } else {
-            0.0
-        };
-        let up = if d < -self.half_len[axis] {
-            self.wrap[axis]
-        } else {
-            0.0
-        };
-        d - down + up
+            Some(((raw - n) as usize, self.lengths[d]))
+        }
     }
 
-    /// Appends atom `i`'s neighbor row to `scratch` — stencil cells in
-    /// `dz, dy, dx` order, each cell's members in descending index, partners
-    /// in the sorted slice `excl` dropped — and returns how many of the row's
-    /// pairs fall within the bare cutoff.
-    fn append_row(&self, i: usize, excl: &[u32], scratch: &mut Vec<u32>) -> usize {
+    /// Appends atom `i`'s neighbor row to `scratch` — stencil rows in
+    /// `dz, dy` order, each a run of slots in `dx` order, partners in the
+    /// sorted slice `excl` dropped — and adds to `counts` how many of the
+    /// row's pairs, and how many of its excluded partners, fall within the
+    /// bare cutoff.
+    fn append_row(&self, i: usize, excl: &[u32], scratch: &mut Vec<u32>, counts: &mut [usize; 2]) {
         let bins = self.bins;
         let ncell = bins.ncell;
         let (range2, cut2) = (self.range2, self.cut2);
@@ -310,31 +245,44 @@ impl<'a> RowScan<'a> {
         let c = bins.atom_cell[i] as usize;
         let (cx, cyz) = (c % ncell[0], c / ncell[0]);
         let (cy, cz) = (cyz % ncell[1], cyz / ncell[1]);
-        let (xs, nxs) = stencil_axis(cx, ncell[0], self.bx.is_periodic(0));
-        let (ys, nys) = stencil_axis(cy, ncell[1], self.bx.is_periodic(1));
-        let (zs, nzs) = stencil_axis(cz, ncell[2], self.bx.is_periodic(2));
 
-        // The runs of packed slots to scan, one per stencil cell, as (first
-        // slot, length).
-        let mut runs = [(0usize, 0usize); 27];
+        // The runs of packed slots to scan, as (first slot, end, image
+        // shift): at most two per `(dz, dy)` row, split where a periodic x
+        // axis wraps. A half list scans the rows from its own on, and in its
+        // own row the cells from its own on.
+        let mut runs = [(0usize, 0usize, V3::zero()); 18];
         let mut nruns = 0;
         let mut candidates = 0;
-        for &z in &zs[..nzs] {
-            for &y in &ys[..nys] {
+        let first = if self.half { 0 } else { -1 };
+        for dz in first..=1 {
+            let Some((z, sz)) = self.step(cz, dz, 2) else {
+                continue;
+            };
+            for dy in if dz == 0 { first } else { -1 }..=1 {
+                let Some((y, sy)) = self.step(cy, dy, 1) else {
+                    continue;
+                };
                 let row = (z * ncell[1] + y) * ncell[0];
-                for &xc in &xs[..nxs] {
-                    let lo = bins.cell_start[row + xc] as usize;
-                    let hi = bins.cell_start[row + xc + 1] as usize;
-                    // Members run in descending index, so a half list's
-                    // `j > i` candidates are a prefix of the run.
-                    let len = if self.half {
-                        bins.cell_atoms[lo..hi].partition_point(|&j| j > iu)
-                    } else {
-                        hi - lo
+                for dx in if dz == 0 && dy == 0 { first } else { -1 }..=1 {
+                    let Some((xc, sx)) = self.step(cx, dx, 0) else {
+                        continue;
                     };
-                    runs[nruns] = (lo, len);
-                    nruns += 1;
-                    candidates += len;
+                    let mut lo = bins.cell_start[row + xc] as usize;
+                    let hi = bins.cell_start[row + xc + 1] as usize;
+                    if self.half && row + xc == c {
+                        // Members run in descending index, so the ones
+                        // stored after `i` are its `j < i`.
+                        lo += bins.cell_atoms[lo..hi].partition_point(|&j| j > iu) + 1;
+                    }
+                    let shift = V3::new(sx, sy, sz);
+                    candidates += hi - lo;
+                    match runs[..nruns].last_mut() {
+                        Some(run) if run.1 == lo && run.2 == shift => run.1 = hi,
+                        _ => {
+                            runs[nruns] = (lo, hi, shift);
+                            nruns += 1;
+                        }
+                    }
                 }
             }
         }
@@ -346,8 +294,9 @@ impl<'a> RowScan<'a> {
         let out = &mut scratch[row_start..];
         let mut kept = 0usize;
         let mut within_cut = 0usize;
-        for &(lo, len) in &runs[..nruns] {
-            let end = lo + len;
+        for &(lo, end, shift) in &runs[..nruns] {
+            // The image of every candidate in the run is `x_j + shift`.
+            let o = xi - shift;
             let mut first = lo;
             while first < end {
                 // The last chunk of a run reads on into the next cell's
@@ -359,9 +308,7 @@ impl<'a> RowScan<'a> {
                 let (px, py, pz) = (chunk(&bins.px), chunk(&bins.py), chunk(&bins.pz));
                 let mut r2 = [0.0f64; CHUNK];
                 for k in 0..CHUNK {
-                    let dx = self.min_image(px[k] - xi.x, 0);
-                    let dy = self.min_image(py[k] - xi.y, 1);
-                    let dz = self.min_image(pz[k] - xi.z, 2);
+                    let (dx, dy, dz) = (px[k] - o.x, py[k] - o.y, pz[k] - o.z);
                     r2[k] = dx * dx + dy * dy + dz * dz;
                 }
                 let members = &bins.cell_atoms[first..(first + CHUNK).min(end)];
@@ -376,11 +323,12 @@ impl<'a> RowScan<'a> {
         }
         scratch.truncate(row_start + kept);
 
+        let mut excluded = 0;
         if !excl.is_empty() {
             // Exclusions are few and survivors a small share of the
             // candidates, so they are taken out of the finished row; an
-            // excluded survivor's distance is recomputed to take it out of
-            // the within-cutoff count.
+            // excluded survivor's distance is recomputed to move it from the
+            // within-cutoff count to the excluded one.
             let mut kept = row_start;
             for r in row_start..scratch.len() {
                 let j = scratch[r];
@@ -388,12 +336,13 @@ impl<'a> RowScan<'a> {
                     scratch[kept] = j;
                     kept += 1;
                 } else if self.bx.min_image(self.x[j as usize], xi).norm2() < cut2 {
-                    within_cut -= 1;
+                    excluded += 1;
                 }
             }
             scratch.truncate(kept);
         }
-        within_cut
+        counts[0] += within_cut - excluded;
+        counts[1] += excluded;
     }
 }
 
@@ -627,7 +576,8 @@ impl NeighborList {
         let n = x.len();
         let range2 = range * range;
         let cut2 = self.cutoff * self.cutoff;
-        let mut within_cut = 0usize;
+        // Pairs, and excluded pairs, within the bare cutoff.
+        let mut counts = [0usize; 2];
 
         self.bins.fill(x, bx, range);
 
@@ -640,10 +590,20 @@ impl NeighborList {
         let sentinel = n as u32;
 
         // The per-atom candidate search, shared by the serial and threaded
-        // paths: appends atom `i`'s neighbor row to `scratch` and returns how
-        // many of the row's pairs fall within the bare cutoff.
-        let scan = RowScan::new(&self.bins, x, bx, self.kind, range2, cut2);
-        let search = |i: usize, scratch: &mut Vec<u32>| scan.append_row(i, exclusions(i), scratch);
+        // paths: appends atom `i`'s neighbor row to `scratch` and counts the
+        // row's pairs within the bare cutoff.
+        let scan = RowScan {
+            bins: &self.bins,
+            x,
+            bx,
+            lengths: bx.lengths(),
+            half: self.kind == NeighborListKind::Half,
+            range2,
+            cut2,
+        };
+        let search = |i: usize, scratch: &mut Vec<u32>, counts: &mut [usize; 2]| {
+            scan.append_row(i, exclusions(i), scratch, counts)
+        };
 
         // This site keeps a serial branch instead of running one part
         // inline: rows are variable-length, so workers cannot write into
@@ -666,10 +626,10 @@ impl NeighborList {
             fork_join(stripes, &self.recorder, "neigh_build", |k, buf| {
                 buf.lens.clear();
                 buf.neigh.clear();
-                buf.wc = 0;
+                buf.counts = [0; 2];
                 for i in k * stripe..((k + 1) * stripe).min(n) {
                     let row_start = buf.neigh.len();
-                    buf.wc += search(i, &mut buf.neigh);
+                    search(i, &mut buf.neigh, &mut buf.counts);
                     buf.lens.push(buf.neigh.len() - row_start);
                     if lanes != 0 {
                         pad_row(&mut buf.neigh, row_start, lanes, sentinel);
@@ -677,7 +637,8 @@ impl NeighborList {
                 }
             });
             for buf in bufs.iter().take(t) {
-                within_cut += buf.wc;
+                counts[0] += buf.counts[0];
+                counts[1] += buf.counts[1];
                 let mut off = self.neigh.len();
                 for &l in &buf.lens {
                     if lanes != 0 {
@@ -694,7 +655,7 @@ impl NeighborList {
         } else {
             for i in 0..n {
                 let row_start = self.neigh.len();
-                within_cut += search(i, &mut self.neigh);
+                search(i, &mut self.neigh, &mut counts);
                 if lanes != 0 {
                     let end = pad_row(&mut self.neigh, row_start, lanes, sentinel);
                     self.row_ends.push(end);
@@ -714,7 +675,7 @@ impl NeighborList {
             self.row_ends.iter().zip(starts).map(|(e, s)| e - s).sum()
         };
         self.stats.pairs = pairs;
-        self.stats.pairs_within_cutoff = within_cut;
+        self.stats.pairs_within_cutoff = counts[0];
         self.stats.cells = self.bins.ncell.iter().product();
         let per_atom = |directed: f64| {
             if n == 0 {
@@ -727,7 +688,8 @@ impl NeighborList {
             }
         };
         self.stats.neighbors_per_atom = per_atom(pairs as f64);
-        self.stats.neighbors_within_cutoff = per_atom(within_cut as f64);
+        self.stats.neighbors_within_cutoff = per_atom(counts[0] as f64);
+        self.stats.excluded_within_cutoff = per_atom(counts[1] as f64);
         Ok(())
     }
 
@@ -879,13 +841,33 @@ mod tests {
         s
     }
 
-    /// The build as it was before the counting sort, kept as the oracle of
+    /// The entries of a list given row by row, as sorted `(row, partner)`
+    /// pairs, a half list's unordered (`(min, max)`): two lists give the same
+    /// vector exactly when they hold the same pairs (for a full list, in the
+    /// same rows), each as often.
+    fn canonical<'r>(
+        kind: NeighborListKind,
+        rows: impl Iterator<Item = &'r [u32]>,
+    ) -> Vec<(u32, u32)> {
+        let mut pairs: Vec<(u32, u32)> = rows
+            .enumerate()
+            .flat_map(|(i, row)| row.iter().map(move |&j| (i as u32, j)))
+            .map(|(i, j)| match kind {
+                NeighborListKind::Half => (i.min(j), i.max(j)),
+                NeighborListKind::Full => (i, j),
+            })
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    /// The linked-list build this module once was, kept as the oracle of
     /// `build_equals_linked_list_reference`: atoms pushed onto per-cell
-    /// linked lists (so a cell is walked last-in first-out, i.e. in
-    /// descending index), all 27 stencil offsets visited with `rem_euclid`
-    /// wrapping, every candidate put through [`SimBox::min_image`], and cells
-    /// that alias on a short periodic axis deduplicated candidate by
-    /// candidate. Returns the rows, the pairs within the bare cutoff and the
+    /// linked lists, all 27 stencil offsets visited with `rem_euclid`
+    /// wrapping, every candidate put through [`SimBox::min_image`], a half
+    /// list's pair kept on the lower-indexed atom, and cells that alias on a
+    /// short periodic axis deduplicated candidate by candidate. Returns the
+    /// rows, the pairs and the excluded pairs within the bare cutoff, and the
     /// cell count.
     fn reference_rows(
         x: &[V3],
@@ -894,7 +876,7 @@ mod tests {
         skin: f64,
         kind: NeighborListKind,
         excl: &[Vec<u32>],
-    ) -> (Vec<Vec<u32>>, usize, usize) {
+    ) -> (Vec<Vec<u32>>, usize, usize, usize) {
         let range = cutoff + skin;
         let range2 = range * range;
         let cut2 = cutoff * cutoff;
@@ -923,11 +905,12 @@ mod tests {
         }
         let half = kind == NeighborListKind::Half;
         let needs_dedup = (0..3).any(|d| ncell[d] < 3 && bx.is_periodic(d));
-        let mut within_cut = 0usize;
+        let (mut within_cut, mut excluded) = (0usize, 0usize);
         let mut rows = Vec::with_capacity(x.len());
         for (i, &xi) in x.iter().enumerate() {
             let ci = cell_coords(xi);
             let mut row: Vec<u32> = Vec::new();
+            let mut seen: Vec<u32> = Vec::new();
             for dz in -1i64..=1 {
                 for dy in -1i64..=1 {
                     for dx in -1i64..=1 {
@@ -952,16 +935,15 @@ mod tests {
                         let mut j = bin_head[cell];
                         while j != u32::MAX {
                             let ju = j as usize;
-                            if ju != i && (!half || ju > i) {
+                            let fresh = !needs_dedup || !seen.contains(&j);
+                            if ju != i && (!half || ju > i) && fresh {
+                                seen.push(j);
                                 let r2 = bx.min_image(x[ju], xi).norm2();
-                                if r2 < range2
-                                    && excl[i].binary_search(&j).is_err()
-                                    && (!needs_dedup || !row.contains(&j))
-                                {
+                                if r2 < range2 && excl[i].binary_search(&j).is_ok() {
+                                    excluded += usize::from(r2 < cut2);
+                                } else if r2 < range2 {
                                     row.push(j);
-                                    if r2 < cut2 {
-                                        within_cut += 1;
-                                    }
+                                    within_cut += usize::from(r2 < cut2);
                                 }
                             }
                             j = bin_next[ju];
@@ -971,7 +953,7 @@ mod tests {
             }
             rows.push(row);
         }
-        (rows, within_cut, ncells)
+        (rows, within_cut, excluded, ncells)
     }
 
     proptest! {
@@ -1035,7 +1017,8 @@ mod tests {
                 e.dedup();
             }
 
-            let (rows, within_cut, ncells) = reference_rows(&x, &bx, cutoff, skin, kind, &excl);
+            let (rows, within_cut, excluded_in_cut, ncells) =
+                reference_rows(&x, &bx, cutoff, skin, kind, &excl);
             let pairs: usize = rows.iter().map(Vec::len).sum();
             let per_atom = |directed: usize| match (n, kind) {
                 (0, _) => 0.0,
@@ -1049,20 +1032,23 @@ mod tests {
                 pairs_within_cutoff: within_cut,
                 neighbors_per_atom: per_atom(pairs),
                 neighbors_within_cutoff: per_atom(within_cut),
+                excluded_within_cutoff: per_atom(excluded_in_cut),
                 cells: ncells,
             };
+            // The serial build holds the oracle's pairs, each once (per row
+            // for a full list), in the order its stencil fixes.
+            let mut serial = NeighborList::new(cutoff, skin, kind);
+            serial.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
+            prop_assert_eq!(serial.stats(), stats, "stats: {}", bx);
+            prop_assert_eq!(
+                canonical(kind, (0..n).map(|i| serial.neighbors(i))),
+                canonical(kind, rows.iter().map(Vec::as_slice)),
+                "pairs: {}",
+                bx
+            );
+            // Every thread count and padding gives that order bit for bit.
             for padding in [0, 8] {
-                let mut offsets = vec![0];
-                let mut neigh = Vec::new();
-                let mut row_ends = Vec::new();
-                for row in &rows {
-                    let start = neigh.len();
-                    neigh.extend_from_slice(row);
-                    if padding != 0 {
-                        row_ends.push(pad_row(&mut neigh, start, padding, n as u32));
-                    }
-                    offsets.push(neigh.len());
-                }
+                let (offsets, neigh, row_ends) = serial.layout(padding);
                 for threads in [1, 2, 3, 7] {
                     let mut nl = NeighborList::new(cutoff, skin, kind);
                     nl.set_padding(padding);
@@ -1087,6 +1073,46 @@ mod tests {
         let expected: std::collections::BTreeSet<_> =
             brute_force_pairs(&x, &bx, 2.5).into_iter().collect();
         assert_eq!(pair_set(&nl), expected);
+        // Each pair once: a pair listed from both sides would pass the set.
+        assert_eq!(nl.len(), expected.len());
+    }
+
+    #[test]
+    fn non_finite_position_has_no_partners() {
+        let bx = SimBox::cubic(10.0);
+        let mut x = random_positions(300, 10.0, 23);
+        x[17] = Vec3::new(f64::NAN, 5.0, 5.0);
+        let expected = brute_force_pairs(&x, &bx, 2.4);
+        for (kind, copies) in [(NeighborListKind::Half, 1), (NeighborListKind::Full, 2)] {
+            let mut nl = NeighborList::new(2.0, 0.4, kind);
+            nl.build(&x, &bx).unwrap();
+            assert!(nl.neighbors(17).is_empty(), "{kind:?}");
+            let got: Vec<_> = pair_set(&nl).into_iter().collect();
+            assert_eq!(got, expected, "{kind:?}");
+            assert_eq!(nl.len(), copies * expected.len(), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn two_cell_periodic_axis_reaches_both_images() {
+        // x is two cells of 2.75 for a range of 2.5: the offsets -1 and +1
+        // both reach the other cell, one through each periodic image.
+        let bx = SimBox::orthogonal(5.5, 12.0, 12.0);
+        let x = [2.5, 3.0, 0.3, 5.2, 1.4, 4.1].map(|px| Vec3::new(px, 6.0, 6.0));
+        let expected = brute_force_pairs(&x, &bx, 2.5);
+        // (0, 1) across the middle, (2, 3) across the wrapped face.
+        assert!(expected.contains(&(0, 1)) && expected.contains(&(2, 3)));
+        for (kind, copies) in [(NeighborListKind::Half, 1), (NeighborListKind::Full, 2)] {
+            for threads in [1, 2] {
+                let mut nl = NeighborList::new(2.0, 0.5, kind);
+                nl.set_threads(threads);
+                nl.build(&x, &bx).unwrap();
+                assert_eq!(nl.stats().cells, 2 * 4 * 4, "{kind:?}");
+                let got: Vec<_> = pair_set(&nl).into_iter().collect();
+                assert_eq!(got, expected, "{kind:?}, {threads} threads");
+                assert_eq!(nl.len(), copies * expected.len(), "{kind:?}");
+            }
+        }
     }
 
     #[test]

@@ -79,6 +79,9 @@ proptest! {
         }
         let want: std::collections::BTreeSet<_> =
             brute_force_pairs(&x, &bx, cutoff + 0.3).into_iter().collect();
+        // The set hides a pair listed twice; the entry count does not.
+        let copies = if half { 1 } else { 2 };
+        prop_assert_eq!(nl.len(), copies * want.len());
         prop_assert_eq!(got, want);
     }
 
