@@ -142,9 +142,9 @@ pub trait PairStyle: Send {
 
     /// Whether the style tolerates atom reordering (Morton sorting).
     ///
-    /// Styles keeping per-atom-index caches (e.g. granular shear history
-    /// keyed by atom pairs) override this to `false` and the engine skips
-    /// sorting for them.
+    /// Styles keeping per-atom-index state (e.g. granular shear history,
+    /// matched to the neighbor rows by atom index) override this to `false`
+    /// and the engine skips sorting for them.
     fn supports_reorder(&self) -> bool {
         true
     }

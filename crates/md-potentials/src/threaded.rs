@@ -30,7 +30,8 @@
 //! their row-range kernel to one shared chunk-and-reduce driver, while the
 //! many-body EAM runs its two passes over the same row ranges (per-chunk
 //! density buffers, chunked embedding, per-chunk force buffers). The
-//! history-keeping granular style has shared contact state and does not
+//! history-keeping granular style carries contact state aligned with the
+//! whole list (one running entry index across all rows) and does not
 //! implement it, so wrapping it fails to compile:
 //!
 //! ```compile_fail

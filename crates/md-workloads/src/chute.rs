@@ -84,7 +84,8 @@ pub fn build_with(scale: usize, seed: u64, threads: Threads) -> Result<Simulatio
 
 /// Builds the runnable deck with the full in-core tuning knob set. The
 /// granular style has no lanes kernel and vetoes reordering (contact history
-/// is keyed by atom index), so the kernel/sort knobs are effectively inert
+/// sits beside the list rows and is matched to them by atom index), so the
+/// kernel/sort knobs are effectively inert
 /// here — passing them anyway keeps the deck interface uniform.
 ///
 /// # Errors

@@ -73,9 +73,9 @@ fn sorting_preserves_forces_through_id_mapping() {
     }
 }
 
-/// Granular history terms are keyed by atom index, so the chute deck's pair
-/// style vetoes reordering (`supports_reorder == false`) and the cadence is
-/// inert there.
+/// Granular history is matched to the neighbor rows by atom index, so the
+/// chute deck's pair style vetoes reordering (`supports_reorder == false`)
+/// and the cadence is inert there.
 #[test]
 fn granular_deck_never_sorts() {
     let mut deck = build_deck_tuned(Benchmark::Chute, 1, 2022, tuning(Threads::serial(), 5))

@@ -77,19 +77,20 @@ fn assert_identical(uninterrupted: &Fingerprint, resumed: &Fingerprint, label: &
 fn roundtrip(benchmark: Benchmark, threads: Threads) {
     let (k1, k2) = windows(benchmark);
     let original = build_deck_with(benchmark, 1, SEED, threads).expect("deck builds");
-    let ckpt = roundtrip_from(original, k1, k2, |_| {});
+    let (ckpt, _) = roundtrip_from(original, k1, k2, |_| {});
     assert_eq!(ckpt.header.threads, threads);
 }
 
 /// The body of [`roundtrip`] on a deck built by the caller; `at_checkpoint`
 /// sees the deck at the step the checkpoint is taken, to assert that the
-/// case covers what it is there for. Returns the decoded checkpoint.
+/// case covers what it is there for. Returns the decoded checkpoint and the
+/// resumed deck.
 fn roundtrip_from(
     mut original: Deck,
     k1: u64,
     k2: u64,
     at_checkpoint: impl Fn(&Deck),
-) -> Checkpoint {
+) -> (Checkpoint, Deck) {
     let benchmark = original.benchmark;
     let label = format!("{benchmark} x{}", original.simulation.threads().count);
 
@@ -116,7 +117,7 @@ fn roundtrip_from(
         resumed.simulation.neighbor_list().map(|nl| nl.stats()),
         "{label}: neighbor statistics"
     );
-    ckpt
+    (ckpt, resumed)
 }
 
 macro_rules! roundtrip_tests {
@@ -154,7 +155,7 @@ fn tuned_roundtrip(benchmark: Benchmark) {
         sort_every: 7,
     };
     let original = build_deck_tuned(benchmark, 1, SEED, tuning).expect("deck builds");
-    let ckpt = roundtrip_from(original, 25, 20, |deck| {
+    let (ckpt, _) = roundtrip_from(original, 25, 20, |deck| {
         let sim = &deck.simulation;
         assert!(sim.sorts_performed() >= 1, "no sort before the checkpoint");
         assert_eq!(sim.neighbor_list().expect("pair deck").padding(), LANES);
@@ -192,9 +193,10 @@ fn rhodo_roundtrips_after_the_box_left_the_build_box() {
     });
 }
 
-/// Chute: a full list, contact history keyed by atom index, and a pair
-/// style that vetoes the sort — the header records the cadence the
-/// simulation runs with (none), not the one asked for.
+/// Chute: a full list, contact history aligned with its rows and matched
+/// to them by atom index, and a pair style that vetoes the sort — the
+/// header records the cadence the simulation runs with (none), not the one
+/// asked for.
 #[test]
 fn chute_roundtrips_fast_mode() {
     let tuning = DeckTuning {
@@ -203,11 +205,33 @@ fn chute_roundtrips_fast_mode() {
         sort_every: 7,
     };
     let original = build_deck_tuned(Benchmark::Chute, 1, SEED, tuning).expect("deck builds");
-    let ckpt = roundtrip_from(original, 15, 20, |deck| {
+    let (ckpt, _) = roundtrip_from(original, 15, 20, |deck| {
         let nl = deck.simulation.neighbor_list().expect("pair deck");
         assert_eq!(nl.kind(), NeighborListKind::Full);
     });
     assert_eq!(ckpt.header.sort_every, 0);
+}
+
+/// A restore hands chute's contact history over as saved triples, which
+/// the first resumed step aligns with the rebuilt rows. The resumed leg
+/// here also crosses a neighbor rebuild (chute rebuilds about once per 100
+/// steps; this seed's first rebuild falls between steps 260 and 280), so
+/// the history is carried over to new rows a second time.
+#[test]
+fn chute_roundtrips_across_a_rebuild() {
+    let original =
+        build_deck_with(Benchmark::Chute, 1, SEED, Threads::serial()).expect("deck builds");
+    let builds = |deck: &Deck| {
+        let nl = deck.simulation.neighbor_list().expect("pair deck");
+        nl.stats().builds
+    };
+    let at_checkpoint = std::cell::Cell::new(0);
+    let (_, resumed) = roundtrip_from(original, 250, 40, |deck| at_checkpoint.set(builds(deck)));
+    assert!(
+        builds(&resumed) > at_checkpoint.get(),
+        "no rebuild after the checkpoint ({} builds)",
+        builds(&resumed)
+    );
 }
 
 #[test]
