@@ -60,7 +60,7 @@ pub use force::{
 };
 pub use integrate::{Integrator, NoseHooverNpt, NptParams, VelocityVerlet};
 pub use kernel::{KernelPath, LaneAccum, LaneGather, LANES};
-pub use neighbor::{NeighborBuildStats, NeighborList, NeighborListKind};
+pub use neighbor::{NeighborBuildStats, NeighborList, NeighborListKind, NeighborPolicy};
 pub use simbox::SimBox;
 pub use simulation::{Simulation, SimulationBuilder, StepReport};
 pub use task::{TaskKind, TaskLedger};

@@ -2,7 +2,8 @@
 //!
 //! LAMMPS (Section 2 of the paper) tracks, for each atom, all partners within
 //! `cutoff + skin`; the *skin* allows reusing a list across several timesteps
-//! and rebuilding only when some atom has moved more than half the skin.
+//! and rebuilding only when some atom has moved more than half the skin, or
+//! on a fixed cadence (see "When to rebuild" below).
 //! The list can be *half* (each pair appears once — Newton's third law
 //! reused, the default) or *full* (each pair appears from both sides — what
 //! the granular Chute style requires, as the paper notes it does not exploit
@@ -50,6 +51,14 @@
 //! the threaded build is **bitwise identical** to the serial one at any
 //! thread count, unlike the pair-force reductions in
 //! `md-potentials::threaded`, which reassociate across counts.
+//!
+//! # When to rebuild
+//!
+//! The list does not decide when it is rebuilt; a [`NeighborPolicy`] does,
+//! LAMMPS's `neigh_modify every N delay M check yes|no`. The list keeps what
+//! the decision reads: its age in steps ([`NeighborList::ago`], reset by
+//! every build) and the positions of its last build, against which
+//! [`NeighborList::needs_rebuild`] measures displacement.
 
 use crate::error::{CoreError, Result};
 use crate::simbox::SimBox;
@@ -68,14 +77,69 @@ pub enum NeighborListKind {
     Full,
 }
 
+/// When a timestep boundary rebuilds the list: LAMMPS's `neigh_modify
+/// every N delay M check yes|no`, decided as its `Neighbor::decide()` does.
+/// A step `ago` steps after the last build may build only when
+/// `ago >= delay` and `ago % every == 0`; it then builds unconditionally
+/// under `check no`, and under `check yes` only when some atom has moved
+/// past `skin / 2` ([`NeighborList::needs_rebuild`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NeighborPolicy {
+    /// Steps between the boundaries that may build (at least 1).
+    pub every: u64,
+    /// Steps after a build before any boundary may build.
+    pub delay: u64,
+    /// Whether a boundary that may build checks displacement first.
+    pub check: bool,
+}
+
+impl NeighborPolicy {
+    /// `neigh_modify every {every} delay {delay} check {yes|no}`.
+    pub const fn new(every: u64, delay: u64, check: bool) -> Self {
+        NeighborPolicy {
+            every,
+            delay,
+            check,
+        }
+    }
+
+    /// Whether the boundary `ago` steps after the last build may build.
+    pub fn may_build(self, ago: u64) -> bool {
+        ago >= self.delay && ago.is_multiple_of(self.every)
+    }
+}
+
+impl Default for NeighborPolicy {
+    /// `every 1 delay 0 check yes`: check displacement at every step.
+    fn default() -> Self {
+        NeighborPolicy::new(1, 0, true)
+    }
+}
+
+impl std::fmt::Display for NeighborPolicy {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let check = if self.check { "yes" } else { "no" };
+        write!(f, "every {} delay {} check {check}", self.every, self.delay)
+    }
+}
+
 /// Build/usage statistics, reported by Table 2 and consumed by the
 /// performance models.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct NeighborBuildStats {
     /// Number of times the list was (re)built.
     pub builds: usize,
-    /// Number of timestep-boundary checks that did *not* trigger a rebuild.
+    /// Timestep boundaries that kept the list, whether or not the
+    /// [`NeighborPolicy`] ran the displacement check there.
     pub skipped_checks: usize,
+    /// Builds the [`NeighborPolicy`] made at which some atom may already
+    /// have been past `skin / 2` on the old list: the displacement exceeds
+    /// it at the build, and no check cleared the step before, which fell
+    /// inside `delay`, off the `every` grid, or under `check no`. A build
+    /// one step after the last follows a fresh list and is never counted;
+    /// nor is a forced one. Under `check yes` and `every 1` this is
+    /// LAMMPS's dangerous-build count, which also counts that first step.
+    pub dangerous_builds: usize,
     /// Pairs stored at the last build.
     pub pairs: usize,
     /// Pairs within the bare cutoff (no skin) at the last build.
@@ -366,6 +430,8 @@ pub struct NeighborList {
     /// Under a barostat it is not the current box, and together with
     /// `x_at_build` and the exclusions it is everything the rows derive from.
     box_at_build: Option<SimBox>,
+    /// Timestep boundaries since the last build (LAMMPS's `ago`).
+    ago: u64,
     stats: NeighborBuildStats,
     threads: Threads,
     /// Where the threaded build's workers record their spans.
@@ -398,6 +464,7 @@ impl NeighborList {
             row_ends: Vec::new(),
             x_at_build: Vec::new(),
             box_at_build: None,
+            ago: 0,
             stats: NeighborBuildStats::default(),
             threads: Threads::serial(),
             recorder: Recorder::disabled(),
@@ -494,6 +561,11 @@ impl NeighborList {
         self.stats
     }
 
+    /// Timestep boundaries that kept the list since its last build.
+    pub fn ago(&self) -> u64 {
+        self.ago
+    }
+
     /// The box the last build binned in (`None` before the first build).
     pub fn box_at_build(&self) -> Option<SimBox> {
         self.box_at_build
@@ -540,12 +612,16 @@ impl NeighborList {
             .any(|(&a, &b)| bx.min_image(a, b).norm2() > limit2)
     }
 
-    /// Counts one timestep-boundary check that found [`needs_rebuild`]
-    /// false and kept the list.
-    ///
-    /// [`needs_rebuild`]: NeighborList::needs_rebuild
+    /// Counts one timestep boundary that kept the list.
     pub(crate) fn note_skipped_check(&mut self) {
         self.stats.skipped_checks += 1;
+        self.ago += 1;
+    }
+
+    /// Counts the last build as dangerous (see
+    /// [`NeighborBuildStats::dangerous_builds`]).
+    pub(crate) fn note_dangerous_build(&mut self) {
+        self.stats.dangerous_builds += 1;
     }
 
     /// Unconditionally rebuilds the list with no exclusions.
@@ -667,6 +743,7 @@ impl NeighborList {
         self.x_at_build.clear();
         self.x_at_build.extend_from_slice(x);
         self.box_at_build = Some(*bx);
+        self.ago = 0;
         self.stats.builds += 1;
         let pairs = if lanes == 0 {
             self.neigh.len()
@@ -694,22 +771,26 @@ impl NeighborList {
     }
 
     /// Appends the list's checkpoint state: the inputs of its last build —
-    /// the positions and the box it binned — and the counters. The rows
+    /// the positions and the box it binned — its age and the counters. The
+    /// rows
     /// themselves are not written: [`NeighborList::build_with`] returns the
     /// same rows bit for bit from the same inputs at any thread count and
     /// padding, so [`NeighborList::state_load`] rebuilds them. Keeping
     /// `x_at_build` (rather than rebuilding from the positions at restore
     /// time) is what keeps a resume bitwise-faithful: it is the reference of
     /// the displacement trigger, and a moved reference would shift every
-    /// later rebuild and with it the summation orders.
+    /// later rebuild and with it the summation orders. The age is the other
+    /// half of the schedule: under `every` it fixes the next build's step.
     pub fn state_save(&self, w: &mut wire::Writer) {
         w.v3s(&self.x_at_build);
         w.bool(self.box_at_build.is_some());
         if let Some(bx) = &self.box_at_build {
             bx.state_save(w);
         }
+        w.u64(self.ago);
         w.usize(self.stats.builds);
         w.usize(self.stats.skipped_checks);
+        w.usize(self.stats.dangerous_builds);
         w.usize(self.stats.pairs);
         w.usize(self.stats.pairs_within_cutoff);
         w.usize(self.stats.cells);
@@ -720,8 +801,8 @@ impl NeighborList {
     /// those) by running the build on the saved inputs, with this list's
     /// thread count and padding and the caller's `exclusions` (as for
     /// [`NeighborList::build_with`], in the atom order of the saved
-    /// positions, of which there must be `natoms`). The saved counters are
-    /// put back, so the rebuild does not count as a build.
+    /// positions, of which there must be `natoms`). The saved age and
+    /// counters are put back, so the rebuild does not count as a build.
     ///
     /// # Errors
     ///
@@ -749,7 +830,8 @@ impl NeighborList {
             return Err(corrupt("saved before its first build".to_string()));
         }
         let bx = SimBox::state_load(r)?;
-        let (builds, skipped_checks) = (r.usize()?, r.usize()?);
+        let ago = r.u64()?;
+        let (builds, skipped_checks, dangerous_builds) = (r.usize()?, r.usize()?, r.usize()?);
         let recorded @ (_, _, recorded_cells) = (r.usize()?, r.usize()?, r.usize()?);
         // The grid is the one allocation the saved box sizes, so it is held
         // to the recorded cell count (and the build's own `u32` limit) before
@@ -773,6 +855,8 @@ impl NeighborList {
         }
         stats.builds = builds;
         stats.skipped_checks = skipped_checks;
+        stats.dangerous_builds = dangerous_builds;
+        self.ago = ago;
         Ok(())
     }
 }
@@ -1028,6 +1112,7 @@ mod tests {
             let stats = NeighborBuildStats {
                 builds: 1,
                 skipped_checks: 0,
+                dangerous_builds: 0,
                 pairs,
                 pairs_within_cutoff: within_cut,
                 neighbors_per_atom: per_atom(pairs),
@@ -1322,6 +1407,7 @@ mod tests {
                     prop_assert_eq!(&restored.row_ends, &nl.row_ends, "row_ends: {}", what);
                     prop_assert_eq!(restored.stats(), nl.stats(), "stats: {}", what);
                     prop_assert_eq!(restored.stats().builds, 2);
+                    prop_assert_eq!(restored.ago(), nl.ago());
                     prop_assert_eq!(restored.needs_rebuild(&moved, &later_box), stale);
                 }
             }

@@ -22,7 +22,7 @@ use crate::force::{
 };
 use crate::integrate::{IntegrateContext, Integrator, VelocityVerlet};
 use crate::kernel::{KernelPath, LANES};
-use crate::neighbor::NeighborList;
+use crate::neighbor::{NeighborList, NeighborPolicy};
 use crate::simbox::SimBox;
 use crate::task::{TaskKind, TaskLedger};
 use crate::threads::{Threads, THREAD_LANE_BASE};
@@ -71,6 +71,7 @@ pub struct Simulation {
     fixes: Vec<Box<dyn Fix>>,
     shake: Option<Shake>,
     neighbor: Option<NeighborList>,
+    neighbor_policy: NeighborPolicy,
     forces: Vec<V3>,
     ledger: TaskLedger,
     step: u64,
@@ -154,6 +155,11 @@ impl Simulation {
     /// The neighbor list, if a pair style is configured.
     pub fn neighbor_list(&self) -> Option<&NeighborList> {
         self.neighbor.as_ref()
+    }
+
+    /// When the neighbor list is rebuilt.
+    pub fn neighbor_policy(&self) -> NeighborPolicy {
+        self.neighbor_policy
     }
 
     /// Energy/virial totals from the most recent force evaluation.
@@ -344,25 +350,33 @@ impl Simulation {
         self.energy = energy;
     }
 
-    /// Rebuilds the neighbor list if the displacement trigger fired, wrapping
-    /// positions into the box first (task III / boundary step II). Returns
-    /// whether a rebuild happened.
+    /// Rebuilds the neighbor list when its [`NeighborPolicy`] says so, or
+    /// unconditionally with `force_build`, wrapping positions into the box
+    /// first (task III / boundary step II). Returns whether a rebuild
+    /// happened.
     ///
     /// # Errors
     ///
     /// Propagates neighbor-build failures (cutoff too large for the box).
     fn refresh_neighbors(&mut self, force_build: bool) -> Result<bool> {
-        if self.neighbor.is_none() {
+        let Some(nl) = self.neighbor.as_ref() else {
             return Ok(false);
-        }
+        };
         let t0 = Instant::now();
-        let rebuild = force_build
-            || self
-                .neighbor
-                .as_ref()
-                .expect("checked above")
-                .needs_rebuild(self.atoms.x(), &self.bx);
+        let policy = self.neighbor_policy;
+        // LAMMPS's `Neighbor::decide()`: only a boundary the cadence allows
+        // may build, and under `check yes` only when the check fires.
+        let ago = nl.ago().saturating_add(1);
+        let allowed = !force_build && policy.may_build(ago);
+        let moved = allowed && policy.check && nl.needs_rebuild(self.atoms.x(), &self.bx);
+        let rebuild = force_build || moved || (allowed && !policy.check);
         if rebuild {
+            // Judged before the sort below reorders the positions the
+            // displacement is measured against.
+            let unchecked_before = ago > 1 && !(policy.check && policy.may_build(ago - 1));
+            let dangerous = allowed
+                && unchecked_before
+                && (moved || nl.needs_rebuild(self.atoms.x(), &self.bx));
             {
                 let bx = self.bx;
                 let (x, images) = self.atoms.x_and_images_mut();
@@ -382,6 +396,9 @@ impl Simulation {
             let atoms = &self.atoms;
             let nl = self.neighbor.as_mut().expect("checked above");
             nl.build_with(atoms.x(), &self.bx, |i| atoms.exclusions(i))?;
+            if dangerous {
+                nl.note_dangerous_build();
+            }
         } else {
             let nl = self.neighbor.as_mut().expect("checked above");
             nl.note_skipped_check();
@@ -649,8 +666,9 @@ impl Simulation {
         Ok(())
     }
 
-    /// Forces a neighbor-list rebuild at the current positions, regardless
-    /// of the displacement trigger (recovery-ladder mitigation).
+    /// Forces a neighbor-list rebuild at the current positions, outside the
+    /// [`NeighborPolicy`] (recovery-ladder mitigation). Like any build it
+    /// restarts the policy's count of steps since the last build.
     ///
     /// # Errors
     ///
@@ -923,6 +941,7 @@ pub struct SimulationBuilder {
     units: UnitSystem,
     dt: Option<f64>,
     skin: f64,
+    neighbor_policy: NeighborPolicy,
     pair: Option<Box<dyn PairStyle>>,
     bond: Option<Box<dyn BondStyle>>,
     angle: Option<Box<dyn AngleStyle>>,
@@ -957,6 +976,7 @@ impl SimulationBuilder {
             units,
             dt: None,
             skin: 0.0,
+            neighbor_policy: NeighborPolicy::default(),
             pair: None,
             bond: None,
             angle: None,
@@ -982,6 +1002,13 @@ impl SimulationBuilder {
     /// Sets the neighbor skin distance.
     pub fn skin(mut self, skin: f64) -> Self {
         self.skin = skin;
+        self
+    }
+
+    /// Sets when the neighbor list is rebuilt (defaults to
+    /// [`NeighborPolicy::default`], a displacement check at every step).
+    pub fn neighbor_policy(mut self, policy: NeighborPolicy) -> Self {
+        self.neighbor_policy = policy;
         self
     }
 
@@ -1113,6 +1140,12 @@ impl SimulationBuilder {
                 ),
             });
         }
+        if self.neighbor_policy.every == 0 {
+            return Err(CoreError::InvalidParameter {
+                name: "neighbor_policy",
+                reason: "`every` must be at least 1 step".to_string(),
+            });
+        }
         let mut kernel_path = self.kernel_path;
         let mut sort_every = self.sort_every;
         // A style without a lanes kernel keeps running scalar: record the
@@ -1172,6 +1205,7 @@ impl SimulationBuilder {
             fixes: self.fixes,
             shake: self.shake,
             neighbor,
+            neighbor_policy: self.neighbor_policy,
             forces: Vec::new(),
             ledger: TaskLedger::new(),
             step: 0,
@@ -1245,6 +1279,101 @@ mod tests {
             .thermo_every(10)
             .build()
             .unwrap()
+    }
+
+    /// The harmonic atom under `policy`. It starts at rest 1 from the
+    /// tether, so it is first past `skin / 2` = 0.25 from its start at
+    /// step 73 (`1 - cos(t) > 0.25`).
+    fn policy_sim(policy: NeighborPolicy) -> Simulation {
+        let mut atoms = AtomStore::new();
+        atoms.push(Vec3::new(6.0, 5.0, 5.0), Vec3::zero(), 0);
+        atoms.set_masses(vec![1.0]);
+        Simulation::builder(SimBox::cubic(10.0), atoms, UnitSystem::lj())
+            .pair(Box::new(Tether { k: 1.0 }))
+            .dt(0.01)
+            .skin(0.5)
+            .neighbor_policy(policy)
+            .build()
+            .unwrap()
+    }
+
+    /// Steps (counted after they ran) at which `steps` more steps built.
+    fn build_steps(sim: &mut Simulation, steps: u64) -> Vec<u64> {
+        let mut at = Vec::new();
+        for _ in 0..steps {
+            let before = sim.neighbor_list().unwrap().stats().builds;
+            sim.step().unwrap();
+            if sim.neighbor_list().unwrap().stats().builds > before {
+                at.push(sim.step_index());
+            }
+        }
+        at
+    }
+
+    #[test]
+    fn may_build_follows_every_and_delay() {
+        let p = NeighborPolicy::new(3, 5, true);
+        let allowed: Vec<u64> = (0..14).filter(|&ago| p.may_build(ago)).collect();
+        assert_eq!(allowed, [6, 9, 12]);
+        assert!((1..5).all(|ago| NeighborPolicy::default().may_build(ago)));
+        assert_eq!(p.to_string(), "every 3 delay 5 check yes");
+    }
+
+    #[test]
+    fn check_yes_every_step_builds_at_the_crossing_and_is_never_dangerous() {
+        let mut sim = policy_sim(NeighborPolicy::default());
+        assert_eq!(build_steps(&mut sim, 80), [73]);
+        let stats = sim.neighbor_list().unwrap().stats();
+        assert_eq!((stats.builds, stats.skipped_checks), (2, 79));
+        assert_eq!(stats.dangerous_builds, 0);
+        assert_eq!(sim.neighbor_list().unwrap().ago(), 7);
+    }
+
+    #[test]
+    fn check_no_builds_on_the_every_grid_alone() {
+        let mut sim = policy_sim(NeighborPolicy::new(30, 0, false));
+        assert_eq!(build_steps(&mut sim, 100), [30, 60, 90]);
+        // At steps 30 and 60 the atom is within skin/2 of the last build;
+        // at 90 it is 1 - cos(0.9) - (1 - cos(0.6)) = 0.20 from step 60's
+        // position, under 0.25, so none of the three is dangerous.
+        assert_eq!(sim.neighbor_list().unwrap().stats().dangerous_builds, 0);
+        let mut sim = policy_sim(NeighborPolicy::new(100, 0, false));
+        assert_eq!(build_steps(&mut sim, 100), [100]);
+        assert_eq!(sim.neighbor_list().unwrap().stats().dangerous_builds, 1);
+    }
+
+    #[test]
+    fn delay_defers_the_check_and_counts_the_late_build_dangerous() {
+        let mut sim = policy_sim(NeighborPolicy::new(1, 90, true));
+        assert_eq!(build_steps(&mut sim, 100), [90]);
+        assert_eq!(sim.neighbor_list().unwrap().stats().dangerous_builds, 1);
+    }
+
+    #[test]
+    fn a_forced_build_restarts_the_cadence() {
+        let mut sim = policy_sim(NeighborPolicy::new(10, 0, false));
+        sim.run(5).unwrap();
+        sim.force_neighbor_rebuild().unwrap();
+        assert_eq!(sim.neighbor_list().unwrap().ago(), 0);
+        assert_eq!(build_steps(&mut sim, 20), [15, 25]);
+    }
+
+    #[test]
+    fn builder_rejects_a_zero_every() {
+        let mut atoms = AtomStore::new();
+        atoms.push(Vec3::zero(), Vec3::zero(), 0);
+        atoms.set_masses(vec![1.0]);
+        let err = Simulation::builder(SimBox::cubic(5.0), atoms, UnitSystem::lj())
+            .neighbor_policy(NeighborPolicy::new(0, 0, true))
+            .build()
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            CoreError::InvalidParameter {
+                name: "neighbor_policy",
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -204,6 +204,7 @@ fn clean_blobs_load() {
     let (nl, blob) = list_blob(&partners);
     let restored = load_list(&blob, &partners).expect("clean sub-blob loads");
     assert_eq!(restored.stats(), nl.stats());
+    assert_eq!(restored.ago(), nl.ago());
     for i in 0..64 {
         assert_eq!(restored.neighbors(i), nl.neighbors(i), "row {i}");
     }
@@ -272,9 +273,9 @@ fn a_list_other_than_the_recorded_one_is_rejected() {
     let _serial = one_at_a_time();
     let partners: Vec<[u32; 1]> = (0..64).map(partner).collect();
     let (nl, blob) = list_blob(&partners);
-    // The blob ends in five u64 counters: builds, skipped checks, pairs,
-    // pairs within the cutoff, cells. Any change to the last three is a
-    // list the saved inputs do not rebuild into.
+    // The blob ends in six u64 counters: builds, skipped checks, dangerous
+    // builds, pairs, pairs within the cutoff, cells. Any change to the last
+    // three is a list the saved inputs do not rebuild into.
     for (name, back) in [("pairs", 3), ("pairs within cutoff", 2), ("cells", 1)] {
         let field = blob.len() - back * 8;
         for byte in 0..8 {

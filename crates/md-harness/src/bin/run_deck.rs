@@ -422,9 +422,14 @@ fn main() {
     if let Some(nl) = deck.simulation.neighbor_list() {
         let s = nl.stats();
         println!(
-            "neighbor list: {} builds, {:.1} stored nbr/atom, {:.1} within cutoff \
-             (+{:.1} excluded)",
-            s.builds, s.neighbors_per_atom, s.neighbors_within_cutoff, s.excluded_within_cutoff
+            "neighbor list: {} builds ({} dangerous) on neigh_modify {}, {:.1} stored \
+             nbr/atom, {:.1} within cutoff (+{:.1} excluded)",
+            s.builds,
+            s.dangerous_builds,
+            deck.simulation.neighbor_policy(),
+            s.neighbors_per_atom,
+            s.neighbors_within_cutoff,
+            s.excluded_within_cutoff
         );
     }
 

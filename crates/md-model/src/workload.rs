@@ -83,16 +83,24 @@ impl WorkloadProfile {
         let rebuilds = (stats.builds - builds_before).max(1);
         let atoms = sim.atoms();
         let n = atoms.len();
-        // Steady-state rebuild cadence: the measured count is biased low
-        // while the generated lattice relaxes, so floor it with the
-        // ballistic estimate (time for an RMS-speed atom to cross skin/2).
-        let mean_speed = atoms.v().iter().map(|v| v.norm()).sum::<f64>() / n.max(1) as f64;
-        let ballistic = if mean_speed > 0.0 {
-            0.5 * nl.skin() / (mean_speed * sim.dt())
+        // Steady-state rebuild cadence. A deck that rebuilds without a
+        // displacement check (`check no`) does so every `every` steps by
+        // construction, which a short window can only quantize. A checked
+        // deck's measured count is biased low while the generated lattice
+        // relaxes, so floor it with the ballistic estimate (time for an
+        // RMS-speed atom to cross skin/2).
+        let policy = sim.neighbor_policy();
+        let rebuild_interval = if policy.check {
+            let mean_speed = atoms.v().iter().map(|v| v.norm()).sum::<f64>() / n.max(1) as f64;
+            let ballistic = if mean_speed > 0.0 {
+                0.5 * nl.skin() / (mean_speed * sim.dt())
+            } else {
+                f64::INFINITY
+            };
+            (steps as f64 / rebuilds as f64).max(ballistic).min(200.0)
         } else {
-            f64::INFINITY
+            policy.every as f64
         };
-        let rebuild_interval = (steps as f64 / rebuilds as f64).max(ballistic).min(200.0);
         let bonded = atoms.bonds().len() + atoms.angles().len() + atoms.dihedrals().len();
         let bxl = sim.sim_box().lengths();
         let qsqsum: f64 = atoms.charges().iter().map(|q| q * q).sum();
@@ -223,7 +231,11 @@ mod tests {
         assert!((45.0..=65.0).contains(&p.cutoff_neighbors));
         assert!(p.newton);
         assert!(p.kspace.is_none());
-        assert!(p.rebuild_interval >= 1.0);
+        // `check no`: the cadence itself, not a count quantized by the window.
+        assert_eq!(
+            p.rebuild_interval,
+            md_workloads::lj::NEIGH_MODIFY.every as f64
+        );
     }
 
     #[test]

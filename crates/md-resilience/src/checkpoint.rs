@@ -5,7 +5,7 @@
 //! ```text
 //! magic     8 bytes   "VRLCHKP\0"
 //! body      wire-encoded:
-//!   version   u32     format revision (currently 3)
+//!   version   u32     format revision (currently 4)
 //!   header            deck recipe: benchmark name, scale, seed, thread
 //!                     count, kernel path, sort cadence, step index
 //!   state     blob    Simulation::save_state payload
@@ -22,7 +22,9 @@
 //! the box of the last build, from which the overlay rebuilds the list
 //! (revision 1 stored the rows, 58–93 % of a file, and of the tuning only
 //! the threads; revision 2 stored a deterministic-mode flag after the thread
-//! count; a file of either is refused by its version). Files are written to
+//! count; revision 3's state blob lacked the list's age and dangerous-build
+//! count; a file of any of them is refused by its version). Files are
+//! written to
 //! a `.tmp` sibling, fsynced, and renamed into place, so a crash mid-write
 //! never corrupts the latest good checkpoint.
 
@@ -37,7 +39,7 @@ use std::path::{Path, PathBuf};
 pub const MAGIC: &[u8; 8] = b"VRLCHKP\0";
 
 /// Current format revision.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Filename extension for checkpoint files.
 pub const EXTENSION: &str = "mdchk";

@@ -122,7 +122,6 @@ fn a_revision_1_file_is_refused_by_its_version() {
 /// flag after the thread count.
 #[test]
 fn a_revision_2_file_is_refused_by_its_version() {
-    assert_eq!(VERSION, 3, "write the next revision's refusal test");
     let mut body = Writer::new();
     body.u32(2);
     body.str("lj");
@@ -135,4 +134,22 @@ fn a_revision_2_file_is_refused_by_its_version() {
     body.u64(15); // step
     body.blob(&[0xAB; 200]);
     assert_refused(&framed(body), 2);
+}
+
+/// Revision 3: today's header, over a state blob whose neighbor list
+/// carries no age and no dangerous-build count.
+#[test]
+fn a_revision_3_file_is_refused_by_its_version() {
+    assert_eq!(VERSION, 4, "write the next revision's refusal test");
+    let mut body = Writer::new();
+    body.u32(3);
+    body.str("lj");
+    body.usize(1); // scale
+    body.u64(2022); // seed
+    body.usize(4); // threads
+    body.str("scalar"); // kernel
+    body.u64(0); // sort cadence
+    body.u64(15); // step
+    body.blob(&[0xAB; 200]);
+    assert_refused(&framed(body), 3);
 }

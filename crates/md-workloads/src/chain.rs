@@ -4,10 +4,17 @@
 //! FENE bonds with a WCA (purely repulsive LJ) pair interaction, NVE
 //! integration with a Langevin thermostat at T\* = 1.0. Chains are laid out
 //! as serpentine walks over a simple-cubic lattice at the melt density, so
-//! every initial bond length sits safely inside the FENE well.
+//! every initial bond length sits safely inside the FENE well. The list is
+//! rebuilt as `in.chain` asks (`check` defaults to `yes`):
+//!
+//! ```text
+//! neigh_modify every 1 delay 1
+//! ```
 
 use md_core::compute::seed_velocities;
-use md_core::{AtomStore, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3};
+use md_core::{
+    AtomStore, NeighborPolicy, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3,
+};
 use md_potentials::{FeneBond, LjCut};
 
 /// Reduced bead density.
@@ -18,6 +25,8 @@ pub const CHAIN_LENGTH: usize = 100;
 pub const CUTOFF: f64 = 1.122_462_048_309_373;
 /// Neighbor skin in σ.
 pub const SKIN: f64 = 0.4;
+/// Neighbor rebuild cadence: `neigh_modify every 1 delay 1` (check yes).
+pub const NEIGH_MODIFY: NeighborPolicy = NeighborPolicy::new(1, 1, true);
 /// Timestep in τ.
 pub const DT: f64 = 0.012;
 /// Thermostat target temperature.
@@ -113,6 +122,7 @@ pub fn build_tuned(scale: usize, seed: u64, tuning: crate::DeckTuning) -> Result
             seed ^ 0x9e37,
         )?))
         .skin(SKIN)
+        .neighbor_policy(NEIGH_MODIFY)
         .dt(DT)
         .thermo_every(100)
         .build()
@@ -172,6 +182,20 @@ mod tests {
         let stats = sim.neighbor_list().unwrap().stats();
         let nbr = stats.neighbors_within_cutoff + stats.excluded_within_cutoff;
         assert!((nbr - 5.0).abs() <= 0.5, "neighbors/atom {nbr} ({stats:?})");
+    }
+
+    #[test]
+    fn every_step_either_rebuilds_or_counts_a_skipped_check() {
+        // One forced build at set-up, then `every 1 delay 1 check yes`: one
+        // displacement check per step, which either rebuilds or keeps.
+        let steps = 20usize;
+        let mut sim = build(1, 5).unwrap();
+        sim.run(steps as u64).unwrap();
+        let stats = sim.neighbor_list().unwrap().stats();
+        assert!(stats.builds > 1, "no rebuild in {steps} steps");
+        assert!(stats.skipped_checks > 0, "no kept list in {steps} steps");
+        assert_eq!(stats.builds + stats.skipped_checks, steps + 1);
+        assert_eq!(stats.dangerous_builds, 0);
     }
 
     #[test]

@@ -5,9 +5,17 @@
 //! it, and the `gran/hooke/history` pair style tracks per-contact tangential
 //! history. Periodic in x/y, fixed (shrink-wrapped in LAMMPS, walled here)
 //! in z. This is the one benchmark without Newton's-third-law pair halving
-//! and the one the reference GPU package cannot run.
+//! and the one the reference GPU package cannot run. The list is rebuilt as
+//! `in.chute` asks (`check` defaults to `yes`); this line is quoted from
+//! memory of the LAMMPS distribution, not from a copy of the file:
+//!
+//! ```text
+//! neigh_modify every 1 delay 0
+//! ```
 
-use md_core::{AtomStore, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3};
+use md_core::{
+    AtomStore, NeighborPolicy, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3,
+};
 use md_potentials::{Freeze, GranHookeHistory, GranWall, Gravity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,6 +34,8 @@ pub const CHUTE_ANGLE: f64 = 26.0;
 pub const DT: f64 = 0.0001;
 /// Neighbor skin.
 pub const SKIN: f64 = 0.1;
+/// Neighbor rebuild cadence: `neigh_modify every 1 delay 0` (check yes).
+pub const NEIGH_MODIFY: NeighborPolicy = NeighborPolicy::new(1, 0, true);
 
 /// Base grid: 40 × 40 columns × 20 layers = 32000 particles.
 const BASE_XY: usize = 40;
@@ -114,6 +124,7 @@ pub fn build_tuned(scale: usize, seed: u64, tuning: crate::DeckTuning) -> Result
         .fix(Box::new(GranWall::new(0.0, KN, GAMMA_N)))
         .fix(Box::new(Freeze::new(1)))
         .skin(SKIN)
+        .neighbor_policy(NEIGH_MODIFY)
         .dt(DT)
         .thermo_every(1000)
         .build()

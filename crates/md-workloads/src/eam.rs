@@ -2,11 +2,19 @@
 //!
 //! 32000·s³ Cu atoms on the experimental fcc lattice (a = 3.615 Å) with the
 //! Sutton-Chen analytic EAM, metal units, a 4.95 Å force cutoff and 1.0 Å
-//! skin, velocities created at 1600 K, NVE integration at dt = 5 fs.
+//! skin, velocities created at 1600 K, NVE integration at dt = 5 fs. The
+//! list is rebuilt as `in.eam` asks; this line is quoted from memory of the
+//! LAMMPS distribution, not from a copy of the file:
+//!
+//! ```text
+//! neigh_modify every 1 delay 5 check yes
+//! ```
 
 use crate::lattice::fcc;
 use md_core::compute::seed_velocities;
-use md_core::{AtomStore, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3};
+use md_core::{
+    AtomStore, NeighborPolicy, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3,
+};
 use md_potentials::SuttonChenEam;
 
 /// Copper fcc lattice constant (Å).
@@ -17,6 +25,8 @@ pub const TEMPERATURE: f64 = 1600.0;
 pub const CUTOFF: f64 = 4.95;
 /// Neighbor skin (Å).
 pub const SKIN: f64 = 1.0;
+/// Neighbor rebuild cadence: `neigh_modify every 1 delay 5 check yes`.
+pub const NEIGH_MODIFY: NeighborPolicy = NeighborPolicy::new(1, 5, true);
 /// Timestep (ps).
 pub const DT: f64 = 0.005;
 /// Copper atomic mass (g/mol).
@@ -67,6 +77,7 @@ pub fn build_tuned(scale: usize, seed: u64, tuning: crate::DeckTuning) -> Result
         .kernel_path(tuning.kernel)
         .sort_every(tuning.sort_every)
         .skin(SKIN)
+        .neighbor_policy(NEIGH_MODIFY)
         .dt(DT)
         .thermo_every(100)
         .build()

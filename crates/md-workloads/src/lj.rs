@@ -2,10 +2,18 @@
 //!
 //! 32000·s³ atoms on an fcc lattice at reduced density 0.8442, temperature
 //! 1.44, `lj/cut` at 2.5σ with a 0.3σ skin, NVE integration, dt = 0.005τ.
+//! The list is rebuilt on `in.lj`'s fixed cadence, with no displacement
+//! check:
+//!
+//! ```text
+//! neigh_modify delay 0 every 20 check no
+//! ```
 
 use crate::lattice::{fcc, fcc_lattice_constant};
 use md_core::compute::seed_velocities;
-use md_core::{AtomStore, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3};
+use md_core::{
+    AtomStore, NeighborPolicy, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3,
+};
 use md_potentials::LjCut;
 
 /// Reduced density of the melt.
@@ -16,6 +24,8 @@ pub const TEMPERATURE: f64 = 1.44;
 pub const CUTOFF: f64 = 2.5;
 /// Neighbor skin in σ.
 pub const SKIN: f64 = 0.3;
+/// Neighbor rebuild cadence: `neigh_modify delay 0 every 20 check no`.
+pub const NEIGH_MODIFY: NeighborPolicy = NeighborPolicy::new(20, 0, false);
 /// Timestep in τ.
 pub const DT: f64 = 0.005;
 
@@ -64,6 +74,7 @@ pub fn build_tuned(scale: usize, seed: u64, tuning: crate::DeckTuning) -> Result
         .kernel_path(tuning.kernel)
         .sort_every(tuning.sort_every)
         .skin(SKIN)
+        .neighbor_policy(NEIGH_MODIFY)
         .dt(DT)
         .thermo_every(100)
         .build()
@@ -94,14 +105,23 @@ mod tests {
 
     #[test]
     fn every_step_either_rebuilds_or_counts_a_skipped_check() {
-        // One forced build at set-up, then one displacement check per step.
-        let steps = 20usize;
+        // One forced build at set-up, then `every 20 check no`: a build at
+        // exactly steps 20, 40, ... and every other step keeps the list.
+        let steps = 50u64;
         let mut sim = build(1, 7).unwrap();
-        sim.run(steps as u64).unwrap();
+        let mut built_at = Vec::new();
+        for _ in 0..steps {
+            let before = sim.neighbor_list().unwrap().stats().builds;
+            sim.step().unwrap();
+            if sim.neighbor_list().unwrap().stats().builds > before {
+                built_at.push(sim.step_index());
+            }
+        }
+        assert_eq!(built_at, [20, 40]);
         let stats = sim.neighbor_list().unwrap().stats();
-        assert!(stats.builds > 1, "no rebuild in {steps} steps");
-        assert!(stats.skipped_checks > 0, "no kept list in {steps} steps");
-        assert_eq!(stats.builds + stats.skipped_checks, steps + 1);
+        assert_eq!(stats.builds, 3);
+        assert_eq!(stats.skipped_checks as u64, steps - 2);
+        assert_eq!(sim.neighbor_list().unwrap().ago(), 10);
     }
 
     #[test]

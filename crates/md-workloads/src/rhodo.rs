@@ -8,12 +8,20 @@
 //! switching with 10 Å Coulomb cutoff and 2 Å skin (≈440 neighbors/atom),
 //! partial charges with PPPM long-range electrostatics, SHAKE-constrained
 //! hydrogen-like bonds, bonded terms including dihedrals, and Nose-Hoover
-//! NPT integration at a 2 fs timestep.
+//! NPT integration at a 2 fs timestep. The list is rebuilt as `in.rhodo`
+//! asks (`check` defaults to `yes`):
+//!
+//! ```text
+//! neigh_modify delay 5 every 1
+//! ```
 
 use md_core::compute::seed_velocities;
 use md_core::constraint::{Shake, ShakeParams};
 use md_core::integrate::{NoseHooverNpt, NptParams};
-use md_core::{AtomStore, KspaceStyle, Result, SimBox, Simulation, Threads, UnitSystem, Vec3, V3};
+use md_core::{
+    AtomStore, KspaceStyle, NeighborPolicy, Result, SimBox, Simulation, Threads, UnitSystem, Vec3,
+    V3,
+};
 use md_kspace::Pppm;
 use md_potentials::LjCharmmCoulLong;
 use rand::rngs::StdRng;
@@ -27,6 +35,8 @@ pub const OUTER_LJ: f64 = 10.0;
 pub const CUT_COUL: f64 = 10.0;
 /// Neighbor skin (Å).
 pub const SKIN: f64 = 2.0;
+/// Neighbor rebuild cadence: `neigh_modify delay 5 every 1` (check yes).
+pub const NEIGH_MODIFY: NeighborPolicy = NeighborPolicy::new(1, 5, true);
 /// Default PPPM relative force-error threshold (Table 2).
 pub const KSPACE_ERROR: f64 = 1.0e-4;
 /// Timestep (fs).
@@ -274,6 +284,7 @@ fn build_full(
         })?))
         .shake(Shake::new(shake, 1e-6, 100))
         .skin(SKIN)
+        .neighbor_policy(NEIGH_MODIFY)
         .dt(DT)
         .thermo_every(50)
         .build()

@@ -27,13 +27,18 @@ pub struct DeckInfo {
     pub integration: &'static str,
 }
 
-/// The full Table 2, in the paper's column order.
+/// The full Table 2, in the paper's column order. Each row notes its deck's
+/// `neigh_modify` line in LAMMPS's `bench/in.*` (`check` defaults to
+/// `yes`), which the deck module's `NEIGH_MODIFY` constant encodes; EAM's
+/// and chute's are quoted from memory of the LAMMPS distribution, not from
+/// a copy of the files.
 pub const TAXONOMY: [DeckInfo; 5] = [
     DeckInfo {
         benchmark: "rhodo",
         min_atoms: 32_000,
         force_field: "CHARMM",
         cutoff: "8.0-10.0 A",
+        // neigh_modify delay 5 every 1
         neighbor_skin: "2.0 A",
         neighbors_per_atom: 440.0,
         pair_modify: "mix arithmetic",
@@ -46,6 +51,7 @@ pub const TAXONOMY: [DeckInfo; 5] = [
         min_atoms: 32_000,
         force_field: "lj",
         cutoff: "2.5 sigma",
+        // neigh_modify delay 0 every 20 check no
         neighbor_skin: "0.3 sigma",
         neighbors_per_atom: 55.0,
         pair_modify: "-",
@@ -58,6 +64,7 @@ pub const TAXONOMY: [DeckInfo; 5] = [
         min_atoms: 32_000,
         force_field: "lj",
         cutoff: "1.12 sigma",
+        // neigh_modify every 1 delay 1
         neighbor_skin: "0.4 sigma",
         neighbors_per_atom: 5.0,
         pair_modify: "-",
@@ -70,6 +77,7 @@ pub const TAXONOMY: [DeckInfo; 5] = [
         min_atoms: 32_000,
         force_field: "EAM",
         cutoff: "4.95 A",
+        // neigh_modify every 1 delay 5 check yes
         neighbor_skin: "1.0 A",
         neighbors_per_atom: 45.0,
         pair_modify: "-",
@@ -82,6 +90,7 @@ pub const TAXONOMY: [DeckInfo; 5] = [
         min_atoms: 32_000,
         force_field: "gran/hooke/history",
         cutoff: "1.0 sigma",
+        // neigh_modify every 1 delay 0
         neighbor_skin: "0.1 sigma",
         neighbors_per_atom: 7.0,
         pair_modify: "-",

@@ -3,9 +3,9 @@
 //! interrupted — positions, velocities, forces, images, step counter, and
 //! thermo history. Every deck exercises its own state surface (Langevin
 //! RNG streams, Nose-Hoover/barostat internals, granular contact history,
-//! PPPM accumulators, neighbor rebuild schedule), so all five run here,
-//! serial (the unwrapped pair styles) and on 4 threads (the `Threaded`
-//! chunk path).
+//! PPPM accumulators, neighbor rebuild schedule and the list's age), so all
+//! five run here, serial (the unwrapped pair styles) and on 4 threads (the
+//! `Threaded` chunk path).
 //!
 //! A checkpoint holds no neighbor rows: the restore rebuilds them from the
 //! positions and the box of the last build. The tuned cases below cover
@@ -116,6 +116,11 @@ fn roundtrip_from(
         original.simulation.neighbor_list().map(|nl| nl.stats()),
         resumed.simulation.neighbor_list().map(|nl| nl.stats()),
         "{label}: neighbor statistics"
+    );
+    assert_eq!(
+        original.simulation.neighbor_list().map(|nl| nl.ago()),
+        resumed.simulation.neighbor_list().map(|nl| nl.ago()),
+        "{label}: steps since the last build"
     );
     (ckpt, resumed)
 }
@@ -232,6 +237,21 @@ fn chute_roundtrips_across_a_rebuild() {
         "no rebuild after the checkpoint ({} builds)",
         builds(&resumed)
     );
+}
+
+/// LJ rebuilds every 20 steps with no displacement check, so its schedule
+/// lives in the list's age alone: checkpointed at step 30, mid-cycle, the
+/// resumed run must build at step 40 as the uninterrupted one does, not 20
+/// steps after the restore.
+#[test]
+fn lj_roundtrips_mid_cadence_across_a_build() {
+    let original = build_deck_with(Benchmark::Lj, 1, SEED, Threads::serial()).expect("deck builds");
+    let (_, resumed) = roundtrip_from(original, 30, 15, |deck| {
+        let nl = deck.simulation.neighbor_list().expect("pair deck");
+        assert_eq!((nl.stats().builds, nl.ago()), (2, 10), "not mid-cycle");
+    });
+    let nl = resumed.simulation.neighbor_list().expect("pair deck");
+    assert_eq!((nl.stats().builds, nl.ago()), (3, 5), "no build at step 40");
 }
 
 #[test]
