@@ -25,10 +25,6 @@ pub struct SuttonChenEam {
     epsilon: f64,
     /// Length scale `a` (Å) — close to the fcc lattice constant.
     a: f64,
-    /// Repulsive exponent `n`.
-    n: i32,
-    /// Density exponent `m`.
-    m: i32,
     /// Embedding strength `c`.
     c: f64,
     cutoff: f64,
@@ -42,36 +38,29 @@ pub struct SuttonChenEam {
 }
 
 impl SuttonChenEam {
-    /// Creates a Sutton-Chen EAM with explicit parameters.
+    /// Repulsive exponent `n` — copper's (Sutton & Chen 1990). A constant,
+    /// so `powi(Self::N)` expands inline into the square-and-multiply chain
+    /// a runtime exponent would run out of line.
+    pub const N: i32 = 9;
+    /// Density exponent `m` — copper's (Sutton & Chen 1990).
+    pub const M: i32 = 6;
+
+    /// Creates a Sutton-Chen EAM with explicit scales and copper's
+    /// exponents [`Self::N`] and [`Self::M`].
     ///
     /// # Errors
     ///
     /// Returns an error for non-positive scales or cutoff.
-    pub fn new(
-        epsilon: f64,
-        a: f64,
-        n: i32,
-        m: i32,
-        c: f64,
-        cutoff: f64,
-    ) -> Result<Self, CoreError> {
+    pub fn new(epsilon: f64, a: f64, c: f64, cutoff: f64) -> Result<Self, CoreError> {
         if !(epsilon > 0.0 && a > 0.0 && c > 0.0 && cutoff > 0.0) {
             return Err(CoreError::InvalidParameter {
                 name: "sutton-chen",
                 reason: "epsilon, a, c, cutoff must all be positive".to_string(),
             });
         }
-        if n <= m || m < 1 {
-            return Err(CoreError::InvalidParameter {
-                name: "sutton-chen",
-                reason: format!("need n ({n}) > m ({m}) >= 1"),
-            });
-        }
         Ok(SuttonChenEam {
             epsilon,
             a,
-            n,
-            m,
             c,
             cutoff,
             rho: Vec::new(),
@@ -89,7 +78,7 @@ impl SuttonChenEam {
     ///
     /// Never panics; the built-in parameters are valid.
     pub fn copper() -> Self {
-        SuttonChenEam::new(1.2382e-2, 3.61, 9, 6, 39.432, 4.95).expect("valid Cu parameters")
+        SuttonChenEam::new(1.2382e-2, 3.61, 39.432, 4.95).expect("valid Cu parameters")
     }
 
     /// Energy prefactor ε, for assembling totals from the chunk helpers.
@@ -121,8 +110,8 @@ impl SuttonChenEam {
                 }
                 let r = r2.sqrt();
                 let ar = self.a / r;
-                e_pair += ar.powi(self.n);
-                let dens = ar.powi(self.m);
+                e_pair += ar.powi(Self::N);
+                let dens = ar.powi(Self::M);
                 rho[i] += dens;
                 rho[ju] += dens;
             }
@@ -169,8 +158,8 @@ impl SuttonChenEam {
                 let r = r2.sqrt();
                 let ar = self.a / r;
                 // -dE/dr = [ n (a/r)^n + (F'_i + F'_j) m (a/r)^m ] / r  (times ε).
-                let dpair = self.n as f64 * ar.powi(self.n);
-                let ddens = self.m as f64 * ar.powi(self.m);
+                let dpair = f64::from(Self::N) * ar.powi(Self::N);
+                let ddens = f64::from(Self::M) * ar.powi(Self::M);
                 let fpair = self.epsilon * (dpair + (dembed[i] + dembed[ju]) * ddens) / r2;
                 let df = d * fpair;
                 fi += df;
@@ -183,21 +172,16 @@ impl SuttonChenEam {
     }
 
     /// Whether the lane kernels can serve the current configuration: the
-    /// lanes path is selected, the exponents are the copper `(n, m) = (9, 6)`
-    /// pair the multiply chains below are specialized for, and the neighbor
-    /// list carries padded rows of the right width.
+    /// lanes path is selected and the neighbor list carries padded rows of
+    /// the right width.
     pub(crate) fn lanes_usable(&self, nl: &NeighborList) -> bool {
-        self.path.is_lanes()
-            && self.n == 9
-            && self.m == 6
-            && nl.padding() != 0
-            && nl.padding().is_multiple_of(LANES)
+        self.path.is_lanes() && nl.padding() != 0 && nl.padding().is_multiple_of(LANES)
     }
 
     /// Lane-blocked pass 1 over `rows`. `rho` must be `n + 1` long
     /// (ghost scatters land in the spare slot, contributing exact zeros);
-    /// `g` must hold the current positions. Specialized to `(n, m) = (9, 6)`
-    /// via explicit multiply chains so the block sub-loop autovectorizes.
+    /// `g` must hold the current positions. Spells out the `(N, M) = (9, 6)`
+    /// powers as multiply chains so the block sub-loop autovectorizes.
     pub(crate) fn density_chunk_lanes(
         &self,
         sys: &PairSystem<'_>,
@@ -206,7 +190,6 @@ impl SuttonChenEam {
         rho: &mut [f64],
         g: &LaneGather,
     ) -> f64 {
-        debug_assert!(self.n == 9 && self.m == 6);
         let cut2 = self.cutoff * self.cutoff;
         let a = self.a;
         let [(lx, hx), (ly, hy), (lz, hz)] = lane_wrap_params(sys.bx);
@@ -269,7 +252,6 @@ impl SuttonChenEam {
         g: &LaneGather,
         acc: &mut LaneAccum,
     ) -> f64 {
-        debug_assert!(self.n == 9 && self.m == 6);
         let cut2 = self.cutoff * self.cutoff;
         let a = self.a;
         let eps = self.epsilon;
@@ -384,8 +366,8 @@ impl SuttonChenEam {
             for j in (i + 1)..x.len() {
                 let r = (x[i] - x[j]).norm();
                 if r < self.cutoff {
-                    e_pair += (self.a / r).powi(self.n);
-                    let d = (self.a / r).powi(self.m);
+                    e_pair += (self.a / r).powi(Self::N);
+                    let d = (self.a / r).powi(Self::M);
                     rho[i] += d;
                     rho[j] += d;
                 }
@@ -479,20 +461,32 @@ mod tests {
         (bx, x)
     }
 
-    fn lattice_energy_per_atom(a0: f64) -> f64 {
-        let mut eam = SuttonChenEam::copper();
-        let (bx, x) = fcc(4, a0);
-        let mut nl = NeighborList::new(eam.cutoff(), 0.0, NeighborListKind::Half);
-        nl.build(&x, &bx).unwrap();
+    /// `fcc(cells, 3.615)` jittered deterministically so densities are
+    /// asymmetric.
+    fn jittered_fcc(cells: usize) -> (SimBox, Vec<V3>) {
+        let (bx, x) = fcc(cells, 3.615);
+        let x = x
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let s = (i as f64 * 0.7368).sin() * 0.12;
+                Vec3::new(p.x + s, p.y - 0.5 * s, p.z + 0.3 * s)
+            })
+            .collect();
+        (bx, x)
+    }
+
+    /// Runs `body` on a copper `PairSystem` over `x` at rest.
+    fn with_sys<R>(bx: &SimBox, x: &[V3], body: impl FnOnce(&PairSystem<'_>) -> R) -> R {
         let v = vec![Vec3::zero(); x.len()];
         let kinds = vec![0u32; x.len()];
         let charge = vec![0.0; x.len()];
         let radius = vec![0.0; x.len()];
         let masses = vec![63.546];
         let units = UnitSystem::metal();
-        let sys = PairSystem {
-            bx: &bx,
-            x: &x,
+        body(&PairSystem {
+            bx,
+            x,
             v: &v,
             kinds: &kinds,
             charge: &charge,
@@ -500,9 +494,92 @@ mod tests {
             mass_by_type: &masses,
             units: &units,
             dt: 0.001,
+        })
+    }
+
+    /// What the two scalar passes give with the exponents as runtime values
+    /// (through `black_box`, so `powi` stays the out-of-line `__powidf2`
+    /// loop). The per-row partials are kept because a one-ulp change in a
+    /// single pair term rarely survives rounding into the ~5 k-term totals.
+    struct RuntimeExponentOracle {
+        e_pair: f64,
+        e_rows: Vec<f64>,
+        rho: Vec<f64>,
+        dembed: Vec<f64>,
+        f: Vec<V3>,
+        virial: f64,
+        virial_rows: Vec<f64>,
+    }
+
+    fn runtime_exponent_oracle(
+        eam: &SuttonChenEam,
+        sys: &PairSystem<'_>,
+        nl: &NeighborList,
+    ) -> RuntimeExponentOracle {
+        let (n, m) = (std::hint::black_box(9), std::hint::black_box(6));
+        let natoms = sys.x.len();
+        let cut2 = eam.cutoff * eam.cutoff;
+        let pairs = |i: usize| {
+            nl.neighbors(i).iter().filter_map(move |&j| {
+                let ju = j as usize;
+                let d = sys.bx.min_image(sys.x[i], sys.x[ju]);
+                let r2 = d.norm2();
+                (r2 < cut2).then_some((ju, d, r2))
+            })
         };
+        let mut e_pair = 0.0;
+        let mut e_rows = vec![0.0; natoms];
+        let mut rho = vec![0.0; natoms];
+        for i in 0..natoms {
+            for (ju, _, r2) in pairs(i) {
+                let ar = eam.a / r2.sqrt();
+                let rep = ar.powi(n);
+                e_pair += rep;
+                e_rows[i] += rep;
+                let dens = ar.powi(m);
+                rho[i] += dens;
+                rho[ju] += dens;
+            }
+        }
+        let mut dembed = vec![0.0; natoms];
+        eam.embed_slice(&rho, &mut dembed);
+        let mut f = vec![Vec3::zero(); natoms];
+        let mut virial = 0.0;
+        let mut virial_rows = vec![0.0; natoms];
+        for i in 0..natoms {
+            let mut fi = Vec3::zero();
+            for (ju, d, r2) in pairs(i) {
+                let r = r2.sqrt();
+                let ar = eam.a / r;
+                let dpair = n as f64 * ar.powi(n);
+                let ddens = m as f64 * ar.powi(m);
+                let fpair = eam.epsilon * (dpair + (dembed[i] + dembed[ju]) * ddens) / r2;
+                let df = d * fpair;
+                fi += df;
+                f[ju] -= df;
+                virial += r2 * fpair;
+                virial_rows[i] += r2 * fpair;
+            }
+            f[i] += fi;
+        }
+        RuntimeExponentOracle {
+            e_pair,
+            e_rows,
+            rho,
+            dembed,
+            f,
+            virial,
+            virial_rows,
+        }
+    }
+
+    fn lattice_energy_per_atom(a0: f64) -> f64 {
+        let mut eam = SuttonChenEam::copper();
+        let (bx, x) = fcc(4, a0);
+        let mut nl = NeighborList::new(eam.cutoff(), 0.0, NeighborListKind::Half);
+        nl.build(&x, &bx).unwrap();
         let mut f = vec![Vec3::zero(); x.len()];
-        let e = eam.compute(&sys, &nl, &mut f);
+        let e = with_sys(&bx, &x, |sys| eam.compute(sys, &nl, &mut f));
         // Perfect lattice: forces vanish by symmetry.
         let max_f = f.iter().map(|fi| fi.norm()).fold(0.0f64, f64::max);
         assert!(max_f < 1e-9, "net force on lattice atom: {max_f}");
@@ -552,26 +629,9 @@ mod tests {
         let bx = SimBox::cubic(40.0);
         let mut nl = NeighborList::new(eam.cutoff(), 0.0, NeighborListKind::Half);
         nl.build(&x, &bx).unwrap();
-        let v = vec![Vec3::zero(); 3];
-        let kinds = vec![0u32; 3];
-        let charge = vec![0.0; 3];
-        let radius = vec![0.0; 3];
-        let masses = vec![63.546];
-        let units = UnitSystem::metal();
-        let sys = PairSystem {
-            bx: &bx,
-            x: &x,
-            v: &v,
-            kinds: &kinds,
-            charge: &charge,
-            radius: &radius,
-            mass_by_type: &masses,
-            units: &units,
-            dt: 0.001,
-        };
         let mut eam2 = eam.clone();
         let mut f = vec![Vec3::zero(); 3];
-        eam2.compute(&sys, &nl, &mut f);
+        with_sys(&bx, &x, |sys| eam2.compute(sys, &nl, &mut f));
         let h = 1e-6;
         for axis in 0..3 {
             let mut xp = x.clone();
@@ -599,43 +659,17 @@ mod tests {
 
     #[test]
     fn lanes_path_matches_scalar_on_a_jittered_lattice() {
-        let (bx, x) = fcc(3, 3.615);
-        // Jitter deterministically so densities are asymmetric.
-        let x: Vec<V3> = x
-            .iter()
-            .enumerate()
-            .map(|(i, p)| {
-                let s = (i as f64 * 0.7368).sin() * 0.12;
-                Vec3::new(p.x + s, p.y - 0.5 * s, p.z + 0.3 * s)
-            })
-            .collect();
+        let (bx, x) = jittered_fcc(3);
         let mut eam = SuttonChenEam::copper();
         let mut nl = NeighborList::new(eam.cutoff(), 0.3, NeighborListKind::Half);
         nl.build(&x, &bx).unwrap();
-        let v = vec![Vec3::zero(); x.len()];
-        let kinds = vec![0u32; x.len()];
-        let charge = vec![0.0; x.len()];
-        let radius = vec![0.0; x.len()];
-        let masses = vec![63.546];
-        let units = UnitSystem::metal();
-        let sys = PairSystem {
-            bx: &bx,
-            x: &x,
-            v: &v,
-            kinds: &kinds,
-            charge: &charge,
-            radius: &radius,
-            mass_by_type: &masses,
-            units: &units,
-            dt: 0.001,
-        };
         let mut f_ref = vec![Vec3::zero(); x.len()];
-        let e_ref = eam.compute(&sys, &nl, &mut f_ref);
+        let e_ref = with_sys(&bx, &x, |sys| eam.compute(sys, &nl, &mut f_ref));
 
         nl.set_padding(md_core::LANES);
         eam.set_kernel_path(md_core::KernelPath::Lanes);
         let mut f_lanes = vec![Vec3::zero(); x.len()];
-        let e_lanes = eam.compute(&sys, &nl, &mut f_lanes);
+        let e_lanes = with_sys(&bx, &x, |sys| eam.compute(sys, &nl, &mut f_lanes));
 
         // The lanes path replaces `powi` with explicit multiply chains, so
         // agreement is ulp-level rather than bitwise.
@@ -658,8 +692,68 @@ mod tests {
     }
 
     #[test]
-    fn rejects_bad_exponents() {
-        assert!(SuttonChenEam::new(0.01, 3.6, 6, 9, 39.0, 4.95).is_err());
-        assert!(SuttonChenEam::new(-0.01, 3.6, 9, 6, 39.0, 4.95).is_err());
+    fn constant_exponents_match_runtime_oracle_bitwise() {
+        let (bx, x) = jittered_fcc(4);
+        let mut eam = SuttonChenEam::copper();
+        let mut nl = NeighborList::new(eam.cutoff(), 0.3, NeighborListKind::Half);
+        nl.build(&x, &bx).unwrap();
+        let natoms = x.len();
+        let bits = |v: &[f64]| -> Vec<u64> { v.iter().map(|e| e.to_bits()).collect() };
+        let vbits = |v: &[V3]| -> Vec<[u64; 3]> {
+            v.iter()
+                .map(|p| [p.x.to_bits(), p.y.to_bits(), p.z.to_bits()])
+                .collect()
+        };
+        with_sys(&bx, &x, |sys| {
+            let want = runtime_exponent_oracle(&eam, sys, &nl);
+            assert!(
+                want.rho.iter().all(|&r| r > 0.0),
+                "every atom has neighbors"
+            );
+
+            // Whole range, as the serial kernel runs it.
+            let mut rho = vec![0.0; natoms];
+            let e_pair = eam.density_chunk(sys, &nl, 0..natoms, &mut rho);
+            assert_eq!(e_pair.to_bits(), want.e_pair.to_bits(), "pair repulsion");
+            assert_eq!(bits(&rho), bits(&want.rho), "rho");
+            let mut f = vec![Vec3::zero(); natoms];
+            let virial = eam.force_chunk(sys, &nl, 0..natoms, &want.dembed, &mut f);
+            assert_eq!(
+                virial.to_bits(),
+                want.virial.to_bits(),
+                "force_chunk virial"
+            );
+            assert_eq!(vbits(&f), vbits(&want.f), "force_chunk forces");
+
+            // Row by row, so each row's partial is compared on its own.
+            let mut rho = vec![0.0; natoms];
+            let mut f = vec![Vec3::zero(); natoms];
+            for i in 0..natoms {
+                let e_row = eam.density_chunk(sys, &nl, i..i + 1, &mut rho);
+                assert_eq!(e_row.to_bits(), want.e_rows[i].to_bits(), "row {i} pair");
+                let v_row = eam.force_chunk(sys, &nl, i..i + 1, &want.dembed, &mut f);
+                assert_eq!(
+                    v_row.to_bits(),
+                    want.virial_rows[i].to_bits(),
+                    "row {i} virial"
+                );
+            }
+            assert_eq!(bits(&rho), bits(&want.rho), "row-by-row rho");
+            assert_eq!(vbits(&f), vbits(&want.f), "row-by-row forces");
+
+            let mut f = vec![Vec3::zero(); natoms];
+            let ev = eam.compute(sys, &nl, &mut f);
+            let mut dembed = vec![0.0; natoms];
+            let e_embed = eam.embed_slice(&want.rho, &mut dembed);
+            let evdwl = eam.epsilon * want.e_pair + eam.epsilon * e_embed;
+            assert_eq!(ev.evdwl.to_bits(), evdwl.to_bits(), "evdwl");
+            assert_eq!(ev.virial.to_bits(), want.virial.to_bits(), "compute virial");
+            assert_eq!(vbits(&f), vbits(&want.f), "compute forces");
+        });
+    }
+
+    #[test]
+    fn rejects_bad_scales() {
+        assert!(SuttonChenEam::new(-0.01, 3.6, 39.0, 4.95).is_err());
     }
 }
