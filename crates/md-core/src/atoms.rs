@@ -6,8 +6,6 @@
 //! (bonds, angles, dihedrals) plus special-pair exclusions.
 
 use crate::error::{CoreError, Result};
-use crate::kernel::LaneGather;
-use crate::simbox::SimBox;
 use crate::vec3::Vec3;
 use crate::V3;
 use std::collections::HashSet;
@@ -177,19 +175,9 @@ impl AtomStore {
         &self.charge
     }
 
-    /// Per-atom charges (mutable).
-    pub fn charges_mut(&mut self) -> &mut [f64] {
-        &mut self.charge
-    }
-
     /// Per-atom radii (granular styles).
     pub fn radii(&self) -> &[f64] {
         &self.radius
-    }
-
-    /// Per-atom radii (mutable).
-    pub fn radii_mut(&mut self) -> &mut [f64] {
-        &mut self.radius
     }
 
     /// Per-atom periodic image counters.
@@ -211,18 +199,6 @@ impl AtomStore {
     /// `slot` had when it was pushed (identity until a [`AtomStore::reorder`]).
     pub fn ids(&self) -> &[u32] {
         &self.id
-    }
-
-    /// Loads the split `x/y/z/type/charge` lane-gather scratch from this
-    /// store's arrays, placing the ghost atom (far outside `bx`) in the
-    /// final slot. The scatter/gather view the lane kernels consume.
-    pub fn fill_lane_gather(&self, bx: &SimBox, gather: &mut LaneGather) {
-        gather.load(
-            &self.x,
-            &self.kind,
-            &self.charge,
-            crate::kernel::ghost_position(bx),
-        );
     }
 
     /// Permutes every per-atom array by `old_of_new` (slot `k` of the
@@ -319,11 +295,6 @@ impl AtomStore {
     /// Simultaneous mutable access to positions and velocities (integration).
     pub fn x_v_mut(&mut self) -> (&mut [V3], &mut [V3]) {
         (&mut self.x, &mut self.v)
-    }
-
-    /// Simultaneous access to velocities (mut) and forces (shared).
-    pub fn v_mut_f(&mut self) -> (&mut [V3], &[V3]) {
-        (&mut self.v, &self.f)
     }
 
     /// Sets the per-type mass table (`mass_by_type[t]` is the mass of type `t`).
@@ -639,19 +610,6 @@ mod tests {
         assert!(s.reorder(&[0, 7]).is_err());
         // Store unchanged after a rejected reorder of the right length.
         assert_eq!(s.ids(), &[0, 1]);
-    }
-
-    #[test]
-    fn lane_gather_view_matches_store() {
-        let bx = SimBox::cubic(10.0);
-        let mut s = two_atom_store();
-        s.charges_mut()[1] = -1.5;
-        let mut g = LaneGather::default();
-        s.fill_lane_gather(&bx, &mut g);
-        assert_eq!(g.xs.len(), 3);
-        assert_eq!(g.xs[1], s.x()[1].x);
-        assert_eq!(g.qs[1], -1.5);
-        assert!(g.xs[2] < bx.lo().x - 1e5);
     }
 
     #[test]

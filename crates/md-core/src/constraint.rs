@@ -68,11 +68,6 @@ impl Shake {
         self.last_iterations
     }
 
-    /// The constraint list.
-    pub fn constraints(&self) -> &[ShakeParams] {
-        &self.constraints
-    }
-
     /// Remaps every constraint's atom indices through `new_of_old` after an
     /// [`AtomStore::reorder`] (which returns exactly this map).
     pub fn remap_atoms(&mut self, new_of_old: &[u32]) {

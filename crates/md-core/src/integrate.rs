@@ -176,21 +176,6 @@ impl NoseHooverNpt {
             eps_dot: 0.0,
         })
     }
-
-    /// The configured set points.
-    pub fn params(&self) -> NptParams {
-        self.params
-    }
-
-    /// Current thermostat friction (diagnostic).
-    pub fn friction(&self) -> f64 {
-        self.xi
-    }
-
-    /// Current barostat strain rate (diagnostic).
-    pub fn strain_rate(&self) -> f64 {
-        self.eps_dot
-    }
 }
 
 impl Integrator for NoseHooverNpt {

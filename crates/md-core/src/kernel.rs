@@ -294,4 +294,18 @@ mod tests {
         assert_eq!(f[0].x, 1.0);
         assert_eq!(f[1].z, 0.0);
     }
+
+    #[test]
+    fn lane_gather_view_matches_store() {
+        let bx = SimBox::cubic(10.0);
+        let mut s = crate::AtomStore::new();
+        s.push(Vec3::new(0.0, 0.0, 0.0), Vec3::zero(), 0);
+        s.push_full(Vec3::new(1.0, 0.0, 0.0), Vec3::zero(), 0, -1.5, 0.0, 0);
+        let mut g = LaneGather::default();
+        g.load(s.x(), s.kinds(), s.charges(), ghost_position(&bx));
+        assert_eq!(g.xs.len(), 3);
+        assert_eq!(g.xs[1], s.x()[1].x);
+        assert_eq!(g.qs[1], -1.5);
+        assert!(g.xs[2] < bx.lo().x - 1e5);
+    }
 }

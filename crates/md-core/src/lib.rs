@@ -30,7 +30,6 @@
 //! assert!((bx.volume() - 1000.0).abs() < 1e-12);
 //! ```
 
-pub mod analysis;
 pub mod atoms;
 pub mod compute;
 pub mod constraint;
@@ -48,7 +47,6 @@ pub mod thermostat;
 pub mod threads;
 pub mod units;
 pub mod vec3;
-pub mod velocity;
 pub mod wire;
 
 pub use atoms::{Angle, AtomStore, Bond, Dihedral};
@@ -68,7 +66,6 @@ pub use thermostat::Langevin;
 pub use threads::Threads;
 pub use units::UnitSystem;
 pub use vec3::Vec3;
-pub use velocity::{BerendsenThermostat, TempRescale};
 
 /// Convenience alias for the engine's vector (always `f64`).
 pub type V3 = Vec3<f64>;

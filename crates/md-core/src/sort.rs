@@ -92,19 +92,6 @@ pub fn is_identity(perm: &[u32]) -> bool {
     perm.iter().enumerate().all(|(i, &p)| p as usize == i)
 }
 
-/// Invert an `old_of_new` permutation into `new_of_old`:
-/// `inv[perm[k]] = k`. Panics in debug builds if `perm` is not a
-/// permutation of `0..perm.len()`.
-pub fn invert_perm(perm: &[u32]) -> Vec<u32> {
-    let mut inv = vec![u32::MAX; perm.len()];
-    for (new, &old) in perm.iter().enumerate() {
-        debug_assert!(inv[old as usize] == u32::MAX, "duplicate index in perm");
-        inv[old as usize] = new as u32;
-    }
-    debug_assert!(inv.iter().all(|&v| v != u32::MAX));
-    inv
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,16 +173,6 @@ mod tests {
         let sorted: Vec<V3> = perm.iter().map(|&p| x[p as usize]).collect();
         x = sorted;
         assert!(is_identity(&morton_perm(&x, &bx)));
-    }
-
-    #[test]
-    fn invert_round_trips() {
-        let perm = vec![2u32, 0, 3, 1];
-        let inv = invert_perm(&perm);
-        assert_eq!(inv, vec![1, 3, 0, 2]);
-        for (new, &old) in perm.iter().enumerate() {
-            assert_eq!(inv[old as usize] as usize, new);
-        }
     }
 
     #[test]

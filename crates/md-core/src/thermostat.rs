@@ -49,16 +49,6 @@ impl Langevin {
         })
     }
 
-    /// Target temperature.
-    pub fn t_target(&self) -> f64 {
-        self.t_target
-    }
-
-    /// Relaxation (damping) time.
-    pub fn damp(&self) -> f64 {
-        self.damp
-    }
-
     /// Adds friction and random forces to `atoms.f` for one timestep `dt`.
     pub fn post_force(&mut self, atoms: &mut AtomStore, units: &UnitSystem, dt: f64) {
         let gamma = 1.0 / self.damp;

@@ -67,18 +67,6 @@ impl UnitSystem {
             femtoseconds_per_time_unit: 1.0,
         }
     }
-
-    /// Looks a system up by its LAMMPS name.
-    ///
-    /// Returns `None` for unknown names.
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "lj" => Some(Self::lj()),
-            "metal" => Some(Self::metal()),
-            "real" => Some(Self::real()),
-            _ => None,
-        }
-    }
 }
 
 impl Default for UnitSystem {
@@ -90,14 +78,6 @@ impl Default for UnitSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn lookup_by_name() {
-        assert_eq!(UnitSystem::by_name("lj"), Some(UnitSystem::lj()));
-        assert_eq!(UnitSystem::by_name("metal").unwrap().name, "metal");
-        assert_eq!(UnitSystem::by_name("real").unwrap().name, "real");
-        assert!(UnitSystem::by_name("si").is_none());
-    }
 
     #[test]
     fn metal_boltzmann_matches_ev_per_kelvin() {

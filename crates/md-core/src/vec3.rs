@@ -66,22 +66,6 @@ impl Vec3 {
     pub fn norm(self) -> f64 {
         self.norm2().sqrt()
     }
-
-    /// Component-wise multiplication.
-    #[inline(always)]
-    pub fn mul_elem(self, other: Self) -> Self {
-        Vec3 {
-            x: self.x * other.x,
-            y: self.y * other.y,
-            z: self.z * other.z,
-        }
-    }
-
-    /// Largest absolute component, useful for displacement triggers.
-    #[inline(always)]
-    pub fn max_abs(self) -> f64 {
-        self.x.abs().max(self.y.abs()).max(self.z.abs())
-    }
 }
 
 impl Add for Vec3 {
@@ -232,7 +216,6 @@ mod tests {
         let v = Vec3::new(3.0, 4.0, 0.0);
         assert_eq!(v.norm2(), 25.0);
         assert_eq!(v.norm(), 5.0);
-        assert_eq!(v.max_abs(), 4.0);
     }
 
     #[test]

@@ -73,11 +73,6 @@ impl Writer {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Writes an `i32`.
-    pub fn i32(&mut self, v: i32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Writes a `usize` as `u64`.
     pub fn usize(&mut self, v: usize) {
         self.u64(v as u64);
@@ -243,12 +238,6 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes([
             b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
         ]))
-    }
-
-    /// Reads an `i32`.
-    pub fn i32(&mut self) -> Result<i32> {
-        let b = self.raw(4)?;
-        Ok(i32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
     /// Reads a `usize` (stored as `u64`), bounds-checked against the
@@ -422,7 +411,6 @@ mod tests {
         w.bool(true);
         w.u32(0xDEAD_BEEF);
         w.u64(u64::MAX - 1);
-        w.i32(-42);
         w.f64(-0.0);
         w.f64(f64::NAN);
         w.str("chute");
@@ -432,7 +420,6 @@ mod tests {
         assert!(r.bool().unwrap());
         assert_eq!(r.u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.i32().unwrap(), -42);
         assert_eq!(r.f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert_eq!(r.f64().unwrap().to_bits(), f64::NAN.to_bits());
         assert_eq!(r.str().unwrap(), "chute");

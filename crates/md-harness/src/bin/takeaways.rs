@@ -7,7 +7,6 @@
 //! ```
 
 use md_harness::{ExperimentContext, Fidelity};
-use md_model::{Interconnect, MultiNodeModel, WorkloadProfile};
 use md_workloads::Benchmark;
 
 fn main() -> Result<(), md_core::CoreError> {
@@ -53,22 +52,5 @@ fn main() -> Result<(), md_core::CoreError> {
         days / 365.0
     );
 
-    // Scale-out check of the paper's Section 4.1 citation.
-    println!("\n== Scale-out check (Section 4.1 citation) ==");
-    let profile = WorkloadProfile::measure(Benchmark::Lj, 20, 2022)?;
-    let (bx, x) = md_workloads::build_positions(Benchmark::Lj, 1, 2022)?;
-    let model = MultiNodeModel::new(Interconnect::hdr100());
-    let one = model.simulate(&profile, &bx, &x, 1, None)?;
-    for nodes in [1usize, 4, 16, 64] {
-        let r = model.simulate(&profile, &bx, &x, nodes, Some(&one))?;
-        println!(
-            "lj 32k on {:>3} nodes: {:>9.0} TS/s, node efficiency {:>5.1}%, inter-node comm {:>4.1}%",
-            nodes,
-            r.ts_per_sec,
-            100.0 * r.node_parallel_efficiency,
-            r.internode_comm_percent
-        );
-    }
-    println!("(the paper cites 33% parallel efficiency for LJ at 64 Haswell nodes)");
     Ok(())
 }

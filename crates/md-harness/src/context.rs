@@ -83,11 +83,6 @@ impl ExperimentContext {
         }
     }
 
-    /// The fidelity this context sweeps.
-    pub fn fidelity(&self) -> Fidelity {
-        self.fidelity
-    }
-
     /// Replication factors in this context's sweeps.
     pub fn scales(&self) -> &'static [usize] {
         self.fidelity.scales()

@@ -42,11 +42,6 @@ impl TextTable {
         self.rows.is_empty()
     }
 
-    /// The header cells.
-    pub fn header(&self) -> &[String] {
-        &self.header
-    }
-
     /// The data rows.
     pub fn rows(&self) -> &[Vec<String>] {
         &self.rows

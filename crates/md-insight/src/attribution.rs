@@ -93,33 +93,6 @@ impl Breakdown {
     }
 }
 
-/// Rolling dominant-task detection: for each full window of `window`
-/// samples, the task with the largest summed share, tagged with the step
-/// index at the window's end. Adjacent equal entries are collapsed, so the
-/// result reads as "Pair dominated until step 40, then Kspace took over".
-pub fn rolling_dominant(samples: &[StepSample], window: usize) -> Vec<(u64, TaskKind)> {
-    let window = window.max(1);
-    let mut out: Vec<(u64, TaskKind)> = Vec::new();
-    for chunk in samples.chunks(window) {
-        if chunk.len() < window && !out.is_empty() {
-            break; // ignore a short tail once we have full windows
-        }
-        let b = Breakdown::from_step_samples(chunk);
-        if b.total_seconds <= 0.0 {
-            continue;
-        }
-        let end_step = chunk.last().expect("non-empty chunk").step;
-        match out.last() {
-            Some(&(_, t)) if t == b.dominant => {
-                let last = out.last_mut().expect("non-empty");
-                last.0 = end_step;
-            }
-            _ => out.push((end_step, b.dominant)),
-        }
-    }
-    out
-}
-
 /// One task's spread across ranks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskImbalance {
@@ -592,29 +565,6 @@ mod tests {
         assert_eq!(b.steps, 2);
         assert_eq!(b.dominant, TaskKind::Kspace);
         assert!((b.total_seconds - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rolling_dominant_tracks_regime_changes() {
-        let mut samples = Vec::new();
-        for step in 0..20u64 {
-            let mut s = StepSample {
-                step,
-                ..StepSample::default()
-            };
-            if step < 10 {
-                s.task_seconds[TaskKind::Pair.index()] = 1.0;
-            } else {
-                s.task_seconds[TaskKind::Kspace.index()] = 1.0;
-            }
-            samples.push(s);
-        }
-        let regimes = rolling_dominant(&samples, 5);
-        assert_eq!(
-            regimes,
-            vec![(9, TaskKind::Pair), (19, TaskKind::Kspace)],
-            "adjacent equal windows collapse"
-        );
     }
 
     #[test]

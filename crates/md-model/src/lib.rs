@@ -20,7 +20,6 @@ pub mod calib;
 pub mod cpu;
 pub mod gpu;
 pub mod instance;
-pub mod multinode;
 pub mod power;
 pub mod workload;
 
@@ -31,5 +30,4 @@ pub use gpu::{
     KernelKind, KernelLedger, DEVICE_LANE_BASE, GPU_HOST_LANE,
 };
 pub use instance::{CpuSpec, GpuSpec, Instance};
-pub use multinode::{Interconnect, MultiNodeModel, MultiNodeResult};
 pub use workload::{KspaceWork, WorkloadProfile};

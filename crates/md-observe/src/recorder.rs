@@ -200,11 +200,6 @@ impl Recorder {
         self.inner.enabled.load(Ordering::Relaxed)
     }
 
-    /// Turns recording on or off at runtime.
-    pub fn set_enabled(&self, on: bool) {
-        self.inner.enabled.store(on, Ordering::Relaxed);
-    }
-
     /// Microseconds since the recorder's epoch (wall clock).
     #[inline]
     pub fn now_us(&self) -> f64 {
@@ -482,21 +477,6 @@ mod tests {
         assert_eq!(r.event_count(), 0);
         assert_eq!(r.step_count(), 0);
         assert!(r.hist_summary("step_latency_us").is_none());
-    }
-
-    #[test]
-    fn enabling_at_runtime_starts_recording() {
-        let r = Recorder::disabled();
-        r.set_enabled(true);
-        {
-            let _g = r.span(3, "task", "Neigh");
-        }
-        assert_eq!(r.event_count(), 1);
-        r.with_state(|st| {
-            assert_eq!(st.events[0].lane, 3);
-            assert_eq!(st.events[0].name, "Neigh");
-            assert!(st.events[0].dur_us >= 0.0);
-        });
     }
 
     #[test]

@@ -806,17 +806,6 @@ impl VirtualCluster {
         mean
     }
 
-    /// Percentage of mean total time spent inside MPI functions
-    /// (the paper's Figure 4, top).
-    pub fn mpi_time_percent(&self) -> f64 {
-        let total = self.mean_clock();
-        if total > 0.0 {
-            100.0 * self.mean_mpi_ledger().total() / total
-        } else {
-            0.0
-        }
-    }
-
     /// Percentage of mean total time that is skew-induced waiting
     /// (the paper's "MPI imbalance", Figure 4 bottom).
     pub fn mpi_imbalance_percent(&self) -> f64 {

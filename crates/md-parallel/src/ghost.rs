@@ -146,11 +146,6 @@ impl GhostExchange {
     pub fn total_ghosts(&self) -> usize {
         self.ranks.iter().map(|r| r.ghosts.len()).sum()
     }
-
-    /// Ghost copies per rank.
-    pub fn ghost_counts(&self) -> Vec<usize> {
-        self.ranks.iter().map(|r| r.ghosts.len()).collect()
-    }
 }
 
 #[cfg(test)]

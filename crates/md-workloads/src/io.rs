@@ -10,7 +10,6 @@
 
 use md_core::{AtomStore, CoreError, Result, SimBox, Vec3};
 use std::fmt::Write as _;
-use std::io::BufRead;
 use std::path::Path;
 
 /// Which per-atom columns the `Atoms` section carries.
@@ -455,38 +454,6 @@ impl<W: std::io::Write> XyzDump<W> {
     }
 }
 
-/// A [`BufRead`]-based XYZ frame counter/reader for verification.
-///
-/// # Errors
-///
-/// Returns an error on malformed frame headers.
-pub fn count_xyz_frames<R: BufRead>(reader: R) -> Result<usize> {
-    let mut lines = reader.lines();
-    let mut frames = 0usize;
-    while let Some(first) = lines.next() {
-        let first = first.map_err(|e| CoreError::InvalidParameter {
-            name: "dump",
-            reason: e.to_string(),
-        })?;
-        if first.trim().is_empty() {
-            continue;
-        }
-        let n: usize = first
-            .trim()
-            .parse()
-            .map_err(|_| CoreError::InvalidParameter {
-                name: "dump",
-                reason: format!("bad frame header {first:?}"),
-            })?;
-        // Comment line + n atom lines.
-        for _ in 0..=n {
-            lines.next();
-        }
-        frames += 1;
-    }
-    Ok(frames)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -565,14 +532,10 @@ mod tests {
     fn xyz_dump_counts_frames() {
         let (_, atoms) = sample_system();
         let mut buf = Vec::new();
-        {
-            let mut dump = XyzDump::new(&mut buf);
-            dump.write_frame(&atoms, 0).unwrap();
-            dump.write_frame(&atoms, 100).unwrap();
-            assert_eq!(dump.frames(), 2);
-        }
-        let frames = count_xyz_frames(std::io::Cursor::new(buf)).unwrap();
-        assert_eq!(frames, 2);
+        let mut dump = XyzDump::new(&mut buf);
+        dump.write_frame(&atoms, 0).unwrap();
+        dump.write_frame(&atoms, 100).unwrap();
+        assert_eq!(dump.frames(), 2);
     }
 
     #[test]

@@ -29,25 +29,6 @@ pub fn fcc(nx: usize, ny: usize, nz: usize, a: f64) -> (SimBox, Vec<V3>) {
     (bx, x)
 }
 
-/// Generates a simple-cubic lattice of `nx × ny × nz` sites with spacing `a`,
-/// offset half a spacing from the origin.
-pub fn simple_cubic(nx: usize, ny: usize, nz: usize, a: f64) -> (SimBox, Vec<V3>) {
-    let bx = SimBox::orthogonal(nx as f64 * a, ny as f64 * a, nz as f64 * a);
-    let mut x = Vec::with_capacity(nx * ny * nz);
-    for cz in 0..nz {
-        for cy in 0..ny {
-            for cx in 0..nx {
-                x.push(Vec3::new(
-                    (cx as f64 + 0.5) * a,
-                    (cy as f64 + 0.5) * a,
-                    (cz as f64 + 0.5) * a,
-                ));
-            }
-        }
-    }
-    (bx, x)
-}
-
 /// The fcc lattice constant that realizes a reduced density `rho` (atoms per
 /// unit volume): `a = (4/ρ)^{1/3}`.
 pub fn fcc_lattice_constant(rho: f64) -> f64 {
@@ -78,15 +59,6 @@ mod tests {
             }
         }
         assert!((dmin - std::f64::consts::FRAC_1_SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn simple_cubic_counts_and_bounds() {
-        let (bx, x) = simple_cubic(4, 5, 6, 2.0);
-        assert_eq!(x.len(), 120);
-        for p in &x {
-            assert!(bx.contains(*p));
-        }
     }
 
     #[test]

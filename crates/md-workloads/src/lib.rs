@@ -182,11 +182,6 @@ impl Benchmark {
         matches!(self, Benchmark::Rhodo)
     }
 
-    /// Whether this benchmark computes bonded forces.
-    pub fn has_bonds(self) -> bool {
-        matches!(self, Benchmark::Chain | Benchmark::Rhodo)
-    }
-
     /// Whether the pair computation exploits Newton's third law
     /// (half neighbor lists). Chute does not (paper Section 3).
     pub fn newton_pairs(self) -> bool {
@@ -355,7 +350,6 @@ mod tests {
     fn feature_flags_match_table2() {
         assert!(Benchmark::Rhodo.has_kspace());
         assert!(!Benchmark::Lj.has_kspace());
-        assert!(Benchmark::Chain.has_bonds());
         assert!(!Benchmark::Chute.newton_pairs());
     }
 
