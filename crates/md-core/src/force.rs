@@ -225,10 +225,14 @@ pub trait KspaceStyle: Send {
     /// Style name (`ewald`, `pppm`).
     fn name(&self) -> &'static str;
 
-    /// Prepares mesh/coefficients for a box and charge population.
+    /// Sizes the splitting parameter and the mesh/coefficients for a box and
+    /// charge population.
     ///
-    /// Must be called before [`KspaceStyle::compute`] and again whenever the
-    /// box changes (the NPT barostat calls it through the driver).
+    /// Must be called before [`KspaceStyle::compute`]. A barostat that later
+    /// dilates the box does not call it again: [`KspaceStyle::compute`],
+    /// handed a box of other lengths, rebuilds the box-dependent tables
+    /// itself with the splitting parameter and the mesh held fixed (LAMMPS's
+    /// `FixNH::remap` → `kspace->setup()`).
     ///
     /// # Errors
     ///

@@ -42,7 +42,7 @@ pub struct KspaceAccuracy {
     pub relative_error: f64,
     /// Ewald splitting parameter `g` (1/distance units).
     pub g_ewald: f64,
-    /// PPPM mesh dimensions (powers of two).
+    /// PPPM mesh dimensions (2·3·5-smooth).
     pub grid: [usize; 3],
     /// Ewald reciprocal-space cutoff in integer k per dimension.
     pub kmax: [usize; 3],

@@ -31,7 +31,8 @@ pub struct Ewald {
     estimated_error: f64,
     qsqsum: f64,
     qsum: f64,
-    volume: f64,
+    /// The box lengths `kvectors` were built for.
+    built_for: V3,
     /// Coulomb conversion constant of the simulation's unit system
     /// (see [`Ewald::set_qqr2e`]); defaults to 1 (reduced units).
     qqr2e_effective: f64,
@@ -59,7 +60,7 @@ impl Ewald {
             estimated_error: 0.0,
             qsqsum: 0.0,
             qsum: 0.0,
-            volume: 0.0,
+            built_for: Vec3::zero(),
             qqr2e_effective: 1.0,
         }
     }
@@ -79,6 +80,44 @@ impl Ewald {
     /// Number of reciprocal vectors in the half-space sum.
     pub fn kvector_count(&self) -> usize {
         self.kvectors.len()
+    }
+
+    /// Enumerates the half-space k vectors for box lengths `l`, holding
+    /// `kmax` and `g_ewald` fixed (what a barostat's dilation needs, as
+    /// LAMMPS's `FixNH::remap` → `kspace->setup()` does).
+    fn build_kvectors(&mut self, l: V3) {
+        // (kz > 0) ∪ (kz = 0, ky > 0) ∪ (kz = ky = 0, kx > 0).
+        let two_pi = 2.0 * std::f64::consts::PI;
+        let g2inv4 = 1.0 / (4.0 * self.g_ewald * self.g_ewald);
+        self.kvectors.clear();
+        let (mx, my, mz) = (
+            self.kmax[0] as i64,
+            self.kmax[1] as i64,
+            self.kmax[2] as i64,
+        );
+        for nz in 0..=mz {
+            for ny in -my..=my {
+                for nx in -mx..=mx {
+                    let half_space =
+                        nz > 0 || (nz == 0 && ny > 0) || (nz == 0 && ny == 0 && nx > 0);
+                    if !half_space {
+                        continue;
+                    }
+                    let k = Vec3::new(
+                        two_pi * nx as f64 / l.x,
+                        two_pi * ny as f64 / l.y,
+                        two_pi * nz as f64 / l.z,
+                    );
+                    let k2 = k.norm2();
+                    let coeff = (-k2 * g2inv4).exp() / k2;
+                    // Skip vectors whose contribution is negligible.
+                    if coeff > 1e-14 {
+                        self.kvectors.push(KVector { k, coeff });
+                    }
+                }
+            }
+        }
+        self.built_for = l;
     }
 }
 
@@ -110,44 +149,14 @@ impl KspaceStyle for Ewald {
         self.estimated_error = acc.error_kspace.max(acc.error_real);
         self.qsqsum = qsqsum;
         self.qsum = q.iter().sum();
-        self.volume = bx.volume();
-
-        // Enumerate the half-space: (kz > 0) ∪ (kz = 0, ky > 0) ∪
-        // (kz = ky = 0, kx > 0).
-        let two_pi = 2.0 * std::f64::consts::PI;
-        let g2inv4 = 1.0 / (4.0 * self.g_ewald * self.g_ewald);
-        self.kvectors.clear();
-        let (mx, my, mz) = (
-            self.kmax[0] as i64,
-            self.kmax[1] as i64,
-            self.kmax[2] as i64,
-        );
-        for nz in 0..=mz {
-            for ny in -my..=my {
-                for nx in -mx..=mx {
-                    let half_space =
-                        nz > 0 || (nz == 0 && ny > 0) || (nz == 0 && ny == 0 && nx > 0);
-                    if !half_space {
-                        continue;
-                    }
-                    let k = Vec3::new(
-                        two_pi * nx as f64 / l.x,
-                        two_pi * ny as f64 / l.y,
-                        two_pi * nz as f64 / l.z,
-                    );
-                    let k2 = k.norm2();
-                    let coeff = (-k2 * g2inv4).exp() / k2;
-                    // Skip vectors whose contribution is negligible.
-                    if coeff > 1e-14 {
-                        self.kvectors.push(KVector { k, coeff });
-                    }
-                }
-            }
-        }
+        self.build_kvectors(l);
         Ok(())
     }
 
     fn compute(&mut self, bx: &SimBox, x: &[V3], q: &[f64], f: &mut [V3]) -> EnergyVirial {
+        if bx.lengths() != self.built_for {
+            self.build_kvectors(bx.lengths());
+        }
         let qqr2e = self.qqr2e_effective;
         let volume = bx.volume();
         let four_pi_over_v = 4.0 * std::f64::consts::PI / volume;

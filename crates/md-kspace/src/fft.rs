@@ -1,8 +1,12 @@
-//! Iterative radix-2 Cooley-Tukey FFT, 1D and 3D.
+//! Mixed-radix Cooley-Tukey FFT, 1D and 3D.
 //!
-//! LAMMPS delegates its PPPM transforms to FFTW/MKL; here the transform is
-//! implemented from scratch (power-of-two sizes), which is all PPPM needs
-//! since the mesh sizing rounds up to powers of two.
+//! LAMMPS delegates its PPPM transforms to FFTW/MKL/KISS FFT; here the
+//! transform is implemented from scratch for every length whose only prime
+//! factors are 2, 3 and 5 — the meshes [`crate::KspaceAccuracy::resolve`]
+//! sizes. A [`Plan`] splits its length into radix-4/2/3/5 stages once,
+//! tabulating the digit-reversal permutation and every stage's twiddles, so
+//! a transform is a permuted gather followed by decimation-in-time
+//! butterflies and nothing else.
 
 use crate::complex::Complex;
 use md_core::threads::fork_join;
@@ -18,62 +22,22 @@ pub enum Direction {
     Inverse,
 }
 
-/// In-place 1D radix-2 FFT.
+/// In-place 1D FFT of any 2·3·5-smooth length.
+///
+/// Builds a [`Plan`] per call; [`Fft3d`] keeps its plans instead.
 ///
 /// # Errors
 ///
-/// Returns [`CoreError::InvalidParameter`] if the length is not a power of
-/// two.
+/// Returns [`CoreError::InvalidParameter`] if the length is zero or has a
+/// prime factor other than 2, 3 and 5.
 pub fn fft1d(data: &mut [Complex], dir: Direction) -> Result<()> {
     let n = data.len();
-    if n == 0 || n & (n - 1) != 0 {
-        return Err(CoreError::InvalidParameter {
-            name: "fft length",
-            reason: format!("length {n} is not a power of two"),
-        });
-    }
-    // Bit-reversal permutation.
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-    // Butterflies.
-    let sign = match dir {
-        Direction::Forward => -1.0,
-        Direction::Inverse => 1.0,
-    };
-    let mut len = 2;
-    while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::cis(ang);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let u = data[i + k];
-                let v = data[i + k + len / 2] * w;
-                data[i + k] = u + v;
-                data[i + k + len / 2] = u - v;
-                w *= wlen;
-            }
-            i += len;
-        }
-        len <<= 1;
-    }
-    if dir == Direction::Inverse {
-        let inv = 1.0 / n as f64;
-        for z in data.iter_mut() {
-            *z = z.scale(inv);
-        }
-    }
+    let plan = Plan::new(n).ok_or_else(|| CoreError::InvalidParameter {
+        name: "fft length",
+        reason: format!("length {n} is not a product of 2, 3 and 5"),
+    })?;
+    let input = data.to_vec();
+    plan.transform(data, dir, |i| input[i]);
     Ok(())
 }
 
@@ -98,6 +62,181 @@ pub fn dft_reference(data: &[Complex], dir: Direction) -> Vec<Complex> {
     out
 }
 
+/// The transform of one length: its stages and their tables.
+#[derive(Debug, Clone)]
+struct Plan {
+    /// `perm[p]` is the input index that sits at position `p` before the
+    /// first stage (the mixed-radix digit reversal of `p`).
+    perm: Vec<usize>,
+    stages: Vec<Stage>,
+}
+
+/// One butterfly stage: combines `radix` transforms of length `span` into
+/// transforms of length `span · radix`.
+#[derive(Debug, Clone)]
+struct Stage {
+    radix: usize,
+    span: usize,
+    /// Forward twiddles `e^{-2πi j k / (span · radix)}`, `radix - 1` of them
+    /// (k = 1..radix) for each `j < span`; the inverse uses their conjugates.
+    twiddles: Vec<Complex>,
+}
+
+impl Plan {
+    /// Factors `n` into stages (as many radix-4 as fit, then 2, 3, 5).
+    /// `None` unless `n` is a non-zero product of 2, 3 and 5.
+    fn new(n: usize) -> Option<Plan> {
+        if n == 0 {
+            return None;
+        }
+        let mut radices = Vec::new();
+        let mut rest = n;
+        for r in [4usize, 2, 3, 5] {
+            while rest.is_multiple_of(r) {
+                radices.push(r);
+                rest /= r;
+            }
+        }
+        if rest != 1 {
+            return None;
+        }
+        // Decimation in time: the stage applied last splits the input by
+        // index mod its radix, the one before it by the next digit, and so
+        // on, so each stage added on top interleaves the permutation so far.
+        let mut perm = vec![0usize];
+        let mut stages = Vec::with_capacity(radices.len());
+        for radix in radices {
+            let span = perm.len();
+            perm = (0..radix)
+                .flat_map(|k| perm.iter().map(move |&p| radix * p + k))
+                .collect();
+            let step = -2.0 * std::f64::consts::PI / (span * radix) as f64;
+            let twiddles = (0..span)
+                .flat_map(|j| (1..radix).map(move |k| Complex::cis(step * (j * k) as f64)))
+                .collect();
+            stages.push(Stage {
+                radix,
+                span,
+                twiddles,
+            });
+        }
+        Some(Plan { perm, stages })
+    }
+
+    /// Transforms the line whose element `i` is `get(i)` into `out` (length
+    /// `n`, natural order).
+    #[inline]
+    fn transform(&self, out: &mut [Complex], dir: Direction, get: impl Fn(usize) -> Complex) {
+        for (o, &p) in out.iter_mut().zip(&self.perm) {
+            *o = get(p);
+        }
+        let fwd = dir == Direction::Forward;
+        for st in &self.stages {
+            let m = st.span;
+            let tw = |i: usize| {
+                if fwd {
+                    st.twiddles[i]
+                } else {
+                    st.twiddles[i].conj()
+                }
+            };
+            let blocks = out.chunks_exact_mut(m * st.radix);
+            match st.radix {
+                2 => {
+                    for block in blocks {
+                        let (a, b) = block.split_at_mut(m);
+                        for j in 0..m {
+                            let u = a[j];
+                            let v = b[j] * tw(j);
+                            a[j] = u + v;
+                            b[j] = u - v;
+                        }
+                    }
+                }
+                3 => {
+                    for block in blocks {
+                        for j in 0..m {
+                            let a0 = block[j];
+                            let a1 = block[j + m] * tw(2 * j);
+                            let a2 = block[j + 2 * m] * tw(2 * j + 1);
+                            let sum = a1 + a2;
+                            let mid = a0 - sum.scale(0.5);
+                            let rot = rotate(a1 - a2, fwd).scale(SIN_60);
+                            block[j] = a0 + sum;
+                            block[j + m] = mid + rot;
+                            block[j + 2 * m] = mid - rot;
+                        }
+                    }
+                }
+                4 => {
+                    for block in blocks {
+                        for j in 0..m {
+                            let a0 = block[j];
+                            let a1 = block[j + m] * tw(3 * j);
+                            let a2 = block[j + 2 * m] * tw(3 * j + 1);
+                            let a3 = block[j + 3 * m] * tw(3 * j + 2);
+                            let (t0, t1) = (a0 + a2, a0 - a2);
+                            let (t2, t3) = (a1 + a3, rotate(a1 - a3, fwd));
+                            block[j] = t0 + t2;
+                            block[j + m] = t1 + t3;
+                            block[j + 2 * m] = t0 - t2;
+                            block[j + 3 * m] = t1 - t3;
+                        }
+                    }
+                }
+                _ => {
+                    let [(c1, s1), (c2, s2)] = FIFTHS;
+                    for block in blocks {
+                        for j in 0..m {
+                            let a0 = block[j];
+                            let a1 = block[j + m] * tw(4 * j);
+                            let a2 = block[j + 2 * m] * tw(4 * j + 1);
+                            let a3 = block[j + 3 * m] * tw(4 * j + 2);
+                            let a4 = block[j + 4 * m] * tw(4 * j + 3);
+                            let (s14, d14) = (a1 + a4, a1 - a4);
+                            let (s23, d23) = (a2 + a3, a2 - a3);
+                            let e1 = a0 + s14.scale(c1) + s23.scale(c2);
+                            let e2 = a0 + s14.scale(c2) + s23.scale(c1);
+                            let o1 = rotate(d14.scale(s1) + d23.scale(s2), fwd);
+                            let o2 = rotate(d14.scale(s2) - d23.scale(s1), fwd);
+                            block[j] = a0 + s14 + s23;
+                            block[j + m] = e1 + o1;
+                            block[j + 2 * m] = e2 + o2;
+                            block[j + 3 * m] = e2 - o2;
+                            block[j + 4 * m] = e1 - o1;
+                        }
+                    }
+                }
+            }
+        }
+        if !fwd {
+            let inv = 1.0 / out.len() as f64;
+            for z in out.iter_mut() {
+                *z = z.scale(inv);
+            }
+        }
+    }
+}
+
+/// `sin(2π/6)`, the imaginary part of the radix-3 butterfly's root.
+const SIN_60: f64 = 0.866_025_403_784_438_6;
+
+/// `(cos, sin)` of `2π/5` and `4π/5`, the radix-5 butterfly's roots.
+const FIFTHS: [(f64, f64); 2] = [
+    (0.309_016_994_374_947_45, 0.951_056_516_295_153_5),
+    (-0.809_016_994_374_947_5, 0.587_785_252_292_473_1),
+];
+
+/// `z · e^{∓iπ/2}`: `-i·z` forward, `+i·z` inverse.
+#[inline(always)]
+fn rotate(z: Complex, fwd: bool) -> Complex {
+    if fwd {
+        Complex::new(z.im, -z.re)
+    } else {
+        Complex::new(-z.im, z.re)
+    }
+}
+
 /// A 3D FFT over an `nx × ny × nz` mesh stored row-major (`x` fastest).
 ///
 /// The transform can batch its 1D lines across threads (see
@@ -111,9 +250,11 @@ pub struct Fft3d {
     nx: usize,
     ny: usize,
     nz: usize,
+    /// One plan per axis (x, y, z).
+    plans: [Plan; 3],
     threads: Threads,
-    /// One strided-line buffer per worker, `max(ny, nz)` long: the y lines of
-    /// the x/y pass and the z lines of the serial z pass go through it.
+    /// One line buffer per worker, `max(nx, ny, nz)` long: every line of the
+    /// x/y pass and of the serial z pass is gathered into it.
     lines: Vec<Vec<Complex>>,
     /// The threaded z pass's private stripe buffers, one per worker; empty
     /// on one thread.
@@ -127,20 +268,21 @@ impl Fft3d {
     ///
     /// # Errors
     ///
-    /// Returns an error unless every dimension is a power of two.
+    /// Returns an error unless every dimension is a non-zero product of 2, 3
+    /// and 5.
     pub fn new(nx: usize, ny: usize, nz: usize) -> Result<Self> {
-        for (name, n) in [("nx", nx), ("ny", ny), ("nz", nz)] {
-            if n == 0 || n & (n - 1) != 0 {
-                return Err(CoreError::InvalidParameter {
-                    name: "fft mesh",
-                    reason: format!("{name} = {n} is not a power of two"),
-                });
-            }
-        }
+        let plan = |name: &str, n: usize| {
+            Plan::new(n).ok_or_else(|| CoreError::InvalidParameter {
+                name: "fft mesh",
+                reason: format!("{name} = {n} is not a product of 2, 3 and 5"),
+            })
+        };
+        let plans = [plan("nx", nx)?, plan("ny", ny)?, plan("nz", nz)?];
         let mut fft = Fft3d {
             nx,
             ny,
             nz,
+            plans,
             threads: Threads::serial(),
             lines: Vec::new(),
             stripes: Vec::new(),
@@ -156,7 +298,7 @@ impl Fft3d {
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = Threads::fast(threads);
         let t = self.threads.count;
-        self.lines = vec![vec![Complex::ZERO; self.ny.max(self.nz)]; t];
+        self.lines = vec![vec![Complex::ZERO; self.nx.max(self.ny).max(self.nz)]; t];
         let stripe = self.threads.stripe(self.nx * self.ny) * self.nz;
         self.stripes = vec![vec![Complex::ZERO; stripe]; if t == 1 { 0 } else { t }];
     }
@@ -186,16 +328,7 @@ impl Fft3d {
         self.len() == 0
     }
 
-    /// Flattened index of `(ix, iy, iz)`.
-    #[inline(always)]
-    pub fn index(&self, ix: usize, iy: usize, iz: usize) -> usize {
-        (iz * self.ny + iy) * self.nx + ix
-    }
-
     /// Transforms `data` (length `nx·ny·nz`) in place.
-    ///
-    /// The mesh dimensions are powers of two by construction, so once `data`
-    /// has been length-checked the inner `fft1d` calls cannot fail.
     ///
     /// # Errors
     ///
@@ -209,24 +342,24 @@ impl Fft3d {
             });
         }
         let (nx, ny, nz) = (self.nx, self.ny, self.nz);
+        let [px, py, pz] = &self.plans;
         let plane = nx * ny;
         // X and Y passes are plane-local: each part owns a contiguous slab
-        // of z planes and a private buffer for the strided y lines.
+        // of z planes and a private line buffer.
         let slabs = data.chunks_mut(plane * self.threads.stripe(nz));
         let parts = slabs.zip(&mut self.lines);
         fork_join(parts, &self.recorder, "fft_xy", |_, (slab, line)| {
             for zplane in slab.chunks_mut(plane) {
-                for iy in 0..ny {
-                    let base = iy * nx;
-                    fft1d(&mut zplane[base..base + nx], dir).expect("x line is a power of two");
+                for row in zplane.chunks_exact_mut(nx) {
+                    let line = &mut line[..nx];
+                    px.transform(line, dir, |i| row[i]);
+                    row.copy_from_slice(line);
                 }
+                let line = &mut line[..ny];
                 for ix in 0..nx {
-                    for iy in 0..ny {
-                        line[iy] = zplane[iy * nx + ix];
-                    }
-                    fft1d(&mut line[..ny], dir).expect("y line is a power of two");
-                    for iy in 0..ny {
-                        zplane[iy * nx + ix] = line[iy];
+                    py.transform(line, dir, |i| zplane[i * nx + ix]);
+                    for (iy, v) in line.iter().enumerate() {
+                        zplane[iy * nx + ix] = *v;
                     }
                 }
             }
@@ -241,10 +374,7 @@ impl Fft3d {
         if self.threads.count == 1 {
             let line = &mut self.lines[0][..nz];
             for l in 0..plane {
-                for (iz, v) in line.iter_mut().enumerate() {
-                    *v = data[iz * plane + l];
-                }
-                fft1d(line, dir).expect("z line is a power of two");
+                pz.transform(line, dir, |iz| data[iz * plane + l]);
                 for (iz, v) in line.iter().enumerate() {
                     data[iz * plane + l] = *v;
                 }
@@ -257,10 +387,7 @@ impl Fft3d {
         fork_join(parts, &self.recorder, "fft_z", |_, (lo, buf)| {
             for li in 0..lines_per.min(plane - lo) {
                 let line = &mut buf[li * nz..(li + 1) * nz];
-                for (iz, v) in line.iter_mut().enumerate() {
-                    *v = mesh[iz * plane + lo + li];
-                }
-                fft1d(line, dir).expect("z line is a power of two");
+                pz.transform(line, dir, |iz| mesh[iz * plane + lo + li]);
             }
         });
         for (lo, buf) in (0..plane).step_by(lines_per).zip(&self.stripes) {
@@ -272,15 +399,6 @@ impl Fft3d {
         }
         Ok(())
     }
-}
-
-/// Rounds `n` up to the next power of two (min 2).
-pub fn next_pow2(n: usize) -> usize {
-    let mut p = 2;
-    while p < n {
-        p <<= 1;
-    }
-    p
 }
 
 #[cfg(test)]
@@ -296,50 +414,76 @@ mod tests {
             .collect()
     }
 
+    /// Every 2^a·3^b·5^c length up to 180.
+    fn smooth_lengths() -> Vec<usize> {
+        (1..=180)
+            .filter(|&n| {
+                let mut k = n;
+                for p in [2, 3, 5] {
+                    while k % p == 0 {
+                        k /= p;
+                    }
+                }
+                k == 1
+            })
+            .collect()
+    }
+
     #[test]
     fn fft_matches_reference_dft() {
-        for n in [2usize, 4, 8, 32, 128] {
+        let lengths = smooth_lengths();
+        assert_eq!(lengths.len(), 44);
+        for n in lengths {
             let x = random_signal(n, n as u64);
-            let mut got = x.clone();
-            fft1d(&mut got, Direction::Forward).unwrap();
-            let want = dft_reference(&x, Direction::Forward);
-            for (g, w) in got.iter().zip(&want) {
-                assert!((*g - *w).norm() < 1e-9 * n as f64, "n = {n}");
+            for dir in [Direction::Forward, Direction::Inverse] {
+                let mut got = x.clone();
+                fft1d(&mut got, dir).unwrap();
+                let want = dft_reference(&x, dir);
+                for (g, w) in got.iter().zip(&want) {
+                    assert!((*g - *w).norm() < 1e-12 * n as f64, "n = {n}, {dir:?}");
+                }
             }
         }
     }
 
     #[test]
     fn forward_then_inverse_is_identity() {
-        let x = random_signal(256, 9);
-        let mut y = x.clone();
-        fft1d(&mut y, Direction::Forward).unwrap();
-        fft1d(&mut y, Direction::Inverse).unwrap();
-        for (a, b) in x.iter().zip(&y) {
-            assert!((*a - *b).norm() < 1e-12);
+        for n in smooth_lengths() {
+            let x = random_signal(n, 9 + n as u64);
+            let mut y = x.clone();
+            fft1d(&mut y, Direction::Forward).unwrap();
+            fft1d(&mut y, Direction::Inverse).unwrap();
+            for (a, b) in x.iter().zip(&y) {
+                assert!((*a - *b).norm() < 1e-13, "n = {n}");
+            }
         }
     }
 
     #[test]
     fn parseval_theorem() {
-        let x = random_signal(128, 3);
-        let mut y = x.clone();
-        fft1d(&mut y, Direction::Forward).unwrap();
-        let e_time: f64 = x.iter().map(|z| z.norm2()).sum();
-        let e_freq: f64 = y.iter().map(|z| z.norm2()).sum::<f64>() / 128.0;
-        assert!((e_time - e_freq).abs() < 1e-10);
+        for n in [128usize, 135, 150] {
+            let x = random_signal(n, 3);
+            let mut y = x.clone();
+            fft1d(&mut y, Direction::Forward).unwrap();
+            let e_time: f64 = x.iter().map(|z| z.norm2()).sum();
+            let e_freq: f64 = y.iter().map(|z| z.norm2()).sum::<f64>() / n as f64;
+            assert!((e_time - e_freq).abs() < 1e-10, "n = {n}");
+        }
     }
 
     #[test]
-    fn rejects_non_power_of_two() {
-        let mut x = random_signal(12, 1);
-        assert!(fft1d(&mut x, Direction::Forward).is_err());
-        assert!(Fft3d::new(8, 12, 8).is_err());
+    fn rejects_lengths_with_other_prime_factors() {
+        for n in [0usize, 7, 11, 14] {
+            let mut x = random_signal(n, 1);
+            assert!(fft1d(&mut x, Direction::Forward).is_err(), "n = {n}");
+            assert!(Fft3d::new(8, n, 8).is_err(), "ny = {n}");
+        }
+        assert!(Fft3d::new(20, 24, 45).is_ok());
     }
 
     #[test]
     fn fft3d_roundtrip_and_delta() {
-        let mut fft = Fft3d::new(8, 4, 16).unwrap();
+        let mut fft = Fft3d::new(8, 6, 15).unwrap();
         let mut data = vec![Complex::ZERO; fft.len()];
         // A delta function transforms to all-ones.
         data[0] = Complex::ONE;
@@ -352,21 +496,24 @@ mod tests {
 
     #[test]
     fn fft3d_plane_wave_is_a_delta_in_k() {
-        let mut fft = Fft3d::new(8, 8, 8).unwrap();
+        let (nx, ny, nz) = (10usize, 12usize, 9usize);
+        let mut fft = Fft3d::new(nx, ny, nz).unwrap();
         let mut data = vec![Complex::ZERO; fft.len()];
         let (kx, ky, kz) = (3usize, 1usize, 5usize);
-        for iz in 0..8 {
-            for iy in 0..8 {
-                for ix in 0..8 {
-                    let phase =
-                        2.0 * std::f64::consts::PI * (kx * ix + ky * iy + kz * iz) as f64 / 8.0;
-                    data[fft.index(ix, iy, iz)] = Complex::cis(phase);
+        let index = |ix: usize, iy: usize, iz: usize| (iz * ny + iy) * nx + ix;
+        for iz in 0..nz {
+            for iy in 0..ny {
+                for ix in 0..nx {
+                    let turns = (kx * ix) as f64 / nx as f64
+                        + (ky * iy) as f64 / ny as f64
+                        + (kz * iz) as f64 / nz as f64;
+                    data[index(ix, iy, iz)] = Complex::cis(2.0 * std::f64::consts::PI * turns);
                 }
             }
         }
         fft.transform(&mut data, Direction::Forward).unwrap();
-        let peak = fft.index(kx, ky, kz);
-        assert!((data[peak].re - 512.0).abs() < 1e-9);
+        let peak = index(kx, ky, kz);
+        assert!((data[peak].re - fft.len() as f64).abs() < 1e-9);
         for (i, z) in data.iter().enumerate() {
             if i != peak {
                 assert!(z.norm() < 1e-9, "leakage at {i}");
@@ -376,29 +523,28 @@ mod tests {
 
     #[test]
     fn threaded_transform_is_bitwise_identical_to_serial() {
-        for (nx, ny, nz) in [(8usize, 4usize, 16usize), (4, 4, 4), (2, 2, 2)] {
+        for (nx, ny, nz) in [
+            (20usize, 24usize, 45usize),
+            (45, 45, 45),
+            (8, 4, 16),
+            (2, 2, 2),
+        ] {
             let mut fft = Fft3d::new(nx, ny, nz).unwrap();
             let input = random_signal(fft.len(), (nx * ny * nz) as u64);
-            let mut serial = input.clone();
-            fft.transform(&mut serial, Direction::Forward).unwrap();
-            for t in [2usize, 3, 5, 8] {
-                fft.set_threads(t);
-                let mut threaded = input.clone();
-                fft.transform(&mut threaded, Direction::Forward).unwrap();
-                for (a, b) in serial.iter().zip(&threaded) {
-                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "t = {t}");
-                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "t = {t}");
+            for dir in [Direction::Forward, Direction::Inverse] {
+                fft.set_threads(1);
+                let mut serial = input.clone();
+                fft.transform(&mut serial, dir).unwrap();
+                for t in [2usize, 3, 5, 8] {
+                    fft.set_threads(t);
+                    let mut threaded = input.clone();
+                    fft.transform(&mut threaded, dir).unwrap();
+                    for (a, b) in serial.iter().zip(&threaded) {
+                        assert_eq!(a.re.to_bits(), b.re.to_bits(), "t = {t}");
+                        assert_eq!(a.im.to_bits(), b.im.to_bits(), "t = {t}");
+                    }
                 }
             }
-            fft.set_threads(1);
         }
-    }
-
-    #[test]
-    fn next_pow2_rounds_up() {
-        assert_eq!(next_pow2(1), 2);
-        assert_eq!(next_pow2(8), 8);
-        assert_eq!(next_pow2(9), 16);
-        assert_eq!(next_pow2(100), 128);
     }
 }
