@@ -4,17 +4,26 @@
 //!
 //! * [`KernelPath::Scalar`] — the original branchy AoS loop and the
 //!   reference the lanes path is tested against.
-//! * [`KernelPath::Lanes`] — lane-blocked loops over flattened `x/y/z/type`
-//!   scratch arrays ([`LaneGather`]/[`LaneAccum`]) driven by the padded
-//!   neighbor rows of [`crate::NeighborList`]. Each block is a fixed-size
-//!   `[f64; LANES]` array the compiler autovectorizes on stable Rust; the
-//!   cutoff test becomes arithmetic masking ([`lane_mask`]) instead of a
-//!   branch, and padded slots point at a far-away ghost atom so full blocks
-//!   never bounds-check or branch.
+//! * [`KernelPath::Lanes`] — lane-blocked loops over the padded neighbor
+//!   rows of [`crate::NeighborList`] (LJ and the two EAM passes; EAM reads
+//!   flattened `x/y/z` scratch, [`LaneGather`]/[`LaneAccum`]). Each block is
+//!   a fixed-size `[f64; LANES]` array the compiler autovectorizes on stable
+//!   Rust; the cutoff test becomes arithmetic masking ([`lane_mask`])
+//!   instead of a branch, and padded slots point at a far-away ghost atom so
+//!   full blocks never bounds-check or branch.
 //!
-//! The two paths perform the same floating-point operations in the same
-//! order per pair (masked lanes contribute exact zeros), so they agree to
-//! tight tolerance; the engine still treats `Scalar` as the reference.
+//! A lane body is compiled once per vector ISA and picked at run time:
+//! [`lane_dispatch!`](crate::lane_dispatch) stamps out an AVX-512F and an
+//! AVX2 copy beside the baseline one, and [`lane_isa`] names the widest the
+//! host has ([`LaneIsa`], detected once). The copies do the same IEEE
+//! operations in the same order — Rust never contracts a multiply and an
+//! add into an FMA, and the lane sums are fixed by `[f64; LANES]`, not by
+//! the register width — so every copy gives the same bits.
+//!
+//! The two paths perform the same floating-point operations per pair
+//! (masked lanes contribute exact zeros) but sum them in lane-strided order,
+//! so they agree to tight tolerance; the engine still treats `Scalar` as the
+//! reference.
 
 use crate::simbox::SimBox;
 use crate::vec3::Vec3;
@@ -25,8 +34,9 @@ type V3 = Vec3<f64>;
 
 /// Lane width of the blocked kernels. Neighbor rows are padded to a
 /// multiple of this; accumulator blocks are `[f64; LANES]`. Eight f64 lanes
-/// span two AVX2 registers (or four NEON registers), which is the sweet
-/// spot LLVM unrolls cleanly on both.
+/// are one AVX-512 register, two AVX2 registers or four SSE2/NEON ones, so
+/// every [`LaneIsa`] copy of a body runs whole registers. The width fixes
+/// the summation order, so it does not follow the ISA.
 pub const LANES: usize = 8;
 
 /// Which inner-loop implementation the pair styles run.
@@ -84,8 +94,10 @@ impl FromStr for KernelPath {
 }
 
 /// The widest vector ISA this build was compiled for (`cfg!`, so a fact of
-/// the binary, not of the host): what the compiler could aim the lane blocks
-/// at. Banners print it so a lanes-vs-scalar ratio reads next to its build.
+/// the binary, not of the host): what the compiler aims the code outside the
+/// lane bodies at. [`lane_isa`] is the other half, a fact of the host: what
+/// the lane bodies run at. Banners print both, so a lanes-vs-scalar ratio
+/// reads next to its build and its host.
 pub fn target_features() -> &'static str {
     if cfg!(target_feature = "avx512f") {
         "avx512f"
@@ -100,6 +112,117 @@ pub fn target_features() -> &'static str {
     } else {
         "none"
     }
+}
+
+/// A vector ISA a lane body can run at: the copies
+/// [`lane_dispatch!`](crate::lane_dispatch) compiles.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LaneIsa {
+    /// 512-bit registers (x86-64 with AVX-512F).
+    Avx512f,
+    /// 256-bit registers (x86-64 with AVX2).
+    Avx2,
+    /// Whatever the build targets ([`target_features`]); every host has it.
+    Baseline,
+}
+
+impl LaneIsa {
+    /// Every ISA, widest first.
+    pub const ALL: [LaneIsa; 3] = [LaneIsa::Avx512f, LaneIsa::Avx2, LaneIsa::Baseline];
+
+    /// Whether this host can run the copy compiled for `self`.
+    pub fn is_available(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            LaneIsa::Avx512f => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            LaneIsa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            LaneIsa::Baseline => true,
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
+        }
+    }
+}
+
+impl fmt::Display for LaneIsa {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            LaneIsa::Avx512f => "avx512f",
+            LaneIsa::Avx2 => "avx2",
+            LaneIsa::Baseline => "baseline",
+        })
+    }
+}
+
+/// The widest [`LaneIsa`] this host has, detected on the first call: what
+/// the lane bodies run at (a fact of the host, where [`target_features`] is
+/// one of the binary).
+pub fn lane_isa() -> LaneIsa {
+    static ISA: std::sync::OnceLock<LaneIsa> = std::sync::OnceLock::new();
+    *ISA.get_or_init(|| {
+        LaneIsa::ALL
+            .into_iter()
+            .find(|isa| isa.is_available())
+            .unwrap_or(LaneIsa::Baseline)
+    })
+}
+
+/// Defines `fn $name(isa: LaneIsa, args…) -> R` that runs `body` compiled
+/// for `isa`: an `#[inline(always)]` copy of the body inside an
+/// `#[target_feature(enable = "avx512f")]` wrapper, one inside an
+/// `avx2` wrapper, and the baseline copy. An ISA the host lacks runs the
+/// baseline copy, as does every ISA on a non-x86-64 build. The body should
+/// call `#[inline(always)]` lane bodies, so each wrapper compiles them at
+/// its own width. Pass [`lane_isa()`](crate::kernel::lane_isa) as `isa`;
+/// tests pass each of [`LaneIsa::ALL`](crate::kernel::LaneIsa::ALL).
+///
+/// ```
+/// md_core::lane_dispatch! {
+///     /// Sums `xs` at the host's width.
+///     fn sum(xs: &[f64]) -> f64 {
+///         xs.iter().sum()
+///     }
+/// }
+/// let xs = [1.0, 2.0, 3.5];
+/// for isa in md_core::kernel::LaneIsa::ALL {
+///     assert_eq!(sum(isa, &xs), 6.5);
+/// }
+/// ```
+#[macro_export]
+macro_rules! lane_dispatch {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty $body:block
+    ) => {
+        $(#[$attr])*
+        $vis fn $name(isa: $crate::kernel::LaneIsa, $($arg: $ty),*) -> $ret {
+            #[inline(always)]
+            fn body($($arg: $ty),*) -> $ret $body
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            fn avx512f($($arg: $ty),*) -> $ret {
+                body($($arg),*)
+            }
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn avx2($($arg: $ty),*) -> $ret {
+                body($($arg),*)
+            }
+            match isa {
+                #[cfg(target_arch = "x86_64")]
+                $crate::kernel::LaneIsa::Avx512f if ::std::arch::is_x86_feature_detected!("avx512f") => {
+                    // SAFETY: the guard just detected avx512f on this host.
+                    unsafe { avx512f($($arg),*) }
+                }
+                #[cfg(target_arch = "x86_64")]
+                $crate::kernel::LaneIsa::Avx2 if ::std::arch::is_x86_feature_detected!("avx2") => {
+                    // SAFETY: the guard just detected avx2 on this host.
+                    unsafe { avx2($($arg),*) }
+                }
+                _ => body($($arg),*),
+            }
+        }
+    };
 }
 
 /// Mask as arithmetic: `1.0` when the lane is live, `0.0` when masked.
@@ -140,50 +263,35 @@ pub fn ghost_position(bx: &SimBox) -> V3 {
 }
 
 /// Read-side scratch for the lane kernels: positions split into flattened
-/// `x/y/z` arrays plus types and charges, each `n + 1` long with the ghost
-/// atom in the final slot. Gathers through padded neighbor rows then index
-/// freely without bounds branches.
+/// `x/y/z` arrays, each `n + 1` long with the ghost atom in the final slot.
+/// Gathers through padded neighbor rows then index freely without bounds
+/// branches.
 #[derive(Debug, Default, Clone)]
 pub struct LaneGather {
     pub xs: Vec<f64>,
     pub ys: Vec<f64>,
     pub zs: Vec<f64>,
-    pub ts: Vec<u32>,
-    pub qs: Vec<f64>,
 }
 
 impl LaneGather {
     /// Scatter `n` atoms into the split arrays and place the ghost atom at
     /// index `n`. Reuses capacity across calls; zero steady-state allocation.
-    pub fn load(&mut self, x: &[V3], kinds: &[u32], charges: &[f64], ghost: V3) {
+    pub fn load(&mut self, x: &[V3], ghost: V3) {
         let n = x.len();
-        debug_assert_eq!(kinds.len(), n);
         self.xs.clear();
         self.ys.clear();
         self.zs.clear();
-        self.ts.clear();
-        self.qs.clear();
         self.xs.reserve(n + 1);
         self.ys.reserve(n + 1);
         self.zs.reserve(n + 1);
-        self.ts.reserve(n + 1);
-        self.qs.reserve(n + 1);
         for p in x {
             self.xs.push(p.x);
             self.ys.push(p.y);
             self.zs.push(p.z);
         }
-        self.ts.extend_from_slice(kinds);
-        if charges.len() == n {
-            self.qs.extend_from_slice(charges);
-        } else {
-            self.qs.resize(n, 0.0);
-        }
         self.xs.push(ghost.x);
         self.ys.push(ghost.y);
         self.zs.push(ghost.z);
-        self.ts.push(0);
-        self.qs.push(0.0);
     }
 }
 
@@ -252,6 +360,17 @@ mod tests {
     }
 
     #[test]
+    fn lane_isa_is_the_widest_the_host_has() {
+        let isa = lane_isa();
+        assert!(isa.is_available(), "{isa}");
+        assert!(LaneIsa::Baseline.is_available());
+        let wider = LaneIsa::ALL.iter().take_while(|&&i| i != isa);
+        assert!(wider.copied().all(|i| !i.is_available()), "{isa}");
+        let names: Vec<String> = LaneIsa::ALL.iter().map(|i| i.to_string()).collect();
+        assert_eq!(names, ["avx512f", "avx2", "baseline"]);
+    }
+
+    #[test]
     fn lane_mask_is_zero_or_one() {
         assert_eq!(lane_mask(true), 1.0);
         assert_eq!(lane_mask(false), 0.0);
@@ -276,14 +395,11 @@ mod tests {
     #[test]
     fn gather_places_ghost_in_final_slot() {
         let x = vec![Vec3::new(1.0, 2.0, 3.0), Vec3::new(4.0, 5.0, 6.0)];
-        let kinds = vec![0u32, 1u32];
-        let charges = vec![0.5, -0.5];
         let mut g = LaneGather::default();
-        g.load(&x, &kinds, &charges, Vec3::new(-1e6, -1e6, -1e6));
+        g.load(&x, Vec3::new(-1e6, -1e6, -1e6));
         assert_eq!(g.xs.len(), 3);
         assert_eq!(g.xs[2], -1e6);
-        assert_eq!(g.ts[2], 0);
-        assert_eq!(g.qs[1], -0.5);
+        assert_eq!(g.zs[1], 6.0);
 
         let mut acc = LaneAccum::default();
         acc.reset(2);
@@ -302,10 +418,9 @@ mod tests {
         s.push(Vec3::new(0.0, 0.0, 0.0), Vec3::zero(), 0);
         s.push_full(Vec3::new(1.0, 0.0, 0.0), Vec3::zero(), 0, -1.5, 0.0, 0);
         let mut g = LaneGather::default();
-        g.load(s.x(), s.kinds(), s.charges(), ghost_position(&bx));
+        g.load(s.x(), ghost_position(&bx));
         assert_eq!(g.xs.len(), 3);
         assert_eq!(g.xs[1], s.x()[1].x);
-        assert_eq!(g.qs[1], -1.5);
         assert!(g.xs[2] < bx.lo().x - 1e5);
     }
 }

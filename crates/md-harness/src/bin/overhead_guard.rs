@@ -123,11 +123,12 @@ fn measure() -> md_core::Result<Timings> {
     };
     let mut deck = build_deck_tuned(Benchmark::Lj, 1, 3, tuning)?;
     println!(
-        "overhead_guard: lj, {} atoms, {}, {} kernel, target features {}",
+        "overhead_guard: lj, {} atoms, {}, {} kernel, target features {}, lanes {}",
         deck.simulation.atoms().len(),
         deck.simulation.threads(),
         deck.simulation.kernel_path(),
-        md_core::kernel::target_features()
+        md_core::kernel::target_features(),
+        md_core::kernel::lane_isa()
     );
     deck.simulation.run(5)?;
     let off = Recorder::disabled();

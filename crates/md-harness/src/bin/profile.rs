@@ -100,10 +100,11 @@ fn main() {
     let mut table = TextTable::new(header);
 
     eprintln!(
-        "[profile] hot kernels on {}, {} kernel, target features {}",
+        "[profile] hot kernels on {}, {} kernel, target features {}, lanes {}",
         tuning.threads,
         tuning.kernel,
-        md_core::kernel::target_features()
+        md_core::kernel::target_features(),
+        md_core::kernel::lane_isa()
     );
     for bench in Benchmark::ALL {
         eprint!("[profile] {bench}: building ... ");

@@ -300,7 +300,7 @@ fn main() {
         || !args.faults.crashes().is_empty();
 
     println!(
-        "running {} at scale {} ({} atoms), {} steps, {}, {} kernel{}, target features {}",
+        "running {} at scale {} ({} atoms), {} steps, {}, {} kernel{}, target features {}, lanes {}",
         args.benchmark,
         args.scale,
         deck.simulation.atoms().len(),
@@ -312,7 +312,8 @@ fn main() {
         } else {
             String::new()
         },
-        md_core::kernel::target_features()
+        md_core::kernel::target_features(),
+        md_core::kernel::lane_isa()
     );
     let mut dump = args
         .dump

@@ -1,5 +1,5 @@
 //! A steady-state `Pppm::compute` must not allocate per atom or per mesh
-//! point. The per-atom B-spline bases and weights (144 B an atom), the
+//! point. The per-atom B-spline bases and weights (180 B an atom), the
 //! per-plane energy partials and the FFT's line and stripe buffers are
 //! fields of the solver and of its `Fft3d`, sized on the first call, so
 //! after a warm-up call a serial compute allocates nothing at all and a

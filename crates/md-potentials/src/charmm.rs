@@ -9,7 +9,7 @@
 //!
 //! ## The real-space Coulomb table
 //!
-//! Per pair the kernels need two factors of `r` alone, the energy factor
+//! Per pair the kernel needs two factors of `r` alone, the energy factor
 //! `E = erfc(g r)/r` and the force factor
 //! `F = [erfc(g r) + 2 g r/√π · e^{−g² r²}]/r³ = −(1/r) dE/dr`. Neither is
 //! evaluated per pair: [`LjCharmmCoulLong::set_g_ewald`] tabulates both once
@@ -39,7 +39,7 @@
 //!   differentiated from the `E` table, so force and energy agree to the
 //!   same bound (a central difference of the tabulated energy meets the
 //!   tabulated force within 1e-6).
-//! * **Below the inner radius** (`r² <` first knot) the kernels evaluate the
+//! * **Below the inner radius** (`r² <` first knot) the kernel evaluates the
 //!   analytic expression with `erfc` and `exp`. No bonded-excluded deck pair
 //!   gets there; a test gas with overlapping atoms does, and gets the exact
 //!   value instead of an extrapolated one.
@@ -52,12 +52,9 @@
 //! nothing would select it.
 
 use crate::mixing::MixingRule;
-use md_core::kernel::{
-    ghost_position, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LANES,
-};
 use md_core::math::erfc;
 use md_core::neighbor::NeighborList;
-use md_core::{CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, Vec3, V3};
+use md_core::{CoreError, EnergyVirial, PairStyle, PairSystem, Vec3, V3};
 use std::f64::consts::FRAC_2_SQRT_PI;
 use std::ops::Range;
 
@@ -82,7 +79,7 @@ struct Segment {
 #[derive(Debug, Clone)]
 struct CoulTable {
     g: f64,
-    /// Below this `r²` the kernels evaluate [`damped_coulomb`] instead.
+    /// Below this `r²` the kernel evaluates [`damped_coulomb`] instead.
     inner2: f64,
     /// `r².to_bits() >> KEY_SHIFT` of the first and the last segment.
     key_lo: u64,
@@ -123,8 +120,7 @@ impl CoulTable {
     /// `(erfc(g r)/r, [erfc(g r) + 2 g r/√π · e^{−g² r²}]/r³)` at `r²`, read
     /// from the table: a shift, a clamp, one cache line and six
     /// multiply-adds. Meaningful for `inner2 ≤ r² < cut_coul²`; outside it
-    /// the clamp keeps the result finite (lanes that are masked off, or
-    /// re-evaluated by the caller, still pass through here).
+    /// the clamp keeps the result finite.
     #[inline(always)]
     fn lookup(&self, r2: f64) -> (f64, f64) {
         let bits = r2.to_bits();
@@ -153,7 +149,7 @@ fn hermite(y0: f64, y1: f64, d0: f64, d1: f64) -> [f64; 4] {
 /// The damped Coulomb factors at `u = r²` from `erfc` and `exp` directly,
 /// with their slopes in `u`: `[E, F, dE/du, dF/du]`, `E = erfc(g r)/r` and
 /// `F = −(1/r) dE/dr`. The table is built from all four; below its inner
-/// radius the kernels take the first two.
+/// radius the kernel takes the first two.
 fn damped_coulomb(g: f64, u: f64) -> [f64; 4] {
     let r = u.sqrt();
     let e = erfc(g * r) / r;
@@ -179,9 +175,6 @@ pub struct LjCharmmCoulLong {
     /// The real-space Coulomb table for the current Ewald splitting
     /// parameter; `None` while that is 0 (plain truncated `q q / r`).
     table: Option<CoulTable>,
-    path: KernelPath,
-    gather: LaneGather,
-    accum: LaneAccum,
 }
 
 impl LjCharmmCoulLong {
@@ -267,9 +260,6 @@ impl LjCharmmCoulLong {
             switch_scale: (outer_lj * outer_lj - inner_lj * inner_lj).powi(-3),
             cut_coul,
             table: None,
-            path: KernelPath::default(),
-            gather: LaneGather::default(),
-            accum: LaneAccum::default(),
         })
     }
 
@@ -302,210 +292,11 @@ impl LjCharmmCoulLong {
         }
     }
 
-    /// Whether the lane kernel can serve the current configuration: the
-    /// lanes path is selected and the list carries padded rows of the right
-    /// width.
-    fn lanes_usable(&self, nl: &NeighborList) -> bool {
-        self.path.is_lanes() && nl.padding() != 0 && nl.padding().is_multiple_of(LANES)
-    }
-
-    /// Loads the lane kernel's position/type/charge gather when that kernel
-    /// will run. Once per compute call, while `self` is still exclusive: the
-    /// row-range kernels then share it read-only.
-    pub(crate) fn load_gather(&mut self, sys: &PairSystem<'_>, nl: &NeighborList) {
-        if self.lanes_usable(nl) {
-            self.gather
-                .load(sys.x, sys.kinds, sys.charge, ghost_position(sys.bx));
-        }
-    }
-
-    /// Evaluates atom rows `rows` of `nl` through the configured kernel,
-    /// accumulating into the **full-length** `f` (Newton's third law writes
-    /// to neighbors outside the rows); the lane kernel goes through `accum`.
-    /// Needs [`LjCharmmCoulLong::load_gather`] first. The serial `compute`
-    /// passes every row; [`crate::Threaded`] passes each chunk's rows with
-    /// private `accum` and `f`.
+    /// Evaluates atom rows `rows` of `nl`, accumulating into the
+    /// **full-length** `f` (Newton's third law writes to neighbors outside
+    /// the rows). The serial `compute` passes every row; [`crate::Threaded`]
+    /// passes each chunk's rows with a private `f`.
     pub(crate) fn compute_rows(
-        &self,
-        sys: &PairSystem<'_>,
-        nl: &NeighborList,
-        rows: Range<usize>,
-        accum: &mut LaneAccum,
-        f: &mut [V3],
-    ) -> EnergyVirial {
-        if self.lanes_usable(nl) {
-            accum.reset(sys.x.len());
-            let e = self.kernel_lanes(sys, nl, rows, accum);
-            accum.fold_into(f);
-            e
-        } else {
-            self.kernel(sys, nl, rows, f)
-        }
-    }
-
-    /// Lane-blocked kernel: displacement, LJ + switching (selects instead of
-    /// the `switch` branches) and the tabulated Coulomb term run as one
-    /// branch-free 8-wide arithmetic loop per block. The one thing that loop
-    /// cannot do — `erfc` for a pair closer than the table's inner radius —
-    /// is patched in afterwards, for the blocks that hold such a pair.
-    /// Accumulation order per pair matches the reference kernel.
-    fn kernel_lanes(
-        &self,
-        sys: &PairSystem<'_>,
-        nl: &NeighborList,
-        rows: Range<usize>,
-        accum: &mut LaneAccum,
-    ) -> EnergyVirial {
-        let cut_lj2 = self.outer_lj * self.outer_lj;
-        let cut_coul2 = self.cut_coul * self.cut_coul;
-        let qqr2e = sys.units.qqr2e;
-        let ri2 = self.inner_lj * self.inner_lj;
-        let ro2 = self.outer_lj * self.outer_lj;
-        let scale = self.switch_scale;
-        let table = self.table.as_ref();
-        let inner2 = table.map_or(0.0, |t| t.inner2);
-        let [(lx, hx), (ly, hy), (lz, hz)] = lane_wrap_params(sys.bx);
-        let LjCharmmCoulLong {
-            ntypes,
-            lj1,
-            lj2,
-            lj3,
-            lj4,
-            gather,
-            ..
-        } = self;
-        let nt = *ntypes;
-        let mut evdwl = 0.0f64;
-        let mut ecoul = 0.0f64;
-        let mut virial = 0.0f64;
-        let mut jb = [0usize; LANES];
-        let mut xjb = [0.0f64; LANES];
-        let mut yjb = [0.0f64; LANES];
-        let mut zjb = [0.0f64; LANES];
-        let mut qjb = [0.0f64; LANES];
-        let mut l1b = [0.0f64; LANES];
-        let mut l2b = [0.0f64; LANES];
-        let mut l3b = [0.0f64; LANES];
-        let mut l4b = [0.0f64; LANES];
-        let mut dxb = [0.0f64; LANES];
-        let mut dyb = [0.0f64; LANES];
-        let mut dzb = [0.0f64; LANES];
-        let mut r2b = [0.0f64; LANES];
-        let mut fljb = [0.0f64; LANES];
-        let mut qqb = [0.0f64; LANES];
-        let mut fpb = [0.0f64; LANES];
-        let mut elb = [0.0f64; LANES];
-        let mut ecb = [0.0f64; LANES];
-        for i in rows {
-            let xi = gather.xs[i];
-            let yi = gather.ys[i];
-            let zi = gather.zs[i];
-            let qi = qqr2e * gather.qs[i];
-            let base = sys.kinds[i] as usize * nt;
-            let lj1r = &lj1[base..base + nt];
-            let lj2r = &lj2[base..base + nt];
-            let lj3r = &lj3[base..base + nt];
-            let lj4r = &lj4[base..base + nt];
-            let row = nl.padded_neighbors(i);
-            let mut fxi = 0.0f64;
-            let mut fyi = 0.0f64;
-            let mut fzi = 0.0f64;
-            for block in row.chunks_exact(LANES) {
-                for lane in 0..LANES {
-                    let j = block[lane] as usize;
-                    jb[lane] = j;
-                    xjb[lane] = gather.xs[j];
-                    yjb[lane] = gather.ys[j];
-                    zjb[lane] = gather.zs[j];
-                    qjb[lane] = gather.qs[j];
-                    let tj = gather.ts[j] as usize;
-                    l1b[lane] = lj1r[tj];
-                    l2b[lane] = lj2r[tj];
-                    l3b[lane] = lj3r[tj];
-                    l4b[lane] = lj4r[tj];
-                }
-                let mut below_inner = false;
-                for lane in 0..LANES {
-                    let dx = lane_min_image(xi - xjb[lane], lx, hx);
-                    let dy = lane_min_image(yi - yjb[lane], ly, hy);
-                    let dz = lane_min_image(zi - zjb[lane], lz, hz);
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    dxb[lane] = dx;
-                    dyb[lane] = dy;
-                    dzb[lane] = dz;
-                    r2b[lane] = r2;
-                    let inside = r2 < cut_lj2;
-                    let m = lane_mask(inside);
-                    let r2s = if inside { r2 } else { 1.0 };
-                    let inv2 = 1.0 / r2s;
-                    let inv6 = inv2 * inv2 * inv2;
-                    let e_lj = inv6 * (l3b[lane] * inv6 - l4b[lane]);
-                    let f_lj = inv6 * (l1b[lane] * inv6 - l2b[lane]) * inv2;
-                    // The scalar `switch` as selects: live lanes have r2 < ro2
-                    // so only the core/taper cases exist; masked lanes zero out.
-                    let a = ro2 - r2;
-                    let b = ro2 + 2.0 * r2 - 3.0 * ri2;
-                    let in_core = r2 <= ri2;
-                    let s = if in_core { 1.0 } else { a * a * b * scale };
-                    let ds = if in_core {
-                        0.0
-                    } else {
-                        2.0 * a * (a - b) * scale
-                    };
-                    let f_lj = (f_lj * s - 2.0 * e_lj * ds) * m;
-                    elb[lane] = e_lj * s * m;
-                    // Coulomb: lanes beyond the cutoff (the sentinel's among
-                    // them) carry a zero charge product through the lookup.
-                    let qq = qi * qjb[lane] * lane_mask(r2 < cut_coul2);
-                    let (ce, cf) = match table {
-                        Some(t) => t.lookup(r2),
-                        None => bare_coulomb(r2),
-                    };
-                    below_inner |= r2 < inner2;
-                    fljb[lane] = f_lj;
-                    qqb[lane] = qq;
-                    ecb[lane] = qq * ce;
-                    fpb[lane] = f_lj + qq * cf;
-                }
-                if let (true, Some(t)) = (below_inner, table) {
-                    for lane in 0..LANES {
-                        if r2b[lane] < inner2 {
-                            let [ce, cf, ..] = damped_coulomb(t.g, r2b[lane]);
-                            ecb[lane] = qqb[lane] * ce;
-                            fpb[lane] = fljb[lane] + qqb[lane] * cf;
-                        }
-                    }
-                }
-                for lane in 0..LANES {
-                    let j = jb[lane];
-                    let fpair = fpb[lane];
-                    let dfx = dxb[lane] * fpair;
-                    let dfy = dyb[lane] * fpair;
-                    let dfz = dzb[lane] * fpair;
-                    fxi += dfx;
-                    fyi += dfy;
-                    fzi += dfz;
-                    accum.fx[j] -= dfx;
-                    accum.fy[j] -= dfy;
-                    accum.fz[j] -= dfz;
-                    evdwl += elb[lane];
-                    ecoul += ecb[lane];
-                    virial += r2b[lane] * fpair;
-                }
-            }
-            accum.fx[i] += fxi;
-            accum.fy[i] += fyi;
-            accum.fz[i] += fzi;
-        }
-        EnergyVirial {
-            evdwl,
-            ecoul,
-            virial,
-        }
-    }
-
-    /// The scalar reference kernel over atom rows `rows`.
-    fn kernel(
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
@@ -603,19 +394,7 @@ impl PairStyle for LjCharmmCoulLong {
     }
 
     fn compute(&mut self, sys: &PairSystem<'_>, nl: &NeighborList, f: &mut [V3]) -> EnergyVirial {
-        self.load_gather(sys, nl);
-        let mut accum = std::mem::take(&mut self.accum);
-        let e = self.compute_rows(sys, nl, 0..sys.x.len(), &mut accum, f);
-        self.accum = accum;
-        e
-    }
-
-    fn set_kernel_path(&mut self, path: KernelPath) {
-        self.path = path;
-    }
-
-    fn kernel_path(&self) -> KernelPath {
-        self.path
+        self.compute_rows(sys, nl, 0..sys.x.len(), f)
     }
 
     fn set_g_ewald(&mut self, g: f64) {
@@ -858,67 +637,6 @@ mod tests {
         assert!(s.table.is_none());
         let (bare, _) = charged_dimer(&mut s, 5.0, 1.0, 1.0);
         assert!((bare.ecoul - qqr2e / 5.0).abs() <= 1e-12 * bare.ecoul);
-    }
-
-    #[test]
-    fn lanes_path_matches_scalar_on_a_charged_gas() {
-        use md_core::kernel::LANES;
-        let bx = SimBox::cubic(24.0);
-        let mut x = Vec::new();
-        let mut kinds = Vec::new();
-        let mut charge = Vec::new();
-        let mut state = 0xc0ffee_u64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        for i in 0..160 {
-            x.push(Vec3::new(24.0 * rng(), 24.0 * rng(), 24.0 * rng()));
-            kinds.push((i % 2) as u32);
-            charge.push(if i % 2 == 0 { 0.4 } else { -0.4 });
-        }
-        let mut s =
-            LjCharmmCoulLong::new(2, &[(0, 0.1, 3.0), (1, 0.15, 2.5)], 8.0, 10.0, 10.0).unwrap();
-        s.set_g_ewald(0.28);
-        let mut nl = NeighborList::new(s.cutoff(), 1.0, NeighborListKind::Half);
-        nl.build(&x, &bx).unwrap();
-        let v = vec![Vec3::zero(); x.len()];
-        let radius = vec![0.0; x.len()];
-        let masses = vec![1.0, 1.0];
-        let units = UnitSystem::real();
-        let sys = PairSystem {
-            bx: &bx,
-            x: &x,
-            v: &v,
-            kinds: &kinds,
-            charge: &charge,
-            radius: &radius,
-            mass_by_type: &masses,
-            units: &units,
-            dt: 1.0,
-        };
-        let mut f_ref = vec![Vec3::zero(); x.len()];
-        let e_ref = s.compute(&sys, &nl, &mut f_ref);
-
-        nl.set_padding(LANES);
-        s.set_kernel_path(md_core::KernelPath::Lanes);
-        let mut f_lanes = vec![Vec3::zero(); x.len()];
-        let e_lanes = s.compute(&sys, &nl, &mut f_lanes);
-
-        assert!((e_ref.evdwl - e_lanes.evdwl).abs() / e_ref.evdwl.abs().max(1.0) < 1e-12);
-        assert!((e_ref.ecoul - e_lanes.ecoul).abs() / e_ref.ecoul.abs().max(1.0) < 1e-12);
-        assert!((e_ref.virial - e_lanes.virial).abs() / e_ref.virial.abs().max(1.0) < 1e-12);
-        for i in 0..x.len() {
-            let d = (f_ref[i] - f_lanes[i]).norm();
-            assert!(
-                d / f_ref[i].norm().max(1.0) < 1e-12,
-                "atom {i}: {} vs {}",
-                f_ref[i],
-                f_lanes[i]
-            );
-        }
     }
 
     #[test]

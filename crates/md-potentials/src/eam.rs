@@ -12,7 +12,8 @@
 //! `k_energy_fast`.
 
 use md_core::kernel::{
-    ghost_position, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LANES,
+    ghost_position, lane_isa, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LaneIsa,
+    LANES,
 };
 use md_core::neighbor::NeighborList;
 use md_core::{CoreError, EnergyVirial, LaneAccum, LaneGather, PairStyle, PairSystem, Vec3, V3};
@@ -33,6 +34,8 @@ pub struct SuttonChenEam {
     /// Scratch: per-atom dF/dρ.
     pub(crate) dembed: Vec<f64>,
     path: KernelPath,
+    /// What the lane bodies run at: [`lane_isa`], or an ISA a test pins.
+    pub(crate) isa: LaneIsa,
     pub(crate) gather: LaneGather,
     accum: LaneAccum,
 }
@@ -66,9 +69,16 @@ impl SuttonChenEam {
             rho: Vec::new(),
             dembed: Vec::new(),
             path: KernelPath::default(),
+            isa: lane_isa(),
             gather: LaneGather::default(),
             accum: LaneAccum::default(),
         })
+    }
+
+    /// Runs the lane bodies at `isa` instead of the host's widest.
+    #[cfg(test)]
+    pub(crate) fn with_lane_isa(self, isa: LaneIsa) -> Self {
+        SuttonChenEam { isa, ..self }
     }
 
     /// The standard copper parameterization (Sutton & Chen 1990) with the
@@ -182,7 +192,9 @@ impl SuttonChenEam {
     /// (ghost scatters land in the spare slot, contributing exact zeros);
     /// `g` must hold the current positions. Spells out the `(N, M) = (9, 6)`
     /// powers as multiply chains so the block sub-loop autovectorizes.
-    pub(crate) fn density_chunk_lanes(
+    /// Inlined into each [`LaneIsa`] copy of [`density_chunk_lanes_at`].
+    #[inline(always)]
+    fn density_chunk_lanes(
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
@@ -242,8 +254,10 @@ impl SuttonChenEam {
 
     /// Lane-blocked pass 2 over `rows`. `dembed` must be `n + 1` long
     /// with a zero ghost slot; `acc` must be reset to `n` slots. Returns the
-    /// rows' virial partial.
-    pub(crate) fn force_chunk_lanes(
+    /// rows' virial partial. Inlined into each [`LaneIsa`] copy of
+    /// [`force_chunk_lanes_at`].
+    #[inline(always)]
+    fn force_chunk_lanes(
         &self,
         sys: &PairSystem<'_>,
         nl: &NeighborList,
@@ -334,18 +348,19 @@ impl SuttonChenEam {
     ) -> EnergyVirial {
         let n = sys.x.len();
         let mut gather = std::mem::take(&mut self.gather);
-        gather.load(sys.x, sys.kinds, sys.charge, ghost_position(sys.bx));
+        gather.load(sys.x, ghost_position(sys.bx));
         let mut rho = std::mem::take(&mut self.rho);
         rho.clear();
         rho.resize(n + 1, 0.0);
-        let e_pair = self.density_chunk_lanes(sys, nl, 0..n, &mut rho, &gather);
+        let e_pair = density_chunk_lanes_at(self.isa, self, sys, nl, 0..n, &mut rho, &gather);
         let mut dembed = std::mem::take(&mut self.dembed);
         dembed.clear();
         dembed.resize(n + 1, 0.0);
         let e_embed = self.embed_slice(&rho[..n], &mut dembed[..n]);
         let mut accum = std::mem::take(&mut self.accum);
         accum.reset(n);
-        let virial = self.force_chunk_lanes(sys, nl, 0..n, &dembed, &gather, &mut accum);
+        let virial =
+            force_chunk_lanes_at(self.isa, self, sys, nl, 0..n, &dembed, &gather, &mut accum);
         accum.fold_into(f);
         self.gather = gather;
         self.rho = rho;
@@ -375,6 +390,36 @@ impl SuttonChenEam {
         }
         let embed: f64 = rho.iter().map(|&r| -self.c * r.sqrt()).sum();
         self.epsilon * (e_pair + embed)
+    }
+}
+
+md_core::lane_dispatch! {
+    /// [`SuttonChenEam::density_chunk_lanes`] compiled for `isa`.
+    pub(crate) fn density_chunk_lanes_at(
+        eam: &SuttonChenEam,
+        sys: &PairSystem<'_>,
+        nl: &NeighborList,
+        rows: Range<usize>,
+        rho: &mut [f64],
+        g: &LaneGather,
+    ) -> f64 {
+        eam.density_chunk_lanes(sys, nl, rows, rho, g)
+    }
+}
+
+md_core::lane_dispatch! {
+    /// [`SuttonChenEam::force_chunk_lanes`] compiled for `isa`.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn force_chunk_lanes_at(
+        eam: &SuttonChenEam,
+        sys: &PairSystem<'_>,
+        nl: &NeighborList,
+        rows: Range<usize>,
+        dembed: &[f64],
+        g: &LaneGather,
+        acc: &mut LaneAccum,
+    ) -> f64 {
+        eam.force_chunk_lanes(sys, nl, rows, dembed, g, acc)
     }
 }
 

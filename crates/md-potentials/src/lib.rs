@@ -33,6 +33,8 @@ pub mod charmm;
 pub mod eam;
 pub mod fixes;
 pub mod granular;
+#[cfg(test)]
+mod lane_isa_tests;
 pub mod lj;
 pub mod mixing;
 pub mod threaded;

@@ -5,7 +5,8 @@
 
 use crate::mixing::MixingRule;
 use md_core::kernel::{
-    ghost_position, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LANES,
+    ghost_position, lane_isa, lane_mask, lane_min_image, lane_wrap_params, KernelPath, LaneIsa,
+    LANES,
 };
 use md_core::neighbor::NeighborList;
 use md_core::{CoreError, EnergyVirial, PairStyle, PairSystem, V3};
@@ -25,6 +26,8 @@ pub struct LjCut {
     lj4: Vec<f64>,
     cutoff: f64,
     path: KernelPath,
+    /// What the lane body runs at: [`lane_isa`], or an ISA a test pins.
+    isa: LaneIsa,
 }
 
 impl LjCut {
@@ -118,7 +121,14 @@ impl LjCut {
             lj4,
             cutoff,
             path: KernelPath::default(),
+            isa: lane_isa(),
         })
+    }
+
+    /// Runs the lane body at `isa` instead of the host's widest.
+    #[cfg(test)]
+    pub(crate) fn with_lane_isa(self, isa: LaneIsa) -> Self {
+        LjCut { isa, ..self }
     }
 
     /// Potential energy of an isolated pair at distance `r` (for tests and
@@ -144,11 +154,7 @@ impl LjCut {
         f: &mut [V3],
     ) -> EnergyVirial {
         if self.path.is_lanes() && nl.padding() != 0 && nl.padding().is_multiple_of(LANES) {
-            return if self.ntypes == 1 {
-                self.kernel_lanes::<true>(sys, nl, rows, f)
-            } else {
-                self.kernel_lanes::<false>(sys, nl, rows, f)
-            };
+            return kernel_lanes_at(self.isa, self, sys, nl, rows, f);
         }
         self.kernel(sys, nl, rows, f)
     }
@@ -235,6 +241,9 @@ impl LjCut {
     /// straight at the engine's AoS `x`/`f` arrays (one line per neighbor,
     /// like the scalar loop) instead of split-array scratch; pad slots take
     /// a predictable `j < n` branch to the ghost.
+    ///
+    /// Inlined into each [`LaneIsa`] copy of `kernel_lanes_at`.
+    #[inline(always)]
     fn kernel_lanes<const SINGLE: bool>(
         &self,
         sys: &PairSystem<'_>,
@@ -351,6 +360,24 @@ impl LjCut {
             evdwl: ev.iter().sum(),
             ecoul: 0.0,
             virial: vv.iter().sum(),
+        }
+    }
+}
+
+md_core::lane_dispatch! {
+    /// [`LjCut::kernel_lanes`] compiled for `isa`; its one-type form when
+    /// the style has one atom type.
+    fn kernel_lanes_at(
+        lj: &LjCut,
+        sys: &PairSystem<'_>,
+        nl: &NeighborList,
+        rows: Range<usize>,
+        f: &mut [V3],
+    ) -> EnergyVirial {
+        if lj.ntypes == 1 {
+            lj.kernel_lanes::<true>(sys, nl, rows, f)
+        } else {
+            lj.kernel_lanes::<false>(sys, nl, rows, f)
         }
     }
 }

@@ -81,7 +81,7 @@ pub struct ChunkTeam {
 struct ChunkBuf {
     /// Force buffer, reduced onto the engine's forces in chunk order.
     f: Vec<V3>,
-    /// Split-array accumulator of the lane kernels that scatter through one.
+    /// Split-array accumulator of EAM's lane force pass.
     acc: LaneAccum,
     /// EAM pass-1 electron densities.
     rho: Vec<f64>,
@@ -130,10 +130,9 @@ impl Threadable for crate::LjCharmmCoulLong {
         f: &mut [V3],
         team: &mut ChunkTeam,
     ) -> EnergyVirial {
-        self.load_gather(sys, nl);
         let style = &*self;
         team.pairwise(sys.x.len(), f, |rows, buf| {
-            style.compute_rows(sys, nl, rows, &mut buf.acc, &mut buf.f)
+            style.compute_rows(sys, nl, rows, &mut buf.f)
         })
     }
 }
@@ -248,12 +247,8 @@ impl Threadable for crate::SuttonChenEam {
         // reduced ρ and dF/dρ live in the style's own scratch.
         let use_lanes = self.lanes_usable(nl);
         if use_lanes {
-            self.gather.load(
-                sys.x,
-                sys.kinds,
-                sys.charge,
-                md_core::kernel::ghost_position(sys.bx),
-            );
+            self.gather
+                .load(sys.x, md_core::kernel::ghost_position(sys.bx));
         }
         let mut rho = std::mem::take(&mut self.rho);
         let mut dembed = std::mem::take(&mut self.dembed);
@@ -284,7 +279,15 @@ impl Threadable for crate::SuttonChenEam {
             refill(job.rho, n + spare, 0.0);
             let rows = job.rows.clone();
             job.e_pair = if use_lanes {
-                style.density_chunk_lanes(sys, nl, rows, job.rho, &style.gather)
+                crate::eam::density_chunk_lanes_at(
+                    style.isa,
+                    style,
+                    sys,
+                    nl,
+                    rows,
+                    job.rho,
+                    &style.gather,
+                )
             } else {
                 style.density_chunk(sys, nl, rows, job.rho)
             };
@@ -352,7 +355,16 @@ impl Threadable for crate::SuttonChenEam {
             let rows = job.rows.clone();
             if use_lanes {
                 acc.reset(n);
-                job.virial = style.force_chunk_lanes(sys, nl, rows, dembed_ref, &style.gather, acc);
+                job.virial = crate::eam::force_chunk_lanes_at(
+                    style.isa,
+                    style,
+                    sys,
+                    nl,
+                    rows,
+                    dembed_ref,
+                    &style.gather,
+                    acc,
+                );
                 acc.fold_into(buf);
             } else {
                 job.virial = style.force_chunk(sys, nl, rows, dembed_ref, buf);

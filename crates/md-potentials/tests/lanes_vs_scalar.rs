@@ -11,7 +11,7 @@
 use md_core::kernel::{KernelPath, LANES};
 use md_core::neighbor::NeighborList;
 use md_core::{PairStyle, PairSystem, SimBox, UnitSystem, Vec3, V3};
-use md_potentials::{LjCharmmCoulLong, LjCut, SuttonChenEam, Threadable, Threaded};
+use md_potentials::{LjCut, SuttonChenEam, Threadable, Threaded};
 use proptest::prelude::*;
 
 const REL_TOL: f64 = 1e-12;
@@ -137,23 +137,6 @@ proptest! {
         let rig = Rig::random(seed, 28, 10.5, 0.8, 2);
         let lj = || LjCut::new(2, &[(0, 0, 1.0, 1.0), (1, 1, 0.7, 1.1)], 2.8).unwrap();
         assert_paths_agree(&rig, lj, threads);
-    }
-
-    /// CHARMM LJ + real-space Ewald Coulomb, charged alternating gas.
-    #[test]
-    fn charmm_lanes_matches_scalar(
-        seed in 0u64..300,
-        threads in 1usize..6,
-    ) {
-        let rig = Rig::random(seed, 20, 24.0, 1.5, 2);
-        let charmm = || {
-            let mut style =
-                LjCharmmCoulLong::new(2, &[(0, 0.1, 3.0), (1, 0.15, 2.8)], 8.0, 10.0, 10.0)
-                    .unwrap();
-            style.set_g_ewald(0.25);
-            style
-        };
-        assert_paths_agree(&rig, charmm, threads);
     }
 
     /// EAM: the lanes path splits density and force passes into lane blocks

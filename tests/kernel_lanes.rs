@@ -10,8 +10,9 @@
 //! into O(1) position differences that say nothing about kernel correctness.
 //!
 //! Chute's granular style is scalar-only (per-contact mutable history vetoes
-//! a lane-blocked form), so its lanes probe falls through to scalar and the
-//! comparison is trivially exact — the test still pins that contract.
+//! a lane-blocked form), and rhodo's CHARMM style has no lane body (it lost
+//! to scalar on every ISA), so their lanes probes fall through to scalar and
+//! the comparison is trivially exact — the tests still pin that contract.
 
 use md_core::{EnergyVirial, KernelPath, Threads, LANES, V3};
 use md_resilience::Checkpoint;
@@ -120,15 +121,17 @@ fn rhodo_deck_lanes_matches_scalar() {
 }
 
 /// A deck reports the kernel its pair style runs, not the one asked for:
-/// asked for lanes, chute's scalar-only granular style builds a scalar deck
-/// on unpadded rows and checkpoints it as scalar, while LJ and EAM run their
-/// lanes kernels on rows padded to `LANES`.
+/// asked for lanes, chute's granular style and rhodo's CHARMM style (neither
+/// has a lane body) build a scalar deck on unpadded rows and checkpoint it
+/// as scalar, while LJ and EAM run their lanes kernels on rows padded to
+/// `LANES`.
 #[test]
 fn a_deck_reports_the_kernel_its_style_runs() {
     for (benchmark, runs, padding) in [
         (Benchmark::Lj, KernelPath::Lanes, LANES),
         (Benchmark::Eam, KernelPath::Lanes, LANES),
         (Benchmark::Chute, KernelPath::Scalar, 0),
+        (Benchmark::Rhodo, KernelPath::Scalar, 0),
     ] {
         let tuning = DeckTuning {
             threads: Threads::serial(),
