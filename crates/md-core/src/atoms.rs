@@ -10,6 +10,20 @@ use crate::vec3::Vec3;
 use crate::V3;
 use std::collections::HashSet;
 
+/// The arrays of an [`AtomStore`] that the force computation reads, beside
+/// the forces it writes ([`AtomStore::split_forces`]).
+pub(crate) struct ForceInputs<'a> {
+    pub(crate) x: &'a [V3],
+    pub(crate) v: &'a [V3],
+    pub(crate) kinds: &'a [u32],
+    pub(crate) charges: &'a [f64],
+    pub(crate) radii: &'a [f64],
+    pub(crate) mass_by_type: &'a [f64],
+    pub(crate) bonds: &'a [Bond],
+    pub(crate) angles: &'a [Angle],
+    pub(crate) dihedrals: &'a [Dihedral],
+}
+
 /// A covalent bond between two atoms, with a per-bond type index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Bond {
@@ -285,6 +299,23 @@ impl AtomStore {
             }
         }
         Ok(new_of_old)
+    }
+
+    /// Everything the force computation reads, borrowed together with the
+    /// force array it writes.
+    pub(crate) fn split_forces(&mut self) -> (ForceInputs<'_>, &mut [V3]) {
+        let inputs = ForceInputs {
+            x: &self.x,
+            v: &self.v,
+            kinds: &self.kind,
+            charges: &self.charge,
+            radii: &self.radius,
+            mass_by_type: &self.mass_by_type,
+            bonds: &self.bonds,
+            angles: &self.angles,
+            dihedrals: &self.dihedrals,
+        };
+        (inputs, &mut self.f)
     }
 
     /// Simultaneous mutable access to positions and images (for wrapping).

@@ -56,6 +56,12 @@ pub enum CoreError {
         /// Human-readable reason.
         reason: String,
     },
+    /// A neighbor-build worker's rows outgrew the `u32` positions they are
+    /// indexed by.
+    NeighborPageFull {
+        /// Entries the page held when the build stopped.
+        entries: usize,
+    },
     /// A serialized state blob failed validation (truncation, bad magic,
     /// version or checksum mismatch, inconsistent lengths).
     CorruptState {
@@ -96,6 +102,10 @@ impl fmt::Display for CoreError {
             CoreError::InvalidParameter { name, reason } => {
                 write!(f, "invalid parameter {name}: {reason}")
             }
+            CoreError::NeighborPageFull { entries } => write!(
+                f,
+                "a neighbor page of {entries} entries exceeds the u32 row index"
+            ),
             CoreError::CorruptState { what, detail } => {
                 write!(f, "corrupt {what} state: {detail}")
             }

@@ -38,19 +38,27 @@
 //! the row's cursor and advancing the cursor only for a survivor, and the
 //! exclusion lookup runs over survivors only.
 //!
-//! All of the binning scratch persists in the list, so a steady-state build
-//! allocates nothing (`tests/neighbor_alloc.rs`).
+//! # Pages
 //!
-//! The build is shared-memory parallel when [`NeighborList::set_threads`]
-//! asks for more than one thread: binning stays serial (it fixes the order
-//! inside every cell), the per-atom candidate search fans out over
-//! contiguous atom stripes ([`crate::threads::fork_join`], span
-//! `neigh_build`), and the per-stripe results are concatenated in stripe
-//! order. Because each atom's neighbor row depends only on the
+//! The rows live in *pages*, one per build worker: the atoms are cut into
+//! contiguous stripes ([`crate::threads::Threads::stripe`], MD-Bench's
+//! static row split), and page `k` holds the rows of stripe `k` back to
+//! back, written in place by the worker that searched them (LAMMPS's
+//! per-thread `MyPage`s). Each atom's row is found by its page and its `u32`
+//! start and end in it — 8 bytes an atom, padded or not — so nothing is
+//! copied after the search. Binning stays serial (it fixes the order inside
+//! every cell); the search fans out through [`crate::threads::fork_join`]
+//! (span `neigh_build`), which runs a single stripe inline, so one build body
+//! serves every thread count. Because each atom's row depends only on the
 //! (serial) bin structure and on per-pair arithmetic that no thread shares,
-//! the threaded build is **bitwise identical** to the serial one at any
-//! thread count, unlike the pair-force reductions in
-//! `md-potentials::threaded`, which reassociate across counts.
+//! the rows are **bitwise identical** at any thread count, unlike the
+//! pair-force reductions in `md-potentials::threaded`, which reassociate
+//! across counts. The kernels read a range of rows through
+//! [`NeighborList::rows`], which walks it page by page.
+//!
+//! All of the binning scratch and the pages persist in the list, so a
+//! steady-state build allocates nothing, and a threaded list holds one copy
+//! of its rows (`tests/neighbor_alloc.rs`).
 //!
 //! # When to rebuild
 //!
@@ -66,6 +74,7 @@ use crate::threads::{fork_join, Threads};
 use crate::wire;
 use crate::V3;
 use md_observe::Recorder;
+use std::ops::Range;
 
 /// Whether each pair is listed once (half) or from both atoms (full).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,22 +166,66 @@ pub struct NeighborBuildStats {
     pub cells: usize,
 }
 
-/// Per-worker scratch for the threaded build, kept across rebuilds so
-/// steady-state builds stop allocating row storage.
-#[derive(Debug, Clone, Default)]
-struct StripeBuf {
-    lens: Vec<usize>,
-    neigh: Vec<u32>,
-    counts: [usize; 2],
+/// Pads the row that starts at `start` and ends `entries` with `sentinel` up
+/// to a multiple of `lanes` (0 = no padding), and returns where its real
+/// entries end. Empty rows stay empty.
+fn pad_row(entries: &mut Vec<u32>, start: usize, lanes: usize, sentinel: u32) -> usize {
+    let end = entries.len();
+    if lanes != 0 {
+        entries.resize(start + (end - start).next_multiple_of(lanes), sentinel);
+    }
+    end
 }
 
-/// Pads the row that starts at `start` and ends `neigh` with `sentinel` up to
-/// a multiple of `lanes`, and returns where its real entries end. Empty rows
-/// stay empty.
-fn pad_row(neigh: &mut Vec<u32>, start: usize, lanes: usize, sentinel: u32) -> usize {
-    let end = neigh.len();
-    neigh.resize(start + (end - start).next_multiple_of(lanes), sentinel);
-    end
+/// The positions of a row indexed `[start, end]`, extended by `mask` (the
+/// padding minus one, or 0) to the padded end.
+#[inline(always)]
+fn span([start, end]: [u32; 2], mask: u32) -> Range<usize> {
+    start as usize..(start + ((end - start + mask) & !mask)) as usize
+}
+
+/// One build worker's rows: those of one contiguous atom stripe, back to
+/// back, with their within-cutoff counts.
+#[derive(Debug, Clone, Default)]
+struct Page {
+    /// The stripe's rows in atom order, each followed by its padding.
+    entries: Vec<u32>,
+    /// Pairs, and excluded pairs, within the bare cutoff.
+    counts: [usize; 2],
+    /// Whether a row took `entries` past the list's page limit; the fill
+    /// stopped there.
+    full: bool,
+}
+
+impl Page {
+    /// Refills the page with the rows of the atoms `first..first +
+    /// index.len()`, padded to `lanes`, and records each row's `[start,
+    /// end]` in `index`. Stops, marking the page full, when it would hold
+    /// more than `limit` entries.
+    fn fill<'a>(
+        &mut self,
+        scan: &RowScan<'_>,
+        exclusions: &impl Fn(usize) -> &'a [u32],
+        first: usize,
+        index: &mut [[u32; 2]],
+        lanes: usize,
+        limit: usize,
+    ) {
+        self.entries.clear();
+        self.counts = [0; 2];
+        self.full = false;
+        let sentinel = scan.x.len() as u32;
+        for (i, row) in (first..).zip(index) {
+            let start = self.entries.len();
+            scan.append_row(i, exclusions(i), &mut self.entries, &mut self.counts);
+            let end = pad_row(&mut self.entries, start, lanes, sentinel);
+            if self.entries.len() > limit {
+                self.full = true;
+                return;
+            }
+            *row = [start as u32, end as u32];
+        }
+    }
 }
 
 /// Candidates whose distances the scan computes at a time, in a fixed-size
@@ -410,21 +463,29 @@ impl<'a> RowScan<'a> {
     }
 }
 
+/// Most entries a page may hold: the reach of the `u32` row index.
+const PAGE_LIMIT: usize = u32::MAX as usize;
+
 /// A Verlet neighbor list built through cell binning.
 #[derive(Debug, Clone)]
 pub struct NeighborList {
     cutoff: f64,
     skin: f64,
     kind: NeighborListKind,
-    /// Row starts into `neigh`, `natoms + 1` long.
-    offsets: Vec<usize>,
-    /// The one row storage. With padding on, every non-empty row is followed
+    /// Each atom's row as its `[start, end]` positions in its page,
+    /// `natoms` long. With padding on, a non-empty row is followed in place
     /// by sentinel entries (`natoms`) up to a multiple of `padding`, so the
     /// lane kernels iterate full blocks with no tail loop.
-    neigh: Vec<u32>,
-    /// With padding on, where each row's real entries end (`natoms` long);
-    /// empty with padding off, where a row ends at the next row's start.
-    row_ends: Vec<usize>,
+    index: Vec<[u32; 2]>,
+    /// The row storage, one page per build worker (one from the start):
+    /// page `k` holds the rows of atoms `k * stripe..(k + 1) * stripe`.
+    /// Pages past the last stripe are left over from a build with more
+    /// stripes and are never read.
+    pages: Vec<Page>,
+    /// Atoms per page at the last build (at least 1).
+    stripe: usize,
+    /// Most entries a page may hold ([`PAGE_LIMIT`]).
+    page_limit: usize,
     x_at_build: Vec<V3>,
     /// The box the last build binned in (`None` before the first build).
     /// Under a barostat it is not the current box, and together with
@@ -436,13 +497,40 @@ pub struct NeighborList {
     threads: Threads,
     /// Where the threaded build's workers record their spans.
     recorder: Recorder,
-    /// Lane width rows are padded to (0 = disabled).
+    /// Lane width rows are padded to (0 = disabled), a power of two.
     padding: usize,
     /// The last build's binning, kept for its storage: reused across
-    /// rebuilds so a steady-state serial build allocates nothing.
+    /// rebuilds so a steady-state build allocates nothing.
     bins: CellBins,
-    /// Persistent per-worker stripe buffers for the threaded build.
-    stripe_bufs: Vec<StripeBuf>,
+}
+
+/// The rows of a range of atoms, walked page by page (see
+/// [`NeighborList::rows`]).
+struct Rows<'a> {
+    index: &'a [[u32; 2]],
+    pages: &'a [Page],
+    stripe: usize,
+    atoms: Range<usize>,
+    /// The padding minus one, or 0 for the unpadded rows.
+    mask: u32,
+    /// The first atom past the page `entries` belongs to.
+    page_end: usize,
+    entries: &'a [u32],
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = (usize, &'a [u32]);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<Self::Item> {
+        let i = self.atoms.next()?;
+        if i == self.page_end {
+            let page = i / self.stripe;
+            self.entries = &self.pages[page].entries;
+            self.page_end = (page + 1) * self.stripe;
+        }
+        Some((i, &self.entries[span(self.index[i], self.mask)]))
+    }
 }
 
 impl NeighborList {
@@ -459,9 +547,10 @@ impl NeighborList {
             cutoff,
             skin,
             kind,
-            offsets: vec![0],
-            neigh: Vec::new(),
-            row_ends: Vec::new(),
+            index: Vec::new(),
+            pages: vec![Page::default()],
+            stripe: 1,
+            page_limit: PAGE_LIMIT,
             x_at_build: Vec::new(),
             box_at_build: None,
             ago: 0,
@@ -470,7 +559,6 @@ impl NeighborList {
             recorder: Recorder::disabled(),
             padding: 0,
             bins: CellBins::default(),
-            stripe_bufs: Vec::new(),
         }
     }
 
@@ -491,14 +579,50 @@ impl NeighborList {
     }
 
     /// Pads every row to a multiple of `lanes` for the lane kernels (or, with
-    /// `lanes <= 1`, removes the padding), laying the current rows out anew.
-    /// Once set, every subsequent build writes its rows padded.
-    pub fn set_padding(&mut self, lanes: usize) {
+    /// `lanes <= 1`, removes the padding), laying the current rows out anew
+    /// in their pages. Once set, every subsequent build writes its rows
+    /// padded.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoreError::NeighborPageFull`], and leaves the list as it
+    /// was, if the padding takes a page past the `u32` row index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes > 1` is not a power of two.
+    pub fn set_padding(&mut self, lanes: usize) -> Result<()> {
         let lanes = if lanes <= 1 { 0 } else { lanes };
-        if lanes != self.padding {
-            (self.offsets, self.neigh, self.row_ends) = self.layout(lanes);
-            self.padding = lanes;
+        assert!(
+            lanes == 0 || lanes.is_power_of_two(),
+            "row padding {lanes} is not a power of two"
+        );
+        if lanes == self.padding {
+            return Ok(());
         }
+        let sentinel = self.sentinel();
+        let mut index = self.index.clone();
+        let mut pages = Vec::with_capacity(self.pages.len());
+        for (page, rows) in self.pages.iter().zip(index.chunks_mut(self.stripe)) {
+            let mut entries = Vec::with_capacity(page.entries.len());
+            for row in rows {
+                let start = entries.len();
+                entries.extend_from_slice(&page.entries[span(*row, 0)]);
+                let end = pad_row(&mut entries, start, lanes, sentinel);
+                *row = [start as u32, end as u32];
+            }
+            if entries.len() > self.page_limit {
+                let entries = entries.len();
+                return Err(CoreError::NeighborPageFull { entries });
+            }
+            pages.push(entries);
+        }
+        for (page, entries) in self.pages.iter_mut().zip(pages) {
+            page.entries = entries;
+        }
+        self.index = index;
+        self.padding = lanes;
+        Ok(())
     }
 
     /// Lane width rows are padded to (0 when padding is disabled).
@@ -513,32 +637,55 @@ impl NeighborList {
         self.natoms() as u32
     }
 
+    /// The row of atom `i`, extended by `mask` to its padded end.
+    #[inline]
+    fn row(&self, i: usize, mask: u32) -> &[u32] {
+        &self.pages[i / self.stripe].entries[span(self.index[i], mask)]
+    }
+
+    /// The padding minus one: what [`span`] extends a padded row by (0, the
+    /// plain row, with padding off).
+    #[inline]
+    fn pad_mask(&self) -> u32 {
+        debug_assert!(self.padding > 1, "padding not enabled");
+        self.padding.saturating_sub(1) as u32
+    }
+
     /// The padded neighbor row of atom `i`: `neighbors(i)` followed in place
     /// by sentinel entries up to a multiple of [`NeighborList::padding`].
     /// Empty rows stay empty. Only valid after `set_padding(>= 2)`.
-    #[inline(always)]
+    #[inline]
     pub fn padded_neighbors(&self, i: usize) -> &[u32] {
-        debug_assert!(self.padding > 1, "padding not enabled");
-        &self.neigh[self.offsets[i]..self.offsets[i + 1]]
+        self.row(i, self.pad_mask())
     }
 
-    /// The current rows laid out with padding `lanes` (0 = none), as
-    /// `(offsets, neigh, row_ends)`.
-    fn layout(&self, lanes: usize) -> (Vec<usize>, Vec<u32>, Vec<usize>) {
-        let n = self.natoms();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut neigh = Vec::with_capacity(self.neigh.len());
-        let mut row_ends = Vec::with_capacity(if lanes == 0 { 0 } else { n });
-        offsets.push(0);
-        for i in 0..n {
-            let start = neigh.len();
-            neigh.extend_from_slice(self.neighbors(i));
-            if lanes != 0 {
-                row_ends.push(pad_row(&mut neigh, start, lanes, n as u32));
-            }
-            offsets.push(neigh.len());
+    /// The neighbor slice of atom `i` (with padding on, the unpadded prefix
+    /// of [`NeighborList::padded_neighbors`]).
+    #[inline]
+    pub fn neighbors(&self, i: usize) -> &[u32] {
+        self.row(i, 0)
+    }
+
+    /// The rows of the atoms `atoms` in ascending order, as `(i, row)`: each
+    /// row [`NeighborList::neighbors`]`(i)`, or with `padded`
+    /// [`NeighborList::padded_neighbors`]`(i)`. The walk finds each page once,
+    /// so a row costs one index load: the kernels' loops over a row range
+    /// read the list through this.
+    #[inline]
+    pub fn rows(
+        &self,
+        atoms: Range<usize>,
+        padded: bool,
+    ) -> impl Iterator<Item = (usize, &[u32])> + '_ {
+        Rows {
+            index: &self.index,
+            pages: &self.pages,
+            stripe: self.stripe,
+            mask: if padded { self.pad_mask() } else { 0 },
+            page_end: atoms.start,
+            atoms,
+            entries: &[],
         }
-        (offsets, neigh, row_ends)
     }
 
     /// Interaction cutoff.
@@ -571,21 +718,9 @@ impl NeighborList {
         self.box_at_build
     }
 
-    /// The neighbor slice of atom `i` (with padding on, the unpadded prefix
-    /// of [`NeighborList::padded_neighbors`]).
-    #[inline(always)]
-    pub fn neighbors(&self, i: usize) -> &[u32] {
-        let end = if self.padding == 0 {
-            self.offsets[i + 1]
-        } else {
-            self.row_ends[i]
-        };
-        &self.neigh[self.offsets[i]..end]
-    }
-
     /// Number of atoms the list was last built for.
     pub fn natoms(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.index.len()
     }
 
     /// Total stored pairs (directed entries; padding is not counted).
@@ -628,8 +763,7 @@ impl NeighborList {
     ///
     /// # Errors
     ///
-    /// Returns [`crate::CoreError::CutoffTooLarge`] if `cutoff + skin`
-    /// exceeds half the smallest periodic box extent.
+    /// As for [`NeighborList::build_with`].
     pub fn build(&mut self, x: &[V3], bx: &SimBox) -> Result<()> {
         self.build_with(x, bx, |_| &[])
     }
@@ -640,7 +774,9 @@ impl NeighborList {
     /// # Errors
     ///
     /// Returns [`crate::CoreError::CutoffTooLarge`] if `cutoff + skin`
-    /// exceeds half the smallest periodic box extent.
+    /// exceeds half the smallest periodic box extent, and
+    /// [`crate::CoreError::NeighborPageFull`], leaving the list empty, if a
+    /// worker's rows outgrow the `u32` row index.
     pub fn build_with<'a>(
         &mut self,
         x: &[V3],
@@ -650,107 +786,50 @@ impl NeighborList {
         let range = self.cutoff + self.skin;
         bx.check_interaction_range(range)?;
         let n = x.len();
-        let range2 = range * range;
-        let cut2 = self.cutoff * self.cutoff;
-        // Pairs, and excluded pairs, within the bare cutoff.
-        let mut counts = [0usize; 2];
-
         self.bins.fill(x, bx, range);
-
-        self.offsets.clear();
-        self.offsets.reserve(n + 1);
-        self.neigh.clear();
-        self.row_ends.clear();
-        self.offsets.push(0);
-        let lanes = self.padding;
-        let sentinel = n as u32;
-
-        // The per-atom candidate search, shared by the serial and threaded
-        // paths: appends atom `i`'s neighbor row to `scratch` and counts the
-        // row's pairs within the bare cutoff.
         let scan = RowScan {
             bins: &self.bins,
             x,
             bx,
             lengths: bx.lengths(),
             half: self.kind == NeighborListKind::Half,
-            range2,
-            cut2,
-        };
-        let search = |i: usize, scratch: &mut Vec<u32>, counts: &mut [usize; 2]| {
-            scan.append_row(i, exclusions(i), scratch, counts)
+            range2: range * range,
+            cut2: self.cutoff * self.cutoff,
         };
 
-        // This site keeps a serial branch instead of running one part
-        // inline: rows are variable-length, so workers cannot write into
-        // `self.neigh` where the rows will end up. The threaded form fills
-        // private stripe buffers and copies them into place; one thread
-        // writes in place and pays neither the buffers nor the copy (serial
-        // `lj_melt`: ~4.8 MB per rebuild, a third of its peak RSS).
-        let t = self.threads.count.min(n.max(1));
-        if t > 1 {
-            // Stripe the atom range across threads; each worker fills a
-            // persistent private (row lengths, neighbors) buffer.
-            // Concatenating in stripe order reproduces the serial layout
-            // exactly, so the stripe width never affects the result.
-            let stripe = self.threads.stripe(n);
-            let mut bufs = std::mem::take(&mut self.stripe_bufs);
-            if bufs.len() < t {
-                bufs.resize_with(t, StripeBuf::default);
-            }
-            let stripes = bufs.iter_mut().take(t);
-            fork_join(stripes, &self.recorder, "neigh_build", |k, buf| {
-                buf.lens.clear();
-                buf.neigh.clear();
-                buf.counts = [0; 2];
-                for i in k * stripe..((k + 1) * stripe).min(n) {
-                    let row_start = buf.neigh.len();
-                    search(i, &mut buf.neigh, &mut buf.counts);
-                    buf.lens.push(buf.neigh.len() - row_start);
-                    if lanes != 0 {
-                        pad_row(&mut buf.neigh, row_start, lanes, sentinel);
-                    }
-                }
-            });
-            for buf in bufs.iter().take(t) {
-                counts[0] += buf.counts[0];
-                counts[1] += buf.counts[1];
-                let mut off = self.neigh.len();
-                for &l in &buf.lens {
-                    if lanes != 0 {
-                        self.row_ends.push(off + l);
-                        off += l.next_multiple_of(lanes);
-                    } else {
-                        off += l;
-                    }
-                    self.offsets.push(off);
-                }
-                self.neigh.extend_from_slice(&buf.neigh);
-            }
-            self.stripe_bufs = bufs;
-        } else {
-            for i in 0..n {
-                let row_start = self.neigh.len();
-                search(i, &mut self.neigh, &mut counts);
-                if lanes != 0 {
-                    let end = pad_row(&mut self.neigh, row_start, lanes, sentinel);
-                    self.row_ends.push(end);
-                }
-                self.offsets.push(self.neigh.len());
-            }
+        // One page per worker, each stripe's rows written straight into it;
+        // with one thread `fork_join` runs the single stripe inline.
+        let stripe = self.threads.stripe(n);
+        self.stripe = stripe;
+        self.pages.resize_with(self.threads.count, Page::default);
+        self.index.clear();
+        self.index.resize(n, [0; 2]);
+        let (lanes, limit) = (self.padding, self.page_limit);
+        let parts = self.pages.iter_mut().zip(self.index.chunks_mut(stripe));
+        fork_join(parts, &self.recorder, "neigh_build", |k, (page, index)| {
+            page.fill(&scan, &exclusions, k * stripe, index, lanes, limit);
+        });
+        let pages = &self.pages[..n.div_ceil(stripe)];
+        if let Some(page) = pages.iter().find(|page| page.full) {
+            let entries = page.entries.len();
+            self.index.clear();
+            return Err(CoreError::NeighborPageFull { entries });
         }
+        // Pairs, and excluded pairs, within the bare cutoff.
+        let counts = pages.iter().fold([0, 0], |[a, b], page| {
+            [a + page.counts[0], b + page.counts[1]]
+        });
 
         self.x_at_build.clear();
         self.x_at_build.extend_from_slice(x);
         self.box_at_build = Some(*bx);
         self.ago = 0;
         self.stats.builds += 1;
-        let pairs = if lanes == 0 {
-            self.neigh.len()
-        } else {
-            let starts = self.offsets.iter();
-            self.row_ends.iter().zip(starts).map(|(e, s)| e - s).sum()
-        };
+        let pairs: usize = self
+            .index
+            .iter()
+            .map(|&[start, end]| (end - start) as usize)
+            .sum();
         self.stats.pairs = pairs;
         self.stats.pairs_within_cutoff = counts[0];
         self.stats.cells = self.bins.ncell.iter().product();
@@ -923,6 +1002,23 @@ mod tests {
             }
         }
         s
+    }
+
+    /// Every row of `nl` as `(neighbors(i), padded_neighbors(i))`, the
+    /// padded row being the plain one with padding off: two lists give the
+    /// same vector exactly when their rows, and their padding, agree bit for
+    /// bit.
+    fn rows_of(nl: &NeighborList) -> Vec<(&[u32], &[u32])> {
+        (0..nl.natoms())
+            .map(|i| {
+                let padded = if nl.padding() > 1 {
+                    nl.padded_neighbors(i)
+                } else {
+                    nl.neighbors(i)
+                };
+                (nl.neighbors(i), padded)
+            })
+            .collect()
     }
 
     /// The entries of a list given row by row, as sorted `(row, partner)`
@@ -1132,17 +1228,16 @@ mod tests {
                 bx
             );
             // Every thread count and padding gives that order bit for bit.
-            for padding in [0, 8] {
-                let (offsets, neigh, row_ends) = serial.layout(padding);
+            let mut serial_padded = serial.clone();
+            serial_padded.set_padding(8).unwrap();
+            for (padding, want) in [(0, &serial), (8, &serial_padded)] {
                 for threads in [1, 2, 3, 7] {
                     let mut nl = NeighborList::new(cutoff, skin, kind);
-                    nl.set_padding(padding);
+                    nl.set_padding(padding).unwrap();
                     nl.set_threads(threads);
                     nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
                     let what = format!("padding {padding}, {threads} threads, {bx}");
-                    prop_assert_eq!(&nl.offsets, &offsets, "offsets: {}", what);
-                    prop_assert_eq!(&nl.neigh, &neigh, "neigh: {}", what);
-                    prop_assert_eq!(&nl.row_ends, &row_ends, "row_ends: {}", what);
+                    prop_assert_eq!(rows_of(&nl), rows_of(want), "rows: {}", what);
                     prop_assert_eq!(nl.stats(), stats, "stats: {}", what);
                 }
             }
@@ -1278,7 +1373,7 @@ mod tests {
         let mut serial = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
         serial.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
         let mut serial_padded = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
-        serial_padded.set_padding(8);
+        serial_padded.set_padding(8).unwrap();
         serial_padded
             .build_with(&x, &bx, |i| excl[i].as_slice())
             .unwrap();
@@ -1286,11 +1381,9 @@ mod tests {
             for (padding, want) in [(0, &serial), (8, &serial_padded)] {
                 let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
                 nl.set_threads(t);
-                nl.set_padding(padding);
+                nl.set_padding(padding).unwrap();
                 nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
-                assert_eq!(nl.offsets, want.offsets, "{t} threads: offsets");
-                assert_eq!(nl.neigh, want.neigh, "{t} threads: neighbor order");
-                assert_eq!(nl.row_ends, want.row_ends, "{t} threads: row ends");
+                assert_eq!(rows_of(&nl), rows_of(want), "{t} threads: rows");
                 assert_eq!(nl.stats(), want.stats(), "{t} threads: statistics");
             }
         }
@@ -1301,8 +1394,7 @@ mod tests {
         nl.build(&tiny, &bx).unwrap();
         let mut s = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
         s.build(&tiny, &bx).unwrap();
-        assert_eq!(nl.offsets, s.offsets);
-        assert_eq!(nl.neigh, s.neigh);
+        assert_eq!(rows_of(&nl), rows_of(&s));
     }
 
     #[test]
@@ -1312,7 +1404,7 @@ mod tests {
         let mut plain = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
         plain.build(&x, &bx).unwrap();
         let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
-        nl.set_padding(8);
+        nl.set_padding(8).unwrap();
         nl.build(&x, &bx).unwrap();
         assert_eq!(nl.padding(), 8);
         assert_eq!(nl.sentinel(), 300);
@@ -1335,15 +1427,11 @@ mod tests {
         // Padding on demand lays out the same storage as a padded build, and
         // removing it restores the exact unpadded rows.
         let mut on_demand = plain.clone();
-        on_demand.set_padding(8);
-        assert_eq!(on_demand.offsets, nl.offsets);
-        assert_eq!(on_demand.neigh, nl.neigh);
-        assert_eq!(on_demand.row_ends, nl.row_ends);
-        on_demand.set_padding(0);
+        on_demand.set_padding(8).unwrap();
+        assert_eq!(rows_of(&on_demand), rows_of(&nl));
+        on_demand.set_padding(0).unwrap();
         assert_eq!(on_demand.padding(), 0);
-        assert_eq!(on_demand.offsets, plain.offsets);
-        assert_eq!(on_demand.neigh, plain.neigh);
-        assert!(on_demand.row_ends.is_empty());
+        assert_eq!(rows_of(&on_demand), rows_of(&plain));
     }
 
     proptest! {
@@ -1382,7 +1470,7 @@ mod tests {
                 for threads in [1, 3] {
                     let what = format!("padding {padding}, {threads} threads");
                     let mut nl = NeighborList::new(2.0, 0.4, kind);
-                    nl.set_padding(padding);
+                    nl.set_padding(padding).unwrap();
                     nl.set_threads(threads);
                     nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
                     nl.build_with(&x, &bx, |i| excl[i].as_slice()).unwrap();
@@ -1397,20 +1485,76 @@ mod tests {
                     prop_assert_eq!(saved_bytes.get_or_insert_with(|| bytes.clone()), &bytes);
 
                     let mut restored = NeighborList::new(2.0, 0.4, kind);
-                    restored.set_padding(padding);
+                    restored.set_padding(padding).unwrap();
                     restored.set_threads(threads);
                     let mut r = wire::Reader::new(&bytes, "neighbor test");
                     restored.state_load(&mut r, n, |i| excl[i].as_slice()).unwrap();
                     prop_assert!(r.is_exhausted());
-                    prop_assert_eq!(&restored.offsets, &nl.offsets, "offsets: {}", what);
-                    prop_assert_eq!(&restored.neigh, &nl.neigh, "neigh: {}", what);
-                    prop_assert_eq!(&restored.row_ends, &nl.row_ends, "row_ends: {}", what);
+                    prop_assert_eq!(rows_of(&restored), rows_of(&nl), "rows: {}", what);
                     prop_assert_eq!(restored.stats(), nl.stats(), "stats: {}", what);
                     prop_assert_eq!(restored.stats().builds, 2);
                     prop_assert_eq!(restored.ago(), nl.ago());
                     prop_assert_eq!(restored.needs_rebuild(&moved, &later_box), stale);
                 }
             }
+        }
+    }
+
+    #[test]
+    fn row_ranges_walk_the_pages_as_the_rows_lie() {
+        let bx = SimBox::cubic(10.0);
+        let x = random_positions(301, 10.0, 31);
+        for threads in [1, 2, 3, 7] {
+            for padding in [0, 8] {
+                let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
+                nl.set_threads(threads);
+                nl.set_padding(padding).unwrap();
+                nl.build(&x, &bx).unwrap();
+                let want = rows_of(&nl);
+                // Whole, empty, inside one page and across page boundaries.
+                let modes: &[bool] = if padding > 1 {
+                    &[false, true]
+                } else {
+                    &[false]
+                };
+                for atoms in [0..301, 0..0, 40..41, 42..99, 99..250, 150..301] {
+                    for &padded in modes {
+                        let got: Vec<_> = nl.rows(atoms.clone(), padded).collect();
+                        let expected: Vec<_> = atoms
+                            .clone()
+                            .map(|i| (i, if padded { want[i].1 } else { want[i].0 }))
+                            .collect();
+                        assert_eq!(got, expected, "{threads} threads, {atoms:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn page_past_the_row_index_is_refused() {
+        let bx = SimBox::cubic(10.0);
+        let x = random_positions(200, 10.0, 8);
+        for threads in [1, 2] {
+            let mut nl = NeighborList::new(2.0, 0.4, NeighborListKind::Half);
+            nl.set_threads(threads);
+            nl.build(&x, &bx).unwrap();
+            let biggest = nl.pages.iter().map(|p| p.entries.len()).max().unwrap();
+            let plain = |nl: &NeighborList| -> Vec<Vec<u32>> {
+                (0..nl.natoms()).map(|i| nl.neighbors(i).to_vec()).collect()
+            };
+            let before = plain(&nl);
+            // Padding that takes a page past the limit leaves the list as it was.
+            nl.page_limit = biggest;
+            let err = nl.set_padding(8).unwrap_err();
+            assert!(matches!(err, CoreError::NeighborPageFull { entries } if entries > biggest));
+            assert_eq!(nl.padding(), 0);
+            assert_eq!(plain(&nl), before, "{threads} threads");
+            // A build past it stops, and leaves the list empty.
+            nl.page_limit = biggest - 1;
+            let err = nl.build(&x, &bx).unwrap_err();
+            assert!(matches!(err, CoreError::NeighborPageFull { entries } if entries >= biggest));
+            assert_eq!(nl.natoms(), 0, "{threads} threads");
         }
     }
 

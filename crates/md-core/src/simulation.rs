@@ -72,7 +72,6 @@ pub struct Simulation {
     shake: Option<Shake>,
     neighbor: Option<NeighborList>,
     neighbor_policy: NeighborPolicy,
-    forces: Vec<V3>,
     ledger: TaskLedger,
     step: u64,
     thermo_every: u64,
@@ -241,30 +240,25 @@ impl Simulation {
     /// Evaluates all forces at the current positions (used at setup and by
     /// every timestep). Updates `self.energy` and the atom force array.
     fn compute_forces(&mut self) {
-        let n = self.atoms.len();
-        if self.forces.len() != n {
-            self.forces.resize(n, Vec3::zero());
-        }
-        for f in &mut self.forces {
-            *f = Vec3::zero();
-        }
+        self.atoms.zero_forces();
+        let (atoms, f) = self.atoms.split_forces();
+        let sys = PairSystem {
+            bx: &self.bx,
+            x: atoms.x,
+            v: atoms.v,
+            kinds: atoms.kinds,
+            charge: atoms.charges,
+            radius: atoms.radii,
+            mass_by_type: atoms.mass_by_type,
+            units: &self.units,
+            dt: self.dt,
+        };
         let mut energy = EnergyVirial::default();
 
         // Pair (task V).
         if let (Some(pair), Some(nl)) = (self.pair.as_mut(), self.neighbor.as_ref()) {
             let t0 = Instant::now();
-            let sys = PairSystem {
-                bx: &self.bx,
-                x: self.atoms.x(),
-                v: self.atoms.v(),
-                kinds: self.atoms.kinds(),
-                charge: self.atoms.charges(),
-                radius: self.atoms.radii(),
-                mass_by_type: self.atoms.masses_by_type(),
-                units: &self.units,
-                dt: self.dt,
-            };
-            energy += pair.compute(&sys, nl, &mut self.forces);
+            energy += pair.compute(&sys, nl, f);
             let dt = t0.elapsed().as_secs_f64();
             self.ledger.add(TaskKind::Pair, dt);
             self.recorder
@@ -275,30 +269,15 @@ impl Simulation {
         let t0 = Instant::now();
         let mut bonded_any = false;
         if let Some(bond) = self.bond.as_mut() {
-            energy += bond.compute(
-                &self.bx,
-                self.atoms.x(),
-                self.atoms.bonds(),
-                &mut self.forces,
-            );
+            energy += bond.compute(&self.bx, atoms.x, atoms.bonds, f);
             bonded_any = true;
         }
         if let Some(angle) = self.angle.as_mut() {
-            energy += angle.compute(
-                &self.bx,
-                self.atoms.x(),
-                self.atoms.angles(),
-                &mut self.forces,
-            );
+            energy += angle.compute(&self.bx, atoms.x, atoms.angles, f);
             bonded_any = true;
         }
         if let Some(dihedral) = self.dihedral.as_mut() {
-            energy += dihedral.compute(
-                &self.bx,
-                self.atoms.x(),
-                self.atoms.dihedrals(),
-                &mut self.forces,
-            );
+            energy += dihedral.compute(&self.bx, atoms.x, atoms.dihedrals, f);
             bonded_any = true;
         }
         if bonded_any {
@@ -311,12 +290,7 @@ impl Simulation {
         // K-space (task VI).
         if let Some(kspace) = self.kspace.as_mut() {
             let t0 = Instant::now();
-            energy += kspace.compute(
-                &self.bx,
-                self.atoms.x(),
-                self.atoms.charges(),
-                &mut self.forces,
-            );
+            energy += kspace.compute(&self.bx, atoms.x, atoms.charges, f);
             let dt = t0.elapsed().as_secs_f64();
             self.ledger.add(TaskKind::Kspace, dt);
             self.recorder
@@ -326,19 +300,8 @@ impl Simulation {
         // Post-force fixes (Modify).
         if !self.fixes.is_empty() {
             let t0 = Instant::now();
-            let sys = PairSystem {
-                bx: &self.bx,
-                x: self.atoms.x(),
-                v: self.atoms.v(),
-                kinds: self.atoms.kinds(),
-                charge: self.atoms.charges(),
-                radius: self.atoms.radii(),
-                mass_by_type: self.atoms.masses_by_type(),
-                units: &self.units,
-                dt: self.dt,
-            };
             for fix in &mut self.fixes {
-                fix.post_force(&sys, &mut self.forces);
+                fix.post_force(&sys, f);
             }
             let dt = t0.elapsed().as_secs_f64();
             self.ledger.add(TaskKind::Modify, dt);
@@ -346,7 +309,6 @@ impl Simulation {
                 .record_span(ENGINE_LANE, "task", "Modify", t0, dt);
         }
 
-        self.atoms.f_mut().copy_from_slice(&self.forces);
         self.energy = energy;
     }
 
@@ -457,7 +419,8 @@ impl Simulation {
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidParameter`] if no pair style is
-    /// configured.
+    /// configured, and [`CoreError::NeighborPageFull`] if padding the rows
+    /// outgrows their index.
     pub fn pair_probe(&mut self, path: KernelPath) -> Result<(Vec<V3>, EnergyVirial)> {
         let (Some(pair), Some(nl)) = (self.pair.as_mut(), self.neighbor.as_mut()) else {
             return Err(CoreError::InvalidParameter {
@@ -468,7 +431,10 @@ impl Simulation {
         let prev = pair.kernel_path();
         pair.set_kernel_path(path);
         if pair.kernel_path().is_lanes() && nl.padding() < LANES {
-            nl.set_padding(LANES);
+            if let Err(e) = nl.set_padding(LANES) {
+                pair.set_kernel_path(prev);
+                return Err(e);
+            }
         }
         let sys = PairSystem {
             bx: &self.bx,
@@ -862,7 +828,6 @@ impl Simulation {
         self.atoms.v_mut().copy_from_slice(&v);
         self.atoms.f_mut().copy_from_slice(&f);
         self.atoms.images_mut().copy_from_slice(&images);
-        self.forces = f;
         self.energy = EnergyVirial {
             evdwl: r.f64()?,
             ecoul: r.f64()?,
@@ -1178,7 +1143,7 @@ impl SimulationBuilder {
                 let mut nl = NeighborList::new(cutoff, self.skin, p.list_kind());
                 nl.set_threads(self.threads.count);
                 if kernel_path.is_lanes() {
-                    nl.set_padding(LANES);
+                    nl.set_padding(LANES)?;
                 }
                 Some(nl)
             }
@@ -1206,7 +1171,6 @@ impl SimulationBuilder {
             shake: self.shake,
             neighbor,
             neighbor_policy: self.neighbor_policy,
-            forces: Vec::new(),
             ledger: TaskLedger::new(),
             step: 0,
             thermo_every: self.thermo_every,

@@ -24,12 +24,14 @@
 //! **The inline rule.** A single part runs on the caller's thread: no spawn,
 //! no span, no allocation. That is what lets a call site keep *one* loop body
 //! for serial and threaded runs, and what keeps a serial step's trace and
-//! allocation count untouched. Two sites nevertheless keep a `t == 1`
-//! branch, because their threaded form is not the serial loop over a
-//! sub-range: the neighbor build and the FFT z pass fill private per-worker
-//! buffers that a serial merge then copies into place, where the serial form
-//! writes in place — a copy of every stored neighbor per rebuild, and of the
-//! whole mesh per transform, that one thread has no reason to pay.
+//! allocation count untouched. The neighbor build is such a site although
+//! its rows vary in length: each worker writes its stripe's rows into a page
+//! of its own, so no row is copied after the fork. One site nevertheless
+//! keeps a `t == 1` branch, because its threaded form is not the serial loop
+//! over a sub-range: the FFT z pass fills private per-worker buffers that a
+//! serial merge then copies into place, where the serial form writes in
+//! place — a copy of the whole mesh per transform that one thread has no
+//! reason to pay.
 //!
 //! **The lane convention.** With two or more parts, part `k` runs on a
 //! scoped worker and its wall time is one `thread`-category span, under the

@@ -7,30 +7,38 @@
 //!
 //! A counting global allocator wraps the system allocator; after a warmup
 //! pass over every position set the test replays the same sets and demands
-//! zero allocations, padding enabled.
+//! zero allocations, padding enabled. It also tracks the heap bytes live
+//! (allocated minus freed), with which the test holds a threaded list to one
+//! copy of its rows: each build worker writes its rows into a page of its
+//! own, and nothing is copied into a second, serial-shaped array.
 
 use md_core::kernel::LANES;
 use md_core::neighbor::{NeighborList, NeighborListKind};
 use md_core::{SimBox, Vec3, V3};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as i64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        let grown = new_size as i64 - layout.size() as i64;
+        LIVE_BYTES.fetch_add(grown, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -86,8 +94,8 @@ fn slab(phase: u64) -> Config {
     lattice(bx, [8, 10, 6], phase)
 }
 
-// One test: the allocation counter is global, and tests of one binary run on
-// parallel threads.
+// One test: the counters are global, and tests of one binary run on parallel
+// threads.
 #[test]
 fn steady_state_rebuilds_do_not_allocate() {
     let cubes: Vec<_> = (0..4).map(cube).collect();
@@ -109,7 +117,7 @@ fn steady_state_rebuilds_do_not_allocate() {
         for (phase, (bx, x)) in sets.iter().enumerate() {
             nl.build(x, bx).expect("warmup build");
             if phase == 0 {
-                nl.set_padding(LANES);
+                nl.set_padding(LANES).unwrap();
             }
         }
         assert_eq!(nl.padding(), LANES);
@@ -127,5 +135,44 @@ fn steady_state_rebuilds_do_not_allocate() {
             allocations, 0,
             "{name}: steady-state neighbor rebuilds allocated {allocations} times"
         );
+    }
+
+    threaded_lists_hold_one_copy_of_the_rows(&cubes[0], &slabs[0]);
+}
+
+/// Heap bytes held by a clone of a steady-state list built on `threads`
+/// threads, padding on. A clone holds every vector at its length, so this is
+/// what the list keeps without the growth slack of its vectors.
+fn held_bytes(kind: NeighborListKind, threads: usize, (bx, x): &Config) -> i64 {
+    let mut nl = NeighborList::new(2.5, 0.3, kind);
+    nl.set_threads(threads);
+    nl.set_padding(LANES).unwrap();
+    for _ in 0..3 {
+        nl.build(x, bx).expect("build");
+    }
+    let before = LIVE_BYTES.load(Ordering::Relaxed);
+    let copy = nl.clone();
+    let held = LIVE_BYTES.load(Ordering::Relaxed) - before;
+    drop(copy);
+    held
+}
+
+/// A list built on 2 and on 3 threads holds the bytes the 1-thread list
+/// holds, up to one page record per worker: no copy of the rows beside the
+/// pages the workers wrote.
+fn threaded_lists_hold_one_copy_of_the_rows(cube: &Config, slab: &Config) {
+    for (name, kind, config) in [
+        ("half, cube", NeighborListKind::Half, cube),
+        ("full, slab", NeighborListKind::Full, slab),
+    ] {
+        let serial = held_bytes(kind, 1, config);
+        for threads in [2, 3] {
+            let threaded = held_bytes(kind, threads, config);
+            let slack = 64 * threads as i64;
+            assert!(
+                (threaded - serial).abs() <= slack,
+                "{name}: a list on {threads} threads holds {threaded} B, on one {serial} B"
+            );
+        }
     }
 }

@@ -185,7 +185,7 @@ fn list_blob(partners: &[[u32; 1]]) -> (NeighborList, Vec<u8>) {
 /// Loads `bytes` into a fresh padded list.
 fn load_list(bytes: &[u8], partners: &[[u32; 1]]) -> Result<NeighborList, CoreError> {
     let mut nl = NeighborList::new(1.5, 0.3, NeighborListKind::Full);
-    nl.set_padding(8);
+    nl.set_padding(8).unwrap();
     let mut r = Reader::new(bytes, "neighbor list");
     nl.state_load(&mut r, partners.len(), |i| &partners[i])?;
     r.expect_exhausted()?;

@@ -310,12 +310,12 @@ impl LjCharmmCoulLong {
         let mut evdwl = 0.0;
         let mut ecoul = 0.0;
         let mut virial = 0.0;
-        for i in rows {
+        for (i, row) in nl.rows(rows, false) {
             let xi = sys.x[i];
             let trow = sys.kinds[i] as usize * nt;
             let qi = qqr2e * sys.charge[i];
             let mut fi = Vec3::zero();
-            for &j in nl.neighbors(i) {
+            for &j in row {
                 let ju = j as usize;
                 let d = sys.bx.min_image(xi, sys.x[ju]);
                 let r2 = d.norm2();

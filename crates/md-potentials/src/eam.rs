@@ -109,9 +109,9 @@ impl SuttonChenEam {
     ) -> f64 {
         let cut2 = self.cutoff * self.cutoff;
         let mut e_pair = 0.0;
-        for i in rows {
+        for (i, row) in nl.rows(rows, false) {
             let xi = sys.x[i];
-            for &j in nl.neighbors(i) {
+            for &j in row {
                 let ju = j as usize;
                 let d = sys.bx.min_image(xi, sys.x[ju]);
                 let r2 = d.norm2();
@@ -155,10 +155,10 @@ impl SuttonChenEam {
     ) -> f64 {
         let cut2 = self.cutoff * self.cutoff;
         let mut virial = 0.0;
-        for i in rows {
+        for (i, row) in nl.rows(rows, false) {
             let xi = sys.x[i];
             let mut fi = Vec3::zero();
-            for &j in nl.neighbors(i) {
+            for &j in row {
                 let ju = j as usize;
                 let d = sys.bx.min_image(xi, sys.x[ju]);
                 let r2 = d.norm2();
@@ -212,11 +212,10 @@ impl SuttonChenEam {
         let mut zjb = [0.0f64; LANES];
         let mut epb = [0.0f64; LANES];
         let mut densb = [0.0f64; LANES];
-        for i in rows {
+        for (i, row) in nl.rows(rows, true) {
             let xi = g.xs[i];
             let yi = g.ys[i];
             let zi = g.zs[i];
-            let row = nl.padded_neighbors(i);
             for block in row.chunks_exact(LANES) {
                 for lane in 0..LANES {
                     let j = block[lane] as usize;
@@ -280,12 +279,11 @@ impl SuttonChenEam {
         let mut dfy = [0.0f64; LANES];
         let mut dfz = [0.0f64; LANES];
         let mut vb = [0.0f64; LANES];
-        for i in rows {
+        for (i, row) in nl.rows(rows, true) {
             let xi = g.xs[i];
             let yi = g.ys[i];
             let zi = g.zs[i];
             let de_i = dembed[i];
-            let row = nl.padded_neighbors(i);
             let mut fxi = 0.0f64;
             let mut fyi = 0.0f64;
             let mut fzi = 0.0f64;
@@ -711,7 +709,7 @@ mod tests {
         let mut f_ref = vec![Vec3::zero(); x.len()];
         let e_ref = with_sys(&bx, &x, |sys| eam.compute(sys, &nl, &mut f_ref));
 
-        nl.set_padding(md_core::LANES);
+        nl.set_padding(md_core::LANES).unwrap();
         eam.set_kernel_path(md_core::KernelPath::Lanes);
         let mut f_lanes = vec![Vec3::zero(); x.len()];
         let e_lanes = with_sys(&bx, &x, |sys| eam.compute(sys, &nl, &mut f_lanes));

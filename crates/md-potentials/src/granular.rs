@@ -76,10 +76,10 @@ impl RowHistory {
         }
         let old = std::mem::take(self);
         self.aligned = Some(list);
-        for i in 0..nl.natoms() {
-            let row = old.row(i as u32);
-            for &j in nl.neighbors(i) {
-                let carried = row
+        for (i, row) in nl.rows(0..nl.natoms(), false) {
+            let entries = old.row(i as u32);
+            for &j in row {
+                let carried = entries
                     .clone()
                     .find(|&o| old.live[o] && old.partners[o] == j)
                     .map(|o| old.shear[o]);
@@ -163,13 +163,12 @@ impl PairStyle for GranHookeHistory {
             ..
         } = &mut self.history;
         let mut k = 0;
-        for i in 0..n {
+        for (i, row) in nl.rows(0..n, false) {
             let xi = sys.x[i];
             let vi = sys.v[i];
             let ri = sys.radius[i];
             let mi = sys.mass(i);
             let mut fi = Vec3::zero();
-            let row = nl.neighbors(i);
             let entries = k..k + row.len();
             k = entries.end;
             let slots = stored[entries.clone()].iter_mut().zip(&mut live[entries]);

@@ -63,7 +63,7 @@ impl Rig {
             .map(|i| if i % 2 == 0 { 0.35 } else { -0.35 })
             .collect();
         let mut nl = NeighborList::new(cutoff, 0.3, NeighborListKind::Half);
-        nl.set_padding(LANES);
+        nl.set_padding(LANES).unwrap();
         nl.build(&x, &bx).expect("valid geometry");
         Rig {
             bx,

@@ -178,13 +178,13 @@ impl LjCut {
         let mut evdwl = 0.0;
         let mut virial = 0.0;
         let nt = self.ntypes;
-        for i in rows {
+        for (i, row) in nl.rows(rows, false) {
             let xi = sys.x[i];
             // Hoist the type-table row base out of the inner loop; the pair
             // lookup below only adds the neighbor's type.
             let trow = sys.kinds[i] as usize * nt;
             let mut fi = V3::zero();
-            for &j in nl.neighbors(i) {
+            for &j in row {
                 let ju = j as usize;
                 let mut d = xi - sys.x[ju];
                 for k in 0..3 {
@@ -277,7 +277,7 @@ impl LjCut {
         let mut dfz = [0.0f64; LANES];
         let mut ev = [0.0f64; LANES];
         let mut vv = [0.0f64; LANES];
-        for i in rows {
+        for (i, row) in nl.rows(rows, true) {
             let xi = sys.x[i].x;
             let yi = sys.x[i].y;
             let zi = sys.x[i].z;
@@ -290,7 +290,6 @@ impl LjCut {
             let lj2r = &lj2[base..base + nt];
             let lj3r = &lj3[base..base + nt];
             let lj4r = &lj4[base..base + nt];
-            let row = nl.padded_neighbors(i);
             let mut fxv = [0.0f64; LANES];
             let mut fyv = [0.0f64; LANES];
             let mut fzv = [0.0f64; LANES];
@@ -553,7 +552,7 @@ mod tests {
             let mut f_ref = vec![Vec3::zero(); n];
             let e_ref = lj.compute(sys, nl, &mut f_ref);
 
-            nl.set_padding(LANES);
+            nl.set_padding(LANES).unwrap();
             lj.set_kernel_path(KernelPath::Lanes);
             assert_eq!(lj.kernel_path(), KernelPath::Lanes);
             let mut f_lanes = vec![Vec3::zero(); n];

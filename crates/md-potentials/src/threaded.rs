@@ -608,7 +608,7 @@ mod tests {
     ) {
         let (f0, e0) = forces(&mut make(), &bx, &x, &nl);
         if path.is_lanes() {
-            nl.set_padding(LANES);
+            nl.set_padding(LANES).unwrap();
         }
         let mut threaded = Threaded::new(make(), t).unwrap();
         threaded.set_kernel_path(path);

@@ -56,7 +56,7 @@ impl Rig {
     /// padded list; scalar skips the sentinel slots).
     fn eval(&self, style: &mut dyn PairStyle, path: KernelPath) -> (Vec<V3>, f64, f64) {
         let mut nl = NeighborList::new(style.cutoff(), 0.3, style.list_kind());
-        nl.set_padding(LANES);
+        nl.set_padding(LANES).unwrap();
         nl.build(&self.x, &self.bx).expect("valid geometry");
         let n = self.x.len();
         let v = vec![Vec3::zero(); n];

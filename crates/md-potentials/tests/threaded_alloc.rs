@@ -67,7 +67,7 @@ fn steady_state_bytes<P: Threadable>(style: P, path: KernelPath, layers: usize) 
     threaded.set_kernel_path(path);
     let mut nl = NeighborList::new(threaded.cutoff(), 0.3, NeighborListKind::Half);
     if path.is_lanes() {
-        nl.set_padding(LANES);
+        nl.set_padding(LANES).unwrap();
     }
     nl.build(&x, &bx).expect("valid geometry");
     let v = vec![Vec3::zero(); n];
