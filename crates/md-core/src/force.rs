@@ -254,15 +254,6 @@ pub trait KspaceStyle: Send {
     /// Sets the shared-memory thread-team configuration (see
     /// [`crate::Threads`]). Solvers without threaded kernels ignore it.
     fn set_threads(&mut self, _threads: crate::Threads) {}
-
-    /// Tightens the solver's accuracy target one notch (recovery-ladder
-    /// mitigation for k-space-induced force errors). Returns `true` if the
-    /// target changed; the caller must re-run [`KspaceStyle::setup`] for the
-    /// new target to take effect. Solvers without an accuracy knob return
-    /// `false`.
-    fn tighten_accuracy(&mut self) -> bool {
-        false
-    }
 }
 
 #[cfg(test)]

@@ -614,27 +614,9 @@ impl Simulation {
         self.last_drift
     }
 
-    /// Replaces the timestep (recovery-ladder mitigation: shrink `dt` after
-    /// a numerical-health violation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidParameter`] unless `dt` is positive and
-    /// finite.
-    pub fn set_dt(&mut self, dt: f64) -> Result<()> {
-        if !(dt > 0.0 && dt.is_finite()) {
-            return Err(CoreError::InvalidParameter {
-                name: "dt",
-                reason: format!("timestep {dt} must be positive and finite"),
-            });
-        }
-        self.dt = dt;
-        Ok(())
-    }
-
     /// Forces a neighbor-list rebuild at the current positions, outside the
-    /// [`NeighborPolicy`] (recovery-ladder mitigation). Like any build it
-    /// restarts the policy's count of steps since the last build.
+    /// [`NeighborPolicy`]. Like any build it restarts the policy's count of
+    /// steps since the last build.
     ///
     /// # Errors
     ///
@@ -642,30 +624,6 @@ impl Simulation {
     pub fn force_neighbor_rebuild(&mut self) -> Result<()> {
         self.refresh_neighbors(true)?;
         Ok(())
-    }
-
-    /// Tightens the long-range solver's accuracy target one notch, re-runs
-    /// its setup and hands the splitting parameter that setup chose to the
-    /// pair style, which carries the real-space half of the same sum
-    /// (recovery-ladder mitigation). Returns `false` if no solver is
-    /// configured or it has no accuracy knob.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver setup failures at the tightened target.
-    pub fn tighten_kspace(&mut self) -> Result<bool> {
-        let Some(ks) = self.kspace.as_mut() else {
-            return Ok(false);
-        };
-        if !ks.tighten_accuracy() {
-            return Ok(false);
-        }
-        ks.setup(&self.bx, self.atoms.charges())?;
-        let g = ks.stats().g_ewald;
-        if let Some(pair) = self.pair.as_mut() {
-            pair.set_g_ewald(g);
-        }
-        Ok(true)
     }
 
     /// Serializes the simulation's full dynamic state (everything the

@@ -1,6 +1,6 @@
 //! An oracle for the state decoders: `Simulation::load_state` and
-//! `NeighborList::state_load` take bytes that no checksum covers (the
-//! in-memory snapshot of the recovery ladder is the raw blob), so every
+//! `NeighborList::state_load` take bytes that no checksum covers (a
+//! `save_state` blob kept in memory is loaded as it is), so every
 //! damaged input has to end in a typed error or a load — never a panic, and
 //! never an allocation out of proportion to the blob. Exhaustive over a blob
 //! small enough to try every truncation and every byte.

@@ -8,7 +8,6 @@
 //!          [--checkpoint-every N] [--checkpoint-dir DIR]
 //!          [--checkpoint-retain K] [--resume]
 //!          [--faults SPEC] [--trace out.json]
-//!          [--comm-timeout SECS] [--max-rank-retries K]
 //!          [--repartition-every N]
 //!          [--insight DIR] [--gpu-insight]
 //! ```
@@ -26,7 +25,7 @@
 //! minimum per path) and prints the two times; the modeled cluster's CPU
 //! ns/pair is recalibrated by that lanes/scalar ratio.
 //!
-//! ## Resilience
+//! ## Checkpoint/resume
 //!
 //! `--checkpoint-every N` writes a checksummed checkpoint every N steps to
 //! `--checkpoint-dir` (default `checkpoints/`), keeping the newest
@@ -36,30 +35,16 @@
 //! those are not consulted, and the banner prints what the restored deck
 //! runs with); `--steps` stays the *total* step target, so a resumed run
 //! finishes exactly where an uninterrupted one would — bitwise, at the
-//! recorded thread count.
+//! recorded thread count. Writing a checkpoint moves no bit of the
+//! trajectory.
 //!
-//! `--faults SPEC` injects a deterministic fault schedule (see the
-//! md-resilience grammar): engine faults (`force-flip:<atom>@<step>`) are
-//! caught by the numerical watchdog and rolled back under the recovery
-//! ladder; cluster faults (`rank-stall:<rank>@<step>`, `rank-slow`,
-//! `halo-drop`, `halo-dup`, `halo-corrupt`, `rank-crash`) additionally
-//! drive a modeled 8-rank virtual cluster whose per-rank lanes land in
-//! `--trace` output.
+//! ## Cost injection
 //!
-//! ## Self-healing cluster
-//!
-//! A `rank-crash:<rank>@<step>` fault fail-stops a virtual rank. The
-//! comm-health layer detects the silence on the modeled cluster (deadline
-//! timeouts, seeded retry/backoff, per-rank retry budgets — tune with
-//! `--comm-timeout` and `--max-rank-retries`), and the resilient runner
-//! answers on the engine side: roll back to the last snapshot, re-decompose
-//! over N−1 ranks, and continue — the post-shrink trajectory is bitwise the
-//! crash-free one, because the shrink touches no physics knob. Every shrink
-//! prints a `[recovery] shrink:` line and is serialized (CRC-checked wire
-//! format) to `<checkpoint-dir>/shrink.reports`. When the cluster cannot
-//! shrink further the run exits 4 with a structured failure report.
-//! `halo-corrupt:<rank>@<step>` flips a byte in a framed ghost payload; the
-//! CRC check catches it and a budgeted retry re-transfers the halo.
+//! `--faults SPEC` injects a deterministic schedule of cluster faults (see
+//! the md-resilience grammar): `rank-stall:<rank>@<step>` and
+//! `rank-slow:<rank>x<factor>@<step>` perturb the clocks of a modeled
+//! 8-rank virtual cluster whose per-rank lanes land in `--trace` output;
+//! the engine's trajectory is untouched.
 //!
 //! `--repartition-every N` turns on imbalance-aware repartitioning in the
 //! modeled cluster: every N steps the census names the suspect rank and the
@@ -92,10 +77,7 @@ use md_model::{
     CpuModel, CpuRunOptions, CpuRunResult, GpuModel, GpuRunOptions, GpuTracedRun, WorkloadProfile,
 };
 use md_observe::{chrome_trace_json, ObserveConfig, Recorder};
-use md_resilience::{
-    Checkpoint, CheckpointManager, FaultPlan, RecoveryPolicy, ResilienceError, ResilientRunner,
-    ShrinkReport, Watchdog, WatchdogConfig,
-};
+use md_resilience::{Checkpoint, CheckpointManager, FaultPlan};
 use md_workloads::io::{write_data, AtomStyle, XyzDump};
 use md_workloads::{build_deck_tuned, build_positions, Benchmark, Deck, DeckTuning};
 use std::path::PathBuf;
@@ -121,8 +103,6 @@ struct Args {
     resume: bool,
     faults: FaultPlan,
     trace: Option<PathBuf>,
-    comm_timeout: f64,
-    max_rank_retries: u32,
     repartition_every: u64,
     insight: Option<PathBuf>,
     gpu_insight: bool,
@@ -135,8 +115,7 @@ fn parse_args() -> Result<Args, String> {
          [--thermo N] [--threads T] [--kernel scalar|lanes] [--sort-every N] \
          [--dump FILE] [--write-data FILE] [--checkpoint-every N] [--checkpoint-dir DIR] \
          [--checkpoint-retain K] [--resume] [--faults SPEC] [--trace FILE] \
-         [--comm-timeout SECS] [--max-rank-retries K] [--repartition-every N] \
-         [--insight DIR] [--gpu-insight]"
+         [--repartition-every N] [--insight DIR] [--gpu-insight]"
             .to_string()
     })?;
     let benchmark = Benchmark::parse(&bench_name).map_err(|e| e.to_string())?;
@@ -159,8 +138,6 @@ fn parse_args() -> Result<Args, String> {
         resume: false,
         faults: FaultPlan::default(),
         trace: None,
-        comm_timeout: 0.0,
-        max_rank_retries: 3,
         repartition_every: 0,
         insight: None,
         gpu_insight: false,
@@ -204,19 +181,6 @@ fn parse_args() -> Result<Args, String> {
                 out.faults = FaultPlan::parse(&value("--faults")?).map_err(|e| e.to_string())?;
             }
             "--trace" => out.trace = Some(PathBuf::from(value("--trace")?)),
-            "--comm-timeout" => {
-                out.comm_timeout = value("--comm-timeout")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-                if out.comm_timeout < 0.0 {
-                    return Err("--comm-timeout must be >= 0".to_string());
-                }
-            }
-            "--max-rank-retries" => {
-                out.max_rank_retries = value("--max-rank-retries")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-            }
             "--repartition-every" => {
                 out.repartition_every = value("--repartition-every")?
                     .parse()
@@ -294,10 +258,6 @@ fn main() {
     args.threads = deck.simulation.threads();
     args.kernel = deck.simulation.kernel_path();
     args.sort_every = deck.simulation.sort_every();
-    let resilient = args.checkpoint_every > 0
-        || args.resume
-        || !args.faults.engine_faults().is_empty()
-        || !args.faults.crashes().is_empty();
 
     println!(
         "running {} at scale {} ({} atoms), {} steps, {}, {} kernel{}, target features {}, lanes {}",
@@ -320,11 +280,10 @@ fn main() {
         .as_deref()
         .map(|p| XyzDump::create(p).unwrap_or_else(|e| fail(format!("cannot create dump: {e}"))));
 
-    // Health/fault counters, trace lanes, and the insight analyzer need an
-    // enabled recorder.
+    // Fault counters, trace lanes, and the insight analyzer need an enabled
+    // recorder.
     let mut cfg = ObserveConfig::from_env();
     cfg.enabled = cfg.enabled
-        || resilient
         || !args.faults.is_empty()
         || args.trace.is_some()
         || args.insight.is_some()
@@ -334,75 +293,37 @@ fn main() {
         deck.simulation.set_recorder(recorder.clone());
     }
 
-    let mut runner = resilient.then(|| {
-        let policy = RecoveryPolicy {
-            snapshot_every: if args.checkpoint_every > 0 {
-                args.checkpoint_every
-            } else {
-                10
-            },
-            ..RecoveryPolicy::default()
-        };
-        let mut r = ResilientRunner::new(
-            policy,
-            Watchdog::new(WatchdogConfig::default()),
-            args.faults.clone(),
-        );
-        if !args.faults.crashes().is_empty() {
-            // Arm the degraded-mode shrink: the harness models 8 ranks, and
-            // a crashed one is rolled past by re-decomposing over N−1.
-            r = r.with_cluster(8, args.max_rank_retries);
-        }
-        if args.checkpoint_every > 0 {
-            let mgr = CheckpointManager::new(
-                &args.checkpoint_dir,
-                args.checkpoint_every,
-                args.checkpoint_retain,
-            )
-            .unwrap_or_else(|e| fail(format!("checkpoint dir: {e}")));
-            r = r.with_checkpoints(mgr, DECK_SEED);
-        }
-        r
+    let checkpoints = (args.checkpoint_every > 0).then(|| {
+        CheckpointManager::new(
+            &args.checkpoint_dir,
+            args.checkpoint_every,
+            args.checkpoint_retain,
+        )
+        .unwrap_or_else(|e| fail(format!("checkpoint dir: {e}")))
     });
 
     println!("{}", deck.simulation.thermo());
-    let mut violations = 0u64;
-    let mut rollbacks = 0u32;
     let mut checkpoints_written = 0u64;
-    let mut shrinks: Vec<ShrinkReport> = Vec::new();
     // `--steps` is the total target, so a resumed run finishes the same
     // trajectory an uninterrupted one would.
     while deck.simulation.step_index() < args.steps {
-        let burst = args
-            .thermo
-            .max(1)
-            .min(args.steps - deck.simulation.step_index());
-        if let Some(runner) = runner.as_mut() {
-            match runner.run(&mut deck, burst) {
-                Ok(summary) => {
-                    violations += summary.violations;
-                    rollbacks += summary.rollbacks;
-                    checkpoints_written += summary.checkpoints_written;
-                    for m in &summary.mitigations {
-                        println!("  [recovery] rolled back, mitigation: {m}");
-                    }
-                    for s in &summary.shrinks {
-                        println!(
-                            "  [recovery] rank {} declared failed after {} exhausted retries",
-                            s.failed_rank, s.retries_spent
-                        );
-                        println!("  [recovery] shrink: {s}");
-                    }
-                    shrinks.extend(summary.shrinks);
-                }
-                Err(ResilienceError::Unrecoverable(report)) => {
-                    eprintln!("unrecoverable: {report}");
-                    std::process::exit(4);
-                }
-                Err(e) => fail(format!("unrecoverable: {e}")),
+        let end = (deck.simulation.step_index() + args.thermo.max(1)).min(args.steps);
+        // A burst stops early at each step a checkpoint is due.
+        while deck.simulation.step_index() < end {
+            let from = deck.simulation.step_index();
+            let to = checkpoints
+                .as_ref()
+                .and_then(|mgr| (from + 1..=end).find(|&s| mgr.due(s)))
+                .unwrap_or(end);
+            if let Err(e) = deck.simulation.run(to - from) {
+                fail(format!("step failed: {e}"));
             }
-        } else if let Err(e) = deck.simulation.run(burst) {
-            fail(format!("step failed: {e}"));
+            if let Some(mgr) = checkpoints.as_ref().filter(|mgr| mgr.due(to)) {
+                if let Err(e) = mgr.save(&deck, DECK_SEED) {
+                    fail(format!("checkpoint failed: {e}"));
+                }
+                checkpoints_written += 1;
+            }
         }
         println!("{}", deck.simulation.thermo());
         if let Some(d) = dump.as_mut() {
@@ -434,39 +355,11 @@ fn main() {
         );
     }
 
-    if resilient {
+    if checkpoints.is_some() {
         println!(
-            "resilience: {violations} violation(s), {rollbacks} rollback(s), \
-             {checkpoints_written} checkpoint(s) written"
+            "wrote {checkpoints_written} checkpoint(s) to {}",
+            args.checkpoint_dir.display()
         );
-        for counter in [
-            "health_nonfinite_force",
-            "health_nonfinite_state",
-            "health_displacement_spike",
-            "health_energy_drift",
-            "health_temperature_spike",
-            "health_escaped_atom",
-            "health_step_error",
-            "health_rank_failed",
-            "recovery_rollback",
-            "recovery_mitigation",
-            "recovery_shrink",
-        ] {
-            if let Some(v) = recorder.counter_value(counter) {
-                println!("  {counter:<28} {v:.0}");
-            }
-        }
-        if !shrinks.is_empty() {
-            let path = args.checkpoint_dir.join("shrink.reports");
-            match write_shrink_reports(&path, &shrinks) {
-                Ok(()) => println!(
-                    "wrote {} shrink report(s) to {}",
-                    shrinks.len(),
-                    path.display()
-                ),
-                Err(e) => fail(format!("cannot write {}: {e}", path.display())),
-            }
-        }
     }
 
     // The model's ns/pair table was tuned against the scalar kernels, so a
@@ -487,7 +380,7 @@ fn main() {
 
     // The modeled 8-rank cluster runs when cluster faults need replaying
     // and/or the insight analyzer needs per-rank stats.
-    let model_run = if args.faults.has_cluster_faults() || args.insight.is_some() {
+    let model_run = if !args.faults.is_empty() || args.insight.is_some() {
         match run_model_cluster(&args, &recorder, pair_rate_scale) {
             Ok(run) => Some(run),
             Err(e) => fail(format!("modeled cluster run failed: {e}")),
@@ -564,27 +457,6 @@ fn main() {
     }
 }
 
-/// Serializes the run's shrink reports: a `u32` count, then each report as
-/// a length-prefixed [`ShrinkReport::encode`] blob (tagged, versioned,
-/// CRC-checked), little-endian throughout.
-fn write_shrink_reports(path: &std::path::Path, shrinks: &[ShrinkReport]) -> std::io::Result<()> {
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
-    }
-    let mut buf = Vec::new();
-    buf.extend_from_slice(
-        &u32::try_from(shrinks.len())
-            .expect("few shrinks")
-            .to_le_bytes(),
-    );
-    for s in shrinks {
-        let blob = s.encode();
-        buf.extend_from_slice(&u32::try_from(blob.len()).expect("small blob").to_le_bytes());
-        buf.extend_from_slice(&blob);
-    }
-    std::fs::write(path, buf)
-}
-
 /// Simulated-window length of the traced GPU-instance model (fixed so the
 /// device-lane trace and per-device shares are deck-reproducible).
 const GPU_MODEL_SIM_STEPS: u64 = 40;
@@ -626,11 +498,11 @@ fn run_gpu_model(args: &Args, recorder: &Recorder) -> md_core::Result<GpuTracedR
 /// enough steps to settle.
 const MODEL_SIM_STEPS: u64 = 60;
 
-/// Runs the modeled 8-rank virtual cluster, replaying the cluster-side
-/// fault schedule if one is set: stalls skew the faulted rank's clock
-/// (partners absorb it in MPI_Wait — the paper's Fig. 4/5 imbalance
-/// mechanism), halo faults cost extra link transfers. Per-rank lanes land
-/// in `--trace` output, injections surface as `fault_*` counters, and
+/// Runs the modeled 8-rank virtual cluster, replaying the fault schedule if
+/// one is set: stalls and slowdowns skew the faulted rank's clock (partners
+/// absorb it in MPI_Wait — the paper's Fig. 4/5 imbalance mechanism).
+/// Per-rank lanes land in `--trace` output, injections surface as
+/// `fault_*` counters, and
 /// per-rank ledgers plus critical-path records feed the insight analyzer.
 /// `pair_rate_scale` is this run's measured lanes/scalar pair-kernel ratio
 /// (`None` on the scalar path: the calibration table stands). Returns the
@@ -645,7 +517,7 @@ fn run_model_cluster(
     // downstream, but never less than the window floor.
     let horizon = args
         .faults
-        .max_cluster_step()
+        .max_step()
         .map_or(0, |s| s + 10)
         .max(MODEL_SIM_STEPS);
     println!("\nmodeled 8-rank cluster ({horizon} simulated steps):");
@@ -656,26 +528,11 @@ fn run_model_cluster(
         model.recalibrate_pair_rate(scale);
         println!("  pair rate recalibrated by this run's lanes/scalar ratio {scale:.3}");
     }
-    // Police the modeled exchanges when asked to, or whenever the fault
-    // schedule carries comm faults the detection layer must catch.
-    if args.comm_timeout > 0.0 || args.faults.has_comm_faults() {
-        model.set_comm_policy(md_parallel::CommPolicy {
-            timeout_seconds: if args.comm_timeout > 0.0 {
-                args.comm_timeout
-            } else {
-                md_parallel::CommPolicy::default().timeout_seconds
-            },
-            max_rank_retries: args.max_rank_retries,
-            seed: DECK_SEED,
-            ..md_parallel::CommPolicy::default()
-        });
-    }
     // The fault-free twin is this model before it gets the faults and the
     // recorder, so trace lanes and counters describe only the faulted run.
-    let twin_model =
-        (args.insight.is_some() && args.faults.has_cluster_faults()).then(|| model.clone());
+    let twin_model = (args.insight.is_some() && !args.faults.is_empty()).then(|| model.clone());
     model.set_recorder(recorder.clone());
-    if args.faults.has_cluster_faults() {
+    if !args.faults.is_empty() {
         model.set_faults(Arc::new(args.faults.clone()));
     }
     let opts = CpuRunOptions {
@@ -694,22 +551,11 @@ fn run_model_cluster(
     for counter in [
         "fault_rank_stall",
         "fault_rank_slow",
-        "fault_halo_drop",
-        "fault_halo_dup",
-        "fault_halo_corrupt",
-        "fault_rank_crash",
-        "comm_timeout",
-        "comm_corrupt",
-        "comm_retry",
-        "comm_budget_exhausted",
         "imbalance_repartitions",
     ] {
         if let Some(v) = recorder.counter_value(counter) {
             println!("  {counter:<22} {v:.0}");
         }
-    }
-    for &r in &result.failed_ranks {
-        println!("  [comm] modeled rank {r} declared failed (retry budget exhausted)");
     }
     for ev in &result.repartitions {
         println!(

@@ -25,7 +25,7 @@ const GAUGE_NAMES: [&str; 6] = [
 const HIST_NAMES: [&str; 3] = [
     "health_step_seconds",
     "insight_analyze_seconds",
-    "recovery_rollback_seconds",
+    "fault_stall_seconds",
 ];
 
 /// Span names for the folded-stack generator.

@@ -450,18 +450,6 @@ impl KspaceStyle for Pppm {
         self.recorder = recorder;
     }
 
-    fn tighten_accuracy(&mut self) -> bool {
-        // One notch = one decade of target error, the same granularity users
-        // pick on the LAMMPS `kspace_modify` line. Floor well above f64
-        // noise; report "no change" once pinned there.
-        let tightened = (self.relative_error * 0.1).max(1e-12);
-        if tightened >= self.relative_error {
-            return false;
-        }
-        self.relative_error = tightened;
-        true
-    }
-
     fn set_threads(&mut self, threads: Threads) {
         self.threads = threads;
         if let Some(fft) = self.fft.as_mut() {
@@ -913,27 +901,7 @@ mod tests {
         tight.setup(&bx, &q).unwrap();
         let gp = |p: &Pppm| p.grid().iter().product::<usize>();
         assert!(gp(&tight) > gp(&coarse));
-    }
-
-    #[test]
-    fn tighten_accuracy_shrinks_error_and_saturates() {
-        let (bx, _, q) = random_neutral_system(64, 12.0, 2);
-        let mut pppm = Pppm::new(5.9, 1e-4, 5);
-        pppm.setup(&bx, &q).unwrap();
-        let before = pppm.stats().estimated_error;
-        assert!(KspaceStyle::tighten_accuracy(&mut pppm));
-        pppm.setup(&bx, &q).unwrap();
-        assert!(
-            pppm.stats().estimated_error < before,
-            "{} -> {}",
-            before,
-            pppm.stats().estimated_error
-        );
-        // Repeated tightening eventually hits the floor and reports no change.
-        for _ in 0..16 {
-            KspaceStyle::tighten_accuracy(&mut pppm);
-        }
-        assert!(!KspaceStyle::tighten_accuracy(&mut pppm));
+        assert!(tight.stats().estimated_error < coarse.stats().estimated_error);
     }
 
     #[test]

@@ -113,12 +113,6 @@ pub struct CpuRunResult {
     /// Per-step critical-path records over the simulated window. Empty
     /// unless [`CpuRunOptions::collect_rank_stats`].
     pub critical_path: Vec<md_parallel::CriticalStep>,
-    /// Classified unhealthy exchanges from the comm-health layer. Empty
-    /// unless a policy was attached via [`CpuModel::set_comm_policy`].
-    pub comm_events: Vec<md_parallel::CommHealthEvent>,
-    /// Ranks the comm-health layer declared failed (retry budget exhausted
-    /// on a silent peer).
-    pub failed_ranks: Vec<usize>,
     /// Imbalance-aware re-splits performed on the
     /// [`CpuRunOptions::repartition_every`] cadence.
     pub repartitions: Vec<RepartitionEvent>,
@@ -166,7 +160,6 @@ fn varavg_percent(busy: &[f64]) -> f64 {
 pub struct CpuModel {
     recorder: Option<md_observe::Recorder>,
     faults: Option<std::sync::Arc<dyn md_parallel::ClusterFaults>>,
-    comm: Option<md_parallel::CommPolicy>,
     pair_rate_scale: Option<f64>,
 }
 
@@ -175,7 +168,6 @@ impl std::fmt::Debug for CpuModel {
         f.debug_struct("CpuModel")
             .field("recorder", &self.recorder)
             .field("faults", &self.faults.is_some())
-            .field("comm", &self.comm)
             .field("pair_rate_scale", &self.pair_rate_scale)
             .finish()
     }
@@ -195,18 +187,10 @@ impl CpuModel {
     }
 
     /// Attaches a fault model: every modeled run hands it to its
-    /// [`VirtualCluster`], so rank slowdowns, stalls, and halo faults
-    /// perturb the simulated clocks (and surface as imbalance).
+    /// [`VirtualCluster`], so rank slowdowns and stalls perturb the
+    /// simulated clocks (and surface as imbalance).
     pub fn set_faults(&mut self, faults: std::sync::Arc<dyn md_parallel::ClusterFaults>) {
         self.faults = Some(faults);
-    }
-
-    /// Arms the comm-health layer: every modeled run's cluster polices its
-    /// halo exchanges and allreduces under `policy` (deadline timeouts,
-    /// payload CRC checks, seeded retry backoff), and the classified
-    /// [`md_parallel::CommHealthEvent`]s surface in the result.
-    pub fn set_comm_policy(&mut self, policy: md_parallel::CommPolicy) {
-        self.comm = Some(policy);
     }
 
     /// Recalibrates the CPU pair-kernel rate by a measured multiplier: the
@@ -273,9 +257,6 @@ impl CpuModel {
         }
         if let Some(faults) = &self.faults {
             cluster.set_faults(faults.clone());
-        }
-        if let Some(policy) = self.comm {
-            cluster.set_comm_policy(policy);
         }
         if opts.collect_rank_stats {
             cluster.enable_step_tracking();
@@ -538,8 +519,6 @@ impl CpuModel {
             rank_mpi,
             rank_clocks,
             critical_path,
-            comm_events: cluster.take_comm_events(),
-            failed_ranks: cluster.failed_ranks(),
             repartitions,
         })
     }
@@ -707,8 +686,6 @@ mod tests {
         };
         let r = model.simulate(&profile, &bx, &x, &opts).unwrap();
         assert!(r.repartitions.is_empty());
-        assert!(r.comm_events.is_empty());
-        assert!(r.failed_ranks.is_empty());
         // A balanced run on the repartition cadence is a fixed point: no
         // suspect, no re-split, identical modeled numbers.
         let cadenced = CpuRunOptions {
@@ -719,37 +696,6 @@ mod tests {
         assert!(c.repartitions.is_empty(), "balanced run must not re-split");
         assert_eq!(c.ts_per_sec, r.ts_per_sec);
         assert_eq!(c.tasks, r.tasks);
-    }
-
-    #[test]
-    fn comm_policy_surfaces_crash_detection() {
-        struct Crash2;
-        impl md_parallel::ClusterFaults for Crash2 {
-            fn crash_rank(&self, rank: usize, step: u64) -> bool {
-                rank == 2 && step >= 10
-            }
-        }
-        let profile = WorkloadProfile::measure(Benchmark::Lj, 40, 1).unwrap();
-        let (bx, x) = build_positions(Benchmark::Lj, 1, 1).unwrap();
-        let mut model = CpuModel::new();
-        model.set_faults(std::sync::Arc::new(Crash2));
-        model.set_comm_policy(md_parallel::CommPolicy {
-            seed: 2022,
-            ..md_parallel::CommPolicy::default()
-        });
-        let opts = CpuRunOptions {
-            ranks: 8,
-            sim_steps: 30,
-            ..CpuRunOptions::default()
-        };
-        let r = model.simulate(&profile, &bx, &x, &opts).unwrap();
-        assert_eq!(r.failed_ranks, vec![2], "silent rank must be declared");
-        assert!(
-            r.comm_events
-                .iter()
-                .any(|e| e.peer == Some(2) && e.status == md_parallel::CommStatus::TimedOut),
-            "detection must classify the silence as a halo timeout"
-        );
     }
 
     #[test]

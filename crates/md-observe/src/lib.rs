@@ -36,10 +36,8 @@
 //!
 //! - `health_*` — md-resilience watchdog events
 //!   (`health_nonfinite_force`, `health_energy_drift`, ...)
-//! - `fault_*` — injected-fault occurrences
-//!   (`fault_rank_stall`, `fault_rank_slow`, `fault_halo_drop`, ...)
-//! - `recovery_*` — recovery-ladder actions
-//!   (`recovery_rollback`, `recovery_mitigation`)
+//! - `fault_*` — injected-fault occurrences on the virtual cluster
+//!   (`fault_rank_stall`, `fault_rank_slow`)
 //! - `insight_*` — md-insight analysis outputs (`insight_findings`)
 //! - `imbalance_*` — md-insight load-imbalance attribution
 //!   (`imbalance_suspect_rank`, `imbalance_worst_varavg_pct`)

@@ -8,12 +8,10 @@
 //! | prefix       | owner          | examples                                |
 //! |--------------|----------------|-----------------------------------------|
 //! | `health_`    | md-resilience  | `health_nonfinite_force`                |
-//! | `fault_`     | md-resilience  | `fault_rank_slow`, `fault_halo_drop`    |
-//! | `recovery_`  | md-resilience  | `recovery_rollback`                     |
+//! | `fault_`     | md-parallel    | `fault_rank_stall`, `fault_rank_slow`   |
 //! | `insight_`   | md-insight     | `insight_findings`                      |
 //! | `imbalance_` | md-insight     | `imbalance_worst_varavg_pct`            |
 //! | `gpu_`       | md-model       | `gpu_pcie_htod_bytes`                   |
-//! | `comm_`      | md-parallel    | `comm_timeout`, `comm_retry`            |
 //!
 //! Three engine-core counters predate the convention and are grandfathered
 //! as exact names: `neighbor_rebuilds`, `pair_interactions`, `energy_drift`.
@@ -23,15 +21,8 @@
 //! `tests/insight_analysis.rs`.
 
 /// Subsystem prefixes a counter or gauge name may start with.
-pub const ALLOWED_COUNTER_PREFIXES: [&str; 7] = [
-    "health_",
-    "fault_",
-    "recovery_",
-    "insight_",
-    "imbalance_",
-    "gpu_",
-    "comm_",
-];
+pub const ALLOWED_COUNTER_PREFIXES: [&str; 5] =
+    ["health_", "fault_", "insight_", "imbalance_", "gpu_"];
 
 /// Engine-core counter names that predate the prefix convention.
 pub const ENGINE_COUNTER_NAMES: [&str; 3] =
@@ -52,7 +43,7 @@ mod tests {
     /// call sites must be added here (and follow the convention) — this is
     /// the registry half of the satellite check; the integration half
     /// asserts a live run's counter map in `tests/insight_analysis.rs`.
-    const PRODUCTION_COUNTERS: [&str; 31] = [
+    const PRODUCTION_COUNTERS: [&str; 17] = [
         "neighbor_rebuilds",
         "pair_interactions",
         "energy_drift",
@@ -62,22 +53,8 @@ mod tests {
         "health_energy_drift",
         "health_temperature_spike",
         "health_escaped_atom",
-        "health_step_error",
-        "recovery_rollback",
-        "recovery_mitigation",
         "fault_rank_stall",
         "fault_rank_slow",
-        "fault_halo_drop",
-        "fault_halo_dup",
-        "fault_rank_crash",
-        "fault_halo_corrupt",
-        "health_rank_failed",
-        "recovery_shrink",
-        "comm_timeout",
-        "comm_corrupt",
-        "comm_retry",
-        "comm_budget_exhausted",
-        "comm_exchange_ok",
         "imbalance_repartitions",
         "insight_findings",
         "imbalance_suspect_rank",

@@ -8,14 +8,9 @@
 //! point becomes `MPI_Wait` time — which is exactly how the paper's "MPI
 //! imbalance" metric arises from heterogeneous per-rank work.
 
-use crate::comm::{
-    frame_ghost_payload, ghost_digest, verify_ghost_payload, CommExchange, CommHealthEvent,
-    CommPolicy, CommStatus,
-};
 use crate::mpi::{MpiFunction, MpiLedger};
 use md_core::{TaskKind, TaskLedger};
 use md_observe::Recorder;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// First trace lane used by virtual ranks (lane 0 is the real engine).
@@ -50,9 +45,8 @@ struct VirtualRank {
 
 /// A deterministic fault model queried by the virtual cluster.
 ///
-/// All queries are pure functions of `(rank, step)` so an injected fault
-/// schedule is reproducible run-to-run and can be re-queried after a
-/// recovery rollback without drifting. Defaults model a healthy cluster.
+/// Both queries are pure functions of `(rank, step)`, so an injected fault
+/// schedule is reproducible run to run. Defaults model a healthy cluster.
 pub trait ClusterFaults: Send + Sync {
     /// Multiplier on rank `rank`'s compute time at `step` (`> 1` models a
     /// degraded core, thermal throttling, or a noisy neighbor).
@@ -64,33 +58,6 @@ pub trait ClusterFaults: Send + Sync {
     /// (transient hang: page fault storm, OS jitter, GC on a shared node).
     fn stall_seconds(&self, _rank: usize, _step: u64) -> f64 {
         0.0
-    }
-
-    /// Whether the halo message destined for `rank` is lost at `step`
-    /// (the partner must retransmit; the receiver pays the extra round).
-    fn drop_halo(&self, _rank: usize, _step: u64) -> bool {
-        false
-    }
-
-    /// Whether `rank` receives its halo payload twice at `step`
-    /// (duplicated delivery: the extra volume transits the link again).
-    fn duplicate_halo(&self, _rank: usize, _step: u64) -> bool {
-        false
-    }
-
-    /// Whether `rank` has crashed (fail-stop) as of `step`. A crashed
-    /// rank's clock freezes and it drops out of every exchange; live peers
-    /// notice only through deadline timeouts, spend their retry budget,
-    /// then declare it failed (see [`VirtualCluster::set_comm_policy`]).
-    fn crash_rank(&self, _rank: usize, _step: u64) -> bool {
-        false
-    }
-
-    /// Whether the halo payload `rank` receives at `step` is corrupted in
-    /// flight. Detected by the CRC-32 frame check of the comm-health layer
-    /// and answered with one deterministic backoff + retransmission.
-    fn corrupt_halo(&self, _rank: usize, _step: u64) -> bool {
-        false
     }
 }
 
@@ -139,19 +106,6 @@ pub struct VirtualCluster {
     open_step: Option<OpenStep>,
     /// Closed per-step critical-path records (tracking only).
     critical: Vec<CriticalStep>,
-    /// Comm-health policy; `None` leaves every exchange unpoliced and the
-    /// cluster bitwise-identical to its pre-detection behavior.
-    comm: Option<CommPolicy>,
-    /// Classified unhealthy exchanges (policy attached only).
-    comm_events: Vec<CommHealthEvent>,
-    /// Retries each rank has spent against
-    /// [`CommPolicy::max_rank_retries`].
-    budget_used: Vec<u32>,
-    /// Ranks the fault model has fail-stopped (model truth).
-    crashed: BTreeSet<usize>,
-    /// Crashed ranks some live peer has *declared* failed after exhausting
-    /// its retry budget; excluded from all further exchanges.
-    detected: BTreeSet<usize>,
 }
 
 impl std::fmt::Debug for VirtualCluster {
@@ -180,50 +134,7 @@ impl VirtualCluster {
             track_steps: false,
             open_step: None,
             critical: Vec::new(),
-            comm: None,
-            comm_events: Vec::new(),
-            budget_used: vec![0; n],
-            crashed: BTreeSet::new(),
-            detected: BTreeSet::new(),
         }
-    }
-
-    /// Attaches the comm-health policy: subsequent halo exchanges and
-    /// allreduces are policed — held to the per-exchange deadline, their
-    /// framed ghost payloads CRC-checked, and failures retried under the
-    /// policy's seeded backoff. Without a policy the detection layer is
-    /// bitwise-invisible.
-    pub fn set_comm_policy(&mut self, policy: CommPolicy) {
-        self.comm = Some(policy);
-    }
-
-    /// Classified unhealthy exchanges so far (policy attached only).
-    pub fn comm_events(&self) -> &[CommHealthEvent] {
-        &self.comm_events
-    }
-
-    /// Drains the classified exchanges.
-    pub fn take_comm_events(&mut self) -> Vec<CommHealthEvent> {
-        std::mem::take(&mut self.comm_events)
-    }
-
-    /// Ranks a live peer has declared failed (retry budget exhausted on a
-    /// silent partner). These are excluded from every further exchange —
-    /// the model-side half of the degraded-mode shrink.
-    pub fn failed_ranks(&self) -> Vec<usize> {
-        self.detected.iter().copied().collect()
-    }
-
-    /// Ranks the fault model has fail-stopped so far (superset of
-    /// [`VirtualCluster::failed_ranks`]: a crash is model truth, detection
-    /// costs a budget's worth of timeouts first).
-    pub fn crashed_ranks(&self) -> Vec<usize> {
-        self.crashed.iter().copied().collect()
-    }
-
-    /// Retries rank `r` has spent against its budget.
-    pub fn retries_spent(&self, r: usize) -> u32 {
-        self.budget_used.get(r).copied().unwrap_or(0)
     }
 
     /// Attaches a fault model. Subsequent compute and halo operations are
@@ -257,17 +168,7 @@ impl VirtualCluster {
         let Some(faults) = self.faults.clone() else {
             return;
         };
-        for r in 0..self.ranks.len() {
-            if !self.crashed.contains(&r) && faults.crash_rank(r, step) {
-                // Fail-stop: clock freezes; peers will detect the silence.
-                self.crashed.insert(r);
-                self.recorder.count(Self::lane(r), "fault_rank_crash", 1.0);
-            }
-        }
         for (r, rank) in self.ranks.iter_mut().enumerate() {
-            if self.crashed.contains(&r) {
-                continue;
-            }
             let stall = faults.stall_seconds(r, step);
             if stall > 0.0 {
                 let lane = Self::lane(r);
@@ -404,9 +305,6 @@ impl VirtualCluster {
     ///
     /// An attached fault model may scale the time (rank slowdown faults).
     pub fn compute(&mut self, r: usize, task: TaskKind, seconds: f64) {
-        if self.crashed.contains(&r) {
-            return;
-        }
         let seconds = match &self.faults {
             Some(f) => {
                 let scale = f.compute_scale(r, self.current_step);
@@ -458,152 +356,41 @@ impl VirtualCluster {
         assert_eq!(partners.len(), self.nranks(), "partners per rank");
         assert_eq!(bytes.len(), self.nranks(), "bytes per rank");
         let clocks: Vec<f64> = self.ranks.iter().map(|r| r.clock).collect();
-        let step = self.current_step;
         for r in 0..self.nranks() {
-            if self.crashed.contains(&r) {
-                // A fail-stop rank neither sends nor receives; its silence
-                // is what live peers detect below.
-                continue;
-            }
             let mut sync_to = clocks[r];
             let mut any_partner = false;
-            // A peer already declared failed is excluded outright (the
-            // shrink re-planned around it); a crashed peer not yet detected
-            // is the one this rank times out on.
-            let mut undetected_crash: Option<usize> = None;
             for &p in &partners[r] {
-                if p == r || self.detected.contains(&p) {
-                    continue;
-                }
-                if self.crashed.contains(&p) {
-                    undetected_crash = Some(p);
+                if p == r {
                     continue;
                 }
                 sync_to = sync_to.max(clocks[p]);
                 any_partner = true;
             }
             let wait = sync_to - clocks[r];
-            // Volume: what this rank sends plus what it receives from live
-            // peers.
+            // Volume: what this rank sends plus what it receives.
             let recv: f64 = partners[r]
                 .iter()
-                .filter(|&&p| p != r && !self.detected.contains(&p) && !self.crashed.contains(&p))
+                .filter(|&&p| p != r)
                 .map(|&p| bytes[p] / partners[p].len().max(1) as f64)
                 .sum();
-            let sent = if any_partner { bytes[r] } else { 0.0 };
-            let mut xfer = if any_partner {
-                link.transfer(sent + recv)
+            let xfer = if any_partner {
+                link.transfer(bytes[r] + recv)
             } else {
                 0.0
             };
             let lane = Self::lane(r);
-            if any_partner {
-                if let Some(f) = self.faults.clone() {
-                    if f.drop_halo(r, step) {
-                        // Lost inbound message: the partner retransmits, so
-                        // the receiver pays a full extra latency + volume.
-                        xfer += link.transfer(recv);
-                        self.recorder.count(lane, "fault_halo_drop", 1.0);
-                    }
-                    if f.duplicate_halo(r, step) {
-                        // Duplicated delivery: the payload transits the link
-                        // twice (no extra handshake latency).
-                        xfer += recv / link.bandwidth;
-                        self.recorder.count(lane, "fault_halo_dup", 1.0);
-                    }
-                }
-            }
-            // Comm-health policing: frame + CRC-check the ghost payload,
-            // hold silent peers to the deadline, retry under the seeded
-            // backoff. `penalty` is every simulated second lost to it.
-            let mut penalty = 0.0;
-            if let Some(policy) = self.comm {
-                let corrupted = any_partner
-                    && self
-                        .faults
-                        .as_ref()
-                        .is_some_and(|f| f.corrupt_halo(r, step));
-                if corrupted {
-                    // The payload arrives damaged: the CRC-32 trailer of the
-                    // framed digest disagrees, and one backoff + retransmit
-                    // round answers it (if this rank still has budget).
-                    let mut frame = frame_ghost_payload(&ghost_digest(r, step, recv));
-                    let mid = frame.len() / 2;
-                    frame[mid] ^= 0x01;
-                    debug_assert!(
-                        verify_ghost_payload(&frame).is_err(),
-                        "flipped byte must fail the CRC check"
-                    );
-                    self.recorder.count(lane, "fault_halo_corrupt", 1.0);
-                    self.recorder.count(lane, "comm_corrupt", 1.0);
-                    let have_budget = self.budget_used[r] < policy.max_rank_retries;
-                    let mut attempts = 0;
-                    let mut lost = 0.0;
-                    if have_budget {
-                        self.budget_used[r] += 1;
-                        attempts = 1;
-                        lost = policy.backoff_seconds(r, step, 1) + link.transfer(recv);
-                        self.recorder.count(lane, "comm_retry", 1.0);
-                    } else {
-                        self.recorder.count(lane, "comm_budget_exhausted", 1.0);
-                    }
-                    penalty += lost;
-                    self.comm_events.push(CommHealthEvent {
-                        step,
-                        rank: r,
-                        peer: None,
-                        exchange: CommExchange::Halo,
-                        status: CommStatus::Corrupt,
-                        attempts,
-                        seconds_lost: lost,
-                        recovered: have_budget,
-                    });
-                } else if any_partner {
-                    // Healthy policed exchange: the frame verifies.
-                    let frame = frame_ghost_payload(&ghost_digest(r, step, recv));
-                    debug_assert!(verify_ghost_payload(&frame).is_ok());
-                    self.recorder.count(lane, "comm_exchange_ok", 1.0);
-                }
-                if let Some(p) = undetected_crash {
-                    // Silent peer: pay the deadline, spend the remaining
-                    // retry budget (each retry = backoff + another full
-                    // deadline), then declare the peer failed.
-                    self.recorder.count(lane, "comm_timeout", 1.0);
-                    let mut lost = policy.timeout_seconds;
-                    let mut attempts = 0;
-                    while self.budget_used[r] < policy.max_rank_retries {
-                        self.budget_used[r] += 1;
-                        attempts += 1;
-                        lost += policy.backoff_seconds(r, step, attempts) + policy.timeout_seconds;
-                        self.recorder.count(lane, "comm_retry", 1.0);
-                    }
-                    self.recorder.count(lane, "comm_budget_exhausted", 1.0);
-                    self.detected.insert(p);
-                    penalty += lost;
-                    self.comm_events.push(CommHealthEvent {
-                        step,
-                        rank: r,
-                        peer: Some(p),
-                        exchange: CommExchange::Halo,
-                        status: CommStatus::TimedOut,
-                        attempts,
-                        seconds_lost: lost,
-                        recovered: false,
-                    });
-                }
-            }
             let rank = &mut self.ranks[r];
-            if wait + xfer + penalty > 0.0 {
+            if wait + xfer > 0.0 {
                 // Enclosing task span; the MPI spans below nest inside it.
                 self.recorder.record_span_at(
                     lane,
                     "task",
                     "Comm",
                     clocks[r] * US,
-                    (wait + xfer + penalty) * US,
+                    (wait + xfer) * US,
                 );
             }
-            rank.clock = sync_to + xfer + penalty;
+            rank.clock = sync_to + xfer;
             if wait > 0.0 {
                 self.recorder
                     .record_span_at(lane, "mpi", "MPI_Wait", clocks[r] * US, wait * US);
@@ -617,19 +404,6 @@ impl VirtualCluster {
                 rank.mpi.add(MpiFunction::Sendrecv, xfer);
                 rank.tasks.add(TaskKind::Comm, xfer);
             }
-            if penalty > 0.0 {
-                // Deadline waits, backoffs, and retransmissions surface as
-                // MPI_Waitany — the retry row of the MPI table.
-                self.recorder.record_span_at(
-                    lane,
-                    "mpi",
-                    "MPI_Waitany",
-                    (sync_to + xfer) * US,
-                    penalty * US,
-                );
-                rank.mpi.add(MpiFunction::Waitany, penalty);
-                rank.tasks.add(TaskKind::Comm, penalty);
-            }
         }
     }
 
@@ -639,46 +413,13 @@ impl VirtualCluster {
     /// The reduction time is attributed to `task` (thermo reductions are
     /// `Output`, FFT norms are `Kspace`, ...).
     pub fn allreduce(&mut self, bytes: f64, link: LinkModel, task: TaskKind) {
-        let dead: BTreeSet<usize> = self.crashed.union(&self.detected).copied().collect();
-        let survivors = self.nranks() - dead.len();
-        if survivors == 0 {
-            return;
-        }
-        let max_clock = self
-            .ranks
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| !dead.contains(r))
-            .map(|(_, rank)| rank.clock)
-            .fold(0.0, f64::max);
-        let stages = (survivors as f64).log2().ceil().max(1.0);
+        let max_clock = self.max_clock();
+        let stages = (self.nranks() as f64).log2().ceil().max(1.0);
         let cost = stages * link.transfer(bytes);
         let rec = self.recorder.clone();
-        let step = self.current_step;
-        let mut events = Vec::new();
         for (r, rank) in self.ranks.iter_mut().enumerate() {
-            if dead.contains(&r) {
-                continue;
-            }
             let lane = Self::lane(r);
             let wait = max_clock - rank.clock;
-            if let Some(policy) = self.comm {
-                if wait > policy.timeout_seconds {
-                    // Classified, not retried: the slow peer did answer the
-                    // collective, just past the deadline.
-                    rec.count(lane, "comm_timeout", 1.0);
-                    events.push(CommHealthEvent {
-                        step,
-                        rank: r,
-                        peer: None,
-                        exchange: CommExchange::Allreduce,
-                        status: CommStatus::TimedOut,
-                        attempts: 0,
-                        seconds_lost: wait,
-                        recovered: true,
-                    });
-                }
-            }
             rec.record_span_at(
                 lane,
                 "task",
@@ -697,7 +438,6 @@ impl VirtualCluster {
             rank.mpi.add(MpiFunction::Allreduce, cost);
             rank.tasks.add(task, cost);
         }
-        self.comm_events.extend(events);
     }
 
     /// Models the all-to-all transposes of a distributed 3D FFT: each rank
@@ -705,28 +445,17 @@ impl VirtualCluster {
     /// time is `MPI_Send`, synchronization skew is `MPI_Wait`; everything is
     /// attributed to `Kspace`.
     pub fn fft_transpose(&mut self, bytes_per_rank: f64, rounds: usize, link: LinkModel) {
-        let dead: BTreeSet<usize> = self.crashed.union(&self.detected).copied().collect();
-        let survivors = self.nranks() - dead.len();
-        if survivors <= 1 {
+        if self.nranks() <= 1 {
             return;
         }
-        let max_clock = self
-            .ranks
-            .iter()
-            .enumerate()
-            .filter(|(r, _)| !dead.contains(r))
-            .map(|(_, rank)| rank.clock)
-            .fold(0.0, f64::max);
-        let p = survivors as f64;
+        let max_clock = self.max_clock();
+        let p = self.nranks() as f64;
         // Each round: (P-1) messages pipelined; model as latency·(P-1) plus
         // the full volume over the shared link.
         let per_round = (p - 1.0) * link.latency + (p - 1.0) * bytes_per_rank / link.bandwidth;
         let cost = rounds as f64 * per_round;
         let rec = self.recorder.clone();
         for (r, rank) in self.ranks.iter_mut().enumerate() {
-            if dead.contains(&r) {
-                continue;
-            }
             let lane = Self::lane(r);
             let wait = max_clock - rank.clock;
             rec.record_span_at(
@@ -914,8 +643,8 @@ mod tests {
         let _ = VirtualCluster::new(0);
     }
 
-    /// Fault plan for tests: rank 1 stalls at step 3, runs 2x slow at step
-    /// 5, drops its halo at step 7, and receives a duplicate at step 9.
+    /// Fault plan for tests: rank 1 stalls at step 3 and runs 2x slow at
+    /// step 5.
     struct TestFaults;
 
     impl ClusterFaults for TestFaults {
@@ -932,12 +661,6 @@ mod tests {
             } else {
                 0.0
             }
-        }
-        fn drop_halo(&self, rank: usize, step: u64) -> bool {
-            rank == 1 && step == 7
-        }
-        fn duplicate_halo(&self, rank: usize, step: u64) -> bool {
-            rank == 1 && step == 9
         }
     }
 
@@ -1084,176 +807,6 @@ mod tests {
         c.begin_step(6);
         c.compute(1, TaskKind::Pair, 1.0);
         assert_eq!(c.task_ledger(1).seconds(TaskKind::Pair), 3.0);
-    }
-
-    #[test]
-    fn halo_drop_and_duplicate_cost_extra_transfer() {
-        let baseline = {
-            let mut c = VirtualCluster::new(2);
-            c.halo_exchange(&[vec![1], vec![0]], &[1e6; 2], LINK);
-            (c.mpi_ledger(1).total(), c.mpi_ledger(0).total())
-        };
-        let rec = Recorder::default();
-        let mut c = VirtualCluster::new(2);
-        c.set_recorder(rec.clone());
-        c.set_faults(Arc::new(TestFaults));
-        c.begin_step(7); // rank 1 drops its inbound halo
-        c.halo_exchange(&[vec![1], vec![0]], &[1e6; 2], LINK);
-        assert!(c.mpi_ledger(1).total() > baseline.0);
-        assert_eq!(c.mpi_ledger(0).seconds(MpiFunction::Sendrecv), baseline.1);
-        assert_eq!(rec.counter_value("fault_halo_drop"), Some(1.0));
-        let after_drop = c.mpi_ledger(1).total();
-        c.begin_step(9); // rank 1 receives a duplicate
-        c.halo_exchange(&[vec![1], vec![0]], &[1e6; 2], LINK);
-        assert!(c.mpi_ledger(1).total() - after_drop > baseline.0);
-        assert_eq!(rec.counter_value("fault_halo_dup"), Some(1.0));
-    }
-
-    /// Comm-fault plan: rank 1 fail-stops at step 4; rank 0's inbound halo
-    /// is corrupted at step 2.
-    struct CommFaults;
-
-    impl ClusterFaults for CommFaults {
-        fn crash_rank(&self, rank: usize, step: u64) -> bool {
-            rank == 1 && step >= 4
-        }
-        fn corrupt_halo(&self, rank: usize, step: u64) -> bool {
-            rank == 0 && step == 2
-        }
-    }
-
-    const RING: [&[usize]; 4] = [&[1, 3], &[0, 2], &[1, 3], &[0, 2]];
-
-    fn ring_partners() -> Vec<Vec<usize>> {
-        RING.iter().map(|p| p.to_vec()).collect()
-    }
-
-    fn run_comm_steps(c: &mut VirtualCluster, steps: u64) {
-        let partners = ring_partners();
-        for step in 0..steps {
-            c.begin_step(step);
-            for r in 0..c.nranks() {
-                c.compute(r, TaskKind::Pair, 0.01);
-            }
-            c.halo_exchange(&partners, &[1e5; 4], LINK);
-        }
-    }
-
-    #[test]
-    fn corrupt_halo_is_detected_and_retried() {
-        let rec = Recorder::default();
-        let mut c = VirtualCluster::new(4);
-        c.set_recorder(rec.clone());
-        c.set_faults(Arc::new(CommFaults));
-        c.set_comm_policy(CommPolicy::default());
-        run_comm_steps(&mut c, 4);
-        let corrupt: Vec<_> = c
-            .comm_events()
-            .iter()
-            .filter(|e| e.status == CommStatus::Corrupt)
-            .collect();
-        assert_eq!(corrupt.len(), 1);
-        assert_eq!(corrupt[0].rank, 0);
-        assert_eq!(corrupt[0].step, 2);
-        assert_eq!(corrupt[0].attempts, 1);
-        assert!(corrupt[0].recovered, "one retry heals a corrupt payload");
-        assert!(corrupt[0].seconds_lost > 0.0);
-        assert_eq!(c.retries_spent(0), 1);
-        assert_eq!(rec.counter_value("comm_corrupt"), Some(1.0));
-        assert_eq!(rec.counter_value("fault_halo_corrupt"), Some(1.0));
-        assert_eq!(rec.counter_value("comm_retry"), Some(1.0));
-        assert!(rec.counter_value("comm_exchange_ok").unwrap_or(0.0) > 0.0);
-        // The retry surfaces on the MPI_Waitany row.
-        assert!(c.mpi_ledger(0).seconds(MpiFunction::Waitany) > 0.0);
-    }
-
-    #[test]
-    fn crashed_rank_is_detected_declared_failed_and_excluded() {
-        let rec = Recorder::default();
-        let mut c = VirtualCluster::new(4);
-        c.set_recorder(rec.clone());
-        c.set_faults(Arc::new(CommFaults));
-        c.set_comm_policy(CommPolicy::default());
-        run_comm_steps(&mut c, 8);
-        assert_eq!(c.crashed_ranks(), vec![1]);
-        assert_eq!(c.failed_ranks(), vec![1], "silence exhausts the budget");
-        let timeouts: Vec<_> = c
-            .comm_events()
-            .iter()
-            .filter(|e| e.status == CommStatus::TimedOut && e.peer == Some(1))
-            .collect();
-        assert_eq!(timeouts.len(), 1, "first adjacent rank declares it");
-        assert!(!timeouts[0].recovered);
-        assert!(timeouts[0].attempts >= 1);
-        assert_eq!(rec.counter_value("fault_rank_crash"), Some(1.0));
-        assert_eq!(rec.counter_value("comm_budget_exhausted"), Some(1.0));
-        // The crashed rank's clock froze at the step-4 frontier; the
-        // survivors kept marching.
-        let clocks = c.rank_clocks();
-        assert!(clocks[0] > clocks[1] && clocks[2] > clocks[1]);
-        // Survivors keep exchanging after the shrink (no partner waits on
-        // rank 1 once it is declared failed).
-        let before = c.rank_clocks();
-        c.begin_step(8);
-        c.halo_exchange(&ring_partners(), &[1e5; 4], LINK);
-        let after = c.rank_clocks();
-        assert_eq!(after[1], before[1], "dead rank stays frozen");
-        assert!(after[0] > before[0] && after[2] > before[2]);
-    }
-
-    #[test]
-    fn policed_healthy_run_matches_unpoliced_clocks() {
-        let mut plain = VirtualCluster::new(4);
-        let mut policed = VirtualCluster::new(4);
-        policed.set_comm_policy(CommPolicy::default());
-        run_comm_steps(&mut plain, 6);
-        run_comm_steps(&mut policed, 6);
-        plain.allreduce(128.0, LINK, TaskKind::Output);
-        policed.allreduce(128.0, LINK, TaskKind::Output);
-        assert_eq!(plain.rank_clocks(), policed.rank_clocks());
-        assert!(policed.comm_events().is_empty(), "healthy run, no events");
-    }
-
-    #[test]
-    fn comm_detection_is_bitwise_reproducible() {
-        let run = || {
-            let mut c = VirtualCluster::new(4);
-            c.set_faults(Arc::new(CommFaults));
-            c.set_comm_policy(CommPolicy {
-                seed: 2022,
-                ..CommPolicy::default()
-            });
-            run_comm_steps(&mut c, 8);
-            (c.rank_clocks(), c.comm_events().to_vec())
-        };
-        let (clocks_a, events_a) = run();
-        let (clocks_b, events_b) = run();
-        assert_eq!(clocks_a, clocks_b);
-        assert_eq!(events_a, events_b);
-    }
-
-    #[test]
-    fn allreduce_excludes_failed_ranks_and_classifies_stragglers() {
-        let mut c = VirtualCluster::new(4);
-        c.set_faults(Arc::new(CommFaults));
-        c.set_comm_policy(CommPolicy {
-            timeout_seconds: 0.001,
-            ..CommPolicy::default()
-        });
-        run_comm_steps(&mut c, 8); // rank 1 crashed + declared failed
-        c.compute(0, TaskKind::Pair, 0.5); // straggler past the deadline
-        let before = c.rank_clocks();
-        c.allreduce(128.0, LINK, TaskKind::Output);
-        let after = c.rank_clocks();
-        assert_eq!(after[1], before[1], "dead rank skips the collective");
-        // Survivors synchronized to the straggler's frontier.
-        assert!((after[0] - after[2]).abs() < 1e-15);
-        assert!(c
-            .comm_events()
-            .iter()
-            .any(|e| e.exchange == CommExchange::Allreduce
-                && e.status == CommStatus::TimedOut
-                && e.recovered));
     }
 
     #[test]

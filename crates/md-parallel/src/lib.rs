@@ -30,10 +30,7 @@ pub mod mpi;
 
 pub use census::{replan_loads, suspect_rank, RankLoad, WorkloadCensus, SUSPECT_EXCESS_FRACTION};
 pub use cluster::{ClusterFaults, CriticalStep, LinkModel, VirtualCluster};
-pub use comm::{
-    frame_ghost_payload, ghost_digest, verify_ghost_payload, CommExchange, CommHealthEvent,
-    CommPolicy, CommStatus,
-};
+pub use comm::{frame_ghost_payload, verify_ghost_payload};
 pub use decomposition::{Decomposition, ProcGrid};
 pub use ghost::GhostExchange;
 pub use mpi::{MpiFunction, MpiLedger};

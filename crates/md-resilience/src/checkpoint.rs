@@ -275,11 +275,6 @@ impl CheckpointManager {
         Ok(CheckpointManager { dir, every, retain })
     }
 
-    /// Step cadence (0 = disabled).
-    pub fn every(&self) -> u64 {
-        self.every
-    }
-
     /// The checkpoint path for `step`.
     pub fn path_for(&self, step: u64) -> PathBuf {
         self.dir.join(format!("ckpt_{step:010}.{EXTENSION}"))

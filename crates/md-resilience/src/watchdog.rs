@@ -1,11 +1,11 @@
 //! Per-step numerical health monitoring.
 //!
-//! The watchdog inspects a [`Simulation`] after each step and raises typed
+//! The watchdog inspects a [`Simulation`] after a step and raises typed
 //! [`HealthEvent`]s instead of letting a numerical blow-up silently corrupt
 //! a long campaign (or panic deep inside a kernel). Every check is an O(N)
 //! scan over per-atom arrays or an O(1) scalar comparison, so the monitor
-//! costs a small fraction of a force evaluation; `overhead_guard` guards
-//! that fraction.
+//! costs a small fraction of a force evaluation; `mdbench` times it as
+//! `resilience.watchdog_check_us`.
 //!
 //! Events are also mirrored into the simulation's md-observe recorder as
 //! `health_*` counters and instant markers, so a trace of a faulted run
@@ -93,22 +93,6 @@ pub enum HealthEvent {
         /// Offending atom index.
         atom: usize,
     },
-    /// The engine's own step returned an error (SHAKE divergence, neighbor
-    /// rebuild failure). Synthesized by the recovery driver, not by
-    /// [`Watchdog::check`].
-    StepFailed {
-        /// The engine error, rendered.
-        message: String,
-    },
-    /// A virtual-cluster rank was declared failed after its peers exhausted
-    /// their comm retry budget. Synthesized by the recovery driver when the
-    /// degraded-mode shrink runs out of ranks or rollbacks.
-    RankFailed {
-        /// The rank declared failed.
-        rank: usize,
-        /// Retries spent before the declaration.
-        retries: u32,
-    },
 }
 
 impl HealthEvent {
@@ -121,8 +105,6 @@ impl HealthEvent {
             HealthEvent::EnergyDrift { .. } => "health_energy_drift",
             HealthEvent::TemperatureSpike { .. } => "health_temperature_spike",
             HealthEvent::EscapedAtom { .. } => "health_escaped_atom",
-            HealthEvent::StepFailed { .. } => "health_step_error",
-            HealthEvent::RankFailed { .. } => "health_rank_failed",
         }
     }
 }
@@ -157,13 +139,6 @@ impl std::fmt::Display for HealthEvent {
             HealthEvent::EscapedAtom { atom } => {
                 write!(f, "atom {atom} escaped the simulation box")
             }
-            HealthEvent::StepFailed { message } => write!(f, "engine step failed: {message}"),
-            HealthEvent::RankFailed { rank, retries } => {
-                write!(
-                    f,
-                    "rank {rank} declared failed after {retries} exhausted retries"
-                )
-            }
         }
     }
 }
@@ -177,9 +152,6 @@ pub struct Watchdog {
     baseline_temperature: Option<f64>,
     /// `Simulation::sorts_performed` at the previous check.
     sorts_seen: u64,
-    /// How many events each counter class has accumulated (mirrors the
-    /// md-observe counters, available even with a disabled recorder).
-    events_seen: u64,
 }
 
 impl Watchdog {
@@ -190,25 +162,7 @@ impl Watchdog {
             prev_x: Vec::new(),
             baseline_temperature: None,
             sorts_seen: 0,
-            events_seen: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &WatchdogConfig {
-        &self.config
-    }
-
-    /// Total events raised over this watchdog's lifetime.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
-    }
-
-    /// Clears position/baseline memory. Call after a rollback so the next
-    /// displacement check does not compare against post-fault positions.
-    pub fn reset_reference(&mut self) {
-        self.prev_x.clear();
-        self.baseline_temperature = None;
     }
 
     /// Inspects `sim` and returns every violation found (empty when
@@ -224,7 +178,7 @@ impl Watchdog {
 
         // A Morton sort since the previous check moved the atoms to other
         // slots: the displacement reference is in the old order and is
-        // dropped, as after a rollback.
+        // dropped.
         if sim.sorts_performed() != self.sorts_seen {
             self.sorts_seen = sim.sorts_performed();
             self.prev_x.clear();
@@ -233,12 +187,11 @@ impl Watchdog {
         // One pass over the per-atom arrays serves the three per-atom
         // classes, with the rare outcomes screened by tests that cost a few
         // flops (a pass per class with the exact tests was 1.6% of an LJ
-        // step, most of the 2% `overhead_guard` allows the watchdog and
-        // the snapshots together). The displacement since the previous
-        // check is min-image, so periodic wrapping does not read as a jump;
-        // a min-image distance is never longer than the plain one, so the
-        // plain one screens. A first check, or one after a reset, has no
-        // reference and only records one.
+        // step). The displacement since the previous check is min-image, so
+        // periodic wrapping does not read as a jump; a min-image distance
+        // is never longer than the plain one, so the plain one screens. A
+        // first check, or one after a sort, has no reference and only
+        // records one.
         let limit = sim
             .neighbor_list()
             .map(|nl| self.config.displacement_skin_factor * nl.skin());
@@ -335,7 +288,6 @@ impl Watchdog {
             recorder.count(ENGINE_LANE, ev.counter(), 1.0);
             recorder.instant(ENGINE_LANE, "health", ev.counter());
         }
-        self.events_seen += events.len() as u64;
         events
     }
 }
@@ -363,7 +315,6 @@ mod tests {
             let events = dog.check(&deck.simulation);
             assert!(events.is_empty(), "unexpected events: {events:?}");
         }
-        assert_eq!(dog.events_seen(), 0);
     }
 
     #[test]
@@ -451,24 +402,5 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, HealthEvent::TemperatureSpike { .. })));
-    }
-
-    #[test]
-    fn rollback_reset_clears_displacement_reference() {
-        let mut deck = lj();
-        deck.simulation.step().unwrap();
-        let mut dog = Watchdog::new(WatchdogConfig::default());
-        dog.check(&deck.simulation);
-        dog.reset_reference();
-        // Teleporting after a reset must NOT fire: the reference is gone.
-        let jump = deck.simulation.sim_box().lengths().x / 3.0;
-        deck.simulation.atoms_mut().x_mut()[7].x += jump;
-        let events = dog.check(&deck.simulation);
-        assert!(
-            !events
-                .iter()
-                .any(|e| matches!(e, HealthEvent::DisplacementSpike { .. })),
-            "events: {events:?}"
-        );
     }
 }

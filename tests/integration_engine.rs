@@ -127,56 +127,18 @@ fn pppm_and_ewald_agree_on_total_coulomb_energy() {
     assert!(rel < 0.02, "PPPM {e_pppm} vs Ewald {e_ewald} (rel {rel})");
 }
 
-/// The recovery ladder's `tighten-kspace` rung re-runs the solver's setup,
-/// which moves the Ewald splitting parameter; the pair style carries the
-/// real-space half of the same sum and has to move with it. Checked on 64
-/// charges held still: the style is told the solver's new `g_ewald`, and
-/// real + reciprocal space together still give the Ewald reference.
+/// PPPM's setup picks the Ewald splitting parameter `g` for its accuracy
+/// target; the pair style carries the real-space half of the same sum and
+/// has to be handed that `g`, as the rhodo deck builder does. Checked on 64
+/// charges at 1e-4 and 1e-6: the tighter target moves `g`, and real +
+/// reciprocal space together still give the Ewald reference, closer at the
+/// tighter target.
 #[test]
-fn tighten_kspace_moves_both_halves_of_the_ewald_sum() {
-    use md_core::integrate::{IntegrateContext, Integrator};
-    use md_core::neighbor::NeighborList;
-    use md_core::{AtomStore, EnergyVirial, PairStyle, PairSystem, Simulation, UnitSystem};
+fn pppm_and_the_pair_style_share_g_at_each_accuracy() {
+    use md_core::{AtomStore, Simulation, UnitSystem};
     use md_potentials::LjCharmmCoulLong;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::{Arc, Mutex};
-
-    /// Leaves every atom where it is, so a step re-evaluates the forces only.
-    struct Frozen;
-    impl Integrator for Frozen {
-        fn name(&self) -> &'static str {
-            "frozen"
-        }
-        fn initial_integrate(&mut self, _: &mut AtomStore, _: &mut SimBox, _: &IntegrateContext) {}
-        fn final_integrate(&mut self, _: &mut AtomStore, _: &mut SimBox, _: &IntegrateContext) {}
-    }
-
-    /// The CHARMM style, recording every splitting parameter it is handed.
-    struct Recording {
-        style: LjCharmmCoulLong,
-        handed: Arc<Mutex<Vec<f64>>>,
-    }
-    impl PairStyle for Recording {
-        fn name(&self) -> &'static str {
-            self.style.name()
-        }
-        fn cutoff(&self) -> f64 {
-            self.style.cutoff()
-        }
-        fn compute(
-            &mut self,
-            sys: &PairSystem<'_>,
-            nl: &NeighborList,
-            f: &mut [V3],
-        ) -> EnergyVirial {
-            self.style.compute(sys, nl, f)
-        }
-        fn set_g_ewald(&mut self, g: f64) {
-            self.handed.lock().unwrap().push(g);
-            self.style.set_g_ewald(g);
-        }
-    }
 
     let (l, cutoff) = (16.0, 6.0);
     let bx = SimBox::cubic(l);
@@ -213,35 +175,28 @@ fn tighten_kspace_moves_both_halves_of_the_ewald_sum() {
         }
     }
 
-    // No LJ (epsilon 0): the pair style is the real-space Coulomb term alone.
-    let mut style = LjCharmmCoulLong::new(1, &[(0, 0.0, 3.0)], 4.0, 5.0, cutoff).unwrap();
-    let mut pppm = Pppm::new(cutoff, 1e-4, 5);
-    pppm.set_qqr2e(units.qqr2e);
-    pppm.setup(&bx, &q).unwrap();
-    style.set_g_ewald(pppm.g_ewald());
-    let handed = Arc::new(Mutex::new(Vec::new()));
-    let mut sim = Simulation::builder(bx, atoms, units)
-        .pair(Box::new(Recording {
-            style,
-            handed: handed.clone(),
-        }))
-        .kspace(Box::new(pppm))
-        .integrator(Box::new(Frozen))
-        .skin(1.0)
-        .dt(1.0)
-        .build()
-        .unwrap();
-    let g_loose = sim.kspace_stats().unwrap().g_ewald;
-    let rel_loose = ((sim.energy().ecoul - e_ref) / e_ref).abs();
-
-    for _ in 0..2 {
-        assert!(sim.tighten_kspace().unwrap());
-    }
-    let g_tight = sim.kspace_stats().unwrap().g_ewald;
+    // The solver's `g` and the relative Coulomb error against the reference
+    // of a simulation built at `accuracy`. No LJ (epsilon 0): the pair style
+    // is the real-space Coulomb term alone.
+    let coulomb = |accuracy: f64| {
+        let mut style = LjCharmmCoulLong::new(1, &[(0, 0.0, 3.0)], 4.0, 5.0, cutoff).unwrap();
+        let mut pppm = Pppm::new(cutoff, accuracy, 5);
+        pppm.set_qqr2e(units.qqr2e);
+        pppm.setup(&bx, &q).unwrap();
+        style.set_g_ewald(pppm.g_ewald());
+        let sim = Simulation::builder(bx, atoms.clone(), units)
+            .pair(Box::new(style))
+            .kspace(Box::new(pppm))
+            .skin(1.0)
+            .dt(1.0)
+            .build()
+            .unwrap();
+        let g = sim.kspace_stats().unwrap().g_ewald;
+        (g, ((sim.energy().ecoul - e_ref) / e_ref).abs())
+    };
+    let (g_loose, rel_loose) = coulomb(1e-4);
+    let (g_tight, rel_tight) = coulomb(1e-6);
     assert!(g_tight > g_loose);
-    assert_eq!(handed.lock().unwrap().last(), Some(&g_tight));
-    sim.step().unwrap();
-    let rel_tight = ((sim.energy().ecoul - e_ref) / e_ref).abs();
     assert!(
         rel_tight < 1e-6 && rel_tight < rel_loose,
         "relative to Ewald: {rel_loose:e} at 1e-4, {rel_tight:e} at 1e-6"
