@@ -511,10 +511,10 @@ impl Simulation {
         if self.thermo_every > 0 && self.step.is_multiple_of(self.thermo_every) {
             let t0 = Instant::now();
             let row = self.thermo();
+            let e = row.total_energy();
+            let e0 = *self.energy_first.get_or_insert(e);
+            self.last_drift = (e - e0).abs() / e0.abs().max(1.0);
             if observing {
-                let e = row.total_energy();
-                let e0 = *self.energy_first.get_or_insert(e);
-                self.last_drift = (e - e0).abs() / e0.abs().max(1.0);
                 self.recorder
                     .gauge(ENGINE_LANE, "energy_drift", self.last_drift);
             }
@@ -527,6 +527,9 @@ impl Simulation {
 
         if let Some(before) = ledger_before {
             self.record_step_sample(&before, step_t0, rebuilt);
+        }
+        if rebuilt {
+            self.last_rebuild_step = self.step;
         }
         Ok(())
     }
@@ -562,7 +565,6 @@ impl Simulation {
                 "rebuild_interval_steps",
                 (self.step - self.last_rebuild_step) as f64,
             );
-            self.last_rebuild_step = self.step;
         }
         let pair_interactions = self.neighbor.as_ref().map_or(0, |n| n.len() as u64);
         self.recorder
@@ -608,8 +610,8 @@ impl Simulation {
         })
     }
 
-    /// Relative energy drift at the most recent thermo sample (zero until
-    /// the recorder has observed at least one sample).
+    /// Relative energy drift at the most recent thermo sample, against the
+    /// first one (zero before the first thermo sample).
     pub fn last_energy_drift(&self) -> f64 {
         self.last_drift
     }

@@ -8,7 +8,6 @@
 //!          [--checkpoint-every N] [--checkpoint-dir DIR]
 //!          [--checkpoint-retain K] [--resume]
 //!          [--faults SPEC] [--trace out.json]
-//!          [--repartition-every N]
 //!          [--insight DIR] [--gpu-insight]
 //! ```
 //!
@@ -45,12 +44,6 @@
 //! `rank-slow:<rank>x<factor>@<step>` perturb the clocks of a modeled
 //! 8-rank virtual cluster whose per-rank lanes land in `--trace` output;
 //! the engine's trajectory is untouched.
-//!
-//! `--repartition-every N` turns on imbalance-aware repartitioning in the
-//! modeled cluster: every N steps the census names the suspect rank and the
-//! owned-atom loads are re-split in inverse proportion to the measured
-//! per-atom rates; the insight report ranks a `repartition.effective`
-//! finding when each re-split shrank the windowed compute `%varavg`.
 //!
 //! ## Analysis
 //!
@@ -103,7 +96,6 @@ struct Args {
     resume: bool,
     faults: FaultPlan,
     trace: Option<PathBuf>,
-    repartition_every: u64,
     insight: Option<PathBuf>,
     gpu_insight: bool,
 }
@@ -115,7 +107,7 @@ fn parse_args() -> Result<Args, String> {
          [--thermo N] [--threads T] [--kernel scalar|lanes] [--sort-every N] \
          [--dump FILE] [--write-data FILE] [--checkpoint-every N] [--checkpoint-dir DIR] \
          [--checkpoint-retain K] [--resume] [--faults SPEC] [--trace FILE] \
-         [--repartition-every N] [--insight DIR] [--gpu-insight]"
+         [--insight DIR] [--gpu-insight]"
             .to_string()
     })?;
     let benchmark = Benchmark::parse(&bench_name).map_err(|e| e.to_string())?;
@@ -138,7 +130,6 @@ fn parse_args() -> Result<Args, String> {
         resume: false,
         faults: FaultPlan::default(),
         trace: None,
-        repartition_every: 0,
         insight: None,
         gpu_insight: false,
     };
@@ -181,11 +172,6 @@ fn parse_args() -> Result<Args, String> {
                 out.faults = FaultPlan::parse(&value("--faults")?).map_err(|e| e.to_string())?;
             }
             "--trace" => out.trace = Some(PathBuf::from(value("--trace")?)),
-            "--repartition-every" => {
-                out.repartition_every = value("--repartition-every")?
-                    .parse()
-                    .map_err(|e| format!("{e}"))?;
-            }
             "--insight" => out.insight = Some(PathBuf::from(value("--insight")?)),
             "--gpu-insight" => out.gpu_insight = true,
             other => return Err(format!("unknown flag {other}")),
@@ -540,7 +526,6 @@ fn run_model_cluster(
         sim_steps: horizon,
         thermo_every: 10,
         collect_rank_stats: args.insight.is_some(),
-        repartition_every: args.repartition_every,
         ..CpuRunOptions::default()
     };
     let result = model.simulate(&profile, &bx, &x, &opts)?;
@@ -548,25 +533,10 @@ fn run_model_cluster(
         "  modeled {:.1} TS/s over {} ranks",
         result.ts_per_sec, opts.ranks
     );
-    for counter in [
-        "fault_rank_stall",
-        "fault_rank_slow",
-        "imbalance_repartitions",
-    ] {
+    for counter in ["fault_rank_stall", "fault_rank_slow"] {
         if let Some(v) = recorder.counter_value(counter) {
             println!("  {counter:<22} {v:.0}");
         }
-    }
-    for ev in &result.repartitions {
-        println!(
-            "  [repartition] step {}: rank {} suspect, moved {} atoms, \
-             %varavg {:.1} -> {:.1}",
-            ev.step,
-            ev.suspect_rank,
-            ev.moved_atoms,
-            ev.varavg_before_percent,
-            ev.varavg_after_percent
-        );
     }
     let twin = twin_model
         .map(|twin| twin.simulate(&profile, &bx, &x, &opts))

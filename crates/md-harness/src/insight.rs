@@ -10,7 +10,7 @@ use std::time::Instant;
 use md_core::KernelPath;
 use md_insight::{
     folded_stacks, openmetrics, Breakdown, CriticalPathSummary, DeviceCriticalPath, FaultCost,
-    GpuAttribution, ImbalanceReport, InsightReport, MpiTable, RepartitionSummary,
+    GpuAttribution, ImbalanceReport, InsightReport, MpiTable,
 };
 use md_model::gpu::GpuTimeline;
 use md_model::CpuRunResult;
@@ -41,7 +41,6 @@ pub fn analyze(result: &CpuRunResult, recorder: &Recorder) -> InsightReport {
             result.ranks,
         ));
     }
-    report.repartition = RepartitionSummary::from_events(&result.repartitions);
     report.finalize();
     report
 }

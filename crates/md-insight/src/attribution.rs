@@ -108,6 +108,27 @@ pub struct TaskImbalance {
     pub varavg_percent: f64,
 }
 
+/// Fractional compute-time excess over the mean above which the slowest
+/// rank is named the imbalance suspect.
+const SUSPECT_EXCESS_FRACTION: f64 = 0.05;
+
+/// Names the rank whose busy time exceeds the mean by more than
+/// [`SUSPECT_EXCESS_FRACTION`], if any; of tied ranks, the lowest.
+fn suspect_rank(busy: &[f64]) -> Option<usize> {
+    if busy.len() < 2 {
+        return None;
+    }
+    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
+    if mean <= 0.0 {
+        return None;
+    }
+    let (max_rank, max_busy) = busy.iter().copied().enumerate().fold(
+        (0, f64::MIN),
+        |acc, (r, b)| if b > acc.1 { (r, b) } else { acc },
+    );
+    ((max_busy - mean) / mean > SUSPECT_EXCESS_FRACTION).then_some(max_rank)
+}
+
 /// Load-imbalance attribution across virtual ranks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ImbalanceReport {
@@ -119,8 +140,8 @@ pub struct ImbalanceReport {
     /// waiting that imbalance *causes* is excluded so the rank that causes
     /// it stands out.
     pub rank_compute_seconds: Vec<f64>,
-    /// The imbalance source: [`md_parallel::suspect_rank`] over
-    /// `rank_compute_seconds`, the rule the repartitioner re-splits by.
+    /// The imbalance source: the rank whose `rank_compute_seconds` exceed
+    /// the mean by more than 5 % (the lowest such rank on a tie).
     pub suspect_rank: Option<usize>,
     /// The largest compute time's excess over the mean, percent.
     pub suspect_excess_percent: f64,
@@ -182,7 +203,7 @@ impl ImbalanceReport {
         } else {
             0.0
         };
-        let suspect_rank = md_parallel::suspect_rank(&rank_compute_seconds);
+        let suspect_rank = suspect_rank(&rank_compute_seconds);
 
         let mean_compute_total = mean.max(f64::MIN_POSITIVE);
         let worst = per_task
@@ -206,40 +227,6 @@ impl ImbalanceReport {
             per_task,
             rank_compute_seconds,
         }
-    }
-}
-
-/// Summary of the imbalance-aware re-splits a modeled run performed: did the
-/// feedback loop (census suspect → repartition) actually shrink the windowed
-/// compute `%varavg` every time it fired?
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepartitionSummary {
-    /// The re-splits, in step order.
-    pub events: Vec<md_model::RepartitionEvent>,
-    /// Whether *every* re-split strictly decreased the windowed `%varavg`.
-    pub effective: bool,
-    /// Total owned atoms moved across all re-splits.
-    pub total_moved_atoms: usize,
-    /// Windowed `%varavg` before the first re-split.
-    pub first_varavg_percent: f64,
-    /// Windowed `%varavg` after the last re-split.
-    pub last_varavg_percent: f64,
-}
-
-impl RepartitionSummary {
-    /// Summarizes a run's re-split events (e.g. `CpuRunResult::repartitions`).
-    /// Returns `None` when the run never re-split.
-    pub fn from_events(events: &[md_model::RepartitionEvent]) -> Option<RepartitionSummary> {
-        let (first, last) = (events.first()?, events.last()?);
-        Some(RepartitionSummary {
-            effective: events
-                .iter()
-                .all(|e| e.varavg_after_percent < e.varavg_before_percent),
-            total_moved_atoms: events.iter().map(|e| e.moved_atoms).sum(),
-            first_varavg_percent: first.varavg_before_percent,
-            last_varavg_percent: last.varavg_after_percent,
-            events: events.to_vec(),
-        })
     }
 }
 
@@ -610,17 +597,13 @@ mod tests {
     }
 
     #[test]
-    fn tied_ranks_name_the_suspect_the_repartitioner_names() {
-        // Ranks 1 and 2 tie for the most compute; the census names the first.
+    fn tied_ranks_name_the_lowest_as_suspect() {
+        // Ranks 1 and 2 tie for the most compute; the first is named.
         let ledgers: Vec<TaskLedger> = [1.0, 4.0, 4.0, 1.0]
             .iter()
             .map(|&s| ledger(&[(TaskKind::Pair, s)]))
             .collect();
         let r = ImbalanceReport::from_rank_ledgers(&ledgers);
-        assert_eq!(
-            r.suspect_rank,
-            md_parallel::suspect_rank(&r.rank_compute_seconds)
-        );
         assert_eq!(r.suspect_rank, Some(1));
         assert!((r.suspect_excess_percent - 60.0).abs() < 1e-9);
     }
@@ -716,23 +699,11 @@ mod tests {
     }
 
     #[test]
-    fn repartition_summary_judges_effectiveness() {
-        use md_model::RepartitionEvent;
-        let ev = |step, before, after| RepartitionEvent {
-            step,
-            suspect_rank: 3,
-            moved_atoms: 100,
-            varavg_before_percent: before,
-            varavg_after_percent: after,
-        };
-        assert!(RepartitionSummary::from_events(&[]).is_none());
-        let good = RepartitionSummary::from_events(&[ev(20, 40.0, 5.0), ev(40, 5.0, 2.0)]).unwrap();
-        assert!(good.effective);
-        assert_eq!(good.total_moved_atoms, 200);
-        assert!((good.first_varavg_percent - 40.0).abs() < 1e-12);
-        assert!((good.last_varavg_percent - 2.0).abs() < 1e-12);
-        let bad = RepartitionSummary::from_events(&[ev(20, 40.0, 45.0)]).unwrap();
-        assert!(!bad.effective, "a re-split that grew %varavg is a failure");
+    fn suspect_rank_names_the_straggler() {
+        assert_eq!(suspect_rank(&[1.0, 1.0, 4.0, 1.0]), Some(2));
+        assert_eq!(suspect_rank(&[1.0, 1.0, 1.0, 1.0]), None, "balanced");
+        assert_eq!(suspect_rank(&[1.0]), None, "single rank");
+        assert_eq!(suspect_rank(&[0.0, 0.0]), None, "no work yet");
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod report;
 
 pub use attribution::{
     Breakdown, DeviceBreakdown, FaultCost, GpuAttribution, ImbalanceReport, MpiRow, MpiTable,
-    RepartitionSummary, TaskCost, TaskImbalance, TaskShare,
+    TaskCost, TaskImbalance, TaskShare,
 };
 pub use critical_path::{BoundSegment, CriticalPathSummary, DeviceCriticalPath, DeviceStepBound};
 pub use export::{folded_stacks, openmetrics, parse_folded, parse_openmetrics, OpenMetric};

@@ -4,9 +4,7 @@
 
 use md_observe::Recorder;
 
-use crate::attribution::{
-    Breakdown, FaultCost, GpuAttribution, ImbalanceReport, MpiTable, RepartitionSummary,
-};
+use crate::attribution::{Breakdown, FaultCost, GpuAttribution, ImbalanceReport, MpiTable};
 use crate::critical_path::{BoundSegment, CriticalPathSummary, DeviceCriticalPath};
 
 /// How urgent a finding is.
@@ -60,9 +58,6 @@ pub struct InsightReport {
     pub gpu: Option<GpuAttribution>,
     /// Host↔device critical path, if the GPU model ran traced.
     pub device_critical: Option<DeviceCriticalPath>,
-    /// Imbalance-aware re-split summary, if the model ran with a
-    /// repartition cadence and actually re-split.
-    pub repartition: Option<RepartitionSummary>,
     /// What injected faults cost against the fault-free twin, if the
     /// modeled cluster ran with faults.
     pub fault_cost: Option<FaultCost>,
@@ -237,34 +232,6 @@ impl InsightReport {
                 });
             }
         }
-        if let Some(rep) = &self.repartition {
-            if rep.effective {
-                findings.push(Finding {
-                    severity: Severity::Info,
-                    kind: "repartition.effective",
-                    message: format!(
-                        "{} imbalance-aware re-split(s) moved {} atoms and shrank the \
-                         windowed compute %varavg from {:.1}% to {:.1}%",
-                        rep.events.len(),
-                        rep.total_moved_atoms,
-                        rep.first_varavg_percent,
-                        rep.last_varavg_percent
-                    ),
-                });
-            } else {
-                findings.push(Finding {
-                    severity: Severity::Warning,
-                    kind: "repartition.ineffective",
-                    message: format!(
-                        "{} re-split(s) failed to shrink the windowed compute %varavg \
-                         ({:.1}% -> {:.1}%)",
-                        rep.events.len(),
-                        rep.first_varavg_percent,
-                        rep.last_varavg_percent
-                    ),
-                });
-            }
-        }
         if let Some(cost) = &self.fault_cost {
             if let Some(top) = cost.tasks.first() {
                 findings.push(Finding {
@@ -305,9 +272,6 @@ impl InsightReport {
                 imb.suspect_rank.map_or(-1.0, |r| r as f64),
             );
             recorder.gauge(0, "imbalance_worst_varavg_pct", imb.worst_varavg_percent);
-        }
-        if let Some(rep) = &self.repartition {
-            recorder.gauge(0, "imbalance_repartitions", rep.events.len() as f64);
         }
     }
 
@@ -389,20 +353,6 @@ impl InsightReport {
         if let Some(dcp) = &self.device_critical {
             out.push_str("\n-- host<->device critical path --\n");
             out.push_str(&dcp.render());
-        }
-        if let Some(rep) = &self.repartition {
-            out.push_str("\n-- imbalance-aware repartitioning --\n");
-            out.push_str("step    suspect  moved atoms  %varavg before  %varavg after\n");
-            for e in &rep.events {
-                out.push_str(&format!(
-                    "{:<7} r{:<6} {:>11} {:>15.1} {:>14.1}\n",
-                    e.step,
-                    e.suspect_rank,
-                    e.moved_atoms,
-                    e.varavg_before_percent,
-                    e.varavg_after_percent
-                ));
-            }
         }
         if let Some(cost) = &self.fault_cost {
             out.push_str("\n-- fault cost against the fault-free twin --\n");
@@ -561,44 +511,6 @@ mod tests {
             .expect("kernel-bound finding");
         assert_eq!(f.severity, Severity::Info);
         assert!(!report.has_critical());
-    }
-
-    #[test]
-    fn repartition_summary_yields_a_ranked_finding() {
-        let ev = |before: f64, after: f64| md_model::RepartitionEvent {
-            step: 20,
-            suspect_rank: 3,
-            moved_atoms: 512,
-            varavg_before_percent: before,
-            varavg_after_percent: after,
-        };
-        let mut report = InsightReport {
-            repartition: RepartitionSummary::from_events(&[ev(40.0, 5.0)]),
-            ..InsightReport::default()
-        };
-        report.finalize();
-        let f = report
-            .findings
-            .iter()
-            .find(|f| f.kind == "repartition.effective")
-            .expect("effective finding");
-        assert_eq!(f.severity, Severity::Info);
-        assert!(f.message.contains("512 atoms"));
-        assert!(report.render().contains("imbalance-aware repartitioning"));
-
-        let mut bad = InsightReport {
-            repartition: RepartitionSummary::from_events(&[ev(40.0, 45.0)]),
-            ..InsightReport::default()
-        };
-        bad.finalize();
-        assert!(bad
-            .findings
-            .iter()
-            .any(|f| f.kind == "repartition.ineffective" && f.severity == Severity::Warning));
-
-        let rec = Recorder::new(ObserveConfig::default());
-        report.publish_counters(&rec);
-        assert_eq!(rec.snapshot().counters["imbalance_repartitions"], 1.0);
     }
 
     #[test]

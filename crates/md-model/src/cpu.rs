@@ -33,12 +33,6 @@ pub struct CpuRunOptions {
     /// in the result (md-insight's inputs; off by default because the
     /// figure sweeps run thousands of models and only need the means).
     pub collect_rank_stats: bool,
-    /// Imbalance-aware repartitioning cadence in steps (`0` disables it).
-    /// Every `repartition_every` steps the model measures each rank's busy
-    /// time over the window, asks the census for a suspect rank, and if one
-    /// is named re-splits the owned-atom loads in inverse proportion to the
-    /// measured per-atom rates.
-    pub repartition_every: u64,
 }
 
 impl Default for CpuRunOptions {
@@ -50,27 +44,8 @@ impl Default for CpuRunOptions {
             thermo_every: 100,
             sim_steps: 120,
             collect_rank_stats: false,
-            repartition_every: 0,
         }
     }
-}
-
-/// One imbalance-aware re-split of the modeled decomposition: which rank
-/// the census named as the straggler, how many atoms moved, and how the
-/// windowed compute `%varavg` changed across the re-split.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RepartitionEvent {
-    /// Step the re-split happened at (a window boundary).
-    pub step: u64,
-    /// The straggler named by `md_parallel::suspect_rank`.
-    pub suspect_rank: usize,
-    /// Owned atoms that changed ranks.
-    pub moved_atoms: usize,
-    /// Windowed compute `%varavg` (`100·(max−mean)/mean` of per-rank busy
-    /// seconds) over the window *before* the re-split.
-    pub varavg_before_percent: f64,
-    /// Windowed compute `%varavg` over the window *after* the re-split.
-    pub varavg_after_percent: f64,
 }
 
 /// Result of one modeled run.
@@ -113,9 +88,6 @@ pub struct CpuRunResult {
     /// Per-step critical-path records over the simulated window. Empty
     /// unless [`CpuRunOptions::collect_rank_stats`].
     pub critical_path: Vec<md_parallel::CriticalStep>,
-    /// Imbalance-aware re-splits performed on the
-    /// [`CpuRunOptions::repartition_every`] cadence.
-    pub repartitions: Vec<RepartitionEvent>,
 }
 
 impl CpuRunResult {
@@ -139,20 +111,6 @@ pub(crate) fn jitter(rank: usize, step: u64) -> f64 {
     z = z.wrapping_mul(0x94d049bb133111eb);
     z ^= z >> 31;
     (z >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
-}
-
-/// Windowed compute imbalance in LAMMPS `%varavg` terms:
-/// `100·(max−mean)/mean` over per-rank busy seconds.
-fn varavg_percent(busy: &[f64]) -> f64 {
-    if busy.is_empty() {
-        return 0.0;
-    }
-    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    let max = busy.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    100.0 * (max - mean) / mean
 }
 
 /// The CPU-instance performance model.
@@ -284,65 +242,10 @@ impl CpuModel {
         let fix_cost = calib::cpu_fix_seconds(bench);
         let npt = matches!(bench, Benchmark::Rhodo);
         let kspace = profile.kspace;
-        let mut loads = census.loads().to_vec();
+        let loads = census.loads();
         let partners: Vec<Vec<usize>> = (0..p).map(|r| decomp.face_neighbors(r).to_vec()).collect();
 
-        // Imbalance-aware repartitioning state: per-rank busy seconds at the
-        // last window boundary, plus the re-split whose "after" window is
-        // still being measured.
-        let rank_busy = |c: &VirtualCluster| -> Vec<f64> {
-            (0..p)
-                .map(|r| {
-                    let t = c.task_ledger(r);
-                    (t.total() - t.seconds(TaskKind::Comm) - t.seconds(TaskKind::Other)).max(0.0)
-                })
-                .collect()
-        };
-        let mut repartitions: Vec<RepartitionEvent> = Vec::new();
-        let mut pending: Option<RepartitionEvent> = None;
-        let mut window_base: Vec<f64> = if opts.repartition_every > 0 {
-            vec![0.0; p]
-        } else {
-            Vec::new()
-        };
-
         for step in 0..opts.sim_steps {
-            if opts.repartition_every > 0 && step > 0 && step % opts.repartition_every == 0 {
-                let busy_now = rank_busy(&cluster);
-                let window: Vec<f64> = busy_now
-                    .iter()
-                    .zip(&window_base)
-                    .map(|(now, base)| now - base)
-                    .collect();
-                let varavg = varavg_percent(&window);
-                if let Some(mut ev) = pending.take() {
-                    ev.varavg_after_percent = varavg;
-                    repartitions.push(ev);
-                }
-                if let Some(suspect) = md_parallel::suspect_rank(&window) {
-                    let new_loads = md_parallel::replan_loads(&loads, &window);
-                    let moved: usize = loads
-                        .iter()
-                        .zip(&new_loads)
-                        .map(|(old, new)| old.owned.abs_diff(new.owned))
-                        .sum::<usize>()
-                        / 2;
-                    if moved > 0 {
-                        loads = new_loads;
-                        pending = Some(RepartitionEvent {
-                            step,
-                            suspect_rank: suspect,
-                            moved_atoms: moved,
-                            varavg_before_percent: varavg,
-                            varavg_after_percent: varavg,
-                        });
-                        if let Some(rec) = &self.recorder {
-                            rec.count(0, "imbalance_repartitions", 1.0);
-                        }
-                    }
-                }
-                window_base = busy_now;
-            }
             cluster.begin_step(step);
             for (r, load) in loads.iter().enumerate() {
                 let owned = load.owned as f64;
@@ -444,19 +347,6 @@ impl CpuModel {
             }
         }
 
-        // Close the re-split still waiting on its "after" window with the
-        // partial window that ends the run.
-        if let Some(mut ev) = pending.take() {
-            let busy_now = rank_busy(&cluster);
-            let window: Vec<f64> = busy_now
-                .iter()
-                .zip(&window_base)
-                .map(|(now, base)| now - base)
-                .collect();
-            ev.varavg_after_percent = varavg_percent(&window);
-            repartitions.push(ev);
-        }
-
         cluster.finish_step_tracking();
 
         // Scale the periodic per-step ledgers from sim_steps to steps.
@@ -519,7 +409,6 @@ impl CpuModel {
             rank_mpi,
             rank_clocks,
             critical_path,
-            repartitions,
         })
     }
 }
@@ -628,74 +517,6 @@ mod tests {
         // Collecting stats must not change the modeled numbers.
         assert_eq!(full.ts_per_sec, lean.ts_per_sec);
         assert_eq!(full.tasks, lean.tasks);
-    }
-
-    #[test]
-    fn repartition_strictly_decreases_windowed_varavg() {
-        struct SlowRank3;
-        impl md_parallel::ClusterFaults for SlowRank3 {
-            fn compute_scale(&self, rank: usize, _step: u64) -> f64 {
-                if rank == 3 {
-                    4.0
-                } else {
-                    1.0
-                }
-            }
-        }
-        let profile = WorkloadProfile::measure(Benchmark::Lj, 40, 1).unwrap();
-        let (bx, x) = build_positions(Benchmark::Lj, 1, 1).unwrap();
-        let mut model = CpuModel::new();
-        model.set_faults(std::sync::Arc::new(SlowRank3));
-        let opts = CpuRunOptions {
-            ranks: 8,
-            sim_steps: 60,
-            repartition_every: 20,
-            ..CpuRunOptions::default()
-        };
-        let r = model.simulate(&profile, &bx, &x, &opts).unwrap();
-        assert!(
-            !r.repartitions.is_empty(),
-            "a 4x-slow rank must trigger a re-split"
-        );
-        for ev in &r.repartitions {
-            assert_eq!(ev.suspect_rank, 3, "census must name the slow rank");
-            assert!(ev.moved_atoms > 0);
-            assert!(
-                ev.varavg_after_percent < ev.varavg_before_percent,
-                "re-split at step {} must shrink %varavg ({:.2} -> {:.2})",
-                ev.step,
-                ev.varavg_before_percent,
-                ev.varavg_after_percent
-            );
-        }
-        // Identical runs classify and re-split identically.
-        let again = model.simulate(&profile, &bx, &x, &opts).unwrap();
-        assert_eq!(r.repartitions, again.repartitions);
-        assert_eq!(r.ts_per_sec, again.ts_per_sec);
-    }
-
-    #[test]
-    fn repartition_and_comm_stay_inert_by_default() {
-        let profile = WorkloadProfile::measure(Benchmark::Lj, 40, 1).unwrap();
-        let (bx, x) = build_positions(Benchmark::Lj, 1, 1).unwrap();
-        let model = CpuModel::new();
-        let opts = CpuRunOptions {
-            ranks: 8,
-            sim_steps: 30,
-            ..CpuRunOptions::default()
-        };
-        let r = model.simulate(&profile, &bx, &x, &opts).unwrap();
-        assert!(r.repartitions.is_empty());
-        // A balanced run on the repartition cadence is a fixed point: no
-        // suspect, no re-split, identical modeled numbers.
-        let cadenced = CpuRunOptions {
-            repartition_every: 10,
-            ..opts
-        };
-        let c = model.simulate(&profile, &bx, &x, &cadenced).unwrap();
-        assert!(c.repartitions.is_empty(), "balanced run must not re-split");
-        assert_eq!(c.ts_per_sec, r.ts_per_sec);
-        assert_eq!(c.tasks, r.tasks);
     }
 
     #[test]

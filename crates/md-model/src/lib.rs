@@ -24,7 +24,7 @@ pub mod power;
 pub mod workload;
 
 pub use calib::PrecisionMode;
-pub use cpu::{CpuModel, CpuRunOptions, CpuRunResult, RepartitionEvent};
+pub use cpu::{CpuModel, CpuRunOptions, CpuRunResult};
 pub use gpu::{
     GpuModel, GpuRunOptions, GpuRunResult, GpuSegment, GpuStepSchedule, GpuTimeline, GpuTracedRun,
     KernelKind, KernelLedger, DEVICE_LANE_BASE, GPU_HOST_LANE,

@@ -43,7 +43,7 @@ mod tests {
     /// call sites must be added here (and follow the convention) — this is
     /// the registry half of the satellite check; the integration half
     /// asserts a live run's counter map in `tests/insight_analysis.rs`.
-    const PRODUCTION_COUNTERS: [&str; 17] = [
+    const PRODUCTION_COUNTERS: [&str; 16] = [
         "neighbor_rebuilds",
         "pair_interactions",
         "energy_drift",
@@ -55,7 +55,6 @@ mod tests {
         "health_escaped_atom",
         "fault_rank_stall",
         "fault_rank_slow",
-        "imbalance_repartitions",
         "insight_findings",
         "imbalance_suspect_rank",
         "imbalance_worst_varavg_pct",

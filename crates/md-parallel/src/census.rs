@@ -14,103 +14,6 @@ use crate::decomposition::{owner_cell, Decomposition, ProcGrid};
 use crate::ghost::{axis_candidates, axis_range, MAX_AXIS};
 use md_core::{Result, SimBox, V3};
 
-/// Fractional busy-time excess over the mean above which the slowest rank
-/// is named a repartitioning suspect. Shared with md-insight's
-/// `ImbalanceReport` suspect-rank rule, so the rank the analysis layer
-/// blames is exactly the rank the census re-splits around.
-pub const SUSPECT_EXCESS_FRACTION: f64 = 0.05;
-
-/// Names the rank whose busy time exceeds the mean by more than
-/// [`SUSPECT_EXCESS_FRACTION`], if any — the feedback signal that triggers
-/// an imbalance-aware re-split of the box.
-pub fn suspect_rank(busy: &[f64]) -> Option<usize> {
-    if busy.len() < 2 {
-        return None;
-    }
-    let mean = busy.iter().sum::<f64>() / busy.len() as f64;
-    if mean <= 0.0 {
-        return None;
-    }
-    let (max_rank, max_busy) = busy.iter().copied().enumerate().fold(
-        (0, f64::MIN),
-        |acc, (r, b)| if b > acc.1 { (r, b) } else { acc },
-    );
-    ((max_busy - mean) / mean > SUSPECT_EXCESS_FRACTION).then_some(max_rank)
-}
-
-/// Re-plans per-rank loads around measured busy times: each rank's
-/// effective per-atom rate is `busy / owned`, and atoms are reassigned in
-/// inverse proportion to that rate (largest-remainder rounding, so the
-/// total is conserved and the result is deterministic). Ghost counts are
-/// scaled with each rank's owned-atom ratio. This models the diffusive
-/// re-split a production MD stack performs when one rank straggles.
-pub fn replan_loads(loads: &[RankLoad], busy: &[f64]) -> Vec<RankLoad> {
-    assert_eq!(loads.len(), busy.len(), "one busy time per rank");
-    let natoms: usize = loads.iter().map(|l| l.owned).sum();
-    if natoms == 0 || loads.is_empty() {
-        return loads.to_vec();
-    }
-    // Inverse effective rate: ranks that got more done per atom deserve
-    // more atoms. A rank with no atoms (or no busy time) inherits the mean
-    // rate so it re-enters the split neutrally.
-    let rates: Vec<f64> = loads
-        .iter()
-        .zip(busy)
-        .map(|(l, &b)| {
-            if l.owned > 0 && b > 0.0 {
-                b / l.owned as f64
-            } else {
-                f64::NAN
-            }
-        })
-        .collect();
-    let known: Vec<f64> = rates.iter().copied().filter(|r| r.is_finite()).collect();
-    if known.is_empty() {
-        return loads.to_vec();
-    }
-    let mean_rate = known.iter().sum::<f64>() / known.len() as f64;
-    let weights: Vec<f64> = rates
-        .iter()
-        .map(|&r| 1.0 / if r.is_finite() { r } else { mean_rate })
-        .collect();
-    let total_w: f64 = weights.iter().sum();
-    // Largest-remainder apportionment of `natoms` over `weights`.
-    let ideal: Vec<f64> = weights
-        .iter()
-        .map(|w| natoms as f64 * w / total_w)
-        .collect();
-    let mut owned: Vec<usize> = ideal.iter().map(|v| v.floor() as usize).collect();
-    let mut leftover = natoms - owned.iter().sum::<usize>();
-    let mut order: Vec<usize> = (0..owned.len()).collect();
-    order.sort_by(|&a, &b| {
-        let fa = ideal[a] - ideal[a].floor();
-        let fb = ideal[b] - ideal[b].floor();
-        fb.partial_cmp(&fa).unwrap().then(a.cmp(&b))
-    });
-    for &r in &order {
-        if leftover == 0 {
-            break;
-        }
-        owned[r] += 1;
-        leftover -= 1;
-    }
-    loads
-        .iter()
-        .zip(&owned)
-        .map(|(l, &new_owned)| {
-            let ghosts = if l.owned > 0 {
-                ((l.ghosts as f64) * new_owned as f64 / l.owned as f64).round() as usize
-            } else {
-                l.ghosts
-            };
-            RankLoad {
-                owned: new_owned,
-                ghosts,
-            }
-        })
-        .collect()
-}
-
 /// Load of a single rank.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RankLoad {
@@ -485,51 +388,6 @@ mod tests {
                 .unwrap()
                 .is_empty()
         );
-    }
-
-    #[test]
-    fn suspect_rank_names_the_straggler() {
-        assert_eq!(suspect_rank(&[1.0, 1.0, 4.0, 1.0]), Some(2));
-        assert_eq!(suspect_rank(&[1.0, 1.0, 1.0, 1.0]), None, "balanced");
-        assert_eq!(suspect_rank(&[1.0]), None, "single rank");
-        assert_eq!(suspect_rank(&[0.0, 0.0]), None, "no work yet");
-    }
-
-    #[test]
-    fn replan_conserves_atoms_and_feeds_the_straggler_less() {
-        let loads = vec![
-            RankLoad {
-                owned: 1000,
-                ghosts: 200,
-            };
-            4
-        ];
-        // Rank 2 runs 4x slower per atom.
-        let busy = [1.0, 1.0, 4.0, 1.0];
-        let new = replan_loads(&loads, &busy);
-        assert_eq!(new.iter().map(|l| l.owned).sum::<usize>(), 4000);
-        assert!(
-            new[2].owned < loads[2].owned / 2,
-            "straggler kept {} atoms",
-            new[2].owned
-        );
-        assert!(new[0].owned > 1000 && new[1].owned > 1000 && new[3].owned > 1000);
-        assert!(new[2].ghosts < loads[2].ghosts, "ghosts scale with owned");
-        // Deterministic: same inputs, same plan.
-        assert_eq!(new, replan_loads(&loads, &busy));
-    }
-
-    #[test]
-    fn replan_balanced_input_is_a_fixed_point() {
-        let loads = vec![
-            RankLoad {
-                owned: 500,
-                ghosts: 90,
-            };
-            8
-        ];
-        let busy = [2.0; 8];
-        assert_eq!(replan_loads(&loads, &busy), loads);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub mod decomposition;
 pub mod ghost;
 pub mod mpi;
 
-pub use census::{replan_loads, suspect_rank, RankLoad, WorkloadCensus, SUSPECT_EXCESS_FRACTION};
+pub use census::{RankLoad, WorkloadCensus};
 pub use cluster::{ClusterFaults, CriticalStep, LinkModel, VirtualCluster};
 pub use comm::{frame_ghost_payload, verify_ghost_payload};
 pub use decomposition::{Decomposition, ProcGrid};

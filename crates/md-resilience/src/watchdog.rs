@@ -241,8 +241,8 @@ impl Watchdog {
             });
         }
 
-        // Energy drift (engine-maintained; zero until thermo sampling with
-        // an enabled recorder has run).
+        // Energy drift (engine-maintained; zero before the first thermo
+        // sample).
         if let Some(budget) = self.config.energy_drift_budget {
             let drift = sim.last_energy_drift();
             if drift.is_nan() || drift > budget {

@@ -3,8 +3,7 @@
 //! attribute the imbalance to the slowed rank and price the fault against
 //! the same run without it (its fault-free twin), both through the library
 //! API and through the `run_deck --insight` CLI (whose OpenMetrics and
-//! folded-stack artifacts must round-trip the strict parsers), and
-//! `run_deck --repartition-every` must re-split away from the slowed rank.
+//! folded-stack artifacts must round-trip the strict parsers).
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -243,48 +242,4 @@ fn a_fault_on_a_non_lj_deck_is_priced_against_its_twin() {
         std::fs::read_to_string(out_dir.join("report.txt")).expect("report.txt written");
     assert!(report_txt.contains("fault.cost"), "report:\n{report_txt}");
     let _ = std::fs::remove_dir_all(&out_dir);
-}
-
-fn run_deck(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_run_deck"))
-        .current_dir(repo_root())
-        .args(args)
-        .output()
-        .expect("run_deck executes")
-}
-
-/// `--repartition-every` on a run with a slow rank must surface
-/// suspect-triggered re-splits of the modeled cluster on stdout, and each
-/// narrated re-split names the slowed rank.
-#[test]
-fn cli_repartitioning_names_the_slow_rank() {
-    let output = run_deck(&[
-        "lj",
-        "--steps",
-        "10",
-        "--thermo",
-        "10",
-        "--faults",
-        "rank-slow:3x4@0",
-        "--repartition-every",
-        "20",
-    ]);
-    let stdout = String::from_utf8_lossy(&output.stdout);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        output.status.success(),
-        "slow rank is survivable.\nstdout:\n{stdout}\nstderr:\n{stderr}"
-    );
-    assert!(
-        stdout.contains("[repartition] step"),
-        "re-splits must be narrated.\nstdout:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("rank 3 suspect"),
-        "the slowed rank is the suspect.\nstdout:\n{stdout}"
-    );
-    assert!(
-        stdout.contains("imbalance_repartitions"),
-        "counter must be printed.\nstdout:\n{stdout}"
-    );
 }

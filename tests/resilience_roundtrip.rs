@@ -19,6 +19,7 @@
 //! panicked on.
 
 use md_core::{KernelPath, NeighborListKind, Threads, LANES};
+use md_observe::{ObserveConfig, Recorder};
 use md_resilience::Checkpoint;
 use md_workloads::{build_deck_tuned, build_deck_with, Benchmark, Deck, DeckTuning};
 
@@ -293,4 +294,39 @@ fn restored_state_cannot_cross_decks() {
     // blob with a typed error rather than overlay mismatched state.
     ckpt.header.benchmark = Benchmark::Chain;
     assert!(ckpt.restore().is_err());
+}
+
+/// A checkpoint holds the run, not its observer: the same deck run with and
+/// without an enabled recorder saves the same bytes (energy-drift reference,
+/// last rebuild step and all), apart from the task ledger's wall-clock
+/// seconds, which are cut out of both blobs before comparing.
+#[test]
+fn save_state_does_not_depend_on_a_recorder() {
+    let state = |observed: bool| {
+        let mut deck =
+            build_deck_with(Benchmark::Lj, 1, SEED, Threads::serial()).expect("deck builds");
+        if observed {
+            deck.simulation
+                .set_recorder(Recorder::new(ObserveConfig::default()));
+        }
+        // Through LJ's first thermo sample (step 100) and its builds at 20, 40, ...
+        deck.simulation.run(100).expect("runs");
+        let sampled = deck.simulation.thermo_log().last().map(|row| row.step);
+        assert_eq!(sampled, Some(100));
+        let mut w = md_core::wire::Writer::new();
+        deck.simulation.ledger().state_save(&mut w);
+        let ledger = w.into_bytes();
+        let mut blob = deck.simulation.save_state();
+        let at = blob
+            .windows(ledger.len())
+            .position(|b| b == ledger.as_slice())
+            .expect("the ledger's bytes are in the state");
+        blob.drain(at..at + ledger.len());
+        (at, blob)
+    };
+    // Not assert_eq!: a failure would print two 3.5 MB blobs.
+    assert!(
+        state(false) == state(true),
+        "save_state moved with a recorder"
+    );
 }
