@@ -3,11 +3,12 @@
 //! Applied in the post-force stage: each atom receives a friction force
 //! `-m v / damp` and a random force whose variance satisfies the
 //! fluctuation-dissipation theorem, so the system samples the canonical
-//! ensemble at the target temperature.
+//! ensemble at the target temperature. As in LAMMPS (Dünweg & Paul), each
+//! component of the random force is uniform, `sqrt(24 m k_B T / (damp dt))
+//! · (u - 0.5)`, with the variance `2 m k_B T / (damp dt)` of the Gaussian it
+//! stands in for: three uniform draws per atom per step.
 
-use crate::atoms::AtomStore;
 use crate::error::{CoreError, Result};
-use crate::units::UnitSystem;
 use crate::vec3::Vec3;
 use crate::wire;
 use rand::rngs::StdRng;
@@ -19,6 +20,9 @@ pub struct Langevin {
     t_target: f64,
     damp: f64,
     rng: StdRng,
+    /// Per-type friction and noise prefactors (LAMMPS's `gfactor1` and
+    /// `gfactor2`), refreshed on each call into storage kept across steps.
+    gfactor: Vec<(f64, f64)>,
 }
 
 impl Langevin {
@@ -46,28 +50,8 @@ impl Langevin {
             t_target,
             damp,
             rng: StdRng::seed_from_u64(seed),
+            gfactor: Vec::new(),
         })
-    }
-
-    /// Adds friction and random forces to `atoms.f` for one timestep `dt`.
-    pub fn post_force(&mut self, atoms: &mut AtomStore, units: &UnitSystem, dt: f64) {
-        let gamma = 1.0 / self.damp;
-        let n = atoms.len();
-        for i in 0..n {
-            let m = atoms.mass(i);
-            // Friction: -(m/damp) v, converted to force units via mvv2e.
-            let fr = atoms.v()[i] * (-gamma * m * units.mvv2e);
-            // Fluctuation: variance 2 m kB T γ / dt in force units.
-            let sigma =
-                (2.0 * m * units.boltzmann * self.t_target * units.mvv2e * gamma / dt).sqrt();
-            let mut gauss = || {
-                let u1: f64 = self.rng.gen::<f64>().max(1e-300);
-                let u2: f64 = self.rng.gen();
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-            };
-            let frand = Vec3::new(sigma * gauss(), sigma * gauss(), sigma * gauss());
-            atoms.f_mut()[i] += fr + frand;
-        }
     }
 }
 
@@ -79,19 +63,25 @@ impl crate::force::Fix for Langevin {
     fn post_force(&mut self, sys: &crate::force::PairSystem<'_>, f: &mut [crate::V3]) {
         let gamma = 1.0 / self.damp;
         let units = sys.units;
-        let dt = sys.dt;
-        for i in 0..sys.v.len() {
-            let m = sys.mass(i);
-            let fr = sys.v[i] * (-gamma * m * units.mvv2e);
-            let sigma =
-                (2.0 * m * units.boltzmann * self.t_target * units.mvv2e * gamma / dt).sqrt();
-            let mut gauss = || {
-                let u1: f64 = self.rng.gen::<f64>().max(1e-300);
-                let u2: f64 = self.rng.gen();
-                (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-            };
-            let frand = Vec3::new(sigma * gauss(), sigma * gauss(), sigma * gauss());
-            f[i] += fr + frand;
+        // Per type: the friction factor -m/damp and the noise amplitude
+        // sqrt(24 m k_B T γ / dt), both in force units via mvv2e. The 24 is
+        // 2 × 12: u - 0.5 has variance 1/12, so a component's variance is the
+        // fluctuation-dissipation 2 m k_B T γ / dt.
+        let kt_rate = units.boltzmann * self.t_target * units.mvv2e * gamma / sys.dt;
+        self.gfactor.clear();
+        self.gfactor.extend(
+            sys.mass_by_type
+                .iter()
+                .map(|&m| (-gamma * m * units.mvv2e, (24.0 * m * kt_rate).sqrt())),
+        );
+        for ((fi, &v), &kind) in f.iter_mut().zip(sys.v).zip(sys.kinds) {
+            let (g1, g2) = self.gfactor[kind as usize];
+            let noise = Vec3::new(
+                self.rng.gen::<f64>() - 0.5,
+                self.rng.gen::<f64>() - 0.5,
+                self.rng.gen::<f64>() - 0.5,
+            );
+            *fi += v * g1 + noise * g2;
         }
     }
 
@@ -118,31 +108,56 @@ impl crate::force::Fix for Langevin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute::temperature;
+    use crate::atoms::AtomStore;
+    use crate::force::{Fix, PairSystem};
     use crate::integrate::{IntegrateContext, Integrator, VelocityVerlet};
     use crate::simbox::SimBox;
+    use crate::units::UnitSystem;
 
-    /// Free particles + Langevin must equilibrate to the target temperature.
+    /// Adds the thermostat's forces to `atoms.f` through [`Fix::post_force`],
+    /// as the simulation's Modify stage does.
+    fn apply(lang: &mut Langevin, atoms: &mut AtomStore, units: &UnitSystem, dt: f64) {
+        let mut f = vec![Vec3::zero(); atoms.len()];
+        let sys = PairSystem {
+            bx: &SimBox::cubic(10.0),
+            x: atoms.x(),
+            v: atoms.v(),
+            kinds: atoms.kinds(),
+            charge: atoms.charges(),
+            radius: atoms.radii(),
+            mass_by_type: atoms.masses_by_type(),
+            units,
+            dt,
+        };
+        lang.post_force(&sys, &mut f);
+        for (fa, fi) in atoms.f_mut().iter_mut().zip(&f) {
+            *fa += *fi;
+        }
+    }
+
+    /// Free particles of masses 1 and 4 + Langevin must each equilibrate to
+    /// the target temperature (friction and noise read for different types
+    /// heat one type and cool the other).
     #[test]
     fn equilibrates_ideal_gas_to_target() {
         let mut a = AtomStore::new();
         let mut s = 1u64;
-        for _ in 0..1000 {
+        for i in 0..1000 {
             s = s.wrapping_mul(6364136223846793005).wrapping_add(1);
             let r = |s: u64, sh: u32| ((s >> sh) & 0xfff) as f64 / 4096.0;
             a.push(
                 Vec3::new(10.0 * r(s, 0), 10.0 * r(s, 12), 10.0 * r(s, 24)),
                 Vec3::zero(),
-                0,
+                i % 2,
             );
         }
-        a.set_masses(vec![1.0]);
+        a.set_masses(vec![1.0, 4.0]);
         let u = UnitSystem::lj();
         let mut bx = SimBox::cubic(10.0);
         let mut lang = Langevin::new(1.5, 1.0, 77).unwrap();
         let mut nve = VelocityVerlet::new();
         let dt = 0.005;
-        let mut t_acc = 0.0;
+        let mut t_acc = [0.0; 2];
         let mut samples = 0;
         for step in 0..6000 {
             let ctx = IntegrateContext {
@@ -152,18 +167,25 @@ mod tests {
             };
             nve.initial_integrate(&mut a, &mut bx, &ctx);
             a.zero_forces();
-            lang.post_force(&mut a, &u, dt);
+            apply(&mut lang, &mut a, &u, dt);
             nve.final_integrate(&mut a, &mut bx, &ctx);
             if step > 3000 {
-                t_acc += temperature(&a, &u);
+                // Each type is half the atoms: T_k = Σ m v² / (3 (N/2) k_B).
+                for i in 0..a.len() {
+                    let k = a.kinds()[i] as usize;
+                    t_acc[k] += a.mass(i) * a.v()[i].norm2() * u.mvv2e
+                        / (1.5 * a.len() as f64 * u.boltzmann);
+                }
                 samples += 1;
             }
         }
-        let t_mean = t_acc / samples as f64;
-        assert!(
-            (t_mean - 1.5).abs() < 0.1,
-            "mean temperature {t_mean} not near 1.5"
-        );
+        for (k, t) in t_acc.iter().enumerate() {
+            let t_mean = t / samples as f64;
+            assert!(
+                (t_mean - 1.5).abs() < 0.1,
+                "type {k}: mean temperature {t_mean} not near 1.5"
+            );
+        }
     }
 
     #[test]
@@ -183,10 +205,64 @@ mod tests {
             };
             nve.initial_integrate(&mut a, &mut bx, &ctx);
             a.zero_forces();
-            lang.post_force(&mut a, &u, 0.005);
+            apply(&mut lang, &mut a, &u, 0.005);
             nve.final_integrate(&mut a, &mut bx, &ctx);
         }
         assert!(a.v()[0].norm() < 1e-3, "velocity should decay to zero");
+    }
+
+    /// At rest the force is the noise alone. Per type and component it must
+    /// have zero mean, the fluctuation-dissipation variance
+    /// `2 m k_B T γ mvv2e / dt`, and stay inside the uniform draw's bound
+    /// `±sqrt(6 m k_B T γ mvv2e / dt)`. Real units, so a misplaced `mvv2e`
+    /// shows as a factor of ~2400.
+    #[test]
+    fn langevin_noise_satisfies_fluctuation_dissipation() {
+        let (t, damp, dt) = (300.0, 100.0, 2.0);
+        let masses = [1.0, 4.0];
+        let units = UnitSystem::real();
+        let mut a = AtomStore::new();
+        for i in 0..2000 {
+            a.push(Vec3::zero(), Vec3::zero(), i % 2);
+        }
+        a.set_masses(masses.to_vec());
+        let mut lang = Langevin::new(t, damp, 2024).unwrap();
+        let var_of = |m: f64| 2.0 * m * units.boltzmann * t * units.mvv2e / damp / dt;
+        // Per type: draws, then per component the sum and sum of squares.
+        let mut count = [0usize; 2];
+        let mut sums = [[[0.0f64; 2]; 3]; 2];
+        for _ in 0..100 {
+            a.zero_forces();
+            apply(&mut lang, &mut a, &units, dt);
+            for (fi, &k) in a.f().iter().zip(a.kinds()) {
+                let k = k as usize;
+                let bound = (3.0 * var_of(masses[k])).sqrt() * (1.0 + 1e-12);
+                count[k] += 1;
+                for (c, s) in [fi.x, fi.y, fi.z].into_iter().zip(&mut sums[k]) {
+                    assert!(c.abs() <= bound, "type {k}: |{c}| past the bound {bound}");
+                    s[0] += c;
+                    s[1] += c * c;
+                }
+            }
+        }
+        for k in 0..2 {
+            let n = count[k] as f64;
+            assert!(n >= 1e5);
+            let expected = var_of(masses[k]);
+            for (axis, s) in sums[k].iter().enumerate() {
+                let mean = s[0] / n;
+                let var = s[1] / n - mean * mean;
+                assert!(
+                    mean.abs() < 4.0 * (expected / n).sqrt(),
+                    "type {k} axis {axis}: mean {mean} vs sigma {}",
+                    expected.sqrt()
+                );
+                assert!(
+                    (var / expected - 1.0).abs() < 0.02,
+                    "type {k} axis {axis}: variance {var} vs {expected}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -202,7 +278,6 @@ mod tests {
 
     #[test]
     fn rng_state_round_trip_resumes_the_same_stream() {
-        use crate::force::Fix;
         let mut a = Langevin::new(1.0, 0.5, 42).unwrap();
         // Burn some draws so the stream is mid-flight.
         for _ in 0..100 {

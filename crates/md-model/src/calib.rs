@@ -75,8 +75,9 @@ pub fn cpu_pair_seconds(benchmark: Benchmark) -> f64 {
     }
 }
 
-/// Per-atom Modify cost of the benchmark's fixes: Langevin pays a Gaussian
-/// RNG per atom per step; the chute's gravity/wall/freeze trio is cheap.
+/// Per-atom Modify cost of the benchmark's fixes: Langevin pays LAMMPS's
+/// three uniform draws per atom per step; the chute's gravity/wall/freeze
+/// trio is cheap.
 pub fn cpu_fix_seconds(benchmark: Benchmark) -> f64 {
     match benchmark {
         Benchmark::Chain => 60.0e-9,
